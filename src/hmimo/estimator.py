@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from hmimo.geometry import SurfaceGeometry, rx_centers, tx_offsets
+from hmimo.geometry import SurfaceGeometry, relative_grid, rx_centers, tx_offsets
 from hmimo.green import WaveConfig
 from hmimo.signals import UnitaryModel, combine_channel
 from hmimo.surrogate import HybridNet, channel_first_derivs, hybrid_channel
@@ -323,75 +323,140 @@ def _grid_candidates(cfg: EstimatorConfig):
     return np.stack([g.ravel() for g in grid], axis=-1), spacing
 
 
+# Surrogate points per batched evaluation in the location init.  A point
+# costs about 2 kB in ``channel_first_derivs`` and the layout copies, so a
+# chunk stays under 10 MB whatever the geometry; much larger calls are also
+# slower per point.
+_CHUNK_POINTS = 4096
+
+
+def _predict(net: HybridNet, geom: SurfaceGeometry, p1s: np.ndarray,
+             wave: WaveConfig, f: np.ndarray = None, derivs: bool = False):
+    """Surrogate channel (B, 6N, M) at B candidate locations p1s (B, 3).
+
+    With a combiner ``f`` (P, M) the prediction is projected into the
+    hybrid receiver's observation space, (B, 6N, P).  ``derivs`` adds the
+    location Jacobian, shaped (B, 3, 6N, M) or (B, 3, 6N, P).
+    """
+    rel = relative_grid(geom, p1s)                 # (B, N, M, 3)
+    b, n, m, _ = rel.shape
+    rel = rel.reshape(-1, 3)
+    if derivs:
+        h, dh = channel_first_derivs(net, rel, wave)
+        dh = dh.reshape(b, n, m, 6, 3).transpose(0, 4, 3, 1, 2).reshape(
+            b, 3, 6 * n, m)
+    else:
+        h = hybrid_channel(net, rel, wave)
+    h = h.reshape(b, n, m, 6).transpose(0, 3, 1, 2).reshape(b, 6 * n, m)
+    if f is not None:
+        h = h @ f.T
+        if derivs:
+            dh = dh @ f.T
+    return (h, dh) if derivs else h
+
+
 def _model_stacked(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig):
     """Surrogate channel prediction (6N, M) at candidate location p1."""
-    offs = tx_offsets(geom)
-    n = offs.shape[0]
-    pos = np.asarray(p1, dtype=float)[None, :] + np.concatenate(
-        [offs, np.zeros((n, 1))], axis=1)
-    rxc = rx_centers(geom)
-    rel = pos[:, None, :] - np.concatenate(
-        [rxc[:, :2], np.zeros((rxc.shape[0], 1))], axis=1)[None, :, :]
-    h = hybrid_channel(net, rel.reshape(-1, 3), wave).reshape(n, rxc.shape[0], 6)
-    return _edges_to_stacked(h)
+    return _predict(net, geom, np.asarray(p1, dtype=float)[None], wave)[0]
 
 
-def _model_edges_derivs(net: HybridNet, geom: SurfaceGeometry, p1,
-                        wave: WaveConfig):
-    """Model prediction and its location Jacobian at candidate p1.
+def _chunks(geom: SurfaceGeometry, count: int):
+    """Slices of a batch of ``count`` locations, each slice holding at most
+    _CHUNK_POINTS surrogate points (but at least one location)."""
+    per = max(1, _CHUNK_POINTS // (geom.n_patches * geom.m_patches))
+    return [slice(lo, lo + per) for lo in range(0, count, per)]
 
-    Returns (h, dh) with h shaped (6N, M) and dh shaped (6N, M, 3).
+
+def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
+    """Envelope correlation |<model(p), h_ref>| / (|model(p)| |h_ref|), (B,).
+
+    A location whose prediction vanishes scores 0.
     """
-    offs = tx_offsets(geom)
-    n = offs.shape[0]
-    pos = np.asarray(p1, dtype=float)[None, :] + np.concatenate(
-        [offs, np.zeros((n, 1))], axis=1)
-    rxc = rx_centers(geom)
-    rel = pos[:, None, :] - np.concatenate(
-        [rxc[:, :2], np.zeros((rxc.shape[0], 1))], axis=1)[None, :, :]
-    h, dh = channel_first_derivs(net, rel.reshape(-1, 3), wave)
-    h = _edges_to_stacked(h.reshape(n, rxc.shape[0], 6))
-    dh = np.stack([_edges_to_stacked(dh[:, :, j].reshape(n, rxc.shape[0], 6))
-                   for j in range(3)], axis=-1)
-    return h, dh
+    norm_ref = np.linalg.norm(h_ref)
+    out = np.empty(len(p1s))
+    for sl in _chunks(geom, len(p1s)):
+        pred = _predict(net, geom, p1s[sl], wave, f)
+        pred = pred.reshape(pred.shape[0], -1)
+        denom = np.linalg.norm(pred, axis=1) * norm_ref
+        inner = pred.conj() @ h_ref.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[sl] = np.where(denom == 0, 0.0, np.abs(inner / denom))
+    return out
 
 
-def _gauss_newton_refine(net, geom, h_ref, p0, wave, project=None, steps=6,
-                         step_tol=1e-5):
-    """Levenberg-style local fit of the location to the reference channel."""
-    p = np.asarray(p0, dtype=float).copy()
-    mu = 0.0
-    prev_cost = np.inf
+def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
+    """Squared residual ||model(p) - h_ref||^2 at each of B locations."""
+    out = np.empty(len(p1s))
+    for sl in _chunks(geom, len(p1s)):
+        e = _predict(net, geom, p1s[sl], wave, f) - h_ref
+        out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
+    return out
+
+
+def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
+    """Residual cost (B,), Gauss-Newton matrix (B, 3, 3) and gradient (B, 3)."""
+    b = len(p1s)
+    cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
+    for sl in _chunks(geom, b):
+        h, dh = _predict(net, geom, p1s[sl], wave, f, derivs=True)
+        c = h.shape[0]
+        e = (h - h_ref).reshape(c, -1, 1)
+        jac = dh.reshape(c, 3, -1)
+        cost[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
+        a[sl] = (jac.conj() @ jac.transpose(0, 2, 1)).real
+        g[sl] = (jac.conj() @ e)[..., 0].real
+    return cost, a, g
+
+
+def _solve_each(a: np.ndarray, rhs: np.ndarray):
+    """Solve a[i] x[i] = rhs[i]; returns (x, ok) with ok False where singular."""
+    try:
+        return np.linalg.solve(a, rhs[..., None])[..., 0], np.ones(len(a), bool)
+    except np.linalg.LinAlgError:
+        # the batched solve fails as a whole; find the singular systems
+        x = np.zeros_like(rhs)
+        ok = np.ones(len(a), bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return x, ok
+
+
+def _refine_batch(net, geom, h_ref, p0s, wave, f=None, steps=8, step_tol=1e-5):
+    """Levenberg-style local fit of B starting locations (B, 3) to h_ref.
+
+    Every start is an independent fit with its own damping, previous cost
+    and stop flag: it stops once its step is below ``step_tol`` or its
+    damped system is singular, so batching does not couple the starts.
+    Returns the positions (B, 3) and their residual costs (B,).
+    """
+    p = np.array(p0s, dtype=float)
+    b = len(p)
+    mu = np.zeros(b)
+    prev_cost = np.full(b, np.inf)
+    live = np.ones(b, bool)
     for _ in range(steps):
-        h, dh = _model_edges_derivs(net, geom, p, wave)
-        if project is not None:
-            h = project(h)
-            dh = np.stack([project(dh[..., j]) for j in range(3)], axis=-1)
-        e = (h - h_ref).ravel()
-        cost = np.vdot(e, e).real
-        jac = dh.reshape(-1, 3)
-        a = (jac.conj().T @ jac).real
-        g = (jac.conj().T @ e).real
-        if mu == 0.0:
-            mu = 1e-3 * np.max(np.diag(a))
-        mu = mu * (10.0 if cost > prev_cost else 0.3)
-        try:
-            step = np.linalg.solve(a + mu * np.eye(3), -g)
-        except np.linalg.LinAlgError:
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        p = p + step
-        prev_cost = cost
-        if np.linalg.norm(step) < step_tol:
-            break
-    h, _ = _model_edges_derivs(net, geom, p, wave)
-    if project is not None:
-        h = project(h)
-    return p, float(np.linalg.norm(h - h_ref) ** 2)
+        cost, a, g = _normal_equations(net, geom, h_ref, p[idx], wave, f)
+        diag_max = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
+        mu[idx] = (np.where(mu[idx] == 0.0, 1e-3 * diag_max, mu[idx])
+                   * np.where(cost > prev_cost[idx], 10.0, 0.3))
+        step, ok = _solve_each(a + mu[idx, None, None] * np.eye(3), -g)
+        live[idx[~ok]] = False
+        idx, step = idx[ok], step[ok]
+        p[idx] += step
+        prev_cost[idx] = cost[ok]
+        live[idx[np.linalg.norm(step, axis=1) < step_tol]] = False
+    return p, _residual_costs(net, geom, h_ref, p, wave, f)
 
 
 def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
                      cfg: EstimatorConfig, wave: WaveConfig,
-                     project=None):
+                     f: np.ndarray = None):
     """Locate the prior-box point whose model prediction best matches h_ref.
 
     The search is staged.  A coarse grid plus one refinement maximize the
@@ -399,37 +464,20 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     is nearly blind along z: the dominant z dependence is the common
     phase factor exp(i k0 z) that the magnitude removes, so the
     likelihood in z is a comb of peaks one wavelength apart under a very
-    broad envelope.  A dense sweep of z with the phase-sensitive metric
-    Re<model(p), h_ref> exposes the comb; the strongest teeth are each
-    polished by a damped Gauss-Newton fit of all three coordinates
-    against h_ref, and the tooth with the smallest residual wins.
-    ``project`` optionally maps (6N, M) predictions into the observation
-    space of the hybrid receiver.
+    broad envelope.  Every tooth of the comb across the prior's z range is
+    then polished by a damped Gauss-Newton fit of all three coordinates
+    against h_ref, and the tooth with the smallest residual wins.  The
+    grid and the teeth are each evaluated as one batch.  With a combiner
+    ``f`` (P, M), predictions are compared with h_ref in the observation
+    space of the hybrid receiver, h @ f.T.
     """
-    cands, spacing = _grid_candidates(cfg)
-    norm_ref = np.linalg.norm(h_ref)
-
-    def score(p, phase_sensitive):
-        pred = _model_stacked(net, geom, p, wave)
-        if project is not None:
-            pred = project(pred)
-        denom = np.linalg.norm(pred) * norm_ref
-        if denom == 0:
-            return 0.0
-        inner = np.vdot(pred, h_ref) / denom
-        return inner.real if phase_sensitive else abs(inner)
-
-    def best_over(points, phase_sensitive=False):
-        top, arg = -np.inf, points[0]
-        for p in points:
-            s = score(p, phase_sensitive)
-            if s > top:
-                top, arg = s, p
-        return np.asarray(arg, dtype=float)
-
-    coarse = best_over(cands)
-    env = minimize(lambda p: -score(p, False), coarse, method="Nelder-Mead",
-                   options={"xatol": 1e-3, "fatol": 1e-10, "maxfev": 300})
+    cands, _ = _grid_candidates(cfg)
+    scores = _envelope_scores(net, geom, h_ref, cands, wave, f)
+    coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]
+    env = minimize(
+        lambda p: -_envelope_scores(net, geom, h_ref, p[None], wave, f)[0],
+        coarse, method="Nelder-Mead",
+        options={"xatol": 1e-3, "fatol": 1e-10, "maxfev": 300})
     xy = env.x if env.x is not None else coarse
 
     lam = wave.wavelength
@@ -438,13 +486,14 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     # every tooth is refined to convergence: a partially converged cost
     # mostly measures the distance from the (biased) envelope estimate and
     # ranks the true basin far down the list
-    best_p, best_cost = np.array([xy[0], xy[1], 0.5 * (z_lo + z_hi)]), np.inf
-    for z_k in teeth:
-        p_hat, cost = _gauss_newton_refine(
-            net, geom, h_ref, (xy[0], xy[1], z_k), wave, project=project,
-            steps=8)
-        if cost < best_cost and np.all(np.isfinite(p_hat)):
-            best_p, best_cost = p_hat, cost
+    starts = np.column_stack([np.full(teeth.size, xy[0]),
+                              np.full(teeth.size, xy[1]), teeth])
+    p_hat, costs = _refine_batch(net, geom, h_ref, starts, wave, f)
+    valid = np.isfinite(costs) & np.all(np.isfinite(p_hat), axis=1)
+    if np.any(valid):
+        best_p = p_hat[np.argmin(np.where(valid, costs, np.inf))]
+    else:
+        best_p = np.array([xy[0], xy[1], 0.5 * (z_lo + z_hi)])
 
     lo = np.array([cfg.prior_x[0], cfg.prior_y[0], cfg.prior_z[0]])
     hi = np.array([cfg.prior_x[1], cfg.prior_y[1], cfg.prior_z[1]])
@@ -622,8 +671,7 @@ def estimate_hybrid(model: UnitaryModel, f: np.ndarray, net: HybridNet,
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
         g_ls = ls_estimate(phi, model.r)
-        p0, var0 = grid_search_init(net, geom, g_ls, cfg, wave,
-                                    project=lambda h: combine_channel(f, h))
+        p0, var0 = grid_search_init(net, geom, g_ls, cfg, wave, f=f)
 
     loc = init_location_state(p0, var0, offsets, m)
     lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)

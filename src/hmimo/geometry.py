@@ -122,12 +122,17 @@ def tx_offsets(geom: SurfaceGeometry) -> np.ndarray:
 
 
 def relative_grid(geom: SurfaceGeometry, p1) -> np.ndarray:
-    """Relative coordinates for every (n, m) pair, shaped (N, M, 3)."""
+    """Relative coordinates for every (n, m) pair, shaped (N, M, 3).
+
+    ``p1`` may also be a stack of locations (..., 3), which gives one grid
+    per location, shaped (..., N, M, 3).
+    """
+    p1 = np.asarray(p1, dtype=float)
     rx = rx_centers(geom)                      # (M, 3)
     off = tx_offsets(geom)                     # (N, 2)
     n_, m_ = geom.n_patches, geom.m_patches
-    out = np.zeros((n_, m_, 3))
-    out[:, :, 0] = (p1[0] + off[:, 0])[:, None] - rx[None, :, 0]
-    out[:, :, 1] = (p1[1] + off[:, 1])[:, None] - rx[None, :, 1]
-    out[:, :, 2] = p1[2]
+    out = np.empty(p1.shape[:-1] + (n_, m_, 3))
+    out[..., 0] = (p1[..., 0, None] + off[:, 0])[..., :, None] - rx[:, 0]
+    out[..., 1] = (p1[..., 1, None] + off[:, 1])[..., :, None] - rx[:, 1]
+    out[..., 2] = p1[..., 2, None, None]
     return out

@@ -10,6 +10,7 @@ provide complete defaults that a user file can override.
 import concurrent.futures
 import copy
 import csv
+import numbers
 import time
 
 import numpy as np
@@ -124,6 +125,7 @@ def validate_config(cfg: dict) -> None:
         trials = cfg["trials"]
         prior = cfg["prior"]
         geom = cfg["geometry"]
+        fixed_length = cfg["fixed"]["length"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
     if var not in SWEEP_VARIABLES:
@@ -142,6 +144,14 @@ def validate_config(cfg: dict) -> None:
     for name in cfg["estimators"]:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
+    # S is (3L, 6N), and the unitary preprocessing needs at least as many
+    # rows as columns
+    min_length = 2 * geom["tx_rows"] * geom["tx_cols"]
+    lengths = [fixed_length] + (list(values) if var == "length" else [])
+    for length in lengths:
+        if not (isinstance(length, numbers.Real) and length >= min_length):
+            raise ConfigError(f"pilot length {length!r} is below 2N = {min_length}"
+                              " for the transmit geometry")
     if var == "patches":
         for v in values:
             side = int(round(np.sqrt(v)))
@@ -390,6 +400,7 @@ def load_nets(cfg) -> dict:
     kinds.add("exact")   # the CRLB column always uses the exact surrogate
     paths = {"exact": cfg["paths"]["weights"],
              "approx": cfg["paths"]["weights_approx"]}
+    frequency = float(cfg["wave"]["frequency"])
     for kind in kinds:
         try:
             nets[kind] = HybridNet.load(paths[kind])
@@ -397,6 +408,11 @@ def load_nets(cfg) -> dict:
             raise ConfigError(
                 f"missing {kind} surrogate weights {paths[kind]}: {exc}"
                 " (run the train subcommand first)") from exc
+        if not np.isclose(nets[kind].frequency, frequency, rtol=1e-9, atol=0.0):
+            raise ConfigError(
+                f"{kind} surrogate {paths[kind]} was trained at "
+                f"{nets[kind].frequency:.6g} Hz, but the config's wave is at "
+                f"{frequency:.6g} Hz")
     return nets
 
 

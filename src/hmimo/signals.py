@@ -162,9 +162,7 @@ def combine_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
         raise ValueError("stacked channel row count must be a multiple of 6")
     if f.shape[1] != m:
         raise ValueError(f"combiner columns {f.shape[1]} != antennas {m}")
-    n = n6 // 6
-    blocks = [h[k * n:(k + 1) * n] @ f.T for k in range(6)]
-    return np.concatenate(blocks, axis=0)
+    return h @ f.T
 
 
 def simulate_rx_hybrid(f: np.ndarray, h: np.ndarray, pilots: PilotBlock,

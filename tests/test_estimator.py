@@ -10,14 +10,15 @@ from hmimo.geometry import SurfaceGeometry, tx_offsets
 from hmimo.green import WaveConfig
 from hmimo.signals import (PilotBlock, gen_combiner, gen_pilots, simulate_rx,
                            simulate_rx_hybrid, unitary_transform, combine_channel)
-from hmimo.surrogate import hybrid_channel
+from hmimo import estimator
+from hmimo.surrogate import HybridNet, hybrid_channel
 from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
                              LocationState, NumericalFailure, UampState,
                              channel_belief, clamp_var, estimate_full_digital,
                              estimate_hybrid, gaussian_divide, gaussian_product,
                              grid_search_init, init_location_state, location_round,
                              ls_estimate, taylor_linearize, uamp_linear_step,
-                             write_trace_csv, _model_stacked)
+                             write_trace_csv, _model_stacked, _refine_batch)
 
 
 # --- Gaussian message algebra --------------------------------------------
@@ -317,6 +318,18 @@ class TestGridSearchInit:
         assert abs(p0[2] - true_position[2]) < 0.3
         assert np.all(var0 > 0)
 
+    def test_locates_true_position_noiseless_hybrid(self, trained_net,
+                                                    small_geometry, wave,
+                                                    true_channel, true_position):
+        f = gen_combiner(24, small_geometry.m_patches, seed=5)
+        cfg = EstimatorConfig()
+        p0, var0 = grid_search_init(trained_net, small_geometry,
+                                    combine_channel(f, true_channel), cfg, wave,
+                                    f=f)
+        assert np.all(np.abs(p0[:2] - true_position[:2]) < 0.05)
+        assert abs(p0[2] - true_position[2]) < 0.3
+        assert np.all(var0 > 0)
+
     def test_respects_prior_box(self, trained_net, small_geometry, wave):
         rng = np.random.default_rng(7)
         fake = rng.normal(size=(6 * small_geometry.n_patches,
@@ -328,6 +341,52 @@ class TestGridSearchInit:
         margin = 0.1 * (hi - lo)
         assert np.all(p0 >= lo - margin - 1e-9)
         assert np.all(p0 <= hi + margin + 1e-9)
+
+
+def _saturating_net():
+    """Net whose hidden units all saturate to +1 far up in z.
+
+    There tanh' is exactly 0 and the outputs cancel to exactly 0, so the
+    channel and its location Jacobian vanish and the damped Gauss-Newton
+    system of a start placed there is singular.
+    """
+    rng = np.random.default_rng(4)
+    w1 = np.column_stack([rng.normal(scale=0.3, size=(3, 2)), np.ones(3)])
+    w2 = rng.normal(size=(3, 12))
+    return HybridNet(w1=w1, b1=np.array([-2.0, -2.5, -3.0]), w2=w2,
+                     b2=-w2.sum(axis=0), input_offset=np.zeros(3),
+                     input_scale=np.ones(3), output_offset=np.zeros(12),
+                     output_scale=np.ones(12), frequency=3e9)
+
+
+class TestRefineBatch:
+    @pytest.mark.parametrize("chains", [None, 24])
+    def test_batching_does_not_mix_starts(self, small_geometry, wave,
+                                          monkeypatch, chains):
+        net = _saturating_net()
+        f = (None if chains is None
+             else gen_combiner(chains, small_geometry.m_patches, seed=5))
+        h_ref = _model_stacked(net, small_geometry, [0.1, -0.05, 3.0], wave)
+        if f is not None:
+            h_ref = combine_channel(f, h_ref)
+        # the starts stop after different step counts, and the cost of the
+        # last one rises at some steps, which raises its damping alone
+        starts = np.array([[0.0, 0.0, 2.8], [0.0, 0.0, 2.9], [0.05, 0.0, 3.0],
+                           [0.0, 0.0, 60.0],        # singular system
+                           [0.0, 0.1, 3.1], [0.1, -0.05, 3.2],
+                           [0.05, 0.0, 4.0]])
+        # two starts per surrogate call, so the batch spans several chunks
+        monkeypatch.setattr(estimator, "_CHUNK_POINTS",
+                            2 * small_geometry.n_patches * small_geometry.m_patches)
+        p_all, c_all = _refine_batch(net, small_geometry, h_ref, starts, wave, f)
+        assert np.array_equal(p_all[3], starts[3])
+        regular = [0, 1, 2, 4, 5, 6]
+        assert np.all(np.any(p_all[regular] != starts[regular], axis=1))
+        for i, start in enumerate(starts):
+            p_one, c_one = _refine_batch(net, small_geometry, h_ref, start[None],
+                                         wave, f)
+            assert np.max(np.abs(p_all[i] - p_one[0])) <= 1e-12
+            assert abs(c_all[i] - c_one[0]) <= 1e-12 * c_one[0]
 
 
 # --- end-to-end estimators --------------------------------------------------

@@ -10,8 +10,9 @@ import yaml
 
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _format_cell, _mean_stderr_db, build_geometry,
-                           crlb_rows, load_config, run_point, run_trial,
-                           sweep, validate_config, write_rows_csv)
+                           crlb_rows, load_config, load_nets, run_point,
+                           run_trial, sweep, validate_config, write_rows_csv)
+from hmimo.surrogate import HybridNet
 
 
 class TestConfig:
@@ -55,6 +56,19 @@ class TestConfig:
         cfg = _deep_merge(PROFILES["ci"],
                           {"sweep": {"variable": "patches", "values": [35]}})
         with pytest.raises(ConfigError, match="square"):
+            validate_config(cfg)
+
+    def test_short_pilot_rejected(self):
+        # ci transmit surface: N = 9 patches, so L must be at least 18
+        cfg = _deep_merge(PROFILES["ci"], {"fixed": {"length": 17}})
+        with pytest.raises(ConfigError, match="pilot length"):
+            validate_config(cfg)
+        validate_config(_deep_merge(PROFILES["ci"], {"fixed": {"length": 18}}))
+
+    def test_short_pilot_in_length_sweep_rejected(self):
+        cfg = _deep_merge(PROFILES["ci"],
+                          {"sweep": {"variable": "length", "values": [40, 12]}})
+        with pytest.raises(ConfigError, match="pilot length 12"):
             validate_config(cfg)
 
     def test_unparseable_yaml(self, tmp_path):
@@ -185,6 +199,29 @@ class TestCrlbRows:
                                                                       abs=1e-9)
 
 
+class TestLoadNets:
+    def _cfg(self, tmp_path, frequency):
+        rng = np.random.default_rng(0)
+        HybridNet(w1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
+                  w2=rng.normal(size=(4, 12)), b2=rng.normal(size=12),
+                  input_offset=np.zeros(3), input_scale=np.ones(3),
+                  output_offset=np.zeros(12), output_scale=np.ones(12),
+                  frequency=3.0e9).save(tmp_path / "w.json")
+        return _deep_merge(PROFILES["ci"], {
+            "wave": {"frequency": frequency},
+            "estimators": ["mp-hybrid"],
+            "paths": {"weights": str(tmp_path / "w.json"),
+                      "weights_approx": str(tmp_path / "w.json")}})
+
+    def test_matching_frequency_loads(self, tmp_path):
+        nets = load_nets(self._cfg(tmp_path, 3.0e9))
+        assert nets["exact"].frequency == 3.0e9
+
+    def test_frequency_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="trained at"):
+            load_nets(self._cfg(tmp_path, 2.8e9))
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "hmimo.cli", *args],
@@ -210,6 +247,14 @@ class TestCli:
         proc = self._run("sweep", "--config", str(path))
         assert proc.returncode == 2
         assert "train subcommand" in proc.stderr
+
+    def test_short_pilot_exit_code(self, tmp_path):
+        path = tmp_path / "short.yaml"
+        path.write_text("fixed:\n  length: 10\n")
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_field_dump(self, tmp_path):
         out = tmp_path / "dump.csv"

@@ -6,7 +6,8 @@ from hmimo.green import QuadratureRule, WaveConfig
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, generate_training_set,
-                             hybrid_channel, nmse_db, phi_shifted, train)
+                             hybrid_channel, nmse_db, phi_shifted, train,
+                             _output_jacobians)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,19 @@ class TestDerivatives:
         h2, dh2, _ = channel_second_derivs(net, points, wave)
         assert np.array_equal(h1, h2)
         assert np.array_equal(dh1, dh2)
+
+    def test_jacobians_match_einsum_form(self, net, points):
+        # the matmul contractions against the direct einsum statement
+        _, dout, d2out = _output_jacobians(net, points, second=True)
+        a = net._hidden(points)
+        gp = 1.0 - a**2
+        w1s = net.w1 / net.input_scale[None, :]
+        d1 = np.einsum("ik,bi,ij->bkj", net.w2, gp, w1s)
+        d2 = np.einsum("ik,bi,ij,il->bkjl", net.w2, -2.0 * a * gp, w1s, w1s)
+        ref1 = d1 * net.output_scale[None, :, None]
+        ref2 = d2 * net.output_scale[None, :, None, None]
+        assert np.max(np.abs(dout - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+        assert np.max(np.abs(d2out - ref2)) <= 1e-12 * np.max(np.abs(ref2))
 
     def test_hessian_symmetric(self, net, points, wave):
         _, _, d2h = channel_second_derivs(net, points, wave)
