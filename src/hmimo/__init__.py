@@ -1,6 +1,6 @@
 """Near-field holographic MIMO channel simulation and parametric estimation."""
 
-from hmimo.geometry import SurfaceGeometry, PatchOffset, patch_center, patch_offset, relative_coords
+from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, ChannelTensor, full_channel
 from hmimo.surrogate import (HybridNet, TrainConfig, CoordinateBox,
                              generate_training_set, train)
@@ -12,10 +12,6 @@ from hmimo.harness import ConfigError, load_config, run_point, sweep, train_surr
 
 __all__ = [
     "SurfaceGeometry",
-    "PatchOffset",
-    "patch_center",
-    "patch_offset",
-    "relative_coords",
     "WaveConfig",
     "QuadratureRule",
     "ChannelTensor",

@@ -78,9 +78,7 @@ def main(argv=None) -> int:
         elif args.command == "point":
             nets = load_nets(cfg)
             variable = cfg["sweep"]["variable"]
-            value = cfg["fixed"][
-                {"snr": "snr", "length": "length",
-                 "chains": "chains", "patches": "patches"}.get(variable, "snr")]
+            value = cfg["fixed"].get(variable)
             if value is None:
                 value = cfg["sweep"]["values"][0]
             rows = run_point(cfg, nets, variable, value, 0)

@@ -14,8 +14,8 @@ as a cross-validation path.
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, rx_centers, tx_offsets
-from hmimo.green import WaveConfig
+from hmimo.geometry import SurfaceGeometry, relative_grid
+from hmimo.green import WaveConfig, edges_to_stacked
 from hmimo.surrogate import (HybridNet, channel_first_derivs,
                              channel_second_derivs, hybrid_channel)
 
@@ -41,30 +41,13 @@ def _check_net(net: HybridNet) -> None:
         raise ValueError("surrogate network is untrained or has invalid weights")
 
 
-def _relative_grid(geom: SurfaceGeometry, p1):
-    """Relative tx-patch-to-rx-patch coordinates, flattened to (N*M, 3)."""
-    offs = tx_offsets(geom)
-    n = offs.shape[0]
-    pos = np.asarray(p1, dtype=float)[None, :] + np.concatenate(
-        [offs, np.zeros((n, 1))], axis=1)
-    rxc = rx_centers(geom)
-    m = rxc.shape[0]
-    rel = pos[:, None, :] - np.concatenate(
-        [rxc[:, :2], np.zeros((m, 1))], axis=1)[None, :, :]
-    return rel.reshape(-1, 3), n, m
-
-
-def _stack(a, n, m):
-    """(N, M, 6, ...) edge layout -> (6N, M, ...) stacked layout."""
-    return np.moveaxis(a.reshape(n, m, 6, -1), 2, 0).reshape(6 * n, m, -1)
-
-
 def _channel_and_jacobian(net, geom, p1, wave):
     """Channel (6N, M) and its position Jacobian (6N, M, 3)."""
-    rel, n, m = _relative_grid(geom, p1)
+    n, m = geom.n_patches, geom.m_patches
+    rel = relative_grid(geom, p1).reshape(-1, 3)
     h, dh = channel_first_derivs(net, rel, wave)
-    return (_stack(h.reshape(n, m, 6, 1), n, m)[..., 0],
-            _stack(dh.reshape(n, m, 6, 3), n, m))
+    return (edges_to_stacked(h.reshape(n, m, 6)),
+            edges_to_stacked(dh.reshape(n, m, 6, 3)))
 
 
 def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
@@ -100,8 +83,9 @@ def crlb_position_normalized(fi: np.ndarray, p1) -> float:
 def log_likelihood(p1, y, s, net, geom, gamma, wave=None) -> float:
     """Gaussian log-likelihood of Y = S H(p) + W up to an additive constant."""
     wave = wave or WaveConfig(net.frequency)
-    rel, n, m = _relative_grid(geom, p1)
-    h = _stack(hybrid_channel(net, rel, wave).reshape(n, m, 6, 1), n, m)[..., 0]
+    rel = relative_grid(geom, p1).reshape(-1, 3)
+    h = edges_to_stacked(hybrid_channel(net, rel, wave).reshape(
+        geom.n_patches, geom.m_patches, 6))
     return float(-gamma * np.linalg.norm(y - s @ h) ** 2)
 
 
@@ -121,11 +105,12 @@ def hessian(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
     derivatives; its expectation over Y equals -fim(p1, ...).
     """
     wave = wave or WaveConfig(net.frequency)
-    rel, n, m = _relative_grid(geom, p1)
+    n, m = geom.n_patches, geom.m_patches
+    rel = relative_grid(geom, p1).reshape(-1, 3)
     h12, dh12, d2h12 = channel_second_derivs(net, rel, wave)
-    h = _stack(h12.reshape(n, m, 6, 1), n, m)[..., 0]
-    dh = _stack(dh12.reshape(n, m, 6, 3), n, m)
-    d2h = _stack(d2h12.reshape(n, m, 6, 9), n, m).reshape(6 * n, m, 3, 3)
+    h = edges_to_stacked(h12.reshape(n, m, 6))
+    dh = edges_to_stacked(dh12.reshape(n, m, 6, 3))
+    d2h = edges_to_stacked(d2h12.reshape(n, m, 6, 3, 3))
     resid = y - s @ h
     sd = np.einsum("kl,lma->kma", s, dh)
     gram_term = -2.0 * gamma * np.einsum("kma,kmb->ab", sd.conj(), sd).real

@@ -8,10 +8,10 @@ is linearized by a first-order Taylor expansion around the current
 location belief so that all messages stay Gaussian.  The final channel
 estimate is reconstructed from the surrogate at the location estimate.
 
-Two receiver flavors are provided: a full-digital receiver observing all
-M antenna patches, and a hybrid receiver observing P < M analog-combined
-outputs, handled by cascading the AMP stage with an exact per-column
-Gaussian conditioning step through the combining matrix.
+One loop serves two receivers: a full-digital receiver observing all M
+antenna patches, and a hybrid receiver observing P < M analog-combined
+outputs, for which the AMP stage is cascaded with an exact Gaussian
+conditioning step through the combining matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from hmimo.geometry import SurfaceGeometry, relative_grid, rx_centers, tx_offsets
-from hmimo.green import WaveConfig
+from hmimo.green import WaveConfig, edges_to_stacked
 from hmimo.signals import UnitaryModel, combine_channel
 from hmimo.surrogate import HybridNet, channel_first_derivs, hybrid_channel
 
@@ -187,10 +187,8 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, positions: np.ndarra
     """
     positions = np.atleast_2d(positions)
     n = positions.shape[0]
-    rxc = rx_centers(geom)
-    m = rxc.shape[0]
-    rel = positions[:, None, :] - np.concatenate(
-        [rxc[:, :2], np.zeros((m, 1))], axis=1)[None, :, :]
+    rel = positions[:, None, :] - rx_centers(geom)   # rx patches sit at z = 0
+    m = rel.shape[1]
     h, dh = channel_first_derivs(net, rel.reshape(-1, 3), wave)
     h = h.reshape(n, m, 6)
     dh = dh.reshape(n, m, 6, 3)
@@ -201,12 +199,6 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, positions: np.ndarra
 def _stacked_to_edges(a: np.ndarray, n: int) -> np.ndarray:
     """(6N, M) stacked layout -> (N, M, 6) edge layout."""
     return a.reshape(6, n, -1).transpose(1, 2, 0)
-
-
-def _edges_to_stacked(a: np.ndarray) -> np.ndarray:
-    """(N, M, 6) edge layout -> (6N, M) stacked layout."""
-    n, m, _ = a.shape
-    return a.transpose(2, 0, 1).reshape(6 * n, m)
 
 
 @dataclass
@@ -311,7 +303,7 @@ def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
     return mean, var, prior_mean, prior_var
 
 
-# --- full-digital estimator ---------------------------------------------
+# --- location init ------------------------------------------------------
 
 
 def _grid_candidates(cfg: EstimatorConfig):
@@ -503,6 +495,9 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     return best_p, init_var
 
 
+# --- message-passing loop -----------------------------------------------
+
+
 def _working_scale(net: HybridNet) -> float:
     """Typical channel-entry magnitude used to normalize the AMP stage."""
     return float(np.sqrt(np.mean(net.output_scale ** 2 + net.output_offset ** 2)))
@@ -535,174 +530,88 @@ def write_trace_csv(path, trace) -> None:
             w.writerow({k: row[k] for k in cols})
 
 
-def estimate_full_digital(model: UnitaryModel, net: HybridNet,
-                          geom: SurfaceGeometry, cfg: EstimatorConfig = None,
-                          h_true: np.ndarray = None) -> EstimateResult:
-    """Joint location/channel estimation from the full-digital receiver.
-
-    ``model`` is the unitary-rotated observation pair (Phi, R); ``h_true``
-    is optional and only feeds the iteration trace.  AMP starts from the
-    channel prior that the initial location belief implies (the surrogate
-    prediction at p0 with the variance that p0's uncertainty induces), so
-    that a correct p0 is not pulled away by the first extrinsics.
-    """
-    cfg = cfg or EstimatorConfig()
-    wave = WaveConfig(net.frequency)
-    offsets = tx_offsets(geom)
-    n = offsets.shape[0]
-    m = model.r.shape[1]
-    scale = _working_scale(net)
-    r_n = model.r / scale
-    phi = model.phi
-
-    if cfg.init_position is not None:
-        _, spacing = _grid_candidates(cfg)
-        p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
-    else:
-        h_ls = ls_estimate(phi, model.r)
-        p0, var0 = grid_search_init(net, geom, h_ls, cfg, wave)
-
-    loc = init_location_state(p0, var0, offsets, m)
-    lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
-    prior_mean, prior_var = location_prior(lin, loc)
-    amp = UampState.from_prior(_edges_to_stacked(prior_mean),
-                               _edges_to_stacked(prior_var), phi.shape[0])
-    beta = cfg.damping
-    trace = []
-    converged = False
-    it = 0
-    h_param_n = _edges_to_stacked(lin.h)
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            if it > 1:
-                lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
-            cap = r_n.size / max(np.linalg.norm(r_n - phi @ h_param_n) ** 2, 1e-300)
-            q_st, vq_st, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
-            q = _stacked_to_edges(q_st, n)
-            v_q = _stacked_to_edges(vq_st, n)
-
-            prev = loc.mean.copy()
-            new_loc, _ = location_round(lin, q, v_q, loc, offsets)
-            if beta < 1.0:
-                new_loc.mean[:] = prev + beta * (new_loc.mean - prev)
-                new_loc.patch_mean[:] = (loc.patch_mean
-                                         + beta * (new_loc.patch_mean - loc.patch_mean))
-            loc = new_loc
-
-            h_mean, h_var, _, _ = channel_belief(lin, q, v_q, loc)
-            h_mean_st = _edges_to_stacked(h_mean)
-            h_var_st = _edges_to_stacked(h_var)
-            amp.h_mean[:] = amp.h_mean + beta * (h_mean_st - amp.h_mean)
-            amp.h_var[:] = clamp_var(amp.h_var + beta * (h_var_st - amp.h_var))
-
-            if not np.all(np.isfinite(loc.mean)):
-                raise NumericalFailure(f"non-finite location at iteration {it}", trace)
-            h_param = _model_stacked(net, geom, loc.mean, wave)
-            h_param_n = h_param / scale
-            resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
-                          / max(np.linalg.norm(r_n), 1e-300))
-            gamma_raw = amp.gamma / scale ** 2
-            trace.append(_trace_row(it, loc, gamma_raw, resid, h_param, h_true))
-            if np.linalg.norm(loc.mean - prev) < cfg.tol:
-                converged = True
-                break
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
-
-    h_param = _model_stacked(net, geom, loc.mean, wave)
-    return EstimateResult(h_hat=h_param, position=loc.mean.copy(),
-                          position_var=loc.var.copy(),
-                          gamma_hat=amp.gamma / scale ** 2,
-                          iterations=it, converged=converged, trace=trace)
-
-
-# --- hybrid-receiver estimator ------------------------------------------
-
-
 def _conditioning_stage(f: np.ndarray, q_g: np.ndarray, v_g: np.ndarray,
                         prior_mean: np.ndarray, prior_var: np.ndarray):
-    """Exact per-column Gaussian conditioning through the combiner.
+    """Exact per-row Gaussian conditioning through the combiner.
 
-    Treats the stage-one extrinsics (q_g, v_g) of G_kappa^T = F H_kappa^T
-    as noisy observations and conditions each length-M column of
-    H_kappa^T on them under the per-entry prior.  Returns the extrinsic
-    (mean, var) toward the prior side, per element of H_kappa (N, M).
+    Treats the stage-one extrinsics (q_g, v_g) on G = H F^T, shaped
+    (N, P, 6), as noisy observations F h of every length-M channel row h
+    (one per transmit patch and polarization) and conditions h on them
+    under the per-entry prior (N, M, 6).  Returns the extrinsic (mean,
+    var) toward the prior side, shaped (N, M, 6).
     """
-    n, m = prior_mean.shape  # prior over H_kappa, (N, M)
+    n, m, _ = prior_mean.shape
     fh = f.conj().T
-    post_mean = np.empty((n, m), dtype=complex)
-    post_var = np.empty((n, m))
-    for j in range(n):
-        d = 1.0 / v_g[:, j]                       # (P,)
-        a = fh @ (d[:, None] * f)
-        a[np.diag_indices(m)] += 1.0 / prior_var[j]
-        rhs = prior_mean[j] / prior_var[j] + fh @ (d * q_g[:, j])
-        cov = np.linalg.inv(a)
-        post_mean[j] = cov @ rhs
-        post_var[j] = np.maximum(cov.diagonal().real, VAR_MIN)
+    post_mean = np.empty((n, m, 6), dtype=complex)
+    post_var = np.empty((n, m, 6))
+    for k in range(6):
+        for j in range(n):
+            d = 1.0 / v_g[j, :, k]                # (P,)
+            a = fh @ (d[:, None] * f)
+            a[np.diag_indices(m)] += 1.0 / prior_var[j, :, k]
+            rhs = prior_mean[j, :, k] / prior_var[j, :, k] + fh @ (d * q_g[j, :, k])
+            cov = np.linalg.inv(a)
+            post_mean[j, :, k] = cov @ rhs
+            post_var[j, :, k] = np.maximum(cov.diagonal().real, VAR_MIN)
     return gaussian_divide(post_mean, post_var, prior_mean, prior_var)
 
 
-def estimate_hybrid(model: UnitaryModel, f: np.ndarray, net: HybridNet,
-                    geom: SurfaceGeometry, cfg: EstimatorConfig = None,
-                    h_true: np.ndarray = None) -> EstimateResult:
-    """Joint location/channel estimation from the analog-combined receiver.
+def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
+              cfg: EstimatorConfig, h_true) -> EstimateResult:
+    """The message-passing loop of both receivers; ``f`` None is full-digital.
 
-    Stage one runs the AMP recursion on R = Phi G; stage two turns the
-    resulting per-entry extrinsics on G into extrinsics on H by exact
-    Gaussian conditioning through F, after which the location messages
-    proceed exactly as in the full-digital case.  AMP starts from the
-    channel prior that the initial location belief implies, pushed through
-    F.  With F = I the cascade reduces to ``estimate_full_digital`` step by
-    step.
+    Stage one runs the AMP recursion on R = Phi G with G = H F^T (G = H
+    without a combiner).  Stage two turns its extrinsics on G into
+    extrinsics on H: the identity without a combiner, exact Gaussian
+    conditioning through F with one.  Location messages and the channel
+    belief follow, and the belief is pushed through F for the next AMP
+    pass.  AMP starts from the channel prior that the initial location
+    belief implies, so that a correct p0 is not pulled away by the first
+    extrinsics.  ``h_true`` is optional and only feeds the iteration trace.
     """
     cfg = cfg or EstimatorConfig()
     wave = WaveConfig(net.frequency)
     offsets = tx_offsets(geom)
     n = offsets.shape[0]
-    m = f.shape[1]
     scale = _working_scale(net)
     r_n = model.r / scale
     phi = model.phi
-    abs_f2 = np.abs(f) ** 2
+    abs_f2 = None if f is None else np.abs(f) ** 2
+
+    def push(a, var=False):
+        """Mean (or variance) of G = H F^T from that of H, per entry."""
+        if f is None:
+            return a
+        return clamp_var(combine_channel(abs_f2, a)) if var else combine_channel(f, a)
 
     if cfg.init_position is not None:
         _, spacing = _grid_candidates(cfg)
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
-        g_ls = ls_estimate(phi, model.r)
-        p0, var0 = grid_search_init(net, geom, g_ls, cfg, wave, f=f)
+        p0, var0 = grid_search_init(net, geom, ls_estimate(phi, model.r), cfg,
+                                    wave, f=f)
 
-    loc = init_location_state(p0, var0, offsets, m)
+    loc = init_location_state(p0, var0, offsets, geom.m_patches)
     lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
     prior_mean, prior_var = location_prior(lin, loc)
-    amp = UampState.from_prior(
-        combine_channel(f, _edges_to_stacked(prior_mean)),
-        clamp_var(combine_channel(abs_f2, _edges_to_stacked(prior_var))),
-        phi.shape[0])
+    amp = UampState.from_prior(push(edges_to_stacked(prior_mean)),
+                               push(edges_to_stacked(prior_var), var=True),
+                               phi.shape[0])
     beta = cfg.damping
     trace = []
     converged = False
     it = 0
-    g_param_n = combine_channel(f, _edges_to_stacked(lin.h))
+    g_param_n = push(edges_to_stacked(lin.h))
     try:
         for it in range(1, cfg.max_iters + 1):
             if it > 1:
                 lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
             cap = r_n.size / max(np.linalg.norm(r_n - phi @ g_param_n) ** 2, 1e-300)
             qg_st, vqg_st, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
-            qg = _stacked_to_edges(qg_st, n)      # (N, P, 6)
-            vqg = _stacked_to_edges(vqg_st, n)
-
-            prior_mean, prior_var = location_prior(lin, loc)
-
-            # stage two: extrinsics on H through the combiner
-            q = np.empty((n, m, 6), dtype=complex)
-            v_q = np.empty((n, m, 6))
-            for k in range(6):
-                q[:, :, k], v_q[:, :, k] = _conditioning_stage(
-                    f, qg[:, :, k].T, vqg[:, :, k].T,
-                    prior_mean[:, :, k], prior_var[:, :, k])
+            q = _stacked_to_edges(qg_st, n)
+            v_q = _stacked_to_edges(vqg_st, n)
+            if f is not None:
+                q, v_q = _conditioning_stage(f, q, v_q, *location_prior(lin, loc))
 
             prev = loc.mean.copy()
             new_loc, _ = location_round(lin, q, v_q, loc, offsets)
@@ -713,20 +622,19 @@ def estimate_hybrid(model: UnitaryModel, f: np.ndarray, net: HybridNet,
             loc = new_loc
 
             h_mean, h_var, _, _ = channel_belief(lin, q, v_q, loc)
-            # push the channel belief forward through F for the next AMP pass
-            g_mean_st = combine_channel(f, _edges_to_stacked(h_mean))
-            g_var_st = clamp_var(combine_channel(abs_f2, _edges_to_stacked(h_var)))
+            g_mean_st = push(edges_to_stacked(h_mean))
+            g_var_st = push(edges_to_stacked(h_var), var=True)
             amp.h_mean[:] = amp.h_mean + beta * (g_mean_st - amp.h_mean)
             amp.h_var[:] = clamp_var(amp.h_var + beta * (g_var_st - amp.h_var))
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure(f"non-finite location at iteration {it}", trace)
             h_param = _model_stacked(net, geom, loc.mean, wave)
-            g_param_n = combine_channel(f, h_param) / scale
+            g_param_n = push(h_param) / scale
             resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
                           / max(np.linalg.norm(r_n), 1e-300))
-            gamma_raw = amp.gamma / scale ** 2
-            trace.append(_trace_row(it, loc, gamma_raw, resid, h_param, h_true))
+            trace.append(_trace_row(it, loc, amp.gamma / scale ** 2, resid,
+                                    h_param, h_true))
             if np.linalg.norm(loc.mean - prev) < cfg.tol:
                 converged = True
                 break
@@ -738,3 +646,23 @@ def estimate_hybrid(model: UnitaryModel, f: np.ndarray, net: HybridNet,
                           position_var=loc.var.copy(),
                           gamma_hat=amp.gamma / scale ** 2,
                           iterations=it, converged=converged, trace=trace)
+
+
+# The two receivers are separate public names, and neither calls the
+# other, so that a profiler wrapping both sees each estimate once.
+
+
+def estimate_full_digital(model: UnitaryModel, net: HybridNet,
+                          geom: SurfaceGeometry, cfg: EstimatorConfig = None,
+                          h_true: np.ndarray = None) -> EstimateResult:
+    """Joint location/channel estimation from the full-digital receiver,
+    given the unitary-rotated observation pair ``model`` = (Phi, R)."""
+    return _estimate(model, None, net, geom, cfg, h_true)
+
+
+def estimate_hybrid(model: UnitaryModel, f: np.ndarray, net: HybridNet,
+                    geom: SurfaceGeometry, cfg: EstimatorConfig = None,
+                    h_true: np.ndarray = None) -> EstimateResult:
+    """Joint location/channel estimation from the analog-combined receiver,
+    which observes R = Phi G with G = H F^T through the combiner ``f`` (P, M)."""
+    return _estimate(model, f, net, geom, cfg, h_true)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, relative_coords, relative_grid
+from hmimo.geometry import SurfaceGeometry, relative_grid
 
 C0 = 299792458.0          # vacuum speed of light, m/s
 MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
@@ -144,11 +144,19 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     return wave.prefactor * out
 
 
+def _pair_coords(m: int, n: int, geom: SurfaceGeometry, p1) -> np.ndarray:
+    """Relative coordinates (3,) of tx patch n seen from rx patch m, 1-based."""
+    if not (1 <= m <= geom.m_patches and 1 <= n <= geom.n_patches):
+        raise IndexError(f"patch pair (m={m}, n={n}) out of range "
+                         f"1..{geom.m_patches} x 1..{geom.n_patches}")
+    return relative_grid(geom, p1)[n - 1, m - 1]
+
+
 def patch_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig,
                   quad: QuadratureRule) -> np.ndarray:
     """3x3 channel block between rx patch m and tx patch n by quadrature."""
-    rel = np.array(relative_coords(m, n, geom, p1))
-    return patch_channel_batch(rel[None, :], geom, wave, quad)[0]
+    return patch_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
+                               wave, quad)[0]
 
 
 def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig) -> np.ndarray:
@@ -174,8 +182,15 @@ def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfi
 
 def approx_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig) -> np.ndarray:
     """Closed-form 3x3 channel block between rx patch m and tx patch n."""
-    rel = np.array(relative_coords(m, n, geom, p1))
-    return approx_channel_batch(rel[None, :], geom, wave)[0]
+    return approx_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
+                                wave)[0]
+
+
+def edges_to_stacked(a: np.ndarray) -> np.ndarray:
+    """(N, M, 6, ...) per-pair layout -> (6N, M, ...) stacked layout, with
+    the components in ``POLARIZATIONS`` order as in ``ChannelTensor.stacked``."""
+    n, m = a.shape[:2]
+    return np.moveaxis(a, 2, 0).reshape(6 * n, m, *a.shape[3:])
 
 
 def blocks_to_components(blocks: np.ndarray) -> np.ndarray:

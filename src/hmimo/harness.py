@@ -20,9 +20,8 @@ from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, full_channel
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              generate_training_set, train)
-from hmimo.signals import (gen_combiner, gen_pilots, simulate_rx,
-                           simulate_rx_hybrid, unitary_transform,
-                           combine_channel)
+from hmimo.signals import (gen_combiner, gen_pilots, noise_precision,
+                           simulate_rx, simulate_rx_hybrid, unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
                              ls_estimate, _model_stacked)
@@ -117,7 +116,23 @@ def load_config(path=None, profile="ci", overrides=None) -> dict:
     return cfg
 
 
+# Keys the program reads beyond those every profile sets: ``threads`` (set by
+# the CLI) and ``fixed.patches`` (a fixed receive-patch count).
+_OPTIONAL_KEYS = {"threads": None, "fixed": {"patches": None}}
+
+
+def _unknown_keys(cfg: dict, schema: dict, prefix=""):
+    for key, val in cfg.items():
+        if key not in schema:
+            yield f"{prefix}{key}"
+        elif isinstance(schema[key], dict) and isinstance(val, dict):
+            yield from _unknown_keys(val, schema[key], f"{prefix}{key}.")
+
+
 def validate_config(cfg: dict) -> None:
+    unknown = list(_unknown_keys(cfg, _deep_merge(PROFILES["ci"], _OPTIONAL_KEYS)))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         sweep = cfg["sweep"]
         var = sweep["variable"]
@@ -157,6 +172,16 @@ def validate_config(cfg: dict) -> None:
             side = int(round(np.sqrt(v)))
             if side * side != v:
                 raise ConfigError(f"patch-count sweep value {v} is not a square")
+    # the combiner has P <= M rows, for every receive-patch count swept
+    fixed = cfg["fixed"]
+    m_min = (min(values) if var == "patches"
+             else fixed.get("patches") or geom["rx_rows"] * geom["rx_cols"])
+    chains = [fixed.get("chains")] + (list(values) if var == "chains" else [])
+    for p in chains:
+        if p is not None and not (isinstance(p, numbers.Integral)
+                                  and 1 <= p <= m_min):
+            raise ConfigError(f"chains {p!r} must be an integer in 1..M = {m_min}"
+                              " for the receive geometry")
 
 
 def build_geometry(cfg: dict, patches=None) -> SurfaceGeometry:
@@ -217,10 +242,19 @@ def train_surrogates(cfg: dict, progress=None):
 
 
 def _trial_values(cfg: dict, variable: str, value):
-    fixed = dict(cfg["fixed"])
-    fixed[{"snr": "snr", "length": "length", "chains": "chains",
-           "patches": "patches"}[variable]] = value
-    return fixed
+    return {**cfg["fixed"], variable: value}
+
+
+def _draw_trial(cfg: dict, geom: SurfaceGeometry, fixed: dict, seed_seq):
+    """A trial's four child seeds, its true location p1 (child 0) and its
+    pilots (child 1); children 2 and 3 are for the noise and the combiner."""
+    prior = cfg["prior"]
+    seeds = seed_seq.spawn(4)
+    rng = np.random.default_rng(seeds[0])
+    p1 = np.array([rng.uniform(*prior["x"]), rng.uniform(*prior["y"]),
+                   rng.uniform(*prior["z"])])
+    pilots = gen_pilots(geom.n_patches, int(fixed["length"]), seed=seeds[1])
+    return seeds, p1, pilots
 
 
 def run_trial(cfg, nets, variable, value, seed_seq):
@@ -234,25 +268,19 @@ def run_trial(cfg, nets, variable, value, seed_seq):
     geom = build_geometry(cfg, patches=fixed.get("patches"))
     wave = WaveConfig(cfg["wave"]["frequency"])
     quad = QuadratureRule(cfg["quadrature_order"])
-    prior = cfg["prior"]
-    seeds = seed_seq.spawn(4)
-    rng = np.random.default_rng(seeds[0])
-    p1 = np.array([rng.uniform(*prior["x"]), rng.uniform(*prior["y"]),
-                   rng.uniform(*prior["z"])])
+    seeds, p1, pilots = _draw_trial(cfg, geom, fixed, seed_seq)
     h_true = full_channel(geom, p1, wave, quad).stacked
-    pilots = gen_pilots(geom.n_patches, int(fixed["length"]), seed=seeds[1])
     snr_db = float(fixed["snr"])
     chains = fixed.get("chains")
     ecfg = estimator_config(cfg)
 
     if chains is None:
-        y, gamma = simulate_rx(h_true, pilots, snr_db, seed=seeds[2])
-        model = unitary_transform(pilots.matrix, y)
         f = None
+        y, gamma = simulate_rx(h_true, pilots, snr_db, seed=seeds[2])
     else:
         f = gen_combiner(int(chains), geom.m_patches, seed=seeds[3])
         y, gamma = simulate_rx_hybrid(f, h_true, pilots, snr_db, seed=seeds[2])
-        model = unitary_transform(pilots.matrix, y)
+    model = unitary_transform(pilots.matrix, y)
 
     ref_power = np.linalg.norm(h_true) ** 2
     p_power = float(np.sum(p1 ** 2))
@@ -270,15 +298,8 @@ def run_trial(cfg, nets, variable, value, seed_seq):
                 nmse_p = float(np.sum((res.position - p1) ** 2)) / p_power
             elif name == "ls":
                 g_ls = ls_estimate(pilots.matrix, y)
-                if f is not None:
-                    # minimum-norm completion through the combiner
-                    f_pinv_t = np.linalg.pinv(f.T)
-                    h_ls = np.vstack([
-                        g_ls[k * geom.n_patches:(k + 1) * geom.n_patches]
-                        @ f_pinv_t
-                        for k in range(6)])
-                else:
-                    h_ls = g_ls
+                # minimum-norm completion through the combiner
+                h_ls = g_ls if f is None else g_ls @ np.linalg.pinv(f.T)
                 nmse_h = np.linalg.norm(h_ls - h_true) ** 2 / ref_power
                 nmse_p = None
             elif name == "known-location":
@@ -294,14 +315,13 @@ def run_trial(cfg, nets, variable, value, seed_seq):
             results[name] = {"ok": False, "error": str(exc),
                              "wall_s": time.perf_counter() - t0}
 
+    results["crlb"] = np.nan
     if np.isfinite(gamma):
         try:
             f_info = fim(p1, nets["exact"], geom, pilots.matrix, gamma, wave)
             results["crlb"] = crlb_position_normalized(f_info, p1)
         except SingularInformationError:
-            results["crlb"] = np.nan
-    else:
-        results["crlb"] = np.nan
+            pass
     return results
 
 
@@ -424,21 +444,14 @@ def crlb_rows(cfg, net) -> list:
         fixed = _trial_values(cfg, variable, value)
         geom = build_geometry(cfg, patches=fixed.get("patches"))
         wave = WaveConfig(cfg["wave"]["frequency"])
-        prior = cfg["prior"]
         trial_seqs = np.random.SeedSequence(
             entropy=cfg["seed"], spawn_key=(idx,)).spawn(cfg["trials"])
         vals = []
         for seq in trial_seqs:
-            seeds = seq.spawn(4)
-            rng = np.random.default_rng(seeds[0])
-            p1 = np.array([rng.uniform(*prior["x"]), rng.uniform(*prior["y"]),
-                           rng.uniform(*prior["z"])])
-            pilots = gen_pilots(geom.n_patches, int(fixed["length"]),
-                                seed=seeds[1])
+            _, p1, pilots = _draw_trial(cfg, geom, fixed, seq)
+            # gamma is referenced to the surrogate channel at p1
             h_model = _model_stacked(net, geom, p1, wave)
-            snr = 10 ** (float(fixed["snr"]) / 10)
-            gamma = snr * pilots.matrix.shape[0] * h_model.shape[1] \
-                / np.linalg.norm(pilots.matrix @ h_model) ** 2
+            gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
             f_info = fim(p1, net, geom, pilots.matrix, gamma, wave)
             vals.append(crlb_position_normalized(f_info, p1))
         rows.append({"sweep_var": variable, "sweep_value": value,

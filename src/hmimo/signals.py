@@ -112,10 +112,6 @@ class UnitaryModel:
     r: np.ndarray         # (3L, M)
     singular_values: np.ndarray
 
-    @property
-    def column_norms_sq(self) -> np.ndarray:
-        return np.sum(np.abs(self.phi) ** 2, axis=0)
-
 
 def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
     """Rotate the observation model by the left singular basis of S.

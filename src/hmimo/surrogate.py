@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, rx_centers
+from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
                          approx_channel_batch, blocks_to_components,
                          patch_channel_batch)
@@ -132,14 +132,6 @@ def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndar
     return net.phi(xyz) * np.exp(1j * wave.wavenumber * r)[:, None]
 
 
-def phi_shifted(net: HybridNet, m: int, geom: SurfaceGeometry, xyz_tx: np.ndarray) -> np.ndarray:
-    """Network output at transmit-patch coordinates, shifted by rx patch m."""
-    rxc = rx_centers(geom)[m - 1]
-    xyz_tx = np.atleast_2d(xyz_tx)
-    rel = xyz_tx - np.array([rxc[0], rxc[1], 0.0])
-    return net.forward(rel)
-
-
 def _output_jacobians(net: HybridNet, xyz: np.ndarray, second: bool = False):
     """Raw-unit first (and optionally second) derivatives of all 12 outputs.
 
@@ -244,11 +236,6 @@ class CoordinateBox:
         lo = np.array([self.x[0], self.y[0], self.z[0]])
         hi = np.array([self.x[1], self.y[1], self.z[1]])
         return lo + (hi - lo) * rng.random((count, 3))
-
-    def grid(self, n_per_axis: int) -> np.ndarray:
-        ax = [np.linspace(lo, hi, n_per_axis) for lo, hi in (self.x, self.y, self.z)]
-        g = np.meshgrid(*ax, indexing="ij")
-        return np.stack([v.ravel() for v in g], axis=-1)
 
 
 def derotated_targets(rel: np.ndarray, comps: np.ndarray, wave: WaveConfig) -> np.ndarray:

@@ -214,3 +214,16 @@ class TestFieldDump:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,z,re_raw,im_raw,re_derot,im_derot"
         assert len(lines) == 1 + 41 * 9
+
+
+def test_index_out_of_range(geom, wave):
+    q = QuadratureRule(2)
+    p1 = (0.3, -0.2, 25.0)
+    # 10x10 rx patches (m in 1..100), 5x5 tx patches (n in 1..25)
+    for m, n in ((0, 1), (101, 1), (1, 0), (1, 26)):
+        with pytest.raises(IndexError):
+            patch_channel(m, n, geom, p1, wave, q)
+        with pytest.raises(IndexError):
+            approx_channel(m, n, geom, p1, wave)
+    patch_channel(100, 25, geom, p1, wave, q)
+    approx_channel(100, 25, geom, p1, wave)

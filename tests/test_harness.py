@@ -1,13 +1,16 @@
 """Tests for config handling, Monte-Carlo orchestration and the CLI."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hmimo
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _format_cell, _mean_stderr_db, build_geometry,
                            crlb_rows, load_config, load_nets, run_point,
@@ -70,6 +73,48 @@ class TestConfig:
                           {"sweep": {"variable": "length", "values": [40, 12]}})
         with pytest.raises(ConfigError, match="pilot length 12"):
             validate_config(cfg)
+
+    def test_chains_above_m_rejected(self):
+        # ci receive surface: M = 36 patches, so 1 <= P <= 36
+        for chains in (0, 37, 100):
+            cfg = _deep_merge(PROFILES["ci"], {"fixed": {"chains": chains}})
+            with pytest.raises(ConfigError, match=f"chains {chains} "):
+                validate_config(cfg)
+        validate_config(_deep_merge(PROFILES["ci"], {"fixed": {"chains": 36}}))
+
+    def test_chains_sweep_value_above_m_rejected(self):
+        cfg = _deep_merge(PROFILES["ci"],
+                          {"sweep": {"variable": "chains", "values": [8, 40]}})
+        with pytest.raises(ConfigError, match="chains 40 "):
+            validate_config(cfg)
+
+    def test_chains_checked_against_each_patch_count(self):
+        sweep = {"variable": "patches", "values": [16, 36]}
+        cfg = _deep_merge(PROFILES["ci"], {"sweep": sweep,
+                                           "fixed": {"chains": 20}})
+        with pytest.raises(ConfigError, match="M = 16"):
+            validate_config(cfg)
+        validate_config(_deep_merge(PROFILES["ci"], {"sweep": sweep,
+                                                     "fixed": {"chains": 16}}))
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="pilot_length"):
+            load_config(profile="ci", overrides={"pilot_length": 10})
+        with pytest.raises(ConfigError, match="training.quad_order"):
+            load_config(profile="ci", overrides={"training": {"quad_order": 4}})
+        with pytest.raises(ConfigError, match="rx"):
+            load_config(profile="ci", overrides={"rx": {"nx": 6, "ny": 6}})
+
+    def test_optional_keys_accepted(self):
+        cfg = load_config(profile="ci", overrides={"threads": 2,
+                                                   "fixed": {"patches": 16}})
+        assert cfg["threads"] == 2 and cfg["fixed"]["patches"] == 16
+        # the paper-geometry hybrid set-up of the benchmark
+        load_config(profile="paper", overrides={
+            "seed": 1, "trials": 5, "threads": 1,
+            "paths": {"weights": "w.json", "weights_approx": "wa.json"},
+            "fixed": {"chains": 32}, "estimators": ["mp-hybrid"],
+            "training": PROFILES["ci"]["training"]})
 
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -224,8 +269,13 @@ class TestLoadNets:
 
 class TestCli:
     def _run(self, *args):
+        # the child imports the same hmimo package as this test process
+        src = str(Path(hmimo.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
         return subprocess.run([sys.executable, "-m", "hmimo.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
 
     def test_bad_profile_is_usage_error(self):
         proc = self._run("sweep", "--profile", "nope")
@@ -255,6 +305,33 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_chains_above_m_exit_code(self, tmp_path):
+        path = tmp_path / "chains.yaml"
+        path.write_text("fixed:\n  chains: 100\n")
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "chains 100" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_point_on_patches_sweep(self, tmp_path, trained_net):
+        # the profiles' fixed block has no patch count, so point runs at the
+        # first sweep value
+        trained_net.save(tmp_path / "w.json")
+        out = tmp_path / "point.csv"
+        path = tmp_path / "patches.yaml"
+        path.write_text(yaml.safe_dump({
+            "sweep": {"variable": "patches", "values": [16, 36]},
+            "trials": 1, "estimators": ["ls"], "record_timing": False,
+            "paths": {"weights": str(tmp_path / "w.json"),
+                      "weights_approx": str(tmp_path / "w.json"),
+                      "out": str(out)}}))
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["sweep_var"], r["sweep_value"], r["estimator"])
+                for r in rows] == [("patches", "16", "ls")]
 
     def test_field_dump(self, tmp_path):
         out = tmp_path / "dump.csv"

@@ -6,7 +6,7 @@ from hmimo.green import QuadratureRule, WaveConfig
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, generate_training_set,
-                             hybrid_channel, nmse_db, phi_shifted, train,
+                             hybrid_channel, nmse_db, train,
                              _output_jacobians)
 
 
@@ -88,14 +88,6 @@ class TestChannelMap:
         phi = net.phi(points)
         r = np.linalg.norm(points, axis=-1)
         assert np.allclose(h, phi * np.exp(1j * wave.wavenumber * r)[:, None])
-
-    def test_shift_matches_relative_eval(self, net):
-        geom = SurfaceGeometry(10, 10, 5, 5, 0.05, 0.05, 0.01, 0.01)
-        # patch m=12 sits at (col 2, row 2) -> center (0.05, 0.05, 0)
-        tx = np.array([[0.3, -0.2, 25.0]])
-        shifted = phi_shifted(net, 12, geom, tx)
-        direct = net.forward(tx - np.array([0.05, 0.05, 0.0]))
-        assert np.allclose(shifted, direct)
 
 
 class TestDerivatives:
