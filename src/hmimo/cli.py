@@ -53,6 +53,10 @@ def _config_from_args(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
+        if args.command == "train":
+            raise ConfigError("--out does not apply to train, which writes "
+                              "paths.weights and paths.weights_approx; set "
+                              "those keys in the config")
         overrides["paths"] = {"out": args.out}
     if args.threads and args.threads > 1:
         overrides["threads"] = args.threads

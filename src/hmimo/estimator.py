@@ -535,25 +535,30 @@ def _conditioning_stage(f: np.ndarray, q_g: np.ndarray, v_g: np.ndarray,
     """Exact per-row Gaussian conditioning through the combiner.
 
     Treats the stage-one extrinsics (q_g, v_g) on G = H F^T, shaped
-    (N, P, 6), as noisy observations F h of every length-M channel row h
-    (one per transmit patch and polarization) and conditions h on them
-    under the per-entry prior (N, M, 6).  Returns the extrinsic (mean,
-    var) toward the prior side, shaped (N, M, 6).
+    (N, P, 6), as noisy observations q = F h of every length-M channel row
+    h (one per transmit patch and polarization) under the per-entry prior
+    (mu, pv), shaped (N, M, 6), and returns the extrinsic (mean, var) of
+    every entry toward the prior side, shaped (N, M, 6).
+
+    By the Woodbury identity only the P x P matrices S = F diag(pv) F^H +
+    diag(v_g) are inverted, all rows in one batch.  With u_m = f_m^H S^-1
+    f_m and t_m = f_m^H S^-1 (q - F mu) for column f_m of F, the extrinsic
+    of entry m is (mu_m + t_m / u_m, 1 / u_m - pv_m).
     """
-    n, m, _ = prior_mean.shape
-    fh = f.conj().T
-    post_mean = np.empty((n, m, 6), dtype=complex)
-    post_var = np.empty((n, m, 6))
-    for k in range(6):
-        for j in range(n):
-            d = 1.0 / v_g[j, :, k]                # (P,)
-            a = fh @ (d[:, None] * f)
-            a[np.diag_indices(m)] += 1.0 / prior_var[j, :, k]
-            rhs = prior_mean[j, :, k] / prior_var[j, :, k] + fh @ (d * q_g[j, :, k])
-            cov = np.linalg.inv(a)
-            post_mean[j, :, k] = cov @ rhs
-            post_var[j, :, k] = np.maximum(cov.diagonal().real, VAR_MIN)
-    return gaussian_divide(post_mean, post_var, prior_mean, prior_var)
+    n = prior_mean.shape[0]
+    p, m = f.shape
+    mu, pv = edges_to_stacked(prior_mean), edges_to_stacked(prior_var)
+    kron = (f[:, None, :] * f.conj()[None, :, :]).reshape(p * p, m)
+    s = (pv @ kron.T).reshape(-1, p, p)        # F diag(pv) F^H, per row
+    s[:, np.arange(p), np.arange(p)] += edges_to_stacked(v_g)
+    s_inv = np.linalg.inv(s)
+    # u is real up to round-off; the floor makes a zero column of F send
+    # the non-informative message instead of 0/0
+    u = np.maximum((s_inv.reshape(-1, p * p) @ kron.conj()).real, 1.0 / VAR_MAX)
+    resid = edges_to_stacked(q_g) - mu @ f.T
+    t = (s_inv @ resid[..., None])[..., 0] @ f.conj()
+    return (_stacked_to_edges(mu + t / u, n),
+            _stacked_to_edges(clamp_var(1.0 / u - pv), n))
 
 
 def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,

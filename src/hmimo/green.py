@@ -23,6 +23,13 @@ MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
 POLARIZATIONS = ("xx", "yy", "zz", "xy", "xz", "yz")
 _POL_IDX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
             "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+# Component index of every entry of a symmetric block, the inverse map.
+_BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+# Quadrature nodes per chunk of ``patch_channel_batch`` (one row at least).
+# The kernel keeps about twenty float arrays of this length alive, so a
+# chunk works in about 10 MB whatever the batch size.
+_CHUNK_NODES = 1 << 16
 
 
 class SingularityError(ValueError):
@@ -126,22 +133,44 @@ def _quad_offsets(geom: SurfaceGeometry, quad: QuadratureRule):
 
 
 def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig,
-                        quad: QuadratureRule, chunk: int = 4096) -> np.ndarray:
+                        quad: QuadratureRule) -> np.ndarray:
     """Quadrature channel blocks for a batch of relative center coordinates.
 
     ``rel`` has shape (K, 3); returns (K, 3, 3) complex blocks including
-    the i*omega*mu prefactor.  Evaluation is chunked to bound memory.
+    the i*omega*mu prefactor.  The six independent entries of each block
+    are accumulated directly, g*w*(c1*delta_pq + c2*d_p*d_q/r^2) summed
+    over the nodes, in real arithmetic; rows are taken _CHUNK_NODES
+    quadrature nodes at a time to bound memory.
     """
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     offs, w = _quad_offsets(geom, quad)
+    w4 = w / (4.0 * np.pi)
     k0 = wave.wavenumber
-    out = np.empty((rel.shape[0], 3, 3), dtype=complex)
-    step = max(1, chunk // offs.shape[0] + 1)
+    comps = np.empty((rel.shape[0], 6), dtype=complex)
+    step = max(1, _CHUNK_NODES // offs.shape[0])
     for i in range(0, rel.shape[0], step):
-        d = rel[i:i + step, None, :] + offs[None, :, :]       # (b, Q, 3)
-        blocks = _dyadic_from_displacement(d, k0)             # (b, Q, 3, 3)
-        out[i:i + step] = np.einsum("q,bqij->bij", w, blocks)
-    return wave.prefactor * out
+        d = rel[i:i + step, None, :] + offs                   # (b, Q, 3)
+        r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        if np.any(r2 == 0.0):
+            raise SingularityError("dyadic Green's function evaluated at zero distance")
+        r = np.sqrt(r2)
+        kr = k0 * r
+        s = w4 / r
+        g_re, g_im = s * np.cos(kr), s * np.sin(kr)           # w * g
+        # c1 = 1 - u^2 + i u and c2 = 3 u^2 - 1 - 3 i u with u = 1 / (k0 r)
+        u = 1.0 / kr
+        u2 = u * u
+        c1_re, c2_re = 1.0 - u2, 3.0 * u2 - 1.0
+        diag = ((g_re * c1_re - g_im * u).sum(axis=1)
+                + 1j * (g_im * c1_re + g_re * u).sum(axis=1))
+        b_re = (g_re * c2_re + 3.0 * g_im * u) / r2            # w g c2 / r^2
+        b_im = (g_im * c2_re - 3.0 * g_re * u) / r2
+        for k, (p, q) in enumerate(_POL_IDX[c] for c in POLARIZATIONS):
+            dd = d[..., p] * d[..., q]
+            comps[i:i + step, k] = (np.einsum("bq,bq->b", b_re, dd)
+                                    + 1j * np.einsum("bq,bq->b", b_im, dd)
+                                    + (diag if p == q else 0.0))
+    return wave.prefactor * comps[:, _BLOCK_IDX]
 
 
 def _pair_coords(m: int, n: int, geom: SurfaceGeometry, p1) -> np.ndarray:

@@ -19,7 +19,7 @@ import yaml
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, full_channel
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
-                             generate_training_set, train)
+                             generate_training_set, min_training_samples, train)
 from hmimo.signals import (gen_combiner, gen_pilots, noise_precision,
                            simulate_rx, simulate_rx_hybrid, unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
@@ -117,8 +117,9 @@ def load_config(path=None, profile="ci", overrides=None) -> dict:
 
 
 # Keys the program reads beyond those every profile sets: ``threads`` (set by
-# the CLI) and ``fixed.patches`` (a fixed receive-patch count).
-_OPTIONAL_KEYS = {"threads": None, "fixed": {"patches": None}}
+# the CLI) and ``fixed.patches`` (a fixed receive-patch count).  The values
+# only give the keys' types: both are integers.
+_OPTIONAL_KEYS = {"threads": 1, "fixed": {"patches": 16}}
 
 
 def _unknown_keys(cfg: dict, schema: dict, prefix=""):
@@ -129,10 +130,35 @@ def _unknown_keys(cfg: dict, schema: dict, prefix=""):
             yield from _unknown_keys(val, schema[key], f"{prefix}{key}.")
 
 
+def _is_number(value, integral=False) -> bool:
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
+    """Keys holding a non-number where the schema holds a number (a
+    non-integer where it holds an integer); lists are checked per element."""
+    for key, val in cfg.items():
+        ref = schema.get(key)
+        if isinstance(ref, dict) and isinstance(val, dict):
+            yield from _mistyped_keys(val, ref, f"{prefix}{key}.")
+        elif isinstance(ref, list) and ref and _is_number(ref[0]):
+            if not (isinstance(val, list)
+                    and all(_is_number(v) for v in val)):
+                yield f"{prefix}{key} (a list of numbers, got {val!r})"
+        elif _is_number(ref) and not _is_number(val, isinstance(ref, int)):
+            kind = "an integer" if isinstance(ref, int) else "a number"
+            yield f"{prefix}{key} ({kind}, got {val!r})"
+
+
 def validate_config(cfg: dict) -> None:
-    unknown = list(_unknown_keys(cfg, _deep_merge(PROFILES["ci"], _OPTIONAL_KEYS)))
+    schema = _deep_merge(PROFILES["ci"], _OPTIONAL_KEYS)
+    unknown = list(_unknown_keys(cfg, schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    mistyped = list(_mistyped_keys(cfg, schema))
+    if mistyped:
+        raise ConfigError(f"config values of the wrong type: {', '.join(mistyped)}")
     try:
         sweep = cfg["sweep"]
         var = sweep["variable"]
@@ -147,7 +173,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"sweep variable {var!r} not in {SWEEP_VARIABLES}")
     if not values:
         raise ConfigError("sweep grid is empty")
-    if not isinstance(trials, int) or trials < 1:
+    if trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     for axis in ("x", "y", "z"):
         lo, hi = prior[axis]
@@ -159,21 +185,28 @@ def validate_config(cfg: dict) -> None:
     for name in cfg["estimators"]:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
+    training = cfg["training"]
+    n_min = min_training_samples(training["hidden_count"])
+    if training["samples"] < n_min:
+        raise ConfigError(f"training.samples {training['samples']} is below the "
+                          f"{n_min} that hidden_count={training['hidden_count']} "
+                          "needs")
     # S is (3L, 6N), and the unitary preprocessing needs at least as many
     # rows as columns
     min_length = 2 * geom["tx_rows"] * geom["tx_cols"]
     lengths = [fixed_length] + (list(values) if var == "length" else [])
     for length in lengths:
-        if not (isinstance(length, numbers.Real) and length >= min_length):
+        if length < min_length:
             raise ConfigError(f"pilot length {length!r} is below 2N = {min_length}"
                               " for the transmit geometry")
-    if var == "patches":
-        for v in values:
-            side = int(round(np.sqrt(v)))
-            if side * side != v:
-                raise ConfigError(f"patch-count sweep value {v} is not a square")
-    # the combiner has P <= M rows, for every receive-patch count swept
     fixed = cfg["fixed"]
+    patch_counts = ([fixed["patches"]] if "patches" in fixed else []) + (
+        list(values) if var == "patches" else [])
+    for v in patch_counts:
+        side = int(round(np.sqrt(v)))
+        if side * side != v:
+            raise ConfigError(f"patch count {v} is not a square")
+    # the combiner has P <= M rows, for every receive-patch count swept
     m_min = (min(values) if var == "patches"
              else fixed.get("patches") or geom["rx_rows"] * geom["rx_cols"])
     chains = [fixed.get("chains")] + (list(values) if var == "chains" else [])

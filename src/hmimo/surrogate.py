@@ -257,7 +257,7 @@ def generate_training_set(box: CoordinateBox, geom: SurfaceGeometry, wave: WaveC
     rng = np.random.default_rng(seed)
     rel = box.sample(rng, count)
     if channel == "quadrature":
-        blocks = patch_channel_batch(rel, geom, wave, quad, chunk=1 << 22)
+        blocks = patch_channel_batch(rel, geom, wave, quad)
     elif channel == "approx":
         blocks = approx_channel_batch(rel, geom, wave)
     else:
@@ -296,6 +296,12 @@ def _ls_output_layer(a: np.ndarray, tn: np.ndarray):
     return sol[:-1], sol[-1]
 
 
+def min_training_samples(hidden_count: int) -> int:
+    """Smallest training set ``train`` accepts: ten samples per weight of a
+    net with ``hidden_count`` hidden units (4H + 12(H + 1) weights)."""
+    return 10 * (4 * hidden_count + 12 * (hidden_count + 1))
+
+
 def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
           frequency: float):
     """Fit a HybridNet by adaptive-step mini-batch gradient descent.
@@ -304,7 +310,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     weights) which greatly accelerates convergence.  Returns (net, report);
     the report carries the held-out validation NMSE in dB.
     """
-    n_min = 10 * (4 * cfg.hidden_count + 12 * (cfg.hidden_count + 1))
+    n_min = min_training_samples(cfg.hidden_count)
     if inputs.shape[0] < n_min:
         raise ValueError(f"need at least {n_min} samples for hidden_count={cfg.hidden_count}")
     rng = np.random.default_rng(cfg.seed)

@@ -305,6 +305,66 @@ class TestChannelBelief:
         assert np.allclose(var, 0.5)
 
 
+class TestConditioningStage:
+    @staticmethod
+    def _inputs(n, m, p, seed):
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return (cplx(n, p, 6), rng.uniform(0.5, 2.0, (n, p, 6)),
+                cplx(n, m, 6), rng.uniform(0.5, 2.0, (n, m, 6)))
+
+    def test_single_row_weak_observation_closed_form(self):
+        # P = 1: S = sum_m |f_m|^2 pv_m + v_g is a scalar, and the extrinsic
+        # of entry m is (mu_m + r / f_m, S / |f_m|^2 - pv_m), r = q - f . mu.
+        # A sharp prior against a weak observation is where the extrinsic
+        # variance is a small difference of large precisions.
+        n, m = 2, 5
+        q, _, mu, _ = self._inputs(n, m, 1, seed=1)
+        f = gen_combiner(1, m, seed=2) * np.arange(1, m + 1)
+        pv = np.full((n, m, 6), 1e-10)
+        v_g = np.full((n, 1, 6), 0.1)
+        mean, var = estimator._conditioning_stage(f, q, v_g, mu, pv)
+        fm = f[0][None, :, None]
+        s = np.sum(np.abs(fm) ** 2 * pv, axis=1, keepdims=True) + v_g
+        r = q - np.sum(fm * mu, axis=1, keepdims=True)
+        assert np.allclose(var, s / np.abs(fm) ** 2 - pv, rtol=1e-12, atol=0)
+        assert np.allclose(mean, mu + r / fm, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p", [4, 2])
+    def test_selection_combiner_passes_extrinsics_through(self, p):
+        # F = the first p rows of I (p = M is the identity): an observed
+        # entry gets its stage-one extrinsic back, an unobserved one (a zero
+        # column of F) the non-informative message
+        n, m = 3, 4
+        q, v_g, mu, pv = self._inputs(n, m, p, seed=3)
+        f = np.eye(m, dtype=complex)[:p]
+        mean, var = estimator._conditioning_stage(f, q, v_g, mu, pv)
+        assert np.allclose(mean[:, :p], q, rtol=1e-12, atol=0)
+        assert np.allclose(var[:, :p], v_g, rtol=1e-12, atol=0)
+        assert np.array_equal(mean[:, p:], mu[:, p:])
+        assert np.allclose(var[:, p:], VAR_MAX, rtol=1e-9, atol=0)
+
+    def test_matches_dense_posterior_then_divide(self):
+        # the M x M form: condition each row on q = F h, then divide out
+        # the prior
+        n, m, p = 2, 7, 3
+        q, v_g, mu, pv = self._inputs(n, m, p, seed=4)
+        f = gen_combiner(p, m, seed=5)
+        mean, var = estimator._conditioning_stage(f, q, v_g, mu, pv)
+        for j in range(n):
+            for k in range(6):
+                d = 1.0 / v_g[j, :, k]
+                cov = np.linalg.inv(f.conj().T @ (d[:, None] * f)
+                                    + np.diag(1.0 / pv[j, :, k]))
+                post_mean = cov @ (mu[j, :, k] / pv[j, :, k]
+                                   + f.conj().T @ (d * q[j, :, k]))
+                post_var = cov.diagonal().real
+                ext_mean, ext_var = gaussian_divide(post_mean, post_var,
+                                                    mu[j, :, k], pv[j, :, k])
+                assert np.allclose(mean[j, :, k], ext_mean, rtol=1e-9, atol=0)
+                assert np.allclose(var[j, :, k], ext_var, rtol=1e-9, atol=0)
+
+
 # --- initialization --------------------------------------------------------
 
 

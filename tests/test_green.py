@@ -6,7 +6,9 @@ from hmimo.green import (ChannelTensor, QuadratureRule, SingularityError,
                          WaveConfig, approx_channel, blocks_to_components,
                          dyadic_green, field_dump, full_channel,
                          full_channel_approx, patch_channel,
-                         patch_channel_batch, scalar_green)
+                         patch_channel_batch, scalar_green,
+                         _dyadic_from_displacement, _quad_offsets)
+from hmimo.harness import PROFILES
 
 F_3GHZ = 3e9
 
@@ -111,6 +113,34 @@ class TestQuadrature:
         # shift both surfaces: equivalent to evaluating the same relative coords
         b_b = patch_channel_batch(np.array([[0.31, -0.2, 25.0]]), geom, wave, q)[0]
         assert np.allclose(b_a, b_b, rtol=1e-14)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("profile", ["ci", "paper"])
+    def test_batch_matches_dyadic_form(self, wave, order, profile):
+        # the 3x3 dyad at every node, then the weighted sum over the nodes
+        g = PROFILES[profile]["geometry"]
+        geom = SurfaceGeometry(g["rx_rows"], g["rx_cols"], g["tx_rows"],
+                               g["tx_cols"], g["rx_dx"], g["rx_dy"],
+                               g["tx_dx"], g["tx_dy"])
+        q = QuadratureRule(order)
+        rng = np.random.default_rng(order)
+        rel = np.column_stack([rng.uniform(-1.5, 1.5, 30),
+                               rng.uniform(-1.5, 1.5, 30),
+                               rng.uniform(0.5, 40.0, 30)])
+        offs, w = _quad_offsets(geom, q)
+        dyads = _dyadic_from_displacement(rel[:, None, :] + offs, wave.wavenumber)
+        ref = wave.prefactor * np.einsum("q,bqij->bij", w, dyads)
+        out = patch_channel_batch(rel, geom, wave, q)
+        err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert np.max(err) <= 1e-13
+        assert np.array_equal(out, out.transpose(0, 2, 1))
+
+    def test_batch_zero_separation_raises(self, wave):
+        # equal patch sizes: the centre-aligned pair has coinciding nodes
+        geom = SurfaceGeometry(2, 2, 2, 2, 0.05, 0.05, 0.05, 0.05)
+        rel = np.array([[0.0, 0.0, 25.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SingularityError):
+            patch_channel_batch(rel, geom, wave, QuadratureRule(4))
 
 
 class TestApproxChannel:

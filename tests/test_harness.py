@@ -15,7 +15,7 @@ from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _format_cell, _mean_stderr_db, build_geometry,
                            crlb_rows, load_config, load_nets, run_point,
                            run_trial, sweep, validate_config, write_rows_csv)
-from hmimo.surrogate import HybridNet
+from hmimo.surrogate import HybridNet, min_training_samples
 
 
 class TestConfig:
@@ -59,6 +59,9 @@ class TestConfig:
         cfg = _deep_merge(PROFILES["ci"],
                           {"sweep": {"variable": "patches", "values": [35]}})
         with pytest.raises(ConfigError, match="square"):
+            validate_config(cfg)
+        cfg = _deep_merge(PROFILES["ci"], {"fixed": {"patches": 35}})
+        with pytest.raises(ConfigError, match="patch count 35 is not a square"):
             validate_config(cfg)
 
     def test_short_pilot_rejected(self):
@@ -115,6 +118,40 @@ class TestConfig:
             "paths": {"weights": "w.json", "weights_approx": "wa.json"},
             "fixed": {"chains": 32}, "estimators": ["mp-hybrid"],
             "training": PROFILES["ci"]["training"]})
+
+    def test_too_few_training_samples_rejected(self):
+        # hidden_count = 50 needs 10 * (4*50 + 12*51) = 8120 samples
+        assert min_training_samples(50) == 8120
+        cfg = _deep_merge(PROFILES["ci"], {"training": {"samples": 8119}})
+        with pytest.raises(ConfigError, match="training.samples 8119 .* 8120"):
+            validate_config(cfg)
+        validate_config(_deep_merge(PROFILES["ci"],
+                                    {"training": {"samples": 8120}}))
+        cfg = _deep_merge(PROFILES["ci"], {"training": {"samples": 8120,
+                                                        "hidden_count": 60}})
+        with pytest.raises(ConfigError, match="hidden_count=60"):
+            validate_config(cfg)
+
+    def test_non_numeric_values_rejected(self, tmp_path):
+        # PyYAML reads 3.0e9 (no sign in the exponent) as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text("wave:\n  frequency: 3.0e9\n")
+        with pytest.raises(ConfigError, match="wave.frequency"):
+            load_config(path, profile="ci")
+        for override, key in (({"geometry": {"rx_rows": 6.5}}, "geometry.rx_rows"),
+                              ({"prior": {"z": [20.0, "40"]}}, "prior.z"),
+                              ({"sweep": {"values": [0.0, None]}}, "sweep.values"),
+                              ({"fixed": {"snr": "8"}}, "fixed.snr"),
+                              ({"estimator": {"damping": None}}, "estimator.damping"),
+                              ({"training": {"epochs": 1.5}}, "training.epochs"),
+                              ({"trials": True}, "trials"),
+                              ({"fixed": {"patches": "16"}}, "fixed.patches"),
+                              ({"threads": 1.5}, "threads")):
+            with pytest.raises(ConfigError, match=key):
+                validate_config(_deep_merge(PROFILES["ci"], override))
+        # an integer where the profile holds a float is a number
+        validate_config(_deep_merge(PROFILES["ci"], {"wave": {"frequency": 3000000000},
+                                                     "fixed": {"snr": 8}}))
 
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -268,13 +305,13 @@ class TestLoadNets:
 
 
 class TestCli:
-    def _run(self, *args):
+    def _run(self, *args, cwd=None):
         # the child imports the same hmimo package as this test process
         src = str(Path(hmimo.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                                if p)
         return subprocess.run([sys.executable, "-m", "hmimo.cli", *args],
-                              capture_output=True, text=True,
+                              capture_output=True, text=True, cwd=cwd,
                               env={**os.environ, "PYTHONPATH": path})
 
     def test_bad_profile_is_usage_error(self):
@@ -313,6 +350,30 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "chains 100" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_short_training_set_exit_code(self, tmp_path):
+        path = tmp_path / "train.yaml"
+        path.write_text("training:\n  samples: 300\n  epochs: 2\n")
+        proc = self._run("train", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "training.samples 300" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "weights.json").exists()
+
+    def test_non_numeric_value_exit_code(self, tmp_path):
+        path = tmp_path / "freq.yaml"
+        path.write_text("wave:\n  frequency: 3.0e9\n")
+        proc = self._run("field-dump", "--config", str(path),
+                         "--out", str(tmp_path / "dump.csv"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "wave.frequency" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_train_out_rejected(self, tmp_path):
+        proc = self._run("train", "--out", "w.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "paths.weights and paths.weights_approx" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_point_on_patches_sweep(self, tmp_path, trained_net):
         # the profiles' fixed block has no patch count, so point runs at the
