@@ -50,15 +50,20 @@ def _channel_and_jacobian(net, geom, p1, wave):
             edges_to_stacked(dh.reshape(n, m, 6, 3)))
 
 
+def _gram_re(s: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Re{ sum_m (S dh_m)^H (S dh_m) } for derivatives dh (6N, M, k), as one GEMM."""
+    sd = (s @ dh.reshape(dh.shape[0], -1)).reshape(-1, dh.shape[-1])
+    return (sd.conj().T @ sd).real
+
+
 def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
         gamma: float, wave: WaveConfig = None) -> np.ndarray:
     """Fisher information matrix (3, 3) of the position at precision gamma."""
     _check_net(net)
     wave = wave or WaveConfig(net.frequency)
     _, dh = _channel_and_jacobian(net, geom, p1, wave)
-    gram = s.conj().T @ s
     # F_ab = 2 gamma sum_m Re{ dh[:,m,a]^H (S^H S) dh[:,m,b] }
-    f = 2.0 * gamma * np.einsum("kma,kl,lmb->ab", dh.conj(), gram, dh).real
+    f = 2.0 * gamma * _gram_re(s, dh)
     return 0.5 * (f + f.T)
 
 
@@ -93,9 +98,8 @@ def score(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
     """Gradient (3,) of the log-likelihood at p1."""
     wave = wave or WaveConfig(net.frequency)
     h, dh = _channel_and_jacobian(net, geom, p1, wave)
-    resid = y - s @ h
-    return 2.0 * gamma * np.einsum("kma,kl,lm->a", dh.conj(), s.conj().T,
-                                   resid).real
+    back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
+    return 2.0 * gamma * (dh.reshape(back.size, 3).conj().T @ back).real
 
 
 def hessian(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
@@ -111,10 +115,9 @@ def hessian(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
     h = edges_to_stacked(h12.reshape(n, m, 6))
     dh = edges_to_stacked(dh12.reshape(n, m, 6, 3))
     d2h = edges_to_stacked(d2h12.reshape(n, m, 6, 3, 3))
-    resid = y - s @ h
-    sd = np.einsum("kl,lma->kma", s, dh)
-    gram_term = -2.0 * gamma * np.einsum("kma,kmb->ab", sd.conj(), sd).real
-    data_term = 2.0 * gamma * np.einsum(
-        "kmab,kl,lm->ab", d2h.conj(), s.conj().T, resid).real
+    back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
+    gram_term = -2.0 * gamma * _gram_re(s, dh)
+    data_term = 2.0 * gamma * (d2h.reshape(back.size, 9).conj().T
+                               @ back).real.reshape(3, 3)
     out = gram_term + data_term
     return 0.5 * (out + out.T)

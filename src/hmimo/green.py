@@ -1,10 +1,13 @@
 """Exact near-field channel oracle built on the dyadic Green's function.
 
 The per-patch-pair channel is a 3x3 complex block obtained by integrating
-the dyadic Green's function over both patch areas (4-D tensor-product
-Gauss-Legendre quadrature), scaled by the i*omega*mu prefactor.  A
-closed-form sinc approximation of the same block is provided as a
-baseline, together with a field-dump helper for channel-surface plots.
+the dyadic Green's function over both patch areas, scaled by the
+i*omega*mu prefactor.  The integrand depends on the two patch points only
+through their difference, so the area integral is computed as a 2-D
+Gauss-Legendre rule over that difference, weighted by its trapezoid
+density.  A closed-form sinc approximation of the same block is provided
+as a baseline, together with a field-dump helper for channel-surface
+plots.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ _CHUNK_NODES = 1 << 16
 
 
 class SingularityError(ValueError):
-    """Raised when a Green's function is evaluated at zero separation."""
+    """Raised when a Green's function is evaluated at zero separation, or
+    integrated over coplanar patches whose footprints overlap."""
 
 
 @dataclass(frozen=True)
@@ -109,27 +113,42 @@ def dyadic_green(rt, rr, wave: WaveConfig) -> np.ndarray:
     return _dyadic_from_displacement(d, wave.wavenumber)
 
 
-def _quad_offsets(geom: SurfaceGeometry, quad: QuadratureRule):
-    """4-D tensor-product nodes over (tx patch) x (rx patch) offsets.
+def _offset_axis(a: float, b: float, quad: QuadratureRule):
+    """Nodes and weights on one axis for the offset u = t - r of two points
+    spread uniformly over widths a (tx) and b (rx).
 
-    Returns displacement offsets (Q, 3) to add to the relative patch-center
-    vector, and the combined weights (Q,) carrying the full area measure.
+    The overlap length of the two intervals at offset u is the trapezoid
+    rho(u) = min(a, b, (a + b)/2 - |u|) on |u| <= (a + b)/2: flat for
+    |u| <= |a - b|/2, linear on either flank.  The Gauss-Legendre rule is
+    applied on each linear piece (equal widths have no flat piece) and
+    weighted by rho, so the weights sum to a * b.
     """
-    q = quad.order
-    xt = quad.nodes * geom.tx_dx
-    yt = quad.nodes * geom.tx_dy
-    xr = quad.nodes * geom.rx_dx
-    yr = quad.nodes * geom.rx_dy
-    wxt = quad.weights * geom.tx_dx
-    wyt = quad.weights * geom.tx_dy
-    wxr = quad.weights * geom.rx_dx
-    wyr = quad.weights * geom.rx_dy
-    gx_t, gy_t, gx_r, gy_r = np.meshgrid(xt, yt, xr, yr, indexing="ij")
-    offs = np.stack([(gx_t - gx_r).ravel(), (gy_t - gy_r).ravel(),
-                     np.zeros(q**4)], axis=-1)
-    w = (wxt[:, None, None, None] * wyt[None, :, None, None]
-         * wxr[None, None, :, None] * wyr[None, None, None, :]).ravel()
-    return offs, w
+    edges = (-(a + b) / 2, -abs(a - b) / 2, abs(a - b) / 2, (a + b) / 2)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            u = 0.5 * (lo + hi) + (hi - lo) * quad.nodes
+            rho = np.minimum(min(a, b), (a + b) / 2 - np.abs(u))
+            nodes.append(u)
+            weights.append((hi - lo) * quad.weights * rho)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _quad_offsets(geom: SurfaceGeometry, quad: QuadratureRule):
+    """2-D nodes over the tx-minus-rx point offset of a patch pair.
+
+    The integrand depends on the tx and rx points only through their
+    difference, so the 4-D area integral reduces to a 2-D one over that
+    difference, weighted by the overlap density (see ``_offset_axis``):
+    at most (3q)^2 nodes per pair for a rule of order q.  Returns
+    displacement offsets (Q, 3) to add to the relative patch-center
+    vector, and the weights (Q,) carrying the full area measure.
+    """
+    ux, wx = _offset_axis(geom.tx_dx, geom.rx_dx, quad)
+    uy, wy = _offset_axis(geom.tx_dy, geom.rx_dy, quad)
+    gx, gy = np.meshgrid(ux, uy, indexing="ij")
+    offs = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
+    return offs, np.outer(wx, wy).ravel()
 
 
 def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig,
@@ -143,6 +162,12 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     quadrature nodes at a time to bound memory.
     """
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
+    # coplanar patches whose footprints overlap: the integral diverges
+    overlap = ((rel[:, 2] == 0.0)
+               & (np.abs(rel[:, 0]) < (geom.tx_dx + geom.rx_dx) / 2)
+               & (np.abs(rel[:, 1]) < (geom.tx_dy + geom.rx_dy) / 2))
+    if np.any(overlap):
+        raise SingularityError("coplanar patches with overlapping footprints")
     offs, w = _quad_offsets(geom, quad)
     w4 = w / (4.0 * np.pi)
     k0 = wave.wavenumber

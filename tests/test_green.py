@@ -7,7 +7,8 @@ from hmimo.green import (ChannelTensor, QuadratureRule, SingularityError,
                          dyadic_green, field_dump, full_channel,
                          full_channel_approx, patch_channel,
                          patch_channel_batch, scalar_green,
-                         _dyadic_from_displacement, _quad_offsets)
+                         _dyadic_from_displacement, _offset_axis,
+                         _quad_offsets)
 from hmimo.harness import PROFILES
 
 F_3GHZ = 3e9
@@ -21,6 +22,38 @@ def wave():
 @pytest.fixture(scope="module")
 def geom():
     return SurfaceGeometry(10, 10, 5, 5, 0.05, 0.05, 0.01, 0.01)
+
+
+def _profile_geometry(name):
+    g = PROFILES[name]["geometry"]
+    return SurfaceGeometry(g["rx_rows"], g["rx_cols"], g["tx_rows"],
+                           g["tx_cols"], g["rx_dx"], g["rx_dy"],
+                           g["tx_dx"], g["tx_dy"])
+
+
+# patch widths with a flat offset piece (ci), without one (equal widths),
+# and with tx_dx != tx_dy (rectangular)
+OFFSET_GEOMETRIES = {
+    "ci": _profile_geometry("ci"),
+    "equal": SurfaceGeometry(2, 2, 2, 2, 0.05, 0.05, 0.05, 0.05),
+    "rect": SurfaceGeometry(3, 3, 2, 2, 0.03, 0.05, 0.07, 0.02),
+}
+
+
+def _tensor_product_blocks(rel, geom, wave, order):
+    """Reference blocks from the 4-D product rule over both patch areas."""
+    q = QuadratureRule(order)
+    xt, yt, xr, yr = np.meshgrid(q.nodes * geom.tx_dx, q.nodes * geom.tx_dy,
+                                 q.nodes * geom.rx_dx, q.nodes * geom.rx_dy,
+                                 indexing="ij")
+    offs = np.stack([(xt - xr).ravel(), (yt - yr).ravel(),
+                     np.zeros(xt.size)], axis=-1)
+    w = np.einsum("i,j,k,l->ijkl", q.weights * geom.tx_dx,
+                  q.weights * geom.tx_dy, q.weights * geom.rx_dx,
+                  q.weights * geom.rx_dy).ravel()
+    return np.stack([wave.prefactor * np.einsum(
+        "q,qij->ij", w, _dyadic_from_displacement(r + offs, wave.wavenumber))
+        for r in rel])
 
 
 class TestScalarGreen:
@@ -141,6 +174,43 @@ class TestQuadrature:
         rel = np.array([[0.0, 0.0, 25.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularityError):
             patch_channel_batch(rel, geom, wave, QuadratureRule(4))
+
+
+class TestOffsetRule:
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    @pytest.mark.parametrize("name", sorted(OFFSET_GEOMETRIES))
+    def test_weights_sum_to_area_product(self, name, order):
+        g = OFFSET_GEOMETRIES[name]
+        q = QuadratureRule(order)
+        for a, b in ((g.tx_dx, g.rx_dx), (g.tx_dy, g.rx_dy)):
+            u, w = _offset_axis(a, b, q)
+            assert np.sum(w) == pytest.approx(a * b, rel=1e-14)
+            assert np.all(np.abs(u) < (a + b) / 2) and np.all(w > 0)
+        offs, w = _quad_offsets(g, q)
+        area = g.tx_dx * g.tx_dy * g.rx_dx * g.rx_dy
+        assert np.sum(w) == pytest.approx(area, rel=1e-14)
+        pieces = 2 if name == "equal" else 3
+        assert offs.shape == ((pieces * order) ** 2, 3)
+
+    @pytest.mark.parametrize("z", [0.1, 0.5, 2.0, 20.0])
+    @pytest.mark.parametrize("name", sorted(OFFSET_GEOMETRIES))
+    def test_matches_tensor_product_rule(self, wave, name, z):
+        g = OFFSET_GEOMETRIES[name]
+        rel = np.array([[0.0, 0.0, z], [0.04, -0.03, z], [-0.25, 0.3, z]])
+        ref = _tensor_product_blocks(rel, g, wave, 16)
+        out = patch_channel_batch(rel, g, wave, QuadratureRule(8))
+        err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert np.max(err) <= 1e-13
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_coplanar_overlap_raises(self, wave, order):
+        g = OFFSET_GEOMETRIES["ci"]
+        q = QuadratureRule(order)
+        for x in (0.0, 0.004):
+            with pytest.raises(SingularityError):
+                patch_channel_batch(np.array([[x, 0.0, 0.0]]), g, wave, q)
+        b = patch_channel_batch(np.array([[0.1, 0.0, 0.0]]), g, wave, q)
+        assert np.all(np.isfinite(b))
 
 
 class TestApproxChannel:
