@@ -151,6 +151,37 @@ def _quad_offsets(geom: SurfaceGeometry, quad: QuadratureRule):
     return offs, np.outer(wx, wy).ravel()
 
 
+def _component_sums(d: np.ndarray, w4: np.ndarray, k0: float) -> np.ndarray:
+    """Six block components (b, 6), without the prefactor, of the weighted
+    dyads at displacements d (b, Q, 3) summed over the Q nodes.
+
+    A function of its own so that the chunk's temporaries are freed before
+    the next chunk or the caller's final gather allocates.
+    """
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+    if np.any(r2 == 0.0):
+        raise SingularityError("dyadic Green's function evaluated at zero distance")
+    r = np.sqrt(r2)
+    kr = k0 * r
+    s = w4 / r
+    g_re, g_im = s * np.cos(kr), s * np.sin(kr)               # w * g
+    # c1 = 1 - u^2 + i u and c2 = 3 u^2 - 1 - 3 i u with u = 1 / (k0 r)
+    u = 1.0 / kr
+    u2 = u * u
+    c1_re, c2_re = 1.0 - u2, 3.0 * u2 - 1.0
+    diag = ((g_re * c1_re - g_im * u).sum(axis=1)
+            + 1j * (g_im * c1_re + g_re * u).sum(axis=1))
+    b_re = (g_re * c2_re + 3.0 * g_im * u) / r2                # w g c2 / r^2
+    b_im = (g_im * c2_re - 3.0 * g_re * u) / r2
+    out = np.empty((d.shape[0], 6), dtype=complex)
+    for k, (p, q) in enumerate(_POL_IDX[c] for c in POLARIZATIONS):
+        dd = d[..., p] * d[..., q]
+        out[:, k] = (np.einsum("bq,bq->b", b_re, dd)
+                     + 1j * np.einsum("bq,bq->b", b_im, dd)
+                     + (diag if p == q else 0.0))
+    return out
+
+
 def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig,
                         quad: QuadratureRule) -> np.ndarray:
     """Quadrature channel blocks for a batch of relative center coordinates.
@@ -174,27 +205,7 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     comps = np.empty((rel.shape[0], 6), dtype=complex)
     step = max(1, _CHUNK_NODES // offs.shape[0])
     for i in range(0, rel.shape[0], step):
-        d = rel[i:i + step, None, :] + offs                   # (b, Q, 3)
-        r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-        if np.any(r2 == 0.0):
-            raise SingularityError("dyadic Green's function evaluated at zero distance")
-        r = np.sqrt(r2)
-        kr = k0 * r
-        s = w4 / r
-        g_re, g_im = s * np.cos(kr), s * np.sin(kr)           # w * g
-        # c1 = 1 - u^2 + i u and c2 = 3 u^2 - 1 - 3 i u with u = 1 / (k0 r)
-        u = 1.0 / kr
-        u2 = u * u
-        c1_re, c2_re = 1.0 - u2, 3.0 * u2 - 1.0
-        diag = ((g_re * c1_re - g_im * u).sum(axis=1)
-                + 1j * (g_im * c1_re + g_re * u).sum(axis=1))
-        b_re = (g_re * c2_re + 3.0 * g_im * u) / r2            # w g c2 / r^2
-        b_im = (g_im * c2_re - 3.0 * g_re * u) / r2
-        for k, (p, q) in enumerate(_POL_IDX[c] for c in POLARIZATIONS):
-            dd = d[..., p] * d[..., q]
-            comps[i:i + step, k] = (np.einsum("bq,bq->b", b_re, dd)
-                                    + 1j * np.einsum("bq,bq->b", b_im, dd)
-                                    + (diag if p == q else 0.0))
+        comps[i:i + step] = _component_sums(rel[i:i + step, None, :] + offs, w4, k0)
     return wave.prefactor * comps[:, _BLOCK_IDX]
 
 

@@ -9,7 +9,7 @@ from hmimo.green import (ChannelTensor, QuadratureRule, SingularityError,
                          patch_channel_batch, scalar_green,
                          _dyadic_from_displacement, _offset_axis,
                          _quad_offsets)
-from hmimo.harness import PROFILES
+from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
 
@@ -24,17 +24,10 @@ def geom():
     return SurfaceGeometry(10, 10, 5, 5, 0.05, 0.05, 0.01, 0.01)
 
 
-def _profile_geometry(name):
-    g = PROFILES[name]["geometry"]
-    return SurfaceGeometry(g["rx_rows"], g["rx_cols"], g["tx_rows"],
-                           g["tx_cols"], g["rx_dx"], g["rx_dy"],
-                           g["tx_dx"], g["tx_dy"])
-
-
 # patch widths with a flat offset piece (ci), without one (equal widths),
 # and with tx_dx != tx_dy (rectangular)
 OFFSET_GEOMETRIES = {
-    "ci": _profile_geometry("ci"),
+    "ci": build_geometry(PROFILES["ci"]),
     "equal": SurfaceGeometry(2, 2, 2, 2, 0.05, 0.05, 0.05, 0.05),
     "rect": SurfaceGeometry(3, 3, 2, 2, 0.03, 0.05, 0.07, 0.02),
 }
