@@ -6,8 +6,8 @@ import pytest
 from hmimo.green import WaveConfig
 from hmimo.signals import gen_pilots
 from hmimo.surrogate import HybridNet
-from hmimo.crlb import (SingularInformationError, crlb_position,
-                        crlb_position_normalized, fim, hessian,
+from hmimo.crlb import (SingularInformationError, _channel_and_jacobian,
+                        crlb_position, crlb_position_normalized, fim, hessian,
                         log_likelihood, score)
 from hmimo.estimator import _model_stacked
 
@@ -33,6 +33,25 @@ class TestFim:
         f1 = fim(p, trained_net, small_geometry, pilot_matrix, 3e8)
         f10 = fim(p, trained_net, small_geometry, pilot_matrix, 3e9)
         assert np.allclose(f10, 10.0 * f1, rtol=1e-12)
+
+    def test_matches_einsum_reference(self, trained_net, small_geometry,
+                                      pilot_matrix, wave):
+        """The GEMM forms of fim and score equal the explicit Gram sums."""
+        p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
+        h, dh = _channel_and_jacobian(trained_net, small_geometry, p, wave)
+        gram = pilot_matrix.conj().T @ pilot_matrix
+        ref = 2.0 * gamma * np.einsum("kma,kl,lmb->ab", dh.conj(), gram, dh).real
+        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave)
+        assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
+        y0 = pilot_matrix @ h
+        rng = np.random.default_rng(2)
+        y = y0 + 1e-3 * (rng.standard_normal(y0.shape)
+                         + 1j * rng.standard_normal(y0.shape))
+        ref = 2.0 * gamma * np.einsum("kma,kl,lm->a", dh.conj(),
+                                      pilot_matrix.conj().T,
+                                      y - y0).real
+        g = score(p, y, pilot_matrix, trained_net, small_geometry, gamma, wave)
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_untrained_net_rejected(self, trained_net, small_geometry,
                                     pilot_matrix):
