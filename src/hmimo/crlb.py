@@ -14,10 +14,9 @@ as a cross-validation path.
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.green import WaveConfig, edges_to_stacked
-from hmimo.surrogate import (HybridNet, channel_first_derivs,
-                             channel_second_derivs, hybrid_channel)
+from hmimo.geometry import SurfaceGeometry
+from hmimo.green import WaveConfig
+from hmimo.surrogate import HybridNet, stacked_channel
 
 __all__ = [
     "SingularInformationError",
@@ -41,15 +40,6 @@ def _check_net(net: HybridNet) -> None:
         raise ValueError("surrogate network is untrained or has invalid weights")
 
 
-def _channel_and_jacobian(net, geom, p1, wave):
-    """Channel (6N, M) and its position Jacobian (6N, M, 3)."""
-    n, m = geom.n_patches, geom.m_patches
-    rel = relative_grid(geom, p1).reshape(-1, 3)
-    h, dh = channel_first_derivs(net, rel, wave)
-    return (edges_to_stacked(h.reshape(n, m, 6)),
-            edges_to_stacked(dh.reshape(n, m, 6, 3)))
-
-
 def _gram_re(s: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Re{ sum_m (S dh_m)^H (S dh_m) } for derivatives dh (6N, M, k), as one GEMM."""
     sd = (s @ dh.reshape(dh.shape[0], -1)).reshape(-1, dh.shape[-1])
@@ -61,7 +51,7 @@ def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
     """Fisher information matrix (3, 3) of the position at precision gamma."""
     _check_net(net)
     wave = wave or WaveConfig(net.frequency)
-    _, dh = _channel_and_jacobian(net, geom, p1, wave)
+    _, dh = stacked_channel(net, geom, p1, wave, order=1)
     # F_ab = 2 gamma sum_m Re{ dh[:,m,a]^H (S^H S) dh[:,m,b] }
     f = 2.0 * gamma * _gram_re(s, dh)
     return 0.5 * (f + f.T)
@@ -88,16 +78,14 @@ def crlb_position_normalized(fi: np.ndarray, p1) -> float:
 def log_likelihood(p1, y, s, net, geom, gamma, wave=None) -> float:
     """Gaussian log-likelihood of Y = S H(p) + W up to an additive constant."""
     wave = wave or WaveConfig(net.frequency)
-    rel = relative_grid(geom, p1).reshape(-1, 3)
-    h = edges_to_stacked(hybrid_channel(net, rel, wave).reshape(
-        geom.n_patches, geom.m_patches, 6))
+    h = stacked_channel(net, geom, p1, wave)
     return float(-gamma * np.linalg.norm(y - s @ h) ** 2)
 
 
 def score(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
     """Gradient (3,) of the log-likelihood at p1."""
     wave = wave or WaveConfig(net.frequency)
-    h, dh = _channel_and_jacobian(net, geom, p1, wave)
+    h, dh = stacked_channel(net, geom, p1, wave, order=1)
     back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
     return 2.0 * gamma * (dh.reshape(back.size, 3).conj().T @ back).real
 
@@ -109,12 +97,7 @@ def hessian(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
     derivatives; its expectation over Y equals -fim(p1, ...).
     """
     wave = wave or WaveConfig(net.frequency)
-    n, m = geom.n_patches, geom.m_patches
-    rel = relative_grid(geom, p1).reshape(-1, 3)
-    h12, dh12, d2h12 = channel_second_derivs(net, rel, wave)
-    h = edges_to_stacked(h12.reshape(n, m, 6))
-    dh = edges_to_stacked(dh12.reshape(n, m, 6, 3))
-    d2h = edges_to_stacked(d2h12.reshape(n, m, 6, 3, 3))
+    h, dh, d2h = stacked_channel(net, geom, p1, wave, order=2)
     back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
     gram_term = -2.0 * gamma * _gram_re(s, dh)
     data_term = 2.0 * gamma * (d2h.reshape(back.size, 9).conj().T

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from hmimo.geometry import SurfaceGeometry, relative_grid, rx_centers, tx_offsets
-from hmimo.green import WaveConfig, edges_to_stacked
+from hmimo.geometry import SurfaceGeometry
+from hmimo.green import WaveConfig
 from hmimo.signals import UnitaryModel, combine_channel
-from hmimo.surrogate import HybridNet, channel_first_derivs, hybrid_channel
+from hmimo.surrogate import HybridNet, stacked_channel
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -163,90 +163,79 @@ def uamp_linear_step(phi: np.ndarray, r: np.ndarray, state: UampState,
 
 @dataclass
 class Linearization:
-    """First-order expansion of every channel entry at the location belief.
+    """First-order expansion of the stacked channel at the location belief.
 
-    Arrays are shaped (N, M, 6) over transmit patch, receive patch and
-    polarization; ``dh`` carries the three partials in its last axis.
+    ``h`` and ``xi`` are (6N, M) in the ``ChannelTensor.stacked`` layout;
+    ``dh`` (6N, M, 3) carries the partials w.r.t. p1 in its last axis.
     """
 
-    h: np.ndarray      # (N, M, 6) channel value at the expansion point
-    dh: np.ndarray     # (N, M, 6, 3)
-    xi: np.ndarray     # (N, M, 6) affine intercept
+    h: np.ndarray      # (6N, M) channel value at the expansion point
+    dh: np.ndarray     # (6N, M, 3)
+    xi: np.ndarray     # (6N, M) affine intercept
 
-    def affine(self, pos):
-        """Evaluate the affine model at absolute patch positions (N, 3)."""
-        return self.xi + np.einsum("nmkj,nj->nmk", self.dh, np.atleast_2d(pos))
+    def affine(self, p1):
+        """Evaluate the affine model at the location p1 (3,)."""
+        return self.xi + self.dh @ np.asarray(p1, dtype=float)
 
 
-def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, positions: np.ndarray,
+def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
                      wave: WaveConfig) -> Linearization:
-    """Expand the surrogate channel around per-patch position beliefs.
+    """Expand the surrogate channel around the location p1.
 
-    ``positions`` holds the absolute coordinates (N, 3) of the transmit
-    patches.  The intercept satisfies xi = h - dh . position exactly.
+    Every transmit patch sits at its known offset from p1, so the partials
+    w.r.t. p1 are those w.r.t. each patch position.  The intercept
+    satisfies xi = h - dh . p1 exactly.
     """
-    positions = np.atleast_2d(positions)
-    n = positions.shape[0]
-    rel = positions[:, None, :] - rx_centers(geom)   # rx patches sit at z = 0
-    m = rel.shape[1]
-    h, dh = channel_first_derivs(net, rel.reshape(-1, 3), wave)
-    h = h.reshape(n, m, 6)
-    dh = dh.reshape(n, m, 6, 3)
-    xi = h - np.einsum("nmkj,nj->nmk", dh, positions)
-    return Linearization(h=h, dh=dh, xi=xi)
-
-
-def _stacked_to_edges(a: np.ndarray, n: int) -> np.ndarray:
-    """(6N, M) stacked layout -> (N, M, 6) edge layout."""
-    return a.reshape(6, n, -1).transpose(1, 2, 0)
+    p1 = np.asarray(p1, dtype=float)
+    h, dh = stacked_channel(net, geom, p1, wave, order=1)
+    return Linearization(h=h, dh=dh, xi=h - dh @ p1)
 
 
 @dataclass
 class LocationState:
-    """Beliefs and per-edge backward messages of the three coordinates."""
+    """Belief of p1 and its backward messages to the channel entries.
+
+    The messages are in p1's coordinates, like the linearization, so the
+    transmit patch offsets never enter them.
+    """
 
     mean: np.ndarray        # (3,) belief of p1
     var: np.ndarray         # (3,)
-    patch_mean: np.ndarray  # (N, 3) per-patch beliefs
-    edge_mean: np.ndarray   # (N, M, 6, 3) backward messages to channel nodes
-    edge_var: np.ndarray    # (N, M, 6, 3)
+    edge_mean: np.ndarray   # (6N, M, 3) backward messages to channel entries
+    edge_var: np.ndarray    # (6N, M, 3)
 
 
-def init_location_state(p0, var0, offsets, n_rx) -> LocationState:
-    """Seed beliefs at p0 with per-axis variance var0."""
+def init_location_state(p0, var0, shape) -> LocationState:
+    """Seed the belief at p0 with per-axis variance var0, and send it to
+    every entry of a stacked channel of ``shape`` (6N, M)."""
     p0 = np.asarray(p0, dtype=float)
     var0 = np.asarray(var0, dtype=float)
-    n = offsets.shape[0]
-    patch = p0[None, :] + np.concatenate([offsets, np.zeros((n, 1))], axis=1)
-    edge_mean = np.broadcast_to(patch[:, None, None, :], (n, n_rx, 6, 3)).copy()
-    edge_var = np.broadcast_to(var0, (n, n_rx, 6, 3)).copy()
-    return LocationState(mean=p0.copy(), var=var0.copy(), patch_mean=patch,
-                         edge_mean=edge_mean, edge_var=edge_var)
+    return LocationState(mean=p0.copy(), var=var0.copy(),
+                         edge_mean=np.broadcast_to(p0, (*shape, 3)).copy(),
+                         edge_var=np.broadcast_to(var0, (*shape, 3)).copy())
 
 
 def location_round(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
-                   state: LocationState, offsets: np.ndarray) -> LocationState:
+                   state: LocationState) -> LocationState:
     """One belief-propagation sweep over the three location coordinates.
 
-    For each coordinate in turn, every channel node is solved for that
-    coordinate given the backward messages of the other two, the per-node
-    pseudo-observations are fused across receive patches and polarizations,
-    then across transmit patches (after removing the known patch offsets),
-    and extrinsic messages are sent back to the channel nodes.
+    For each coordinate in turn, every channel entry is solved for that
+    coordinate given the backward messages of the other two.  The
+    pseudo-observations are fused over receive patches and polarizations
+    per transmit patch, through a (6, N, M) view of the stacked rows, then
+    across transmit patches into the belief of p1, and every entry gets
+    back the extrinsic of that belief.
     """
-    n, m, _ = q.shape
-    off3 = np.concatenate([offsets, np.zeros((n, 1))], axis=1)  # (N, 3)
+    n = q.shape[0] // 6
     mean = state.mean.copy()
     var = state.var.copy()
-    patch_mean = state.patch_mean.copy()
-    patch_var = np.empty((n, 3))
     edge_mean = state.edge_mean.copy()
     edge_var = state.edge_var.copy()
 
     for c in range(3):
         o1, o2 = (c + 1) % 3, (c + 2) % 3
         dh_c = lin.dh[..., c]
-        # pseudo-observation of coordinate c at every channel node
+        # pseudo-observation of coordinate c at every channel entry
         resid = (q - lin.xi
                  - edge_mean[..., o1] * lin.dh[..., o1]
                  - edge_mean[..., o2] * lin.dh[..., o2])
@@ -259,31 +248,19 @@ def location_round(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
                        + edge_var[..., o1] * np.abs(lin.dh[..., o1]) ** 2
                        + edge_var[..., o2] * np.abs(lin.dh[..., o2]) ** 2) / abs2_safe
         fwd_var = clamp_var(np.where(dead, VAR_MAX, fwd_var))
-        # fuse over (m, kappa) per transmit patch
-        node_mean, node_var = gaussian_product(fwd_mean, fwd_var, axis=(1, 2))
-        # shift to the shared first-patch coordinate and fuse over patches
-        shifted = node_mean - off3[:, c]
-        mean_c, var_c = gaussian_product(shifted, node_var, axis=0)
-        mean[c] = mean_c
-        var[c] = var_c
-        # backward extrinsics toward each patch, then each edge
-        back_mean, back_var = gaussian_divide(mean_c, var_c, shifted, node_var)
-        back_mean = back_mean + off3[:, c]
-        pm, pv = gaussian_product(
-            np.stack([node_mean, back_mean]), np.stack([node_var, back_var]), axis=0)
-        patch_mean[:, c] = pm
-        patch_var[:, c] = pv
-        em, ev = gaussian_divide(pm[:, None, None], pv[:, None, None],
-                                 fwd_mean, fwd_var)
-        edge_mean[..., c] = em
-        edge_var[..., c] = ev
+        node_mean, node_var = gaussian_product(fwd_mean.reshape(6, n, -1),
+                                               fwd_var.reshape(6, n, -1),
+                                               axis=(0, 2))
+        mean[c], var[c] = gaussian_product(node_mean, node_var, axis=0)
+        edge_mean[..., c], edge_var[..., c] = gaussian_divide(
+            mean[c], var[c], fwd_mean, fwd_var)
 
-    return LocationState(mean=mean, var=var, patch_mean=patch_mean,
-                         edge_mean=edge_mean, edge_var=edge_var), patch_var
+    return LocationState(mean=mean, var=var, edge_mean=edge_mean,
+                         edge_var=edge_var)
 
 
 def location_prior(lin: Linearization, loc: LocationState):
-    """Channel prior (mean, var) implied by the location messages, (N, M, 6)."""
+    """Channel prior (mean, var) implied by the location messages, (6N, M)."""
     prior_mean = lin.xi + np.sum(loc.edge_mean * lin.dh, axis=-1)
     prior_var = clamp_var(np.sum(loc.edge_var * np.abs(lin.dh) ** 2, axis=-1))
     return prior_mean, prior_var
@@ -293,8 +270,8 @@ def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
                    loc: LocationState):
     """Fuse the location-implied channel prior with the AMP extrinsics.
 
-    Returns the per-edge belief (mean, var) plus the prior pair, all in
-    the (N, M, 6) layout.
+    Returns the per-entry belief (mean, var) plus the prior pair, all
+    (6N, M).
     """
     prior_mean, prior_var = location_prior(lin, loc)
     prec = 1.0 / prior_var + 1.0 / v_q
@@ -328,28 +305,16 @@ def _predict(net: HybridNet, geom: SurfaceGeometry, p1s: np.ndarray,
 
     With a combiner ``f`` (P, M) the prediction is projected into the
     hybrid receiver's observation space, (B, 6N, P).  ``derivs`` adds the
-    location Jacobian, shaped (B, 3, 6N, M) or (B, 3, 6N, P).
+    location Jacobian, shaped (B, 6N, M, 3) or (B, 6N, P, 3).
     """
-    rel = relative_grid(geom, p1s)                 # (B, N, M, 3)
-    b, n, m, _ = rel.shape
-    rel = rel.reshape(-1, 3)
-    if derivs:
-        h, dh = channel_first_derivs(net, rel, wave)
-        dh = dh.reshape(b, n, m, 6, 3).transpose(0, 4, 3, 1, 2).reshape(
-            b, 3, 6 * n, m)
-    else:
-        h = hybrid_channel(net, rel, wave)
-    h = h.reshape(b, n, m, 6).transpose(0, 3, 1, 2).reshape(b, 6 * n, m)
+    if not derivs:
+        h = stacked_channel(net, geom, p1s, wave)
+        return h if f is None else h @ f.T
+    h, dh = stacked_channel(net, geom, p1s, wave, order=1)
     if f is not None:
-        h = h @ f.T
-        if derivs:
-            dh = dh @ f.T
-    return (h, dh) if derivs else h
-
-
-def _model_stacked(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig):
-    """Surrogate channel prediction (6N, M) at candidate location p1."""
-    return _predict(net, geom, np.asarray(p1, dtype=float)[None], wave)[0]
+        # one GEMM over the receive axis; an einsum here is over 10x slower
+        h, dh = h @ f.T, np.moveaxis(np.tensordot(dh, f, axes=([2], [1])), 3, 2)
+    return h, dh
 
 
 def _chunks(geom: SurfaceGeometry, count: int):
@@ -393,10 +358,11 @@ def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
         h, dh = _predict(net, geom, p1s[sl], wave, f, derivs=True)
         c = h.shape[0]
         e = (h - h_ref).reshape(c, -1, 1)
-        jac = dh.reshape(c, 3, -1)
+        jac = dh.reshape(c, -1, 3)
+        jac_h = jac.conj().transpose(0, 2, 1)
         cost[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
-        a[sl] = (jac.conj() @ jac.transpose(0, 2, 1)).real
-        g[sl] = (jac.conj() @ e)[..., 0].real
+        a[sl] = (jac_h @ jac).real
+        g[sl] = (jac_h @ e)[..., 0].real
     return cost, a, g
 
 
@@ -503,11 +469,10 @@ def _working_scale(net: HybridNet) -> float:
     return float(np.sqrt(np.mean(net.output_scale ** 2 + net.output_offset ** 2)))
 
 
-def _scaled_linearization(net: HybridNet, geom: SurfaceGeometry,
-                          positions: np.ndarray, wave: WaveConfig,
-                          scale: float) -> Linearization:
+def _scaled_linearization(net: HybridNet, geom: SurfaceGeometry, p1,
+                          wave: WaveConfig, scale: float) -> Linearization:
     """``taylor_linearize`` in the working units of the AMP stage."""
-    lin = taylor_linearize(net, geom, positions, wave)
+    lin = taylor_linearize(net, geom, p1, wave)
     return Linearization(h=lin.h / scale, dh=lin.dh / scale, xi=lin.xi / scale)
 
 
@@ -531,34 +496,31 @@ def write_trace_csv(path, trace) -> None:
 
 
 def _conditioning_stage(f: np.ndarray, q_g: np.ndarray, v_g: np.ndarray,
-                        prior_mean: np.ndarray, prior_var: np.ndarray):
+                        mu: np.ndarray, pv: np.ndarray):
     """Exact per-row Gaussian conditioning through the combiner.
 
     Treats the stage-one extrinsics (q_g, v_g) on G = H F^T, shaped
-    (N, P, 6), as noisy observations q = F h of every length-M channel row
+    (6N, P), as noisy observations q = F h of every length-M channel row
     h (one per transmit patch and polarization) under the per-entry prior
-    (mu, pv), shaped (N, M, 6), and returns the extrinsic (mean, var) of
-    every entry toward the prior side, shaped (N, M, 6).
+    (mu, pv), shaped (6N, M), and returns the extrinsic (mean, var) of
+    every entry toward the prior side, shaped (6N, M).
 
     By the Woodbury identity only the P x P matrices S = F diag(pv) F^H +
     diag(v_g) are inverted, all rows in one batch.  With u_m = f_m^H S^-1
     f_m and t_m = f_m^H S^-1 (q - F mu) for column f_m of F, the extrinsic
     of entry m is (mu_m + t_m / u_m, 1 / u_m - pv_m).
     """
-    n = prior_mean.shape[0]
     p, m = f.shape
-    mu, pv = edges_to_stacked(prior_mean), edges_to_stacked(prior_var)
     kron = (f[:, None, :] * f.conj()[None, :, :]).reshape(p * p, m)
     s = (pv @ kron.T).reshape(-1, p, p)        # F diag(pv) F^H, per row
-    s[:, np.arange(p), np.arange(p)] += edges_to_stacked(v_g)
+    s[:, np.arange(p), np.arange(p)] += v_g
     s_inv = np.linalg.inv(s)
     # u is real up to round-off; the floor makes a zero column of F send
     # the non-informative message instead of 0/0
     u = np.maximum((s_inv.reshape(-1, p * p) @ kron.conj()).real, 1.0 / VAR_MAX)
-    resid = edges_to_stacked(q_g) - mu @ f.T
+    resid = q_g - mu @ f.T
     t = (s_inv @ resid[..., None])[..., 0] @ f.conj()
-    return (_stacked_to_edges(mu + t / u, n),
-            _stacked_to_edges(clamp_var(1.0 / u - pv), n))
+    return mu + t / u, clamp_var(1.0 / u - pv)
 
 
 def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
@@ -576,8 +538,6 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     """
     cfg = cfg or EstimatorConfig()
     wave = WaveConfig(net.frequency)
-    offsets = tx_offsets(geom)
-    n = offsets.shape[0]
     scale = _working_scale(net)
     r_n = model.r / scale
     phi = model.phi
@@ -596,45 +556,38 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
         p0, var0 = grid_search_init(net, geom, ls_estimate(phi, model.r), cfg,
                                     wave, f=f)
 
-    loc = init_location_state(p0, var0, offsets, geom.m_patches)
-    lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
+    loc = init_location_state(p0, var0, (6 * geom.n_patches, geom.m_patches))
+    lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
     prior_mean, prior_var = location_prior(lin, loc)
-    amp = UampState.from_prior(push(edges_to_stacked(prior_mean)),
-                               push(edges_to_stacked(prior_var), var=True),
+    amp = UampState.from_prior(push(prior_mean), push(prior_var, var=True),
                                phi.shape[0])
     beta = cfg.damping
     trace = []
     converged = False
     it = 0
-    g_param_n = push(edges_to_stacked(lin.h))
+    g_param_n = push(lin.h)
     try:
         for it in range(1, cfg.max_iters + 1):
             if it > 1:
-                lin = _scaled_linearization(net, geom, loc.patch_mean, wave, scale)
+                lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
             cap = r_n.size / max(np.linalg.norm(r_n - phi @ g_param_n) ** 2, 1e-300)
-            qg_st, vqg_st, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
-            q = _stacked_to_edges(qg_st, n)
-            v_q = _stacked_to_edges(vqg_st, n)
+            q, v_q, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
             if f is not None:
                 q, v_q = _conditioning_stage(f, q, v_q, *location_prior(lin, loc))
 
             prev = loc.mean.copy()
-            new_loc, _ = location_round(lin, q, v_q, loc, offsets)
+            loc = location_round(lin, q, v_q, loc)
             if beta < 1.0:
-                new_loc.mean[:] = prev + beta * (new_loc.mean - prev)
-                new_loc.patch_mean[:] = (loc.patch_mean
-                                         + beta * (new_loc.patch_mean - loc.patch_mean))
-            loc = new_loc
+                loc.mean[:] = prev + beta * (loc.mean - prev)
 
             h_mean, h_var, _, _ = channel_belief(lin, q, v_q, loc)
-            g_mean_st = push(edges_to_stacked(h_mean))
-            g_var_st = push(edges_to_stacked(h_var), var=True)
-            amp.h_mean[:] = amp.h_mean + beta * (g_mean_st - amp.h_mean)
-            amp.h_var[:] = clamp_var(amp.h_var + beta * (g_var_st - amp.h_var))
+            amp.h_mean[:] = amp.h_mean + beta * (push(h_mean) - amp.h_mean)
+            amp.h_var[:] = clamp_var(amp.h_var
+                                     + beta * (push(h_var, var=True) - amp.h_var))
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure(f"non-finite location at iteration {it}", trace)
-            h_param = _model_stacked(net, geom, loc.mean, wave)
+            h_param = stacked_channel(net, geom, loc.mean, wave)
             g_param_n = push(h_param) / scale
             resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
                           / max(np.linalg.norm(r_n), 1e-300))
@@ -646,7 +599,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
 
-    h_param = _model_stacked(net, geom, loc.mean, wave)
+    h_param = stacked_channel(net, geom, loc.mean, wave)
     return EstimateResult(h_hat=h_param, position=loc.mean.copy(),
                           position_var=loc.var.copy(),
                           gamma_hat=amp.gamma / scale ** 2,

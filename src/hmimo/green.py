@@ -251,13 +251,6 @@ def approx_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig) 
                                 wave)[0]
 
 
-def edges_to_stacked(a: np.ndarray) -> np.ndarray:
-    """(N, M, 6, ...) per-pair layout -> (6N, M, ...) stacked layout, with
-    the components in ``POLARIZATIONS`` order as in ``ChannelTensor.stacked``."""
-    n, m = a.shape[:2]
-    return np.moveaxis(a, 2, 0).reshape(6 * n, m, *a.shape[3:])
-
-
 def blocks_to_components(blocks: np.ndarray) -> np.ndarray:
     """Extract the six independent entries of symmetric blocks (..., 3, 3) -> (..., 6)."""
     comps = [blocks[..., i, j] for i, j in (_POL_IDX[k] for k in POLARIZATIONS)]
@@ -314,19 +307,10 @@ def _channel_tensor_from_rel(rel_nm: np.ndarray, comps_flat: np.ndarray) -> Chan
 
 def full_channel(geom: SurfaceGeometry, p1, wave: WaveConfig,
                  quad: QuadratureRule) -> ChannelTensor:
-    """Quadrature channel for all patch pairs, cached over relative offsets.
-
-    Two pairs sharing a relative coordinate triple reuse one quadrature
-    (translation invariance of the integrand).
-    """
-    rel = relative_grid(geom, p1)                    # (N, M, 3)
-    flat = rel.reshape(-1, 3)
-    # collapse duplicate relative offsets (keyed on rounded coordinates)
-    keys = np.round(flat / 1e-12).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    uniq_rel = uniq.astype(float) * 1e-12
-    blocks = patch_channel_batch(uniq_rel, geom, wave, quad)
-    comps = blocks_to_components(blocks)[inverse]    # (N*M, 6)
+    """Quadrature channel for all patch pairs."""
+    rel = relative_grid(geom, p1)
+    comps = blocks_to_components(patch_channel_batch(rel.reshape(-1, 3), geom,
+                                                     wave, quad))
     return _channel_tensor_from_rel(rel, comps)
 
 

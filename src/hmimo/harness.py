@@ -19,12 +19,13 @@ import yaml
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, full_channel
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
-                             generate_training_set, min_training_samples, train)
+                             generate_training_set, min_training_samples,
+                             stacked_channel, train)
 from hmimo.signals import (gen_combiner, gen_pilots, noise_precision,
                            simulate_rx, simulate_rx_hybrid, unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
-                             ls_estimate, _model_stacked)
+                             ls_estimate)
 from hmimo.crlb import SingularInformationError, crlb_position_normalized, fim
 
 CSV_COLUMNS = ["sweep_var", "sweep_value", "estimator", "trials_ok",
@@ -336,7 +337,7 @@ def run_trial(cfg, nets, variable, value, seed_seq):
                 nmse_h = np.linalg.norm(h_ls - h_true) ** 2 / ref_power
                 nmse_p = None
             elif name == "known-location":
-                h_model = _model_stacked(nets["exact"], geom, p1, wave)
+                h_model = stacked_channel(nets["exact"], geom, p1, wave)
                 nmse_h = np.linalg.norm(h_model - h_true) ** 2 / ref_power
                 nmse_p = None
             else:  # pragma: no cover - guarded by validate_config
@@ -483,7 +484,7 @@ def crlb_rows(cfg, net) -> list:
         for seq in trial_seqs:
             _, p1, pilots = _draw_trial(cfg, geom, fixed, seq)
             # gamma is referenced to the surrogate channel at p1
-            h_model = _model_stacked(net, geom, p1, wave)
+            h_model = stacked_channel(net, geom, p1, wave)
             gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
             f_info = fim(p1, net, geom, pilots.matrix, gamma, wave)
             vals.append(crlb_position_normalized(f_info, p1))

@@ -110,7 +110,6 @@ class UnitaryModel:
 
     phi: np.ndarray       # (3L, 6N) = Lambda V^H, rows beyond 6N are zero
     r: np.ndarray         # (3L, M)
-    singular_values: np.ndarray
 
 
 def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
@@ -128,7 +127,7 @@ def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
         raise PreprocessError("pilot matrix is rank deficient")
     phi = np.zeros_like(s)
     phi[:cols] = sv[:, None] * vh
-    return UnitaryModel(phi=phi, r=u.conj().T @ y, singular_values=sv)
+    return UnitaryModel(phi=phi, r=u.conj().T @ y)
 
 
 # --- hybrid (analog combining) receiver --------------------------------

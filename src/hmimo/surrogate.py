@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry
+from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
                          approx_channel_batch, blocks_to_components,
                          patch_channel_batch)
@@ -204,6 +204,33 @@ def channel_second_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
     return phi * rot[:, None], dh, d2h
 
 
+def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
+                    order: int = 0):
+    """Surrogate channel at the transmit location p1, in the stacked layout.
+
+    ``p1`` is one location (3,) or a stack of them (..., 3).  Rows follow
+    ``ChannelTensor.stacked`` (polarization, then transmit patch), so the
+    channel is (..., 6N, M).  ``order`` 1 returns (h, dh) and 2 returns
+    (h, dh, d2h), with the partials w.r.t. p1 in trailing axes: dh is
+    (..., 6N, M, 3) and d2h (..., 6N, M, 3, 3).
+    """
+    rel = relative_grid(geom, p1)                  # (..., N, M, 3)
+    flat = rel.reshape(-1, 3)
+    if order == 0:
+        parts = (hybrid_channel(net, flat, wave),)
+    elif order == 1:
+        parts = channel_first_derivs(net, flat, wave)
+    elif order == 2:
+        parts = channel_second_derivs(net, flat, wave)
+    else:
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+    lead, (n, m) = rel.shape[:-3], rel.shape[-3:-1]
+    k = len(lead)
+    out = tuple(np.moveaxis(a.reshape(lead + (n, m) + a.shape[1:]), k + 2, k)
+                .reshape(lead + (6 * n, m) + a.shape[2:]) for a in parts)
+    return out if order else out[0]
+
+
 # --- training ----------------------------------------------------------
 
 
@@ -272,13 +299,17 @@ class TrainConfig:
 
     hidden_count: int = 50
     epochs: int = 300
-    batch_size: int = 2048
-    lr: float = 5e-3
-    lr_final: float = 1e-4
-    val_fraction: float = 0.1
     seed: int = 0
-    ls_refit_every: int = 20   # exact output-layer refit cadence (epochs); 0 disables
-    patience: int = 0          # early stop after this many non-improving epochs; 0 disables
+
+
+# Fixed settings of the fit: held-out share, mini-batch size, cosine-decayed
+# learning rate from LR to LR_FINAL, and the cadence (epochs) of the exact
+# output-layer refit.
+VAL_FRACTION = 0.1
+BATCH_SIZE = 2048
+LR = 5e-3
+LR_FINAL = 1e-4
+LS_REFIT_EVERY = 20
 
 
 def nmse_db(pred12: np.ndarray, target12: np.ndarray) -> float:
@@ -315,7 +346,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         raise ValueError(f"need at least {n_min} samples for hidden_count={cfg.hidden_count}")
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(inputs.shape[0])
-    n_val = int(round(cfg.val_fraction * inputs.shape[0]))
+    n_val = int(round(VAL_FRACTION * inputs.shape[0]))
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
 
     in_lo, in_hi = inputs.min(axis=0), inputs.max(axis=0)
@@ -342,16 +373,15 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     n_tr = x_tr.shape[0]
-    steps_per_epoch = max(1, n_tr // cfg.batch_size)
+    steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
     loss_curve = []
     best = (np.inf, None)
-    stale = 0
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         for k in range(steps_per_epoch):
-            idx = order[k * cfg.batch_size:(k + 1) * cfg.batch_size]
+            idx = order[k * BATCH_SIZE:(k + 1) * BATCH_SIZE]
             xb, tb = x_tr[idx], t_tr[idx]
             a = np.tanh(xb @ w1.T + b1)
             pred = a @ w2 + b2
@@ -365,7 +395,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             step += 1
             # cosine-decayed learning rate
             frac = step / total_steps
-            lr = cfg.lr_final + 0.5 * (cfg.lr - cfg.lr_final) * (1 + np.cos(np.pi * frac))
+            lr = LR_FINAL + 0.5 * (LR - LR_FINAL) * (1 + np.cos(np.pi * frac))
             for p, g, m, v in zip(params, grads, m_acc, v_acc):
                 m *= beta1
                 m += (1 - beta1) * g
@@ -374,7 +404,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
                 mh = m / (1 - beta1**step)
                 vh = v / (1 - beta2**step)
                 p -= lr * mh / (np.sqrt(vh) + eps)
-        if cfg.ls_refit_every and (epoch + 1) % cfg.ls_refit_every == 0:
+        if (epoch + 1) % LS_REFIT_EVERY == 0:
             a_full = np.tanh(x_tr @ w1.T + b1)
             w2_new, b2_new = _ls_output_layer(a_full, t_tr)
             w2[...], b2[...] = w2_new, b2_new
@@ -385,11 +415,6 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         loss_curve.append(val_loss)
         if val_loss < best[0] - 1e-12 * abs(best[0]):
             best = (val_loss, [p.copy() for p in params])
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience and stale >= cfg.patience:
-                break
 
     if best[1] is not None:
         w1, b1, w2, b2 = best[1]

@@ -18,12 +18,11 @@ from hmimo.green import (WaveConfig, QuadratureRule, full_channel,
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              generate_training_set, hybrid_channel, nmse_db,
-                             train)
+                             stacked_channel as _model_stacked, train)
 from hmimo.signals import (gen_combiner, gen_pilots, simulate_rx,
                            unitary_transform)
 from hmimo.estimator import (EstimatorConfig, UampState, estimate_full_digital,
-                             estimate_hybrid, ls_estimate, uamp_linear_step,
-                             _model_stacked)
+                             estimate_hybrid, ls_estimate, uamp_linear_step)
 from hmimo.crlb import fim, score
 from hmimo.harness import (PROFILES, _deep_merge, run_point, sweep,
                            write_rows_csv)

@@ -5,11 +5,10 @@ import pytest
 
 from hmimo.green import WaveConfig
 from hmimo.signals import gen_pilots
-from hmimo.surrogate import HybridNet
-from hmimo.crlb import (SingularInformationError, _channel_and_jacobian,
-                        crlb_position, crlb_position_normalized, fim, hessian,
-                        log_likelihood, score)
-from hmimo.estimator import _model_stacked
+from hmimo.surrogate import HybridNet, stacked_channel
+from hmimo.crlb import (SingularInformationError, crlb_position,
+                        crlb_position_normalized, fim, hessian, log_likelihood,
+                        score)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,7 @@ class TestFim:
                                       pilot_matrix, wave):
         """The GEMM forms of fim and score equal the explicit Gram sums."""
         p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
-        h, dh = _channel_and_jacobian(trained_net, small_geometry, p, wave)
+        h, dh = stacked_channel(trained_net, small_geometry, p, wave, order=1)
         gram = pilot_matrix.conj().T @ pilot_matrix
         ref = 2.0 * gamma * np.einsum("kma,kl,lmb->ab", dh.conj(), gram, dh).real
         f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave)
@@ -70,9 +69,9 @@ class TestFim:
     def test_score_covariance_identity(self, trained_net, small_geometry,
                                        pilot_matrix, true_position, wave):
         """Empirical covariance of the score at the truth equals the FIM."""
-        gamma = 1.0 / (np.abs(_model_stacked(
+        gamma = 1.0 / (np.abs(stacked_channel(
             trained_net, small_geometry, true_position, wave)) ** 2).mean()
-        h = _model_stacked(trained_net, small_geometry, true_position, wave)
+        h = stacked_channel(trained_net, small_geometry, true_position, wave)
         y0 = pilot_matrix @ h
         f = fim(true_position, trained_net, small_geometry, pilot_matrix, gamma)
         rng = np.random.default_rng(5)
@@ -116,8 +115,8 @@ class TestHessianValidation:
     def test_noiseless_hessian_at_truth_equals_minus_fim(
             self, trained_net, small_geometry, pilot_matrix, true_position, wave):
         gamma = 2.5e9
-        y0 = pilot_matrix @ _model_stacked(trained_net, small_geometry,
-                                           true_position, wave)
+        y0 = pilot_matrix @ stacked_channel(trained_net, small_geometry,
+                                            true_position, wave)
         hess = hessian(true_position, y0, pilot_matrix, trained_net,
                        small_geometry, gamma)
         f = fim(true_position, trained_net, small_geometry, pilot_matrix, gamma)
@@ -127,7 +126,7 @@ class TestHessianValidation:
                                         pilot_matrix, true_position, wave):
         gamma = 1e9
         rng = np.random.default_rng(9)
-        h = _model_stacked(trained_net, small_geometry, true_position, wave)
+        h = stacked_channel(trained_net, small_geometry, true_position, wave)
         y = pilot_matrix @ h + 1e-3 * np.abs(h).mean() * (
             rng.standard_normal((pilot_matrix.shape[0], h.shape[1]))
             + 1j * rng.standard_normal((pilot_matrix.shape[0], h.shape[1])))

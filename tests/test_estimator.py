@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmimo.geometry import SurfaceGeometry, tx_offsets
+from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
 from hmimo.signals import (PilotBlock, gen_combiner, gen_pilots, simulate_rx,
                            simulate_rx_hybrid, unitary_transform, combine_channel)
 from hmimo import estimator
-from hmimo.surrogate import HybridNet, hybrid_channel
+from hmimo.surrogate import HybridNet, hybrid_channel, stacked_channel
 from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
                              LocationState, NumericalFailure, UampState,
                              channel_belief, clamp_var, estimate_full_digital,
                              estimate_hybrid, gaussian_divide, gaussian_product,
                              grid_search_init, init_location_state, location_round,
                              ls_estimate, taylor_linearize, uamp_linear_step,
-                             write_trace_csv, _model_stacked, _refine_batch)
+                             write_trace_csv, _refine_batch)
 
 
 # --- Gaussian message algebra --------------------------------------------
@@ -188,17 +188,13 @@ class TestUampLinearStep:
 class TestTaylorLinearize:
     def test_affine_exact_at_expansion_point(self, trained_net, small_geometry,
                                              wave, true_position):
-        offs = tx_offsets(small_geometry)
-        pos = true_position[None, :] + np.concatenate(
-            [offs, np.zeros((offs.shape[0], 1))], axis=1)
+        pos = true_position
         lin = taylor_linearize(trained_net, small_geometry, pos, wave)
         assert np.allclose(lin.affine(pos), lin.h, rtol=1e-10, atol=0)
 
     def test_remainder_is_second_order(self, trained_net, small_geometry, wave,
                                        true_position):
-        offs = tx_offsets(small_geometry)
-        pos = true_position[None, :] + np.concatenate(
-            [offs, np.zeros((offs.shape[0], 1))], axis=1)
+        pos = true_position
         lin = taylor_linearize(trained_net, small_geometry, pos, wave)
 
         def exact_at(p):
@@ -217,43 +213,36 @@ class TestTaylorLinearize:
 
 def _toy_linearization(n, m, seed=0):
     rng = np.random.default_rng(seed)
-    dh = rng.normal(size=(n, m, 6, 3)) + 1j * rng.normal(size=(n, m, 6, 3))
-    xi = rng.normal(size=(n, m, 6)) + 1j * rng.normal(size=(n, m, 6))
+    dh = rng.normal(size=(6 * n, m, 3)) + 1j * rng.normal(size=(6 * n, m, 3))
+    xi = rng.normal(size=(6 * n, m)) + 1j * rng.normal(size=(6 * n, m))
     return Linearization(h=xi.copy(), dh=dh, xi=xi)
 
 
 class TestLocationRound:
     def test_recovers_position_from_exact_observations(self):
         n, m = 3, 4
-        rng = np.random.default_rng(1)
-        offsets = rng.normal(scale=0.01, size=(n, 2))
         p_true = np.array([0.3, -0.2, 25.0])
         lin = _toy_linearization(n, m)
-        patches = p_true[None, :] + np.concatenate(
-            [offsets, np.zeros((n, 1))], axis=1)
-        q = lin.affine(patches)
+        q = lin.affine(p_true)
         v_q = np.full(q.shape, 1e-10)
         state = init_location_state(p_true + [0.05, -0.05, 0.3],
-                                    np.array([0.01, 0.01, 0.25]), offsets, m)
+                                    np.array([0.01, 0.01, 0.25]), q.shape)
         for _ in range(8):
-            state, _ = location_round(lin, q, v_q, state, offsets)
+            state = location_round(lin, q, v_q, state)
         assert np.allclose(state.mean, p_true, atol=1e-4)
         assert np.all(state.var < 1e-8)
 
     def test_dead_derivative_ignored(self):
         n, m = 2, 3
-        offsets = np.zeros((n, 2))
         lin = _toy_linearization(n, m, seed=2)
         lin.dh[..., 2] = 0.0   # no information about z anywhere
         p_true = np.array([0.1, 0.2, 30.0])
-        patches = p_true[None, :] + np.concatenate(
-            [offsets, np.zeros((n, 1))], axis=1)
-        q = lin.affine(patches)
+        q = lin.affine(p_true)
         v_q = np.full(q.shape, 1e-10)
         p0 = np.array([0.0, 0.0, 28.0])
-        state = init_location_state(p0, np.array([0.01, 0.01, 1.0]), offsets, m)
+        state = init_location_state(p0, np.array([0.01, 0.01, 1.0]), q.shape)
         for _ in range(5):
-            state, _ = location_round(lin, q, v_q, state, offsets)
+            state = location_round(lin, q, v_q, state)
         assert np.allclose(state.mean[:2], p_true[:2], atol=1e-4)
         assert np.isfinite(state.mean[2])
         # z stays near the prior: the data carry no z information
@@ -265,10 +254,9 @@ class TestChannelBelief:
         n, m = 2, 3
         lin = _toy_linearization(n, m, seed=3)
         rng = np.random.default_rng(4)
-        q = rng.normal(size=(n, m, 6)) + 1j * rng.normal(size=(n, m, 6))
+        q = rng.normal(size=(6 * n, m)) + 1j * rng.normal(size=(6 * n, m))
         v_q = np.full(q.shape, 0.5)
-        offsets = np.zeros((n, 2))
-        loc = init_location_state(np.zeros(3), np.full(3, VAR_MAX), offsets, m)
+        loc = init_location_state(np.zeros(3), np.full(3, VAR_MAX), q.shape)
         loc.edge_var[:] = VAR_MAX
         mean, var, _, _ = channel_belief(lin, q, v_q, loc)
         assert np.allclose(mean, q, rtol=1e-6)
@@ -277,27 +265,25 @@ class TestChannelBelief:
     def test_sharp_prior_returns_model_prediction(self):
         n, m = 2, 3
         lin = _toy_linearization(n, m, seed=5)
-        offsets = np.zeros((n, 2))
         p = np.array([0.1, -0.3, 22.0])
-        loc = init_location_state(p, np.full(3, 1e-14), offsets, m)
-        patches = np.broadcast_to(p, (n, 3))
-        q = np.ones((n, m, 6), dtype=complex) * 100.0
+        q = np.ones((6 * n, m), dtype=complex) * 100.0
+        loc = init_location_state(p, np.full(3, 1e-14), q.shape)
         v_q = np.full(q.shape, 1e6)
         mean, var, prior_mean, _ = channel_belief(lin, q, v_q, loc)
-        assert np.allclose(prior_mean, lin.affine(patches), rtol=1e-8)
+        assert np.allclose(prior_mean, lin.affine(p), rtol=1e-8)
         assert np.allclose(mean, prior_mean, atol=1e-3)
         assert np.all(var < 1e-4)
 
     def test_gaussian_fusion_value(self):
         n, m = 1, 1
-        dh = np.zeros((n, m, 6, 3), dtype=complex)
+        dh = np.zeros((6 * n, m, 3), dtype=complex)
         dh[..., 0] = 1.0
-        xi = np.ones((n, m, 6), dtype=complex)
+        xi = np.ones((6 * n, m), dtype=complex)
         lin = Linearization(h=xi.copy(), dh=dh, xi=xi)
-        loc = init_location_state(np.zeros(3), np.ones(3), np.zeros((n, 2)), m)
+        loc = init_location_state(np.zeros(3), np.ones(3), xi.shape)
         # prior = (xi + 0, |dh|^2 * 1) = (1, 1); extrinsic = (3, 1) -> (2, 0.5)
-        q = np.full((n, m, 6), 3.0 + 0j)
-        v_q = np.ones((n, m, 6))
+        q = np.full((6 * n, m), 3.0 + 0j)
+        v_q = np.ones((6 * n, m))
         mean, var, prior_mean, prior_var = channel_belief(lin, q, v_q, loc)
         assert np.allclose(prior_mean, 1.0)
         assert np.allclose(prior_var, 1.0)
@@ -310,8 +296,8 @@ class TestConditioningStage:
     def _inputs(n, m, p, seed):
         rng = np.random.default_rng(seed)
         cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        return (cplx(n, p, 6), rng.uniform(0.5, 2.0, (n, p, 6)),
-                cplx(n, m, 6), rng.uniform(0.5, 2.0, (n, m, 6)))
+        return (cplx(6 * n, p), rng.uniform(0.5, 2.0, (6 * n, p)),
+                cplx(6 * n, m), rng.uniform(0.5, 2.0, (6 * n, m)))
 
     def test_single_row_weak_observation_closed_form(self):
         # P = 1: S = sum_m |f_m|^2 pv_m + v_g is a scalar, and the extrinsic
@@ -321,10 +307,10 @@ class TestConditioningStage:
         n, m = 2, 5
         q, _, mu, _ = self._inputs(n, m, 1, seed=1)
         f = gen_combiner(1, m, seed=2) * np.arange(1, m + 1)
-        pv = np.full((n, m, 6), 1e-10)
-        v_g = np.full((n, 1, 6), 0.1)
+        pv = np.full((6 * n, m), 1e-10)
+        v_g = np.full((6 * n, 1), 0.1)
         mean, var = estimator._conditioning_stage(f, q, v_g, mu, pv)
-        fm = f[0][None, :, None]
+        fm = f[0][None, :]
         s = np.sum(np.abs(fm) ** 2 * pv, axis=1, keepdims=True) + v_g
         r = q - np.sum(fm * mu, axis=1, keepdims=True)
         assert np.allclose(var, s / np.abs(fm) ** 2 - pv, rtol=1e-12, atol=0)
@@ -351,18 +337,16 @@ class TestConditioningStage:
         q, v_g, mu, pv = self._inputs(n, m, p, seed=4)
         f = gen_combiner(p, m, seed=5)
         mean, var = estimator._conditioning_stage(f, q, v_g, mu, pv)
-        for j in range(n):
-            for k in range(6):
-                d = 1.0 / v_g[j, :, k]
-                cov = np.linalg.inv(f.conj().T @ (d[:, None] * f)
-                                    + np.diag(1.0 / pv[j, :, k]))
-                post_mean = cov @ (mu[j, :, k] / pv[j, :, k]
-                                   + f.conj().T @ (d * q[j, :, k]))
-                post_var = cov.diagonal().real
-                ext_mean, ext_var = gaussian_divide(post_mean, post_var,
-                                                    mu[j, :, k], pv[j, :, k])
-                assert np.allclose(mean[j, :, k], ext_mean, rtol=1e-9, atol=0)
-                assert np.allclose(var[j, :, k], ext_var, rtol=1e-9, atol=0)
+        for j in range(6 * n):
+            d = 1.0 / v_g[j]
+            cov = np.linalg.inv(f.conj().T @ (d[:, None] * f)
+                                + np.diag(1.0 / pv[j]))
+            post_mean = cov @ (mu[j] / pv[j] + f.conj().T @ (d * q[j]))
+            post_var = cov.diagonal().real
+            ext_mean, ext_var = gaussian_divide(post_mean, post_var,
+                                                mu[j], pv[j])
+            assert np.allclose(mean[j], ext_mean, rtol=1e-9, atol=0)
+            assert np.allclose(var[j], ext_var, rtol=1e-9, atol=0)
 
 
 # --- initialization --------------------------------------------------------
@@ -426,7 +410,7 @@ class TestRefineBatch:
         net = _saturating_net()
         f = (None if chains is None
              else gen_combiner(chains, small_geometry.m_patches, seed=5))
-        h_ref = _model_stacked(net, small_geometry, [0.1, -0.05, 3.0], wave)
+        h_ref = stacked_channel(net, small_geometry, [0.1, -0.05, 3.0], wave)
         if f is not None:
             h_ref = combine_channel(f, h_ref)
         # the starts stop after different step counts, and the cost of the
@@ -532,7 +516,7 @@ class TestHybridEstimator:
         # truth on noiseless model-consistent data, nothing is left to move
         pilots = gen_pilots(small_geometry.n_patches, 100, seed=7)
         f = gen_combiner(24, small_geometry.m_patches, seed=5)
-        h_model = _model_stacked(trained_net, small_geometry, true_position, wave)
+        h_model = stacked_channel(trained_net, small_geometry, true_position, wave)
         y, _ = simulate_rx_hybrid(f, h_model, pilots, np.inf, seed=0)
         res = estimate_hybrid(unitary_transform(pilots.matrix, y), f, trained_net,
                               small_geometry,

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hmimo.geometry import SurfaceGeometry
-from hmimo.green import QuadratureRule, WaveConfig
+from hmimo.geometry import SurfaceGeometry, relative_grid
+from hmimo.green import POLARIZATIONS, ChannelTensor, QuadratureRule, WaveConfig
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, generate_training_set,
-                             hybrid_channel, nmse_db, train,
+                             hybrid_channel, nmse_db, stacked_channel, train,
                              _output_jacobians)
 
 
@@ -15,10 +15,8 @@ def wave():
     return WaveConfig(3e9)
 
 
-@pytest.fixture(scope="module")
-def net():
+def _random_net(nh):
     rng = np.random.default_rng(3)
-    nh = 7
     return HybridNet(
         w1=rng.normal(size=(nh, 3)), b1=rng.normal(size=nh),
         w2=rng.normal(size=(nh, 12)), b2=rng.normal(size=12),
@@ -27,6 +25,11 @@ def net():
         output_offset=rng.normal(size=12) * 1e-6,
         output_scale=np.abs(rng.normal(size=12)) * 1e-5,
         frequency=3e9)
+
+
+@pytest.fixture(scope="module")
+def net():
+    return _random_net(7)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,62 @@ class TestChannelMap:
         phi = net.phi(points)
         r = np.linalg.norm(points, axis=-1)
         assert np.allclose(h, phi * np.exp(1j * wave.wavenumber * r)[:, None])
+
+
+class TestStackedChannel:
+    geom = SurfaceGeometry(3, 4, 2, 3, 0.05, 0.04, 0.01, 0.02)
+
+    def test_rows_follow_channel_tensor(self, net, wave):
+        # per-pair values and partials, assembled through ChannelTensor
+        p1 = np.array([0.3, -0.2, 25.0])
+        rel = relative_grid(self.geom, p1)
+        n, m = rel.shape[:2]
+        h_pair = np.empty((n, m, 6), dtype=complex)
+        dh_pair = np.empty((n, m, 6, 3), dtype=complex)
+        for i in range(n):
+            for j in range(m):
+                h_pair[i, j] = hybrid_channel(net, rel[i, j], wave)[0]
+                dh_pair[i, j] = channel_first_derivs(net, rel[i, j], wave)[1][0]
+
+        def stacked(a):
+            return ChannelTensor({k: a[:, :, c]
+                                  for c, k in enumerate(POLARIZATIONS)}).stacked
+
+        h, dh = stacked_channel(net, self.geom, p1, wave, order=1)
+        assert h.shape == (6 * n, m) and dh.shape == (6 * n, m, 3)
+        assert np.allclose(stacked_channel(net, self.geom, p1, wave),
+                           stacked(h_pair), rtol=1e-13, atol=0)
+        assert np.allclose(h, stacked(h_pair), rtol=1e-13, atol=0)
+        for a in range(3):
+            assert np.allclose(dh[..., a], stacked(dh_pair[..., a]),
+                               rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("hidden, rtol", [(7, 0.0), (50, 1e-13)])
+    def test_batch_equals_single_calls(self, wave, order, hidden, rtol):
+        # with 50 hidden units the BLAS products round a row differently
+        # depending on how many rows the call holds, so a batch matches
+        # single calls to round-off only; with 7 they match bit for bit
+        net = _random_net(hidden)
+        rng = np.random.default_rng(6)
+        p1s = np.column_stack([rng.uniform(-1, 1, (4, 2)),
+                               rng.uniform(20, 40, 4)]).reshape(2, 2, 3)
+        batch = stacked_channel(net, self.geom, p1s, wave, order)
+        batch = (batch,) if order == 0 else batch
+        assert len(batch) == order + 1
+        for idx in np.ndindex(2, 2):
+            single = stacked_channel(net, self.geom, p1s[idx], wave, order)
+            single = (single,) if order == 0 else single
+            for b, s in zip(batch, single):
+                assert b[idx].shape == s.shape
+                if rtol == 0.0:
+                    assert np.array_equal(b[idx], s)
+                else:
+                    assert np.max(np.abs(b[idx] - s)) <= rtol * np.max(np.abs(s))
+
+    def test_bad_order_rejected(self, net, wave):
+        with pytest.raises(ValueError, match="order"):
+            stacked_channel(net, self.geom, [0.0, 0.0, 30.0], wave, 3)
 
 
 class TestDerivatives:
