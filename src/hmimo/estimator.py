@@ -45,7 +45,6 @@ class EstimatorConfig:
 
     max_iters: int = 50
     tol: float = 1e-6          # location-change stopping threshold, meters
-    damping: float = 0.7       # exponential damping on beliefs, 1 = undamped
     grid_points: int = 9       # per-axis resolution of the location init search
     prior_x: tuple = (-1.0, 1.0)
     prior_y: tuple = (-1.0, 1.0)
@@ -59,7 +58,7 @@ class EstimateResult:
 
     h_hat: np.ndarray          # (6N, M) parametric channel reconstruction
     position: np.ndarray       # (3,) location estimate
-    position_var: np.ndarray   # (3,) belief variances
+    position_var: np.ndarray   # (3,) diagonal of the belief covariance of p1
     gamma_hat: float           # estimated noise precision, raw units
     iterations: int
     converged: bool
@@ -69,25 +68,6 @@ class EstimateResult:
 def clamp_var(v):
     """Confine variances to the working range [1e-12, 1e12]."""
     return np.clip(v, VAR_MIN, VAR_MAX)
-
-
-def gaussian_product(means, variances, axis=None):
-    """Precision-weighted product of Gaussians along the given axis."""
-    prec = 1.0 / variances
-    prec_tot = np.sum(prec, axis=axis)
-    mean = np.sum(means * prec, axis=axis) / prec_tot
-    return mean, clamp_var(1.0 / prec_tot)
-
-
-def gaussian_divide(mean_b, var_b, mean_m, var_m):
-    """Extrinsic division b / m; non-positive precisions map to the cap."""
-    prec = 1.0 / var_b - 1.0 / var_m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.where(prec > 1.0 / VAR_MAX, 1.0 / np.maximum(prec, 1.0 / VAR_MAX),
-                       VAR_MAX)
-        mean = np.where(prec > 1.0 / VAR_MAX,
-                        var * (mean_b / var_b - mean_m / var_m), mean_b)
-    return mean, clamp_var(var)
 
 
 def ls_estimate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -193,77 +173,46 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
 
 @dataclass
 class LocationState:
-    """Belief of p1 and its backward messages to the channel entries.
+    """Joint Gaussian belief of p1: a mean and a 3 x 3 covariance."""
 
-    The messages are in p1's coordinates, like the linearization, so the
-    transmit patch offsets never enter them.
-    """
-
-    mean: np.ndarray        # (3,) belief of p1
-    var: np.ndarray         # (3,)
-    edge_mean: np.ndarray   # (6N, M, 3) backward messages to channel entries
-    edge_var: np.ndarray    # (6N, M, 3)
+    mean: np.ndarray   # (3,)
+    cov: np.ndarray    # (3, 3)
 
 
-def init_location_state(p0, var0, shape) -> LocationState:
-    """Seed the belief at p0 with per-axis variance var0, and send it to
-    every entry of a stacked channel of ``shape`` (6N, M)."""
-    p0 = np.asarray(p0, dtype=float)
-    var0 = np.asarray(var0, dtype=float)
-    return LocationState(mean=p0.copy(), var=var0.copy(),
-                         edge_mean=np.broadcast_to(p0, (*shape, 3)).copy(),
-                         edge_var=np.broadcast_to(var0, (*shape, 3)).copy())
+def init_location_state(p0, var0) -> LocationState:
+    """Seed the belief at p0 with independent per-axis variances var0."""
+    return LocationState(mean=np.array(p0, dtype=float),
+                         cov=np.diag(np.asarray(var0, dtype=float)))
 
 
 def location_round(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
                    state: LocationState) -> LocationState:
-    """One belief-propagation sweep over the three location coordinates.
+    """Joint Gaussian update of p1 from the per-entry extrinsics (q, v_q).
 
-    For each coordinate in turn, every channel entry is solved for that
-    coordinate given the backward messages of the other two.  The
-    pseudo-observations are fused over receive patches and polarizations
-    per transmit patch, through a (6, N, M) view of the stacked rows, then
-    across transmit patches into the belief of p1, and every entry gets
-    back the extrinsic of that belief.
+    Under the affine model q = xi + dh . p1 + noise of variance v_q, every
+    channel entry is an observation of the vector p1, and the belief is
+    the product of all of them (the vector-node rule of Loeliger et al.,
+    "The factor graph approach to model-based signal processing", Proc.
+    IEEE 2007).  With w = 1 / v_q the information is
+    J = 2 Re(dh^H W dh) + I / VAR_MAX and the mean
+    J^-1 (2 Re(dh^H W (q - xi)) + mean_prev / VAR_MAX).  The factor 2 is
+    the information of a real parameter observed in circular complex
+    noise.  The I / VAR_MAX term, a VAR_MAX-wide prior at the previous
+    mean, keeps a direction the data do not observe where it was instead
+    of making J singular.
     """
-    n = q.shape[0] // 6
-    mean = state.mean.copy()
-    var = state.var.copy()
-    edge_mean = state.edge_mean.copy()
-    edge_var = state.edge_var.copy()
-
-    for c in range(3):
-        o1, o2 = (c + 1) % 3, (c + 2) % 3
-        dh_c = lin.dh[..., c]
-        # pseudo-observation of coordinate c at every channel entry
-        resid = (q - lin.xi
-                 - edge_mean[..., o1] * lin.dh[..., o1]
-                 - edge_mean[..., o2] * lin.dh[..., o2])
-        abs2 = np.abs(dh_c) ** 2
-        dead = abs2 < 1e-300
-        abs2_safe = np.where(dead, 1.0, abs2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fwd_mean = np.where(dead, 0.0, (resid / np.where(dead, 1.0, dh_c)).real)
-            fwd_var = (v_q
-                       + edge_var[..., o1] * np.abs(lin.dh[..., o1]) ** 2
-                       + edge_var[..., o2] * np.abs(lin.dh[..., o2]) ** 2) / abs2_safe
-        fwd_var = clamp_var(np.where(dead, VAR_MAX, fwd_var))
-        node_mean, node_var = gaussian_product(fwd_mean.reshape(6, n, -1),
-                                               fwd_var.reshape(6, n, -1),
-                                               axis=(0, 2))
-        mean[c], var[c] = gaussian_product(node_mean, node_var, axis=0)
-        edge_mean[..., c], edge_var[..., c] = gaussian_divide(
-            mean[c], var[c], fwd_mean, fwd_var)
-
-    return LocationState(mean=mean, var=var, edge_mean=edge_mean,
-                         edge_var=edge_var)
+    dh = lin.dh.reshape(-1, 3)
+    wdh = dh / v_q.reshape(-1, 1)
+    info = 2.0 * (wdh.conj().T @ dh).real + np.eye(3) / VAR_MAX
+    rhs = 2.0 * (wdh.conj().T @ (q - lin.xi).ravel()).real + state.mean / VAR_MAX
+    cov = np.linalg.inv(info)
+    return LocationState(mean=cov @ rhs, cov=cov)
 
 
 def location_prior(lin: Linearization, loc: LocationState):
-    """Channel prior (mean, var) implied by the location messages, (6N, M)."""
-    prior_mean = lin.xi + np.sum(loc.edge_mean * lin.dh, axis=-1)
-    prior_var = clamp_var(np.sum(loc.edge_var * np.abs(lin.dh) ** 2, axis=-1))
-    return prior_mean, prior_var
+    """Channel prior (mean, var) implied by the belief of p1, (6N, M)."""
+    prior_var = np.sum((lin.dh @ loc.cov) * lin.dh.conj(), axis=-1).real
+    return lin.affine(loc.mean), clamp_var(prior_var)
 
 
 def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
@@ -556,52 +505,42 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
         p0, var0 = grid_search_init(net, geom, ls_estimate(phi, model.r), cfg,
                                     wave, f=f)
 
-    loc = init_location_state(p0, var0, (6 * geom.n_patches, geom.m_patches))
+    loc = init_location_state(p0, var0)
     lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
     prior_mean, prior_var = location_prior(lin, loc)
     amp = UampState.from_prior(push(prior_mean), push(prior_var, var=True),
                                phi.shape[0])
-    beta = cfg.damping
     trace = []
     converged = False
     it = 0
-    g_param_n = push(lin.h)
     try:
         for it in range(1, cfg.max_iters + 1):
-            if it > 1:
-                lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
-            cap = r_n.size / max(np.linalg.norm(r_n - phi @ g_param_n) ** 2, 1e-300)
+            cap = r_n.size / max(np.linalg.norm(r_n - phi @ push(lin.h)) ** 2,
+                                 1e-300)
             q, v_q, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
             if f is not None:
                 q, v_q = _conditioning_stage(f, q, v_q, *location_prior(lin, loc))
 
-            prev = loc.mean.copy()
+            prev = loc.mean
             loc = location_round(lin, q, v_q, loc)
-            if beta < 1.0:
-                loc.mean[:] = prev + beta * (loc.mean - prev)
-
             h_mean, h_var, _, _ = channel_belief(lin, q, v_q, loc)
-            amp.h_mean[:] = amp.h_mean + beta * (push(h_mean) - amp.h_mean)
-            amp.h_var[:] = clamp_var(amp.h_var
-                                     + beta * (push(h_var, var=True) - amp.h_var))
+            amp.h_mean, amp.h_var = push(h_mean), push(h_var, var=True)
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure(f"non-finite location at iteration {it}", trace)
-            h_param = stacked_channel(net, geom, loc.mean, wave)
-            g_param_n = push(h_param) / scale
+            lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
             resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
                           / max(np.linalg.norm(r_n), 1e-300))
             trace.append(_trace_row(it, loc, amp.gamma / scale ** 2, resid,
-                                    h_param, h_true))
+                                    lin.h * scale, h_true))
             if np.linalg.norm(loc.mean - prev) < cfg.tol:
                 converged = True
                 break
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
 
-    h_param = stacked_channel(net, geom, loc.mean, wave)
-    return EstimateResult(h_hat=h_param, position=loc.mean.copy(),
-                          position_var=loc.var.copy(),
+    return EstimateResult(h_hat=lin.h * scale, position=loc.mean,
+                          position_var=np.diag(loc.cov).copy(),
                           gamma_hat=amp.gamma / scale ** 2,
                           iterations=it, converged=converged, trace=trace)
 

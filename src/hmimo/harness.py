@@ -46,8 +46,7 @@ PROFILES = {
         "trials": 20,
         "quadrature_order": 8,
         "estimators": ["mp-hybrid", "ls", "known-location"],
-        "estimator": {"max_iters": 50, "tol": 1e-6, "damping": 0.7,
-                      "grid_points": 9},
+        "estimator": {"max_iters": 50, "tol": 1e-6, "grid_points": 9},
         "training": {"samples": 20000, "hidden_count": 50, "epochs": 150,
                      "quadrature_order": 4, "seed": 3, "sample_seed": 11},
         "seed": 0,
@@ -66,8 +65,7 @@ PROFILES = {
         "trials": 100,
         "quadrature_order": 8,
         "estimators": ["mp-hybrid", "mp-approx", "ls", "known-location"],
-        "estimator": {"max_iters": 50, "tol": 1e-6, "damping": 0.7,
-                      "grid_points": 9},
+        "estimator": {"max_iters": 50, "tol": 1e-6, "grid_points": 9},
         "training": {"samples": 50000, "hidden_count": 50, "epochs": 300,
                      "quadrature_order": 8, "seed": 3, "sample_seed": 11},
         "seed": 0,
@@ -232,7 +230,7 @@ def estimator_config(cfg: dict) -> EstimatorConfig:
     e = cfg["estimator"]
     prior = cfg["prior"]
     return EstimatorConfig(max_iters=e["max_iters"], tol=e["tol"],
-                           damping=e["damping"], grid_points=e["grid_points"],
+                           grid_points=e["grid_points"],
                            prior_x=tuple(prior["x"]), prior_y=tuple(prior["y"]),
                            prior_z=tuple(prior["z"]))
 

@@ -142,7 +142,7 @@ class TestConfig:
                               ({"prior": {"z": [20.0, "40"]}}, "prior.z"),
                               ({"sweep": {"values": [0.0, None]}}, "sweep.values"),
                               ({"fixed": {"snr": "8"}}, "fixed.snr"),
-                              ({"estimator": {"damping": None}}, "estimator.damping"),
+                              ({"estimator": {"tol": None}}, "estimator.tol"),
                               ({"training": {"epochs": 1.5}}, "training.epochs"),
                               ({"trials": True}, "trials"),
                               ({"fixed": {"patches": "16"}}, "fixed.patches"),
