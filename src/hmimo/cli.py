@@ -72,36 +72,32 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        out = cfg["paths"]["out"]
         if args.command == "train":
             train_surrogates(cfg, progress=print)
-        elif args.command == "sweep":
-            nets = load_nets(cfg)
-            rows = sweep(cfg, nets, progress=print)
-            write_rows_csv(cfg["paths"]["out"], rows)
-            print(f"wrote {cfg['paths']['out']}")
-        elif args.command == "point":
-            nets = load_nets(cfg)
-            variable = cfg["sweep"]["variable"]
-            value = cfg["fixed"].get(variable)
-            if value is None:
-                value = cfg["sweep"]["values"][0]
-            rows = run_point(cfg, nets, variable, value, 0)
-            write_rows_csv(cfg["paths"]["out"], rows)
-            print(f"wrote {cfg['paths']['out']}")
-        elif args.command == "field-dump":
+            return EXIT_OK
+        if args.command == "field-dump":
             geom = build_geometry(cfg)
             wave = WaveConfig(cfg["wave"]["frequency"])
             quad = QuadratureRule(cfg["quadrature_order"])
             dump = field_dump(geom, wave, quad, args.axis, args.value,
                               tuple(args.range1), tuple(args.range2),
                               tuple(args.resolution))
-            write_field_dump_csv(cfg["paths"]["out"], dump)
-            print(f"wrote {cfg['paths']['out']}")
-        elif args.command == "crlb":
+            write_field_dump_csv(out, dump)
+        else:
             nets = load_nets(cfg)
-            rows = crlb_rows(cfg, nets["exact"])
-            write_rows_csv(cfg["paths"]["out"], rows)
-            print(f"wrote {cfg['paths']['out']}")
+            if args.command == "sweep":
+                rows = sweep(cfg, nets, progress=print)
+            elif args.command == "point":
+                variable = cfg["sweep"]["variable"]
+                value = cfg["fixed"].get(variable)
+                if value is None:
+                    value = cfg["sweep"]["values"][0]
+                rows = run_point(cfg, nets, variable, value, 0)
+            else:
+                rows = crlb_rows(cfg, nets["exact"])
+            write_rows_csv(out, rows)
+        print(f"wrote {out}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

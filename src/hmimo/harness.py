@@ -33,6 +33,12 @@ CSV_COLUMNS = ["sweep_var", "sweep_value", "estimator", "trials_ok",
                "nmse_p_stderr_db", "crlb_db", "wall_s"]
 
 ESTIMATOR_NAMES = ("mp-hybrid", "mp-approx", "ls", "known-location")
+# The surrogate each output row reads (the crlb row is always computed),
+# and each surrogate's training target channel and `paths` key.
+SURROGATE_OF = {"mp-hybrid": "exact", "mp-approx": "approx",
+                "known-location": "exact", "crlb": "exact"}
+SURROGATES = {"exact": ("quadrature", "weights"),
+              "approx": ("approx", "weights_approx")}
 SWEEP_VARIABLES = ("snr", "length", "patches", "chains")
 
 PROFILES = {
@@ -238,12 +244,19 @@ def estimator_config(cfg: dict) -> EstimatorConfig:
 # --- training entry point ---------------------------------------------------
 
 
-def train_surrogates(cfg: dict, progress=None):
-    """Train the exact-target and closed-form-target surrogates.
+def _surrogate_users(cfg: dict) -> dict:
+    """Map each surrogate the run reads to the output rows that read it."""
+    users = {}
+    for name in (*cfg["estimators"], "crlb"):
+        if name in SURROGATE_OF:
+            users.setdefault(SURROGATE_OF[name], []).append(name)
+    return users
 
-    Returns {"exact": (net, report), "approx": (net, report)} and writes
-    both weight files to the configured paths.
-    """
+
+def train_surrogates(cfg: dict, progress=None):
+    """Train and save the surrogates the run reads: the exact-target net
+    always (paths.weights), the closed-form-target net only when mp-approx
+    is configured (paths.weights_approx).  Returns {kind: (net, report)}."""
     t = cfg["training"]
     geom = build_geometry(cfg)
     wave = WaveConfig(cfg["wave"]["frequency"])
@@ -253,9 +266,13 @@ def train_surrogates(cfg: dict, progress=None):
     quad = QuadratureRule(t["quadrature_order"])
     tc = TrainConfig(hidden_count=t["hidden_count"], epochs=t["epochs"],
                      seed=t["seed"])
+    users = _surrogate_users(cfg)
     out = {}
-    for kind, target, path_key in (("exact", "quadrature", "weights"),
-                                   ("approx", "approx", "weights_approx")):
+    for kind, (target, path_key) in SURROGATES.items():
+        if kind not in users:
+            if progress is not None:
+                progress(f"{kind} surrogate: skipped (no configured estimator uses it)")
+            continue
         inputs, targets = generate_training_set(box, geom, wave, quad,
                                                 t["samples"],
                                                 seed=t["sample_seed"],
@@ -321,7 +338,7 @@ def run_trial(cfg, nets, variable, value, seed_seq):
         t0 = time.perf_counter()
         try:
             if name in ("mp-hybrid", "mp-approx"):
-                net = nets["exact" if name == "mp-hybrid" else "approx"]
+                net = nets[SURROGATE_OF[name]]
                 if f is None:
                     res = estimate_full_digital(model, net, geom, ecfg)
                 else:
@@ -444,25 +461,20 @@ def write_rows_csv(path, rows) -> None:
 
 
 def load_nets(cfg) -> dict:
-    """Load the trained surrogates required by the configured estimators."""
+    """Load the surrogates the run reads, as train_surrogates writes them."""
     nets = {}
-    needed = {"mp-hybrid": "exact", "mp-approx": "approx",
-              "known-location": "exact"}
-    kinds = {needed[n] for n in cfg["estimators"] if n in needed}
-    kinds.add("exact")   # the CRLB column always uses the exact surrogate
-    paths = {"exact": cfg["paths"]["weights"],
-             "approx": cfg["paths"]["weights_approx"]}
     frequency = float(cfg["wave"]["frequency"])
-    for kind in kinds:
+    for kind, users in _surrogate_users(cfg).items():
+        path = cfg["paths"][SURROGATES[kind][1]]
         try:
-            nets[kind] = HybridNet.load(paths[kind])
+            nets[kind] = HybridNet.load(path)
         except OSError as exc:
             raise ConfigError(
-                f"missing {kind} surrogate weights {paths[kind]}: {exc}"
-                " (run the train subcommand first)") from exc
+                f"missing {kind} surrogate weights {path}, needed by "
+                f"{', '.join(users)}: {exc} (run the train subcommand first)") from exc
         if not np.isclose(nets[kind].frequency, frequency, rtol=1e-9, atol=0.0):
             raise ConfigError(
-                f"{kind} surrogate {paths[kind]} was trained at "
+                f"{kind} surrogate {path} was trained at "
                 f"{nets[kind].frequency:.6g} Hz, but the config's wave is at "
                 f"{frequency:.6g} Hz")
     return nets

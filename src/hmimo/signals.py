@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hmimo.green import POLARIZATIONS
-
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
 
 

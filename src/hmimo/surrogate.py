@@ -14,14 +14,13 @@ parts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
-                         approx_channel_batch, blocks_to_components,
-                         patch_channel_batch)
+from hmimo.green import (QuadratureRule, WaveConfig, approx_channel_batch,
+                         blocks_to_components, patch_channel_batch)
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -376,7 +375,6 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
     loss_curve = []
-    best = (np.inf, None)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
@@ -413,11 +411,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
-        if val_loss < best[0] - 1e-12 * abs(best[0]):
-            best = (val_loss, [p.copy() for p in params])
 
-    if best[1] is not None:
-        w1, b1, w2, b2 = best[1]
     a_full = np.tanh(x_tr @ w1.T + b1)
     w2, b2 = _ls_output_layer(a_full, t_tr)
 

@@ -14,7 +14,8 @@ import hmimo
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _format_cell, _mean_stderr_db, build_geometry,
                            crlb_rows, load_config, load_nets, run_point,
-                           run_trial, sweep, validate_config, write_rows_csv)
+                           run_trial, sweep, train_surrogates, validate_config,
+                           write_rows_csv)
 from hmimo.surrogate import HybridNet, min_training_samples
 
 
@@ -304,6 +305,43 @@ class TestLoadNets:
             load_nets(self._cfg(tmp_path, 2.8e9))
 
 
+# Trains in well under a second; only the files written and the bits matter.
+TINY_TRAINING = {"samples": 800, "hidden_count": 4, "epochs": 2,
+                 "quadrature_order": 2}
+
+
+class TestTrainSurrogates:
+    def _cfg(self, directory, estimators):
+        directory.mkdir()
+        return load_config(profile="ci", overrides={
+            "estimators": estimators, "training": TINY_TRAINING,
+            "paths": {"weights": str(directory / "w.json"),
+                      "weights_approx": str(directory / "wa.json")}})
+
+    def test_trains_only_the_nets_the_estimators_read(self, tmp_path):
+        cfg = self._cfg(tmp_path / "lean", ["mp-hybrid", "ls"])
+        messages = []
+        trained = train_surrogates(cfg, progress=messages.append)
+        assert set(trained) == {"exact"}
+        assert sorted(p.name for p in (tmp_path / "lean").iterdir()) == ["w.json"]
+        assert ("approx surrogate: skipped (no configured estimator uses it)"
+                in messages)
+        assert set(load_nets(cfg)) == {"exact"}
+        with pytest.raises(ConfigError, match="needed by mp-approx.*train subcommand"):
+            load_nets({**cfg, "estimators": ["mp-hybrid", "mp-approx"]})
+
+    def test_mp_approx_trains_both_with_the_same_exact_net(self, tmp_path):
+        lean = self._cfg(tmp_path / "lean", ["mp-hybrid", "ls"])
+        full = self._cfg(tmp_path / "full", ["mp-hybrid", "mp-approx", "ls"])
+        train_surrogates(lean)
+        assert set(train_surrogates(full)) == {"exact", "approx"}
+        assert sorted(p.name for p in (tmp_path / "full").iterdir()) == [
+            "w.json", "wa.json"]
+        assert set(load_nets(full)) == {"exact", "approx"}
+        assert ((tmp_path / "lean" / "w.json").read_bytes()
+                == (tmp_path / "full" / "w.json").read_bytes())
+
+
 class TestCli:
     def _run(self, *args, cwd=None):
         # the child imports the same hmimo package as this test process
@@ -393,6 +431,22 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [(r["sweep_var"], r["sweep_value"], r["estimator"])
                 for r in rows] == [("patches", "16", "ls")]
+
+    def test_train_then_point_without_mp_approx(self, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "training": TINY_TRAINING, "trials": 1,
+            "estimators": ["mp-hybrid", "ls"], "record_timing": False,
+            "paths": {"weights": str(tmp_path / "w.json"),
+                      "weights_approx": str(tmp_path / "wa.json"),
+                      "out": str(tmp_path / "point.csv")}}))
+        proc = self._run("train", "--config", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "approx surrogate: skipped" in proc.stdout
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "point.csv").exists()
+        assert not (tmp_path / "wa.json").exists()
 
     def test_field_dump(self, tmp_path):
         out = tmp_path / "dump.csv"
