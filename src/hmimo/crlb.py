@@ -5,7 +5,10 @@ noise of known precision gamma (per-entry variance 1/gamma).  The channel
 columns h_m(p) and their position derivatives come from the analytic
 surrogate, so the information matrix has the Gaussian-model Gram form
 
-    F_ab = 2 gamma sum_m Re{ (dh_m/da)^H S^H S (dh_m/db) }.
+    F_ab = 2 gamma sum_m Re{ (dh_m/da)^H S^H S (dh_m/db) },
+
+the sum running over the columns of dH F^T instead when an analog
+combiner F gives Y = S H F^T + W.
 
 The pre-expectation Hessian of the log-likelihood (which retains the
 data-dependent residual term and needs second channel derivatives) is kept
@@ -47,14 +50,17 @@ def _gram_re(s: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 
 def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
-        gamma: float, wave: WaveConfig = None) -> np.ndarray:
-    """Fisher information matrix (3, 3) of the position at precision gamma."""
+        gamma: float, wave: WaveConfig = None, f: np.ndarray = None) -> np.ndarray:
+    """Fisher information matrix (3, 3) of the position at precision gamma,
+    behind the combiner F (P, M) if one is given."""
     _check_net(net)
     wave = wave or WaveConfig(net.frequency)
     _, dh = stacked_channel(net, geom, p1, wave, order=1)
+    if f is not None:
+        dh = np.einsum("kma,pm->kpa", dh, f)       # the combined dG = dH F^T
     # F_ab = 2 gamma sum_m Re{ dh[:,m,a]^H (S^H S) dh[:,m,b] }
-    f = 2.0 * gamma * _gram_re(s, dh)
-    return 0.5 * (f + f.T)
+    info = 2.0 * gamma * _gram_re(s, dh)
+    return 0.5 * (info + info.T)
 
 
 def crlb_position(fi: np.ndarray) -> float:

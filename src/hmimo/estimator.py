@@ -145,7 +145,7 @@ def uamp_linear_step(phi: np.ndarray, r: np.ndarray, state: UampState,
 class Linearization:
     """First-order expansion of the stacked channel at the location belief.
 
-    ``h`` and ``xi`` are (6N, M) in the ``ChannelTensor.stacked`` layout;
+    ``h`` and ``xi`` are (6N, M) in the layout of ``green.stacked_pairs``;
     ``dh`` (6N, M, 3) carries the partials w.r.t. p1 in its last axis.
     """
 

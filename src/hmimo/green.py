@@ -1,8 +1,10 @@
 """Exact near-field channel oracle built on the dyadic Green's function.
 
-The per-patch-pair channel is a 3x3 complex block obtained by integrating
-the dyadic Green's function over both patch areas, scaled by the
-i*omega*mu prefactor.  The integrand depends on the two patch points only
+The per-patch-pair channel is a symmetric 3x3 complex block obtained by
+integrating the dyadic Green's function over both patch areas, scaled by
+the i*omega*mu prefactor; it is carried as its six independent
+components, which ``stacked_pairs`` lays out as the stacked (6N, M)
+channel.  The integrand depends on the two patch points only
 through their difference, so the area integral is computed as a 2-D
 Gauss-Legendre rule over that difference, weighted by its trapezoid
 density.  A closed-form sinc approximation of the same block is provided
@@ -21,12 +23,11 @@ from hmimo.geometry import SurfaceGeometry, relative_grid
 C0 = 299792458.0          # vacuum speed of light, m/s
 MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
 
-# Stacking order of the six independent polarization components and their
-# positions inside a symmetric 3x3 block.
+# Stacking order of the six independent polarization components, their
+# (row, column) inside a symmetric 3x3 block, and the component index of
+# every entry of that block.
 POLARIZATIONS = ("xx", "yy", "zz", "xy", "xz", "yz")
-_POL_IDX = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
-            "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
-# Component index of every entry of a symmetric block, the inverse map.
+_POL_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 # Quadrature nodes per chunk of ``patch_channel_batch`` (one row at least).
@@ -174,7 +175,7 @@ def _component_sums(d: np.ndarray, w4: np.ndarray, k0: float) -> np.ndarray:
     b_re = (g_re * c2_re + 3.0 * g_im * u) / r2                # w g c2 / r^2
     b_im = (g_im * c2_re - 3.0 * g_re * u) / r2
     out = np.empty((d.shape[0], 6), dtype=complex)
-    for k, (p, q) in enumerate(_POL_IDX[c] for c in POLARIZATIONS):
+    for k, (p, q) in enumerate(_POL_PAIRS):
         dd = d[..., p] * d[..., q]
         out[:, k] = (np.einsum("bq,bq->b", b_re, dd)
                      + 1j * np.einsum("bq,bq->b", b_im, dd)
@@ -184,13 +185,14 @@ def _component_sums(d: np.ndarray, w4: np.ndarray, k0: float) -> np.ndarray:
 
 def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig,
                         quad: QuadratureRule) -> np.ndarray:
-    """Quadrature channel blocks for a batch of relative center coordinates.
+    """Quadrature channel for a batch of relative center coordinates.
 
-    ``rel`` has shape (K, 3); returns (K, 3, 3) complex blocks including
-    the i*omega*mu prefactor.  The six independent entries of each block
-    are accumulated directly, g*w*(c1*delta_pq + c2*d_p*d_q/r^2) summed
-    over the nodes, in real arithmetic; rows are taken _CHUNK_NODES
-    quadrature nodes at a time to bound memory.
+    ``rel`` has shape (K, 3); returns the six components (K, 6) of each
+    pair's symmetric block, in ``POLARIZATIONS`` order and including the
+    i*omega*mu prefactor.  They are accumulated directly,
+    g*w*(c1*delta_pq + c2*d_p*d_q/r^2) summed over the nodes, in real
+    arithmetic; rows are taken _CHUNK_NODES quadrature nodes at a time to
+    bound memory.
     """
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     # coplanar patches whose footprints overlap: the integral diverges
@@ -206,7 +208,7 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     step = max(1, _CHUNK_NODES // offs.shape[0])
     for i in range(0, rel.shape[0], step):
         comps[i:i + step] = _component_sums(rel[i:i + step, None, :] + offs, w4, k0)
-    return wave.prefactor * comps[:, _BLOCK_IDX]
+    return wave.prefactor * comps
 
 
 def _pair_coords(m: int, n: int, geom: SurfaceGeometry, p1) -> np.ndarray:
@@ -221,11 +223,12 @@ def patch_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig,
                   quad: QuadratureRule) -> np.ndarray:
     """3x3 channel block between rx patch m and tx patch n by quadrature."""
     return patch_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
-                               wave, quad)[0]
+                               wave, quad)[0][_BLOCK_IDX]
 
 
 def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig) -> np.ndarray:
-    """Closed-form sinc-approximation blocks for relative coordinates (K, 3)."""
+    """Closed-form sinc approximation for relative coordinates (K, 3): the
+    six components (K, 6), c1*delta_pq + c2*rhat_p*rhat_q times the scale."""
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     k0 = wave.wavenumber
     r = np.linalg.norm(rel, axis=-1)
@@ -239,86 +242,51 @@ def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfi
     c1 = 1.0 + 1j / kr - 1.0 / kr**2
     c2 = 3.0 / kr**2 - 3j / kr - 1.0
     rhat = rel / r[:, None]
-    outer = rhat[:, :, None] * rhat[:, None, :]
-    cmn = c1[:, None, None] * np.eye(3) + c2[:, None, None] * outer
+    p, q = np.array(_POL_PAIRS).T
+    comps = c2[:, None] * (rhat[:, p] * rhat[:, q])
+    comps[:, :3] += c1[:, None]
     scale = wave.prefactor * area_t * area_r * g * sx * sy
-    return scale[:, None, None] * cmn
+    return scale[:, None] * comps
 
 
 def approx_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig) -> np.ndarray:
     """Closed-form 3x3 channel block between rx patch m and tx patch n."""
     return approx_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
-                                wave)[0]
-
-
-def blocks_to_components(blocks: np.ndarray) -> np.ndarray:
-    """Extract the six independent entries of symmetric blocks (..., 3, 3) -> (..., 6)."""
-    comps = [blocks[..., i, j] for i, j in (_POL_IDX[k] for k in POLARIZATIONS)]
-    return np.stack(comps, axis=-1)
+                                wave)[0][_BLOCK_IDX]
 
 
 @dataclass(frozen=True)
 class ChannelTensor:
-    """Six N x M polarized channel matrices and their 6N x M stacked form."""
+    """The channel H in C^{6N x M}, in the layout of ``stacked_pairs``."""
 
-    components: dict  # polarization -> (N, M) complex array
-
-    def __post_init__(self):
-        shapes = {v.shape for v in self.components.values()}
-        if set(self.components) != set(POLARIZATIONS) or len(shapes) != 1:
-            raise ValueError("components must hold all six polarizations with equal shapes")
-
-    @property
-    def n_patches(self) -> int:
-        return self.components["xx"].shape[0]
-
-    @property
-    def m_patches(self) -> int:
-        return self.components["xx"].shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """H in C^{6N x M}, stacked [xx; yy; zz; xy; xz; yz]."""
-        return np.concatenate([self.components[k] for k in POLARIZATIONS], axis=0)
-
-    @classmethod
-    def from_stacked(cls, h: np.ndarray) -> "ChannelTensor":
-        n = h.shape[0] // 6
-        if h.shape[0] != 6 * n:
-            raise ValueError("stacked channel must have 6N rows")
-        comps = {k: h[i * n:(i + 1) * n] for i, k in enumerate(POLARIZATIONS)}
-        return cls(comps)
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        """Reassemble the symmetric 3x3 block of pair (m, n), 1-based."""
-        out = np.zeros((3, 3), dtype=complex)
-        for k in POLARIZATIONS:
-            i, j = _POL_IDX[k]
-            out[i, j] = out[j, i] = self.components[k][n - 1, m - 1]
-        return out
+    stacked: np.ndarray
 
 
-def _channel_tensor_from_rel(rel_nm: np.ndarray, comps_flat: np.ndarray) -> ChannelTensor:
-    n_, m_ = rel_nm.shape[:2]
-    comps = comps_flat.reshape(n_, m_, 6)
-    return ChannelTensor({k: np.ascontiguousarray(comps[:, :, i])
-                          for i, k in enumerate(POLARIZATIONS)})
+def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1):
+    """``pair_fn`` on every patch pair at p1, in the stacked layout.
+
+    ``pair_fn`` maps relative coordinates (K, 3) to the six components
+    (K, 6, ...) in ``POLARIZATIONS`` order, or to a tuple of such arrays;
+    trailing axes are derivative axes.  ``p1`` is one location (3,) or a
+    stack of them (..., 3).  Each output comes back as (..., 6N, M, ...),
+    row k*N + n - 1 and column m - 1 holding component k of pair (n, m).
+    """
+    rel = relative_grid(geom, p1)                  # (..., N, M, 3)
+    parts = pair_fn(rel.reshape(-1, 3))
+    single = not isinstance(parts, tuple)
+    lead, (n, m) = rel.shape[:-3], rel.shape[-3:-1]
+    k = len(lead)
+    out = tuple(np.moveaxis(a.reshape(lead + (n, m) + a.shape[1:]), k + 2, k)
+                .reshape(lead + (6 * n, m) + a.shape[2:])
+                for a in ((parts,) if single else parts))
+    return out[0] if single else out
 
 
 def full_channel(geom: SurfaceGeometry, p1, wave: WaveConfig,
                  quad: QuadratureRule) -> ChannelTensor:
     """Quadrature channel for all patch pairs."""
-    rel = relative_grid(geom, p1)
-    comps = blocks_to_components(patch_channel_batch(rel.reshape(-1, 3), geom,
-                                                     wave, quad))
-    return _channel_tensor_from_rel(rel, comps)
-
-
-def full_channel_approx(geom: SurfaceGeometry, p1, wave: WaveConfig) -> ChannelTensor:
-    """Closed-form approximate channel for all patch pairs."""
-    rel = relative_grid(geom, p1)
-    comps = blocks_to_components(approx_channel_batch(rel.reshape(-1, 3), geom, wave))
-    return _channel_tensor_from_rel(rel, comps)
+    return ChannelTensor(stacked_pairs(
+        lambda rel: patch_channel_batch(rel, geom, wave, quad), geom, p1))
 
 
 def field_dump(geom: SurfaceGeometry, wave: WaveConfig, quad: QuadratureRule,
@@ -341,8 +309,7 @@ def field_dump(geom: SurfaceGeometry, wave: WaveConfig, quad: QuadratureRule,
     coords = {fixed_axis: np.full(n1 * n2, float(fixed_value)),
               axes[0]: g1.ravel(), axes[1]: g2.ravel()}
     rel = np.stack([coords["x"], coords["y"], coords["z"]], axis=-1)
-    blocks = patch_channel_batch(rel, geom, wave, quad)
-    raw = blocks[:, 0, 0]
+    raw = patch_channel_batch(rel, geom, wave, quad)[:, 0]
     r = np.linalg.norm(rel, axis=-1)
     derot = raw * np.exp(-1j * wave.wavenumber * r)
     out = np.empty(n1 * n2, dtype=[("x", float), ("y", float), ("z", float),

@@ -21,8 +21,9 @@ from hmimo.green import WaveConfig, QuadratureRule, full_channel
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              generate_training_set, min_training_samples,
                              stacked_channel, train)
-from hmimo.signals import (gen_combiner, gen_pilots, noise_precision,
-                           simulate_rx, simulate_rx_hybrid, unitary_transform)
+from hmimo.signals import (combine_channel, gen_combiner, gen_pilots,
+                           noise_precision, simulate_rx, simulate_rx_hybrid,
+                           unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
                              ls_estimate)
@@ -295,15 +296,19 @@ def _trial_values(cfg: dict, variable: str, value):
 
 
 def _draw_trial(cfg: dict, geom: SurfaceGeometry, fixed: dict, seed_seq):
-    """A trial's four child seeds, its true location p1 (child 0) and its
-    pilots (child 1); children 2 and 3 are for the noise and the combiner."""
+    """A trial's four child seeds, its true location p1 (child 0), its
+    pilots (child 1) and its combiner (child 3; None without ``chains``);
+    child 2 is for the noise."""
     prior = cfg["prior"]
     seeds = seed_seq.spawn(4)
     rng = np.random.default_rng(seeds[0])
     p1 = np.array([rng.uniform(*prior["x"]), rng.uniform(*prior["y"]),
                    rng.uniform(*prior["z"])])
     pilots = gen_pilots(geom.n_patches, int(fixed["length"]), seed=seeds[1])
-    return seeds, p1, pilots
+    chains = fixed.get("chains")
+    f = None if chains is None else gen_combiner(int(chains), geom.m_patches,
+                                                 seed=seeds[3])
+    return seeds, p1, pilots, f
 
 
 def run_trial(cfg, nets, variable, value, seed_seq):
@@ -317,17 +322,14 @@ def run_trial(cfg, nets, variable, value, seed_seq):
     geom = build_geometry(cfg, patches=fixed.get("patches"))
     wave = WaveConfig(cfg["wave"]["frequency"])
     quad = QuadratureRule(cfg["quadrature_order"])
-    seeds, p1, pilots = _draw_trial(cfg, geom, fixed, seed_seq)
+    seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seed_seq)
     h_true = full_channel(geom, p1, wave, quad).stacked
     snr_db = float(fixed["snr"])
-    chains = fixed.get("chains")
     ecfg = estimator_config(cfg)
 
-    if chains is None:
-        f = None
+    if f is None:
         y, gamma = simulate_rx(h_true, pilots, snr_db, seed=seeds[2])
     else:
-        f = gen_combiner(int(chains), geom.m_patches, seed=seeds[3])
         y, gamma = simulate_rx_hybrid(f, h_true, pilots, snr_db, seed=seeds[2])
     model = unitary_transform(pilots.matrix, y)
 
@@ -367,7 +369,7 @@ def run_trial(cfg, nets, variable, value, seed_seq):
     results["crlb"] = np.nan
     if np.isfinite(gamma):
         try:
-            f_info = fim(p1, nets["exact"], geom, pilots.matrix, gamma, wave)
+            f_info = fim(p1, nets["exact"], geom, pilots.matrix, gamma, wave, f)
             results["crlb"] = crlb_position_normalized(f_info, p1)
         except SingularInformationError:
             pass
@@ -492,11 +494,13 @@ def crlb_rows(cfg, net) -> list:
             entropy=cfg["seed"], spawn_key=(idx,)).spawn(cfg["trials"])
         vals = []
         for seq in trial_seqs:
-            _, p1, pilots = _draw_trial(cfg, geom, fixed, seq)
-            # gamma is referenced to the surrogate channel at p1
+            _, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
+            # gamma is referenced to the (combined) surrogate channel at p1
             h_model = stacked_channel(net, geom, p1, wave)
+            if f is not None:
+                h_model = combine_channel(f, h_model)
             gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
-            f_info = fim(p1, net, geom, pilots.matrix, gamma, wave)
+            f_info = fim(p1, net, geom, pilots.matrix, gamma, wave, f)
             vals.append(crlb_position_normalized(f_info, p1))
         rows.append({"sweep_var": variable, "sweep_value": value,
                      "estimator": "crlb", "trials_ok": len(vals),

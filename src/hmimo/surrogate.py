@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, relative_grid
+from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, WaveConfig, approx_channel_batch,
-                         blocks_to_components, patch_channel_batch)
+                         patch_channel_batch, stacked_pairs)
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -208,26 +208,16 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
     """Surrogate channel at the transmit location p1, in the stacked layout.
 
     ``p1`` is one location (3,) or a stack of them (..., 3).  Rows follow
-    ``ChannelTensor.stacked`` (polarization, then transmit patch), so the
+    ``green.stacked_pairs`` (polarization, then transmit patch), so the
     channel is (..., 6N, M).  ``order`` 1 returns (h, dh) and 2 returns
     (h, dh, d2h), with the partials w.r.t. p1 in trailing axes: dh is
     (..., 6N, M, 3) and d2h (..., 6N, M, 3, 3).
     """
-    rel = relative_grid(geom, p1)                  # (..., N, M, 3)
-    flat = rel.reshape(-1, 3)
-    if order == 0:
-        parts = (hybrid_channel(net, flat, wave),)
-    elif order == 1:
-        parts = channel_first_derivs(net, flat, wave)
-    elif order == 2:
-        parts = channel_second_derivs(net, flat, wave)
-    else:
+    if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
-    lead, (n, m) = rel.shape[:-3], rel.shape[-3:-1]
-    k = len(lead)
-    out = tuple(np.moveaxis(a.reshape(lead + (n, m) + a.shape[1:]), k + 2, k)
-                .reshape(lead + (6 * n, m) + a.shape[2:]) for a in parts)
-    return out if order else out[0]
+    # the names are looked up per call, so a rebound module attribute is used
+    pair_fn = (hybrid_channel, channel_first_derivs, channel_second_derivs)[order]
+    return stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1)
 
 
 # --- training ----------------------------------------------------------
@@ -283,12 +273,11 @@ def generate_training_set(box: CoordinateBox, geom: SurfaceGeometry, wave: WaveC
     rng = np.random.default_rng(seed)
     rel = box.sample(rng, count)
     if channel == "quadrature":
-        blocks = patch_channel_batch(rel, geom, wave, quad)
+        comps = patch_channel_batch(rel, geom, wave, quad)
     elif channel == "approx":
-        blocks = approx_channel_batch(rel, geom, wave)
+        comps = approx_channel_batch(rel, geom, wave)
     else:
         raise ValueError(f"unknown channel oracle {channel!r}")
-    comps = blocks_to_components(blocks)
     return rel, derotated_targets(rel, comps, wave)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmimo.green import WaveConfig
-from hmimo.signals import gen_pilots
+from hmimo.signals import gen_combiner, gen_pilots
 from hmimo.surrogate import HybridNet, stacked_channel
 from hmimo.crlb import (SingularInformationError, crlb_position,
                         crlb_position_normalized, fim, hessian, log_likelihood,
@@ -35,12 +35,19 @@ class TestFim:
 
     def test_matches_einsum_reference(self, trained_net, small_geometry,
                                       pilot_matrix, wave):
-        """The GEMM forms of fim and score equal the explicit Gram sums."""
+        """The GEMM forms of fim and score equal the explicit Gram sums,
+        fim also behind a P < M combiner."""
         p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
         h, dh = stacked_channel(trained_net, small_geometry, p, wave, order=1)
         gram = pilot_matrix.conj().T @ pilot_matrix
         ref = 2.0 * gamma * np.einsum("kma,kl,lmb->ab", dh.conj(), gram, dh).real
         f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave)
+        assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
+        comb = gen_combiner(8, small_geometry.m_patches, seed=5)
+        ref = 2.0 * gamma * np.einsum("kma,pm,kl,lnb,pn->ab", dh.conj(),
+                                      comb.conj(), gram, dh, comb,
+                                      optimize=True).real
+        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave, comb)
         assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
         y0 = pilot_matrix @ h
         rng = np.random.default_rng(2)
@@ -51,6 +58,15 @@ class TestFim:
                                       y - y0).real
         g = score(p, y, pilot_matrix, trained_net, small_geometry, gamma, wave)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_identity_combiner_changes_nothing(self, trained_net,
+                                               small_geometry, pilot_matrix,
+                                               wave):
+        p = np.array([0.2, 0.4, 25.0])
+        eye = np.eye(small_geometry.m_patches)
+        assert np.array_equal(
+            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, wave, eye),
+            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, wave))
 
     def test_untrained_net_rejected(self, trained_net, small_geometry,
                                     pilot_matrix):

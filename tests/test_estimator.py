@@ -477,7 +477,8 @@ class TestFullDigitalEstimator:
                                       spawn_key=(0,)).spawn(12)
         converged, ratios = 0, []
         for seq in seqs:
-            seeds, p1, pilots = _draw_trial(cfg, small_geometry, cfg["fixed"], seq)
+            seeds, p1, pilots, _ = _draw_trial(cfg, small_geometry, cfg["fixed"],
+                                               seq)
             h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
             y, gamma = simulate_rx(h, pilots, 8.0, seed=seeds[2])
             ecfg = dataclasses.replace(estimator_config(cfg), init_position=p1)

@@ -281,6 +281,15 @@ class TestCrlbRows:
         assert row_lo["crlb_db"] - row_hi["crlb_db"] == pytest.approx(10.0,
                                                                       abs=1e-9)
 
+    def test_fewer_chains_raise_bound_on_matched_draws(self, mini_cfg, nets):
+        # single-point chain grids share the point index, hence the draws
+        # of p1 and the pilots; only the combiner's width differs
+        rows = {p: crlb_rows(_deep_merge(mini_cfg, {
+                    "trials": 2, "sweep": {"variable": "chains", "values": [p]}}),
+                    nets["exact"])[0] for p in (4, 36)}
+        assert rows[4]["sweep_value"] == 4 and rows[36]["sweep_value"] == 36
+        assert rows[4]["crlb_db"] > rows[36]["crlb_db"]
+
 
 class TestLoadNets:
     def _cfg(self, tmp_path, frequency):

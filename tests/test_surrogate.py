@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.green import POLARIZATIONS, ChannelTensor, QuadratureRule, WaveConfig
+from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
+                         full_channel, patch_channel)
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, generate_training_set,
@@ -25,6 +26,11 @@ def _random_net(nh):
         output_offset=rng.normal(size=12) * 1e-6,
         output_scale=np.abs(rng.normal(size=12)) * 1e-5,
         frequency=3e9)
+
+
+def _parts(out):
+    """A stacked_channel or per-pair result as a tuple of arrays."""
+    return out if isinstance(out, tuple) else (out,)
 
 
 @pytest.fixture(scope="module")
@@ -96,30 +102,34 @@ class TestChannelMap:
 class TestStackedChannel:
     geom = SurfaceGeometry(3, 4, 2, 3, 0.05, 0.04, 0.01, 0.02)
 
-    def test_rows_follow_channel_tensor(self, net, wave):
-        # per-pair values and partials, assembled through ChannelTensor
-        p1 = np.array([0.3, -0.2, 25.0])
-        rel = relative_grid(self.geom, p1)
-        n, m = rel.shape[:2]
-        h_pair = np.empty((n, m, 6), dtype=complex)
-        dh_pair = np.empty((n, m, 6, 3), dtype=complex)
-        for i in range(n):
-            for j in range(m):
-                h_pair[i, j] = hybrid_channel(net, rel[i, j], wave)[0]
-                dh_pair[i, j] = channel_first_derivs(net, rel[i, j], wave)[1][0]
-
-        def stacked(a):
-            return ChannelTensor({k: a[:, :, c]
-                                  for c, k in enumerate(POLARIZATIONS)}).stacked
-
-        h, dh = stacked_channel(net, self.geom, p1, wave, order=1)
-        assert h.shape == (6 * n, m) and dh.shape == (6 * n, m, 3)
-        assert np.allclose(stacked_channel(net, self.geom, p1, wave),
-                           stacked(h_pair), rtol=1e-13, atol=0)
-        assert np.allclose(h, stacked(h_pair), rtol=1e-13, atol=0)
-        for a in range(3):
-            assert np.allclose(dh[..., a], stacked(dh_pair[..., a]),
-                               rtol=1e-13, atol=0)
+    def test_rows_follow_pair_components(self, net, wave):
+        # row k*N + n - 1, column m - 1 of the oracle's and the surrogate's
+        # stacked channel, and of the surrogate's partials, is component k
+        # (in POLARIZATIONS order) of patch pair (n, m)
+        geom, q = self.geom, QuadratureRule(4)
+        n_tx, m_rx = geom.n_patches, geom.m_patches
+        entry = tuple(np.array([["xyz".index(c[0]), "xyz".index(c[1])]
+                                for c in POLARIZATIONS]).T)
+        p1s = np.array([[0.3, -0.2, 25.0], [-0.6, 0.4, 31.0]])
+        rel = relative_grid(geom, p1s)
+        pair_fns = (hybrid_channel, channel_first_derivs, channel_second_derivs)
+        batch = [_parts(stacked_channel(net, geom, p1s, wave, order))
+                 for order in range(3)]
+        for b, p1 in enumerate(p1s):
+            truth = full_channel(geom, p1, wave, q).stacked
+            assert truth.shape == (6 * n_tx, m_rx)
+            single = [_parts(stacked_channel(net, geom, p1, wave, order))
+                      for order in range(3)]
+            for n, m in np.ndindex(n_tx, m_rx):             # 0-based
+                rows = np.arange(6) * n_tx + n
+                block = patch_channel(m + 1, n + 1, geom, p1, wave, q)
+                assert np.allclose(truth[rows, m], block[entry], rtol=1e-12, atol=0)
+                for order, pair_fn in enumerate(pair_fns):
+                    want = _parts(pair_fn(net, rel[b, n, m], wave))
+                    for w, one, many in zip(want, single[order], batch[order]):
+                        assert np.allclose(one[rows, m], w[0], rtol=1e-13, atol=0)
+                        assert np.allclose(many[b, rows, m], w[0], rtol=1e-13,
+                                           atol=0)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("hidden, rtol", [(7, 0.0), (50, 1e-13)])
