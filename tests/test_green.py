@@ -248,6 +248,19 @@ class TestChannelTensor:
         h = full_channel(geom, (0.3, -0.2, 25.0), wave, QuadratureRule(4))
         assert h.stacked.shape == (150, 100)
 
+    def test_blocks_match_pairwise_quadrature(self, geom, wave):
+        # the six components of pair (n, m) sit in rows n - 1, n - 1 + N, ...
+        # of column m - 1, and equal the entries of patch_channel(m, n)
+        q = QuadratureRule(4)
+        p1 = (0.3, -0.2, 25.0)
+        h = full_channel(geom, p1, wave, q).stacked
+        n_tx = geom.n_patches
+        for m, n in [(1, 1), (42, 7), (100, 25)]:
+            block = patch_channel(m, n, geom, p1, wave, q)
+            rows = np.arange(6) * n_tx + n - 1
+            assert np.array_equal(block, block.T)
+            assert np.allclose(h[rows, m - 1][_BLOCK_IDX], block, rtol=1e-12)
+
     def test_identical_relative_coords_share_blocks(self, wave):
         # equal patch sizes make offsets collide between pairs
         geom = SurfaceGeometry(3, 3, 2, 2, 0.05, 0.05, 0.05, 0.05)

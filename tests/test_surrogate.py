@@ -102,7 +102,7 @@ class TestChannelMap:
 class TestStackedChannel:
     geom = SurfaceGeometry(3, 4, 2, 3, 0.05, 0.04, 0.01, 0.02)
 
-    def test_rows_follow_pair_components(self, net, wave):
+    def test_rows_follow_channel_tensor(self, net, wave):
         # row k*N + n - 1, column m - 1 of the oracle's and the surrogate's
         # stacked channel, and of the surrogate's partials, is component k
         # (in POLARIZATIONS order) of patch pair (n, m)
