@@ -10,8 +10,8 @@ estimate is reconstructed from the surrogate at the location estimate.
 
 One loop serves two receivers: a full-digital receiver observing all M
 antenna patches, and a hybrid receiver observing P < M analog-combined
-outputs, for which the AMP stage is cascaded with an exact Gaussian
-conditioning step through the combining matrix.
+outputs G = H F^T, for which the same loop reads the linearization of H
+projected through the combining matrix F.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
-from hmimo.signals import UnitaryModel, combine_channel
+from hmimo.signals import UnitaryModel
 from hmimo.surrogate import HybridNet, stacked_channel
 
 VAR_MIN = 1e-12
@@ -157,6 +157,17 @@ class Linearization:
         """Evaluate the affine model at the location p1 (3,)."""
         return self.xi + self.dh @ np.asarray(p1, dtype=float)
 
+    def through(self, f: np.ndarray = None) -> "Linearization":
+        """The expansion of G = H F^T behind the combiner ``f`` (P, M), or
+        ``self`` without one; batch axes are kept, and a None ``xi`` too."""
+        if f is None:
+            return self
+        # one GEMM over the receive axis; an einsum here is over 10x slower
+        dh = np.moveaxis(np.tensordot(self.dh, f, axes=([self.dh.ndim - 2], [1])),
+                         -1, -2)
+        return Linearization(h=self.h @ f.T, dh=dh,
+                             xi=None if self.xi is None else self.xi @ f.T)
+
 
 def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
                      wave: WaveConfig) -> Linearization:
@@ -210,7 +221,7 @@ def location_round(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
 
 
 def location_prior(lin: Linearization, loc: LocationState):
-    """Channel prior (mean, var) implied by the belief of p1, (6N, M)."""
+    """Channel prior (mean, var) implied by the belief of p1, shaped as ``lin.h``."""
     prior_var = np.sum((lin.dh @ loc.cov) * lin.dh.conj(), axis=-1).real
     return lin.affine(loc.mean), clamp_var(prior_var)
 
@@ -220,7 +231,7 @@ def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
     """Fuse the location-implied channel prior with the AMP extrinsics.
 
     Returns the per-entry belief (mean, var) plus the prior pair, all
-    (6N, M).
+    shaped as ``lin.h``.
     """
     prior_mean, prior_var = location_prior(lin, loc)
     prec = 1.0 / prior_var + 1.0 / v_q
@@ -260,10 +271,8 @@ def _predict(net: HybridNet, geom: SurfaceGeometry, p1s: np.ndarray,
         h = stacked_channel(net, geom, p1s, wave)
         return h if f is None else h @ f.T
     h, dh = stacked_channel(net, geom, p1s, wave, order=1)
-    if f is not None:
-        # one GEMM over the receive axis; an einsum here is over 10x slower
-        h, dh = h @ f.T, np.moveaxis(np.tensordot(dh, f, axes=([2], [1])), 3, 2)
-    return h, dh
+    obs = Linearization(h=h, dh=dh, xi=None).through(f)
+    return obs.h, obs.dh
 
 
 def _chunks(geom: SurfaceGeometry, count: int):
@@ -444,59 +453,23 @@ def write_trace_csv(path, trace) -> None:
             w.writerow({k: row[k] for k in cols})
 
 
-def _conditioning_stage(f: np.ndarray, q_g: np.ndarray, v_g: np.ndarray,
-                        mu: np.ndarray, pv: np.ndarray):
-    """Exact per-row Gaussian conditioning through the combiner.
-
-    Treats the stage-one extrinsics (q_g, v_g) on G = H F^T, shaped
-    (6N, P), as noisy observations q = F h of every length-M channel row
-    h (one per transmit patch and polarization) under the per-entry prior
-    (mu, pv), shaped (6N, M), and returns the extrinsic (mean, var) of
-    every entry toward the prior side, shaped (6N, M).
-
-    By the Woodbury identity only the P x P matrices S = F diag(pv) F^H +
-    diag(v_g) are inverted, all rows in one batch.  With u_m = f_m^H S^-1
-    f_m and t_m = f_m^H S^-1 (q - F mu) for column f_m of F, the extrinsic
-    of entry m is (mu_m + t_m / u_m, 1 / u_m - pv_m).
-    """
-    p, m = f.shape
-    kron = (f[:, None, :] * f.conj()[None, :, :]).reshape(p * p, m)
-    s = (pv @ kron.T).reshape(-1, p, p)        # F diag(pv) F^H, per row
-    s[:, np.arange(p), np.arange(p)] += v_g
-    s_inv = np.linalg.inv(s)
-    # u is real up to round-off; the floor makes a zero column of F send
-    # the non-informative message instead of 0/0
-    u = np.maximum((s_inv.reshape(-1, p * p) @ kron.conj()).real, 1.0 / VAR_MAX)
-    resid = q_g - mu @ f.T
-    t = (s_inv @ resid[..., None])[..., 0] @ f.conj()
-    return mu + t / u, clamp_var(1.0 / u - pv)
-
-
 def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
               cfg: EstimatorConfig, h_true) -> EstimateResult:
     """The message-passing loop of both receivers; ``f`` None is full-digital.
 
-    Stage one runs the AMP recursion on R = Phi G with G = H F^T (G = H
-    without a combiner).  Stage two turns its extrinsics on G into
-    extrinsics on H: the identity without a combiner, exact Gaussian
-    conditioning through F with one.  Location messages and the channel
-    belief follow, and the belief is pushed through F for the next AMP
-    pass.  AMP starts from the channel prior that the initial location
-    belief implies, so that a correct p0 is not pulled away by the first
-    extrinsics.  ``h_true`` is optional and only feeds the iteration trace.
+    The AMP recursion on R = Phi G, G = H F^T (G = H without a combiner),
+    yields per-entry extrinsics on G.  The location messages and the
+    channel belief read them through the linearization of H projected
+    through F, and the belief is the prior of the next AMP pass.  AMP starts
+    from the channel prior that the initial location belief implies, so
+    that a correct p0 is not pulled away by the first extrinsics.
+    ``h_true`` is optional and only feeds the iteration trace.
     """
     cfg = cfg or EstimatorConfig()
     wave = WaveConfig(net.frequency)
     scale = _working_scale(net)
     r_n = model.r / scale
     phi = model.phi
-    abs_f2 = None if f is None else np.abs(f) ** 2
-
-    def push(a, var=False):
-        """Mean (or variance) of G = H F^T from that of H, per entry."""
-        if f is None:
-            return a
-        return clamp_var(combine_channel(abs_f2, a)) if var else combine_channel(f, a)
 
     if cfg.init_position is not None:
         _, spacing = _grid_candidates(cfg)
@@ -507,28 +480,24 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
 
     loc = init_location_state(p0, var0)
     lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
-    prior_mean, prior_var = location_prior(lin, loc)
-    amp = UampState.from_prior(push(prior_mean), push(prior_var, var=True),
-                               phi.shape[0])
+    obs = lin.through(f)
+    amp = UampState.from_prior(*location_prior(obs, loc), phi.shape[0])
     trace = []
     converged = False
     it = 0
     try:
         for it in range(1, cfg.max_iters + 1):
-            cap = r_n.size / max(np.linalg.norm(r_n - phi @ push(lin.h)) ** 2,
-                                 1e-300)
+            cap = r_n.size / max(np.linalg.norm(r_n - phi @ obs.h) ** 2, 1e-300)
             q, v_q, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
-            if f is not None:
-                q, v_q = _conditioning_stage(f, q, v_q, *location_prior(lin, loc))
 
             prev = loc.mean
-            loc = location_round(lin, q, v_q, loc)
-            h_mean, h_var, _, _ = channel_belief(lin, q, v_q, loc)
-            amp.h_mean, amp.h_var = push(h_mean), push(h_var, var=True)
+            loc = location_round(obs, q, v_q, loc)
+            amp.h_mean, amp.h_var, _, _ = channel_belief(obs, q, v_q, loc)
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure(f"non-finite location at iteration {it}", trace)
             lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
+            obs = lin.through(f)
             resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
                           / max(np.linalg.norm(r_n), 1e-300))
             trace.append(_trace_row(it, loc, amp.gamma / scale ** 2, resid,

@@ -157,6 +157,15 @@ def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
             yield f"{prefix}{key} ({kind}, got {val!r})"
 
 
+def _check_built(label: str, make, *args) -> None:
+    """Run a constructor for its own range checks; a ValueError it raises
+    is a ConfigError naming ``label``."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def validate_config(cfg: dict) -> None:
     schema = _deep_merge(PROFILES["ci"], _OPTIONAL_KEYS)
     unknown = list(_unknown_keys(cfg, schema))
@@ -209,9 +218,17 @@ def validate_config(cfg: dict) -> None:
     patch_counts = ([fixed["patches"]] if "patches" in fixed else []) + (
         list(values) if var == "patches" else [])
     for v in patch_counts:
-        side = int(round(np.sqrt(v)))
-        if side * side != v:
+        if not (v >= 0 and round(np.sqrt(v)) ** 2 == v):
             raise ConfigError(f"patch count {v} is not a square")
+    _check_built("wave", WaveConfig, cfg["wave"]["frequency"])
+    _check_built("quadrature_order", QuadratureRule, cfg["quadrature_order"])
+    _check_built("training.quadrature_order", QuadratureRule,
+                 training["quadrature_order"])
+    for v in [None, *patch_counts]:
+        _check_built("geometry", build_geometry, cfg, v)
+    if cfg["estimator"]["grid_points"] < 2:
+        raise ConfigError("estimator.grid_points must be >= 2, got "
+                          f"{cfg['estimator']['grid_points']!r}")
     # the combiner has P <= M rows, for every receive-patch count swept
     m_min = (min(values) if var == "patches"
              else fixed.get("patches") or geom["rx_rows"] * geom["rx_cols"])
@@ -366,14 +383,26 @@ def run_trial(cfg, nets, variable, value, seed_seq):
             results[name] = {"ok": False, "error": str(exc),
                              "wall_s": time.perf_counter() - t0}
 
-    results["crlb"] = np.nan
-    if np.isfinite(gamma):
-        try:
-            f_info = fim(p1, nets["exact"], geom, pilots.matrix, gamma, wave, f)
-            results["crlb"] = crlb_position_normalized(f_info, p1)
-        except SingularInformationError:
-            pass
+    results["crlb"] = _draw_bound(p1, nets["exact"], geom, pilots, gamma, wave, f)
     return results
+
+
+def _draw_bound(p1, net, geom, pilots, gamma, wave, f) -> float:
+    """Normalized CRLB of one trial draw; NaN where gamma is not finite
+    (noiseless data) or the information matrix is singular."""
+    if not np.isfinite(gamma):
+        return float("nan")
+    try:
+        return crlb_position_normalized(
+            fim(p1, net, geom, pilots.matrix, gamma, wave, f), p1)
+    except SingularInformationError:
+        return float("nan")
+
+
+def _bound_db(vals) -> float:
+    """dB of the mean of the finite per-draw bounds; NaN if none is finite."""
+    ok = [v for v in vals if np.isfinite(v)]
+    return 10 * np.log10(np.mean(ok)) if ok else float("nan")
 
 
 def _mean_stderr_db(values):
@@ -404,8 +433,7 @@ def run_point(cfg, nets, variable, value, point_seed) -> list:
     else:
         outcomes = [one(i) for i in range(trials)]
 
-    crlb_vals = [o["crlb"] for o in outcomes if np.isfinite(o["crlb"])]
-    crlb_db = 10 * np.log10(np.mean(crlb_vals)) if crlb_vals else float("nan")
+    crlb_db = _bound_db([o["crlb"] for o in outcomes])
     rows = []
     for name in cfg["estimators"]:
         ok = [o[name] for o in outcomes if o[name]["ok"]]
@@ -500,14 +528,15 @@ def crlb_rows(cfg, net) -> list:
             if f is not None:
                 h_model = combine_channel(f, h_model)
             gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
-            f_info = fim(p1, net, geom, pilots.matrix, gamma, wave, f)
-            vals.append(crlb_position_normalized(f_info, p1))
+            vals.append(_draw_bound(p1, net, geom, pilots, gamma, wave, f))
+        n_ok = int(np.sum(np.isfinite(vals)))
         rows.append({"sweep_var": variable, "sweep_value": value,
-                     "estimator": "crlb", "trials_ok": len(vals),
-                     "trials_failed": 0, "nmse_h_db": float("nan"),
+                     "estimator": "crlb", "trials_ok": n_ok,
+                     "trials_failed": len(vals) - n_ok,
+                     "nmse_h_db": float("nan"),
                      "nmse_h_stderr_db": float("nan"),
                      "nmse_p_db": float("nan"),
                      "nmse_p_stderr_db": float("nan"),
-                     "crlb_db": 10 * np.log10(np.mean(vals)),
+                     "crlb_db": _bound_db(vals),
                      "wall_s": 0.0})
     return rows

@@ -154,6 +154,22 @@ class TestConfig:
         validate_config(_deep_merge(PROFILES["ci"], {"wave": {"frequency": 3000000000},
                                                      "fixed": {"snr": 8}}))
 
+    @pytest.mark.parametrize("override, match", [
+        ({"quadrature_order": 1}, "^quadrature_order: .* >= 2"),
+        ({"training": {"quadrature_order": 1}}, "training.quadrature_order"),
+        ({"estimator": {"grid_points": 1}}, "grid_points must be >= 2"),
+        ({"wave": {"frequency": -3.0e9}}, "frequency must be positive"),
+        ({"geometry": {"rx_dx": 0.0}}, "rx_dx must be positive"),
+        ({"geometry": {"tx_dy": -0.01}}, "tx_dy must be positive"),
+        ({"sweep": {"variable": "patches", "values": [0]}}, "rx_rows"),
+        ({"fixed": {"patches": -4}}, "patch count -4 is not a square"),
+    ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
+            "rx-dx", "tx-dy", "zero-patches", "negative-patches"])
+    def test_out_of_range_values_rejected(self, override, match):
+        # the values the program's own constructors refuse
+        with pytest.raises(ConfigError, match=match):
+            validate_config(_deep_merge(PROFILES["ci"], override))
+
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("a: [unclosed\n")
@@ -280,6 +296,16 @@ class TestCrlbRows:
         row_hi = crlb_rows(hi, nets["exact"])[0]
         assert row_lo["crlb_db"] - row_hi["crlb_db"] == pytest.approx(10.0,
                                                                       abs=1e-9)
+
+    def test_noiseless_point_has_no_bound(self, mini_cfg, nets):
+        # at infinite SNR the precision is infinite: no draw has a bound
+        cfg = _deep_merge(mini_cfg, {"trials": 2,
+                                     "sweep": {"values": [float("inf"), 10.0]}})
+        noiseless, noisy = crlb_rows(cfg, nets["exact"])
+        assert np.isnan(noiseless["crlb_db"])
+        assert (noiseless["trials_ok"], noiseless["trials_failed"]) == (0, 2)
+        assert np.isfinite(noisy["crlb_db"])
+        assert (noisy["trials_ok"], noisy["trials_failed"]) == (2, 0)
 
     def test_fewer_chains_raise_bound_on_matched_draws(self, mini_cfg, nets):
         # single-point chain grids share the point index, hence the draws
@@ -415,6 +441,15 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "wave.frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_range_value_exit_code(self, tmp_path):
+        path = tmp_path / "freq.yaml"
+        path.write_text("wave:\n  frequency: -3.0e+9\n")
+        proc = self._run("train", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "frequency" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_train_out_rejected(self, tmp_path):
         proc = self._run("train", "--out", "w.json", cwd=tmp_path)
