@@ -7,8 +7,9 @@ surrogate, so the information matrix has the Gaussian-model Gram form
 
     F_ab = 2 gamma sum_m Re{ (dh_m/da)^H S^H S (dh_m/db) },
 
-the sum running over the columns of dH F^T instead when an analog
-combiner F gives Y = S H F^T + W.
+the sum running over the columns of the observed dG = dH F^T instead
+when an analog combiner F gives Y = S H F^T + W; ``stacked_channel(...,
+f=f)`` provides those partials.
 
 The pre-expectation Hessian of the log-likelihood (which retains the
 data-dependent residual term and needs second channel derivatives) is kept
@@ -55,9 +56,7 @@ def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
     behind the combiner F (P, M) if one is given."""
     _check_net(net)
     wave = wave or WaveConfig(net.frequency)
-    _, dh = stacked_channel(net, geom, p1, wave, order=1)
-    if f is not None:
-        dh = np.einsum("kma,pm->kpa", dh, f)       # the combined dG = dH F^T
+    _, dh = stacked_channel(net, geom, p1, wave, order=1, f=f)
     # F_ab = 2 gamma sum_m Re{ dh[:,m,a]^H (S^H S) dh[:,m,b] }
     info = 2.0 * gamma * _gram_re(s, dh)
     return 0.5 * (info + info.T)

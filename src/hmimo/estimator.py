@@ -10,8 +10,9 @@ estimate is reconstructed from the surrogate at the location estimate.
 
 One loop serves two receivers: a full-digital receiver observing all M
 antenna patches, and a hybrid receiver observing P < M analog-combined
-outputs G = H F^T, for which the same loop reads the linearization of H
-projected through the combining matrix F.
+outputs G = H F^T.  The init and the loop both read the surrogate of the
+observed channel, projected through the combining matrix F (None for the
+full-digital receiver) by ``stacked_channel(..., f)`` and ``through``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.optimize import minimize
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
-from hmimo.signals import UnitaryModel
+from hmimo.signals import UnitaryModel, combine_channel
 from hmimo.surrogate import HybridNet, stacked_channel
 
 VAR_MIN = 1e-12
@@ -158,15 +159,11 @@ class Linearization:
         return self.xi + self.dh @ np.asarray(p1, dtype=float)
 
     def through(self, f: np.ndarray = None) -> "Linearization":
-        """The expansion of G = H F^T behind the combiner ``f`` (P, M), or
-        ``self`` without one; batch axes are kept, and a None ``xi`` too."""
-        if f is None:
-            return self
-        # one GEMM over the receive axis; an einsum here is over 10x slower
-        dh = np.moveaxis(np.tensordot(self.dh, f, axes=([self.dh.ndim - 2], [1])),
-                         -1, -2)
-        return Linearization(h=self.h @ f.T, dh=dh,
-                             xi=None if self.xi is None else self.xi @ f.T)
+        """The expansion of G = H F^T behind the combiner ``f`` (P, M), or of
+        H itself without one."""
+        return Linearization(h=combine_channel(f, self.h),
+                             dh=combine_channel(f, self.dh, trailing=1),
+                             xi=combine_channel(f, self.xi))
 
 
 def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
@@ -259,22 +256,6 @@ def _grid_candidates(cfg: EstimatorConfig):
 _CHUNK_POINTS = 4096
 
 
-def _predict(net: HybridNet, geom: SurfaceGeometry, p1s: np.ndarray,
-             wave: WaveConfig, f: np.ndarray = None, derivs: bool = False):
-    """Surrogate channel (B, 6N, M) at B candidate locations p1s (B, 3).
-
-    With a combiner ``f`` (P, M) the prediction is projected into the
-    hybrid receiver's observation space, (B, 6N, P).  ``derivs`` adds the
-    location Jacobian, shaped (B, 6N, M, 3) or (B, 6N, P, 3).
-    """
-    if not derivs:
-        h = stacked_channel(net, geom, p1s, wave)
-        return h if f is None else h @ f.T
-    h, dh = stacked_channel(net, geom, p1s, wave, order=1)
-    obs = Linearization(h=h, dh=dh, xi=None).through(f)
-    return obs.h, obs.dh
-
-
 def _chunks(geom: SurfaceGeometry, count: int):
     """Slices of a batch of ``count`` locations, each slice holding at most
     _CHUNK_POINTS surrogate points (but at least one location)."""
@@ -290,7 +271,7 @@ def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
     norm_ref = np.linalg.norm(h_ref)
     out = np.empty(len(p1s))
     for sl in _chunks(geom, len(p1s)):
-        pred = _predict(net, geom, p1s[sl], wave, f)
+        pred = stacked_channel(net, geom, p1s[sl], wave, f=f)
         pred = pred.reshape(pred.shape[0], -1)
         denom = np.linalg.norm(pred, axis=1) * norm_ref
         inner = pred.conj() @ h_ref.ravel()
@@ -303,7 +284,7 @@ def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
     """Squared residual ||model(p) - h_ref||^2 at each of B locations."""
     out = np.empty(len(p1s))
     for sl in _chunks(geom, len(p1s)):
-        e = _predict(net, geom, p1s[sl], wave, f) - h_ref
+        e = stacked_channel(net, geom, p1s[sl], wave, f=f) - h_ref
         out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
     return out
 
@@ -313,7 +294,7 @@ def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
     b = len(p1s)
     cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
     for sl in _chunks(geom, b):
-        h, dh = _predict(net, geom, p1s[sl], wave, f, derivs=True)
+        h, dh = stacked_channel(net, geom, p1s[sl], wave, order=1, f=f)
         c = h.shape[0]
         e = (h - h_ref).reshape(c, -1, 1)
         jac = dh.reshape(c, -1, 3)
@@ -385,7 +366,7 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     against h_ref, and the tooth with the smallest residual wins.  The
     grid and the teeth are each evaluated as one batch.  With a combiner
     ``f`` (P, M), predictions are compared with h_ref in the observation
-    space of the hybrid receiver, h @ f.T.
+    space of the hybrid receiver, G = H F^T.
     """
     cands, _ = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, h_ref, cands, wave, f)

@@ -22,8 +22,7 @@ from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              generate_training_set, min_training_samples,
                              stacked_channel, train)
 from hmimo.signals import (combine_channel, gen_combiner, gen_pilots,
-                           noise_precision, simulate_rx, simulate_rx_hybrid,
-                           unitary_transform)
+                           noise_precision, simulate_rx, unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
                              ls_estimate)
@@ -191,12 +190,9 @@ def validate_config(cfg: dict) -> None:
     if trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     for axis in ("x", "y", "z"):
-        lo, hi = prior[axis]
-        if not lo < hi:
-            raise ConfigError(f"degenerate prior range for {axis}: [{lo}, {hi}]")
-    for key in ("rx_rows", "rx_cols", "tx_rows", "tx_cols"):
-        if geom[key] < 1:
-            raise ConfigError(f"geometry {key} must be >= 1")
+        if len(prior[axis]) != 2 or not prior[axis][0] < prior[axis][1]:
+            raise ConfigError(f"degenerate prior range for {axis}: {prior[axis]!r}"
+                              " (need two numbers [lo, hi] with lo < hi)")
     for name in cfg["estimators"]:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
@@ -344,10 +340,8 @@ def run_trial(cfg, nets, variable, value, seed_seq):
     snr_db = float(fixed["snr"])
     ecfg = estimator_config(cfg)
 
-    if f is None:
-        y, gamma = simulate_rx(h_true, pilots, snr_db, seed=seeds[2])
-    else:
-        y, gamma = simulate_rx_hybrid(f, h_true, pilots, snr_db, seed=seeds[2])
+    y, gamma = simulate_rx(combine_channel(f, h_true), pilots, snr_db,
+                           seed=seeds[2])
     model = unitary_transform(pilots.matrix, y)
 
     ref_power = np.linalg.norm(h_true) ** 2
@@ -498,10 +492,11 @@ def load_nets(cfg) -> dict:
         path = cfg["paths"][SURROGATES[kind][1]]
         try:
             nets[kind] = HybridNet.load(path)
-        except OSError as exc:
+        except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(
-                f"missing {kind} surrogate weights {path}, needed by "
-                f"{', '.join(users)}: {exc} (run the train subcommand first)") from exc
+                f"cannot read {kind} surrogate weights {path}, needed by "
+                f"{', '.join(users)}: {type(exc).__name__}: {exc} "
+                "(run the train subcommand first)") from exc
         if not np.isclose(nets[kind].frequency, frequency, rtol=1e-9, atol=0.0):
             raise ConfigError(
                 f"{kind} surrogate {path} was trained at "
@@ -524,9 +519,7 @@ def crlb_rows(cfg, net) -> list:
         for seq in trial_seqs:
             _, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
             # gamma is referenced to the (combined) surrogate channel at p1
-            h_model = stacked_channel(net, geom, p1, wave)
-            if f is not None:
-                h_model = combine_channel(f, h_model)
+            h_model = stacked_channel(net, geom, p1, wave, f=f)
             gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
             vals.append(_draw_bound(p1, net, geom, pilots, gamma, wave, f))
         n_ok = int(np.sum(np.isfinite(vals)))

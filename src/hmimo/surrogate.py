@@ -13,14 +13,16 @@ parts.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry
+from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import (QuadratureRule, WaveConfig, approx_channel_batch,
                          patch_channel_batch, stacked_pairs)
+from hmimo.signals import combine_channel
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -204,20 +206,24 @@ def channel_second_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
 
 
 def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
-                    order: int = 0):
+                    order: int = 0, f: np.ndarray = None):
     """Surrogate channel at the transmit location p1, in the stacked layout.
 
     ``p1`` is one location (3,) or a stack of them (..., 3).  Rows follow
     ``green.stacked_pairs`` (polarization, then transmit patch), so the
     channel is (..., 6N, M).  ``order`` 1 returns (h, dh) and 2 returns
     (h, dh, d2h), with the partials w.r.t. p1 in trailing axes: dh is
-    (..., 6N, M, 3) and d2h (..., 6N, M, 3, 3).
+    (..., 6N, M, 3) and d2h (..., 6N, M, 3, 3).  Behind a combiner ``f``
+    (P, M) each output is of the observed G = H F^T instead, P for M.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
     # the names are looked up per call, so a rebound module attribute is used
     pair_fn = (hybrid_channel, channel_first_derivs, channel_second_derivs)[order]
-    return stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1)
+    out = stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1)
+    if order == 0:
+        return combine_channel(f, out)
+    return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(out))
 
 
 # --- training ----------------------------------------------------------
@@ -240,13 +246,9 @@ class CoordinateBox:
     @classmethod
     def from_prior(cls, geom: SurfaceGeometry, x1, y1, z1) -> "CoordinateBox":
         """Box reachable by any patch pair when p1 is drawn from the given prior."""
-        rx_span_x = (geom.rx_cols - 1) * geom.rx_dx
-        rx_span_y = (geom.rx_rows - 1) * geom.rx_dy
-        tx_span_x = (geom.tx_cols - 1) * geom.tx_dx
-        tx_span_y = (geom.tx_rows - 1) * geom.tx_dy
-        return cls(x=(x1[0] - rx_span_x, x1[1] + tx_span_x),
-                   y=(y1[0] - rx_span_y, y1[1] + tx_span_y),
-                   z=(z1[0], z1[1]))
+        # relative coordinates are affine in p1, so the prior's corners bound them
+        rel = relative_grid(geom, list(itertools.product(x1, y1, z1))).reshape(-1, 3)
+        return cls(*zip(rel.min(axis=0).tolist(), rel.max(axis=0).tolist()))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         lo = np.array([self.x[0], self.y[0], self.z[0]])

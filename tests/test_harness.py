@@ -163,10 +163,15 @@ class TestConfig:
         ({"geometry": {"tx_dy": -0.01}}, "tx_dy must be positive"),
         ({"sweep": {"variable": "patches", "values": [0]}}, "rx_rows"),
         ({"fixed": {"patches": -4}}, "patch count -4 is not a square"),
+        ({"prior": {"x": [0.5]}}, "degenerate prior range for x: \\[0.5\\]"),
+        ({"prior": {"z": [0.0, 0.5, 1.0]}}, "degenerate prior range for z"),
+        ({"geometry": {"tx_rows": 0}}, "^geometry: tx_rows must be a positive"),
     ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
-            "rx-dx", "tx-dy", "zero-patches", "negative-patches"])
+            "rx-dx", "tx-dy", "zero-patches", "negative-patches",
+            "short-prior", "long-prior", "zero-tx-rows"])
     def test_out_of_range_values_rejected(self, override, match):
-        # the values the program's own constructors refuse
+        # the values the program's own constructors refuse, and prior ranges
+        # that are not two increasing numbers
         with pytest.raises(ConfigError, match=match):
             validate_config(_deep_merge(PROFILES["ci"], override))
 
@@ -339,6 +344,17 @@ class TestLoadNets:
         with pytest.raises(ConfigError, match="trained at"):
             load_nets(self._cfg(tmp_path, 2.8e9))
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"version": 2}', "ValueError: unsupported weights file version 2"),
+        ("not json", "JSONDecodeError: Expecting value"),
+    ], ids=["version", "not-json"])
+    def test_unreadable_weights_rejected(self, tmp_path, text, match):
+        cfg = self._cfg(tmp_path, 3.0e9)
+        (tmp_path / "w.json").write_text(text)
+        with pytest.raises(ConfigError, match=f"cannot read exact surrogate "
+                           f"weights .*needed by mp-hybrid, crlb: {match}.*train"):
+            load_nets(cfg)
+
 
 # Trains in well under a second; only the files written and the bits matter.
 TINY_TRAINING = {"samples": 800, "hidden_count": 4, "epochs": 2,
@@ -407,6 +423,19 @@ class TestCli:
         proc = self._run("sweep", "--config", str(path))
         assert proc.returncode == 2
         assert "train subcommand" in proc.stderr
+
+    def test_unreadable_weights_exit_code(self, tmp_path):
+        weights = tmp_path / "w.json"
+        weights.write_text('{"version": 2}')
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "estimators": ["ls"],
+            "paths": {"weights": str(weights), "out": str(tmp_path / "out.csv")}}))
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "version 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"

@@ -152,10 +152,27 @@ class TestCombiner:
         assert g.shape == (150, 20)
         # oracle: apply blockdiag(F,...,F) to the transposed stacked blocks
         n = 25
-        for k in range(6):
-            hk = channel[k * n:(k + 1) * n]           # (N, M)
-            gk_t = f @ hk.T                            # (P, N)
-            assert np.allclose(g[k * n:(k + 1) * n], gk_t.T)
+
+        def oracle(h):                                 # (6N, M) -> (6N, P)
+            return np.vstack([(f @ h[k * n:(k + 1) * n].T).T for k in range(6)])
+
+        assert np.allclose(g, oracle(channel))
+        # a leading batch axis and trailing derivative axes stay in place
+        rng = np.random.default_rng(8)
+        for lead, trail in (((2,), ()), ((), (3,)), ((2,), (3, 3))):
+            shape = lead + channel.shape + trail
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            g = combine_channel(f, h, trailing=len(trail))
+            assert g.shape == lead + (150, 20) + trail
+            for i in np.ndindex(lead):
+                for j in np.ndindex(trail):
+                    assert np.allclose(g[i + (...,) + j], oracle(h[i + (...,) + j]))
+        # the shape checks read the axes before the trailing ones
+        with pytest.raises(ValueError):
+            combine_channel(f, h)
+        # without a combiner the receiver observes the channel itself
+        assert combine_channel(None, channel) is channel
+        assert combine_channel(None, h, trailing=2) is h
 
     def test_hybrid_identity_reduces(self, pilots, channel):
         f = gen_combiner(100, 100, seed=0, identity=True)

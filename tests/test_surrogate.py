@@ -9,6 +9,7 @@ from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              derotated_targets, generate_training_set,
                              hybrid_channel, nmse_db, stacked_channel, train,
                              _output_jacobians)
+from hmimo.signals import combine_channel, gen_combiner
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +142,26 @@ class TestStackedChannel:
         rng = np.random.default_rng(6)
         p1s = np.column_stack([rng.uniform(-1, 1, (4, 2)),
                                rng.uniform(20, 40, 4)]).reshape(2, 2, 3)
-        batch = stacked_channel(net, self.geom, p1s, wave, order)
-        batch = (batch,) if order == 0 else batch
+        f = gen_combiner(5, self.geom.m_patches, seed=2)
+        eye = gen_combiner(self.geom.m_patches, self.geom.m_patches, seed=0,
+                           identity=True)
+
+        def check_combined(p1, plain):
+            # behind F every output is the combined output without F; behind
+            # I it is the output without F, bit for bit
+            combined = _parts(stacked_channel(net, self.geom, p1, wave, order, f=f))
+            same = _parts(stacked_channel(net, self.geom, p1, wave, order, f=eye))
+            assert len(combined) == len(same) == order + 1
+            for k, (h, g, g_eye) in enumerate(zip(plain, combined, same)):
+                assert np.array_equal(g, combine_channel(f, h, trailing=k))
+                assert np.array_equal(g_eye, h)
+
+        batch = _parts(stacked_channel(net, self.geom, p1s, wave, order))
         assert len(batch) == order + 1
+        check_combined(p1s, batch)
         for idx in np.ndindex(2, 2):
-            single = stacked_channel(net, self.geom, p1s[idx], wave, order)
-            single = (single,) if order == 0 else single
+            single = _parts(stacked_channel(net, self.geom, p1s[idx], wave, order))
+            check_combined(p1s[idx], single)
             for b, s in zip(batch, single):
                 assert b[idx].shape == s.shape
                 if rtol == 0.0:
