@@ -41,6 +41,17 @@ SURROGATES = {"exact": ("quadrature", "weights"),
               "approx": ("approx", "weights_approx")}
 SWEEP_VARIABLES = ("snr", "length", "patches", "chains")
 
+
+def _deep_merge(base: dict, override: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, val in override.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = _deep_merge(out[key], val)
+        else:
+            out[key] = copy.deepcopy(val)
+    return out
+
+
 PROFILES = {
     "ci": {
         "geometry": {"rx_rows": 6, "rx_cols": 6, "tx_rows": 3, "tx_cols": 3,
@@ -61,40 +72,19 @@ PROFILES = {
                   "weights_approx": "weights_approx.json",
                   "out": "sweep.csv"},
     },
-    "paper": {
-        "geometry": {"rx_rows": 10, "rx_cols": 10, "tx_rows": 5, "tx_cols": 5,
-                     "rx_dx": 0.05, "rx_dy": 0.05, "tx_dx": 0.01, "tx_dy": 0.01},
-        "wave": {"frequency": 3.0e9},
-        "prior": {"x": [-1.0, 1.0], "y": [-1.0, 1.0], "z": [20.0, 40.0]},
-        "sweep": {"variable": "snr", "values": [0.0, 4.0, 8.0, 12.0, 16.0, 20.0]},
-        "fixed": {"snr": 8.0, "length": 100, "chains": None},
-        "trials": 100,
-        "quadrature_order": 8,
-        "estimators": ["mp-hybrid", "mp-approx", "ls", "known-location"],
-        "estimator": {"max_iters": 50, "tol": 1e-6, "grid_points": 9},
-        "training": {"samples": 50000, "hidden_count": 50, "epochs": 300,
-                     "quadrature_order": 8, "seed": 3, "sample_seed": 11},
-        "seed": 0,
-        "record_timing": True,
-        "paths": {"weights": "weights.json",
-                  "weights_approx": "weights_approx.json",
-                  "out": "sweep.csv"},
-    },
 }
+# the paper profile is the ci profile at full scale
+PROFILES["paper"] = _deep_merge(PROFILES["ci"], {
+    "geometry": {"rx_rows": 10, "rx_cols": 10, "tx_rows": 5, "tx_cols": 5},
+    "sweep": {"values": [0.0, 4.0, 8.0, 12.0, 16.0, 20.0]},
+    "trials": 100,
+    "estimators": ["mp-hybrid", "mp-approx", "ls", "known-location"],
+    "training": {"samples": 50000, "epochs": 300, "quadrature_order": 8},
+})
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
 
 
 def load_config(path=None, profile="ci", overrides=None) -> dict:
@@ -141,16 +131,21 @@ def _is_number(value, integral=False) -> bool:
 
 
 def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
-    """Keys holding a non-number where the schema holds a number (a
-    non-integer where it holds an integer); lists are checked per element."""
+    """Keys holding a value of another kind than the schema's: a non-mapping
+    for a mapping, a non-list for a list, a non-number for a number (a
+    non-integer for an integer); lists of numbers are checked per element."""
     for key, val in cfg.items():
         ref = schema.get(key)
         if isinstance(ref, dict) and isinstance(val, dict):
             yield from _mistyped_keys(val, ref, f"{prefix}{key}.")
+        elif isinstance(ref, dict):
+            yield f"{prefix}{key} (a mapping, got {val!r})"
         elif isinstance(ref, list) and ref and _is_number(ref[0]):
             if not (isinstance(val, list)
                     and all(_is_number(v) for v in val)):
                 yield f"{prefix}{key} (a list of numbers, got {val!r})"
+        elif isinstance(ref, list) and not isinstance(val, list):
+            yield f"{prefix}{key} (a list, got {val!r})"
         elif _is_number(ref) and not _is_number(val, isinstance(ref, int)):
             kind = "an integer" if isinstance(ref, int) else "a number"
             yield f"{prefix}{key} ({kind}, got {val!r})"
@@ -173,16 +168,13 @@ def validate_config(cfg: dict) -> None:
     mistyped = list(_mistyped_keys(cfg, schema))
     if mistyped:
         raise ConfigError(f"config values of the wrong type: {', '.join(mistyped)}")
-    try:
-        sweep = cfg["sweep"]
-        var = sweep["variable"]
-        values = sweep["values"]
-        trials = cfg["trials"]
-        prior = cfg["prior"]
-        geom = cfg["geometry"]
-        fixed_length = cfg["fixed"]["length"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"missing config field: {exc}") from exc
+    # a merge onto a profile only adds keys, and every section is a mapping
+    var = cfg["sweep"]["variable"]
+    values = cfg["sweep"]["values"]
+    trials = cfg["trials"]
+    prior = cfg["prior"]
+    geom = cfg["geometry"]
+    fixed_length = cfg["fixed"]["length"]
     if var not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep variable {var!r} not in {SWEEP_VARIABLES}")
     if not values:

@@ -34,14 +34,6 @@ class PilotBlock:
             raise ValueError("pilot matrices must share one shape")
 
     @property
-    def n_patches(self) -> int:
-        return self.sx.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.sx.shape[1]
-
-    @property
     def matrix(self) -> np.ndarray:
         """Assembled block pilot matrix S of shape (3L, 6N).
 

@@ -74,15 +74,12 @@ class HybridNet:
 
     def forward(self, xyz: np.ndarray) -> np.ndarray:
         """Raw-unit 12-vector outputs for inputs of shape (K, 3) or (3,)."""
-        a = self._hidden(xyz)
-        yn = a @ self.w2 + self.b2
-        out = yn * self.output_scale + self.output_offset
+        out = _output_jacobians(self, xyz, 0)[0]
         return out if np.asarray(xyz).ndim > 1 else out[0]
 
     def phi(self, xyz: np.ndarray) -> np.ndarray:
         """De-rotated channel components as complex (K, 6)."""
-        y = np.atleast_2d(self.forward(xyz))
-        return y[:, :6] + 1j * y[:, 6:]
+        return _complex(_output_jacobians(self, xyz, 0)[0])
 
     # --- serialization -----------------------------------------------
 
@@ -107,6 +104,8 @@ class HybridNet:
     def load(cls, path) -> "HybridNet":
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("weights file is not a JSON object")
         if doc.get("version") != WEIGHTS_FORMAT_VERSION:
             raise ValueError(f"unsupported weights file version {doc.get('version')!r}")
         nh = doc["hidden_count"]
@@ -126,83 +125,80 @@ class HybridNet:
 # --- channel map and derivatives --------------------------------------
 
 
-def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndarray:
-    """Channel components h^kappa = phi * exp(i k0 r) as complex (K, 6)."""
-    xyz = np.atleast_2d(xyz)
-    r = np.linalg.norm(xyz, axis=-1)
-    return net.phi(xyz) * np.exp(1j * wave.wavenumber * r)[:, None]
+def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
+    """Raw-unit outputs of the network and their partials up to ``order``.
 
-
-def _output_jacobians(net: HybridNet, xyz: np.ndarray, second: bool = False):
-    """Raw-unit first (and optionally second) derivatives of all 12 outputs.
-
-    Returns (out, d_out, d2_out) with shapes (K,12), (K,12,3), (K,12,3,3);
-    d2_out is None unless requested.
+    Returns (out, d_out, d2_out)[:order + 1], of shapes (K, 12), (K, 12, 3)
+    and (K, 12, 3, 3).
     """
-    xyz = np.atleast_2d(xyz)
     a = net._hidden(xyz)                       # (K, Nh)
-    yn = a @ net.w2 + net.b2
-    out = yn * net.output_scale + net.output_offset
-    nh = net.hidden_count
-    gp = 1.0 - a**2                            # tanh'
-    w1s = net.w1 / net.input_scale[None, :]    # chain rule through input map
-    # dyn[b,k,j] = sum_i gp[b,i] w2[i,k] w1s[i,j], as one (K, Nh) x (Nh, 36)
-    # product: a multi-operand einsum here costs ~30x more per call
-    w2w1 = net.w2[:, :, None] * w1s[:, None, :]           # (Nh, 12, 3)
-    dyn = (gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
-    dout = dyn * net.output_scale[None, :, None]
-    d2out = None
-    if second:
+    derivs = [(a @ net.w2 + net.b2) * net.output_scale + net.output_offset]
+    if order >= 1:
+        nh = net.hidden_count
+        gp = 1.0 - a**2                            # tanh'
+        w1s = net.w1 / net.input_scale[None, :]    # chain rule through input map
+        # dyn[b,k,j] = sum_i gp[b,i] w2[i,k] w1s[i,j], as one (K, Nh) x (Nh, 36)
+        # product: a multi-operand einsum here costs ~30x more per call
+        w2w1 = net.w2[:, :, None] * w1s[:, None, :]           # (Nh, 12, 3)
+        dyn = (gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
+        derivs.append(dyn * net.output_scale[None, :, None])
+    if order >= 2:
         gpp = -2.0 * a * gp                    # tanh''
         w2w1w1 = w2w1[:, :, :, None] * w1s[:, None, None, :]  # (Nh, 12, 3, 3)
         d2yn = (gpp @ w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
-        d2out = d2yn * net.output_scale[None, :, None, None]
-    return out, dout, d2out
+        derivs.append(d2yn * net.output_scale[None, :, None, None])
+    return tuple(derivs)
+
+
+def _complex(slots: np.ndarray) -> np.ndarray:
+    """Output slots (K, 12, ...) as the six complex components (K, 6, ...)."""
+    return slots[:, :6] + 1j * slots[:, 6:]
+
+
+def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int):
+    """Channel h = phi * exp(i k0 r) and its partials up to ``order``.
+
+    Returns (h, dh, d2h)[:order + 1], complex of shapes (K, 6), (K, 6, 3)
+    and (K, 6, 3, 3).  The partials are w.r.t. the relative coordinates;
+    because the channel depends on the transmit-patch coordinates only
+    through them, they equal the partials w.r.t. the transmit position.
+    """
+    xyz = np.atleast_2d(xyz)
+    phi = [_complex(d) for d in _output_jacobians(net, xyz, order)]
+    r = np.linalg.norm(xyz, axis=-1)
+    k0 = wave.wavenumber
+    rot = np.exp(1j * k0 * r)
+    h = [phi[0] * rot[:, None]]
+    if order >= 1:
+        dr = xyz / r[:, None]                                  # (K, 3)
+        h.append((phi[1] + 1j * k0 * phi[0][:, :, None] * dr[:, None, :])
+                 * rot[:, None, None])
+    if order >= 2:
+        d2r = (np.eye(3)[None] - dr[:, :, None] * dr[:, None, :]) / r[:, None, None]
+        cross = (phi[1][:, :, :, None] * dr[:, None, None, :]
+                 + phi[1][:, :, None, :] * dr[:, None, :, None])
+        h.append((phi[2]
+                  + 1j * k0 * (cross
+                               + phi[0][:, :, None, None] * d2r[:, None, :, :])
+                  - k0**2 * phi[0][:, :, None, None] * dr[:, None, :, None]
+                  * dr[:, None, None, :]
+                  ) * rot[:, None, None, None])
+    return tuple(h)
+
+
+def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndarray:
+    """Channel components h as complex (K, 6)."""
+    return channel_derivs(net, xyz, wave, 0)[0]
 
 
 def channel_first_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
-    """Channel values and first partials w.r.t. the relative coordinates.
-
-    Returns (h, dh) with shapes (K, 6) and (K, 6, 3) complex.  Because the
-    channel depends on transmit-patch coordinates only through the relative
-    coordinates, these equal the partials w.r.t. the transmit position.
-    """
-    xyz = np.atleast_2d(xyz)
-    out, dout, _ = _output_jacobians(net, xyz)
-    phi = out[:, :6] + 1j * out[:, 6:]
-    dphi = dout[:, :6, :] + 1j * dout[:, 6:, :]
-    r = np.linalg.norm(xyz, axis=-1)
-    rhat = xyz / r[:, None]
-    k0 = wave.wavenumber
-    rot = np.exp(1j * k0 * r)
-    dh = (dphi + 1j * k0 * phi[:, :, None] * rhat[:, None, :]) * rot[:, None, None]
-    return phi * rot[:, None], dh
+    """Channel values and first partials, (h, dh)."""
+    return channel_derivs(net, xyz, wave, 1)
 
 
 def channel_second_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
-    """Channel values plus first and mixed second partials.
-
-    Returns (h, dh, d2h) with shapes (K,6), (K,6,3), (K,6,3,3) complex.
-    """
-    xyz = np.atleast_2d(xyz)
-    out, dout, d2out = _output_jacobians(net, xyz, second=True)
-    phi = out[:, :6] + 1j * out[:, 6:]
-    dphi = dout[:, :6, :] + 1j * dout[:, 6:, :]
-    d2phi = d2out[:, :6, :, :] + 1j * d2out[:, 6:, :, :]
-    r = np.linalg.norm(xyz, axis=-1)
-    rhat = xyz / r[:, None]
-    k0 = wave.wavenumber
-    rot = np.exp(1j * k0 * r)
-    dr = rhat                                              # (K, 3)
-    d2r = (np.eye(3)[None] - rhat[:, :, None] * rhat[:, None, :]) / r[:, None, None]
-    dh = (dphi + 1j * k0 * phi[:, :, None] * dr[:, None, :]) * rot[:, None, None]
-    cross = dphi[:, :, :, None] * dr[:, None, None, :] + dphi[:, :, None, :] * dr[:, None, :, None]
-    d2h = (d2phi
-           + 1j * k0 * (cross
-                        + phi[:, :, None, None] * d2r[:, None, :, :])
-           - k0**2 * phi[:, :, None, None] * dr[:, None, :, None] * dr[:, None, None, :]
-           ) * rot[:, None, None, None]
-    return phi * rot[:, None], dh, d2h
+    """Channel values plus first and mixed second partials, (h, dh, d2h)."""
+    return channel_derivs(net, xyz, wave, 2)
 
 
 def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hmimo import surrogate
 from hmimo.green import QuadratureRule, full_channel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,3 +32,32 @@ def test_traced_functions_exist(small_geometry, wave):
                      QuadratureRule(2))
     assert h.stacked.shape == (6 * small_geometry.n_patches,
                                small_geometry.m_patches)
+
+
+def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry, wave):
+    # the tracer counts the grid init's jacobian_calls and forward_calls, and
+    # the surrogate.*.points figures, on these module names; a stacked_channel
+    # that called the kernel directly would leave them reading 0
+    names = ("hybrid_channel", "channel_first_derivs", "channel_second_derivs")
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(surrogate, name,
+                            counting(name, getattr(surrogate, name)))
+    rng = np.random.default_rng(0)
+    net = surrogate.HybridNet(
+        w1=rng.normal(size=(4, 3)), b1=rng.normal(size=4),
+        w2=rng.normal(size=(4, 12)), b2=rng.normal(size=12),
+        input_offset=np.zeros(3), input_scale=np.ones(3),
+        output_offset=np.zeros(12), output_scale=np.ones(12), frequency=3e9)
+    for order, name in enumerate(names):
+        calls.clear()
+        surrogate.stacked_channel(net, small_geometry, [0.1, -0.2, 25.0], wave,
+                                  order)
+        assert calls == [name]

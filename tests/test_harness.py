@@ -147,7 +147,14 @@ class TestConfig:
                               ({"training": {"epochs": 1.5}}, "training.epochs"),
                               ({"trials": True}, "trials"),
                               ({"fixed": {"patches": "16"}}, "fixed.patches"),
-                              ({"threads": 1.5}, "threads")):
+                              ({"threads": 1.5}, "threads"),
+                              # a section of the wrong kind
+                              ({"prior": 5}, "prior \\(a mapping"),
+                              ({"geometry": 5}, "geometry \\(a mapping"),
+                              ({"paths": 5}, "paths \\(a mapping"),
+                              ({"sweep": 5}, "sweep \\(a mapping"),
+                              ({"fixed": 5}, "fixed \\(a mapping"),
+                              ({"estimators": 5}, "estimators \\(a list")):
             with pytest.raises(ConfigError, match=key):
                 validate_config(_deep_merge(PROFILES["ci"], override))
         # an integer where the profile holds a float is a number
@@ -347,7 +354,8 @@ class TestLoadNets:
     @pytest.mark.parametrize("text, match", [
         ('{"version": 2}', "ValueError: unsupported weights file version 2"),
         ("not json", "JSONDecodeError: Expecting value"),
-    ], ids=["version", "not-json"])
+        ("[]", "ValueError: weights file is not a JSON object"),
+    ], ids=["version", "not-json", "not-object"])
     def test_unreadable_weights_rejected(self, tmp_path, text, match):
         cfg = self._cfg(tmp_path, 3.0e9)
         (tmp_path / "w.json").write_text(text)
@@ -413,6 +421,14 @@ class TestCli:
         proc = self._run("sweep", "--config", str(path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_section_of_wrong_kind_exit_code(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("prior: 5\n")
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "prior (a mapping" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_weights_exit_code(self, tmp_path):
         path = tmp_path / "cfg.yaml"

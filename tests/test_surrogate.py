@@ -203,14 +203,16 @@ class TestDerivatives:
                 assert np.max(np.abs(d2h[:, :, j, l] - fd)) < 1e-3 * scale
 
     def test_second_contains_first(self, net, points, wave):
+        h0 = hybrid_channel(net, points, wave)
         h1, dh1 = channel_first_derivs(net, points, wave)
         h2, dh2, _ = channel_second_derivs(net, points, wave)
+        assert np.array_equal(h0, h1)
         assert np.array_equal(h1, h2)
         assert np.array_equal(dh1, dh2)
 
     def test_jacobians_match_einsum_form(self, net, points):
         # the matmul contractions against the direct einsum statement
-        _, dout, d2out = _output_jacobians(net, points, second=True)
+        _, dout, d2out = _output_jacobians(net, points, 2)
         a = net._hidden(points)
         gp = 1.0 - a**2
         w1s = net.w1 / net.input_scale[None, :]
