@@ -12,7 +12,12 @@ One loop serves two receivers: a full-digital receiver observing all M
 antenna patches, and a hybrid receiver observing P < M analog-combined
 outputs G = H F^T.  The init and the loop both read the surrogate of the
 observed channel, projected through the combining matrix F (None for the
-full-digital receiver) by ``stacked_channel(..., f)`` and ``through``.
+full-digital receiver).  The init searches many candidate locations, and
+reads ``expanded_channel(..., f)``, which evaluates the network once per
+location and expands it over the patch pairs.  The loop reads the
+per-pair model ``stacked_channel`` through ``taylor_linearize`` and
+``through``, as do the CRLB and the known-location estimate, so the
+loop converges on the per-pair model from the init's start.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from scipy.optimize import minimize
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
 from hmimo.signals import UnitaryModel, combine_channel
-from hmimo.surrogate import HybridNet, stacked_channel
+from hmimo.surrogate import HybridNet, expanded_channel, stacked_channel
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -249,16 +254,16 @@ def _grid_candidates(cfg: EstimatorConfig):
     return np.stack([g.ravel() for g in grid], axis=-1), spacing
 
 
-# Surrogate points per batched evaluation in the location init.  A point
-# costs about 2 kB in ``channel_first_derivs`` and the layout copies, so a
-# chunk stays under 10 MB whatever the geometry; much larger calls are also
-# slower per point.
+# Patch pairs per batched evaluation in the location init.  A pair costs
+# about 1.3 kB in ``expanded_channel`` and the normal equations (1.0 kB
+# without a combiner), so a chunk stays under 6 MB whatever the geometry;
+# chunks of 2048 to 8192 pairs run equally fast per pair on the ci profile.
 _CHUNK_POINTS = 4096
 
 
 def _chunks(geom: SurfaceGeometry, count: int):
     """Slices of a batch of ``count`` locations, each slice holding at most
-    _CHUNK_POINTS surrogate points (but at least one location)."""
+    _CHUNK_POINTS patch pairs (but at least one location)."""
     per = max(1, _CHUNK_POINTS // (geom.n_patches * geom.m_patches))
     return [slice(lo, lo + per) for lo in range(0, count, per)]
 
@@ -269,12 +274,15 @@ def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
     A location whose prediction vanishes scores 0.
     """
     norm_ref = np.linalg.norm(h_ref)
+    ref = h_ref.conj().reshape(-1, 1)
     out = np.empty(len(p1s))
     for sl in _chunks(geom, len(p1s)):
-        pred = stacked_channel(net, geom, p1s[sl], wave, f=f)
-        pred = pred.reshape(pred.shape[0], -1)
-        denom = np.linalg.norm(pred, axis=1) * norm_ref
-        inner = pred.conj() @ h_ref.ravel()
+        pred = expanded_channel(net, geom, p1s[sl], wave, f=f)
+        pred = pred.reshape(pred.shape[0], 1, -1)
+        denom = np.linalg.norm(pred[:, 0], axis=1) * norm_ref
+        # one dot product per location, so that a score does not depend on
+        # the batch; |<h_ref, p>| = |<p, h_ref>|
+        inner = (pred @ ref)[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             out[sl] = np.where(denom == 0, 0.0, np.abs(inner / denom))
     return out
@@ -284,7 +292,7 @@ def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
     """Squared residual ||model(p) - h_ref||^2 at each of B locations."""
     out = np.empty(len(p1s))
     for sl in _chunks(geom, len(p1s)):
-        e = stacked_channel(net, geom, p1s[sl], wave, f=f) - h_ref
+        e = expanded_channel(net, geom, p1s[sl], wave, f=f) - h_ref
         out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
     return out
 
@@ -294,14 +302,17 @@ def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
     b = len(p1s)
     cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
     for sl in _chunks(geom, b):
-        h, dh = stacked_channel(net, geom, p1s[sl], wave, order=1, f=f)
+        h, dh = expanded_channel(net, geom, p1s[sl], wave, order=1, f=f)
         c = h.shape[0]
-        e = (h - h_ref).reshape(c, -1, 1)
-        jac = dh.reshape(c, -1, 3)
-        jac_h = jac.conj().transpose(0, 2, 1)
-        cost[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
-        a[sl] = (jac_h @ jac).real
-        g[sl] = (jac_h @ e)[..., 0].real
+        e = (h - h_ref).reshape(c, -1)
+        cost[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=1)
+        # Re(u^H v) is the dot product of the (Re, Im) pairs of u and v, so
+        # J^H J and J^H e are real products of real views; J^H J as nine
+        # dot products, which BLAS does faster than a 3 x 2K x 3 GEMM
+        jac = np.ascontiguousarray(np.moveaxis(dh, -1, 1).reshape(c, 3, -1))
+        jac = jac.view(float)                                # (c, 3, 2K)
+        a[sl] = (jac[:, :, None, None] @ jac[:, None, :, :, None])[..., 0, 0]
+        g[sl] = (jac @ e.view(float)[..., None])[..., 0]
     return cost, a, g
 
 
@@ -367,6 +378,13 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     grid and the teeth are each evaluated as one batch.  With a combiner
     ``f`` (P, M), predictions are compared with h_ref in the observation
     space of the hybrid receiver, G = H F^T.
+
+    Every prediction is ``expanded_channel``: the network is evaluated once
+    per candidate location, at the relative coordinate of the aperture
+    centres, and expanded over the patch pairs (second order in the pair
+    offsets for the channel, first order for its partials).  The message
+    passing, the CRLB and the known-location estimate read the per-pair
+    model instead.
     """
     cands, _ = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, h_ref, cands, wave, f)

@@ -132,8 +132,9 @@ def _is_number(value, integral=False) -> bool:
 
 def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
     """Keys holding a value of another kind than the schema's: a non-mapping
-    for a mapping, a non-list for a list, a non-number for a number (a
-    non-integer for an integer); lists of numbers are checked per element."""
+    for a mapping, a non-list for a list, a non-string for a string, a
+    non-number for a number (a non-integer for an integer); lists of
+    numbers are checked per element."""
     for key, val in cfg.items():
         ref = schema.get(key)
         if isinstance(ref, dict) and isinstance(val, dict):
@@ -146,6 +147,8 @@ def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
                 yield f"{prefix}{key} (a list of numbers, got {val!r})"
         elif isinstance(ref, list) and not isinstance(val, list):
             yield f"{prefix}{key} (a list, got {val!r})"
+        elif isinstance(ref, str) and not isinstance(val, str):
+            yield f"{prefix}{key} (a string, got {val!r})"
         elif _is_number(ref) and not _is_number(val, isinstance(ref, int)):
             kind = "an integer" if isinstance(ref, int) else "a number"
             yield f"{prefix}{key} ({kind}, got {val!r})"

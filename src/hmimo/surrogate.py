@@ -4,7 +4,10 @@ The network maps a relative coordinate triple (x, y, z) to the twelve
 real numbers (Re, Im) of the six de-rotated polarization components.
 Multiplying by exp(i k0 r) recovers the channel itself, and analytic
 first/second derivatives of that product are available for the
-linearized message passing and for Fisher-information computations.
+linearized message passing and for Fisher-information computations.  The
+location init, which evaluates the channel at many candidate locations,
+instead evaluates the network once per location and expands its output
+over the patch pairs (``expanded_channel``).
 
 Slot layout of the 12 outputs: slots 0..5 are the real parts in the
 order (xx, yy, zz, xy, xz, yz); slots 6..11 the matching imaginary
@@ -13,6 +16,7 @@ parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -68,9 +72,9 @@ class HybridNet:
 
     # --- forward -----------------------------------------------------
 
-    def _hidden(self, xyz: np.ndarray) -> np.ndarray:
+    def _hidden(self, xyz: np.ndarray, matmul=np.matmul) -> np.ndarray:
         xn = (np.atleast_2d(xyz) - self.input_offset) / self.input_scale
-        return np.tanh(xn @ self.w1.T + self.b1)
+        return np.tanh(matmul(xn, self.w1.T) + self.b1)
 
     def forward(self, xyz: np.ndarray) -> np.ndarray:
         """Raw-unit 12-vector outputs for inputs of shape (K, 3) or (3,)."""
@@ -125,14 +129,23 @@ class HybridNet:
 # --- channel map and derivatives --------------------------------------
 
 
-def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a (K, n) as K one-row products, so that a row of the
+    result does not depend on K; BLAS rounds a row differently with the row
+    count of the call (a one-row call goes to GEMV)."""
+    return (a[:, None, :] @ b)[:, 0]
+
+
+def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int,
+                      matmul=np.matmul):
     """Raw-unit outputs of the network and their partials up to ``order``.
 
     Returns (out, d_out, d2_out)[:order + 1], of shapes (K, 12), (K, 12, 3)
-    and (K, 12, 3, 3).
+    and (K, 12, 3, 3).  ``matmul`` does the four products over the hidden
+    layer.
     """
-    a = net._hidden(xyz)                       # (K, Nh)
-    derivs = [(a @ net.w2 + net.b2) * net.output_scale + net.output_offset]
+    a = net._hidden(xyz, matmul)               # (K, Nh)
+    derivs = [(matmul(a, net.w2) + net.b2) * net.output_scale + net.output_offset]
     if order >= 1:
         nh = net.hidden_count
         gp = 1.0 - a**2                            # tanh'
@@ -140,12 +153,12 @@ def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
         # dyn[b,k,j] = sum_i gp[b,i] w2[i,k] w1s[i,j], as one (K, Nh) x (Nh, 36)
         # product: a multi-operand einsum here costs ~30x more per call
         w2w1 = net.w2[:, :, None] * w1s[:, None, :]           # (Nh, 12, 3)
-        dyn = (gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
+        dyn = matmul(gp, w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
         derivs.append(dyn * net.output_scale[None, :, None])
     if order >= 2:
         gpp = -2.0 * a * gp                    # tanh''
         w2w1w1 = w2w1[:, :, :, None] * w1s[:, None, None, :]  # (Nh, 12, 3, 3)
-        d2yn = (gpp @ w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
+        d2yn = matmul(gpp, w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
         derivs.append(d2yn * net.output_scale[None, :, None, None])
     return tuple(derivs)
 
@@ -153,6 +166,41 @@ def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
 def _complex(slots: np.ndarray) -> np.ndarray:
     """Output slots (K, 12, ...) as the six complex components (K, 6, ...)."""
     return slots[:, :6] + 1j * slots[:, 6:]
+
+
+def _rotate(phi, rel: np.ndarray, wave: WaveConfig):
+    """The channel h = phi * exp(i k0 r) and its partials, from those of phi.
+
+    ``phi`` is a list (phi, dphi, d2phi)[:order + 1], complex with the
+    partials in trailing axes; ``rel`` holds the relative coordinates in its
+    last axis, and its other axes broadcast against ``phi[0]``.  Returns
+    (h, dh, d2h)[:order + 1], shaped as ``phi``; h and dh overwrite phi and
+    dphi in place, which saves two channel-sized allocations a call.
+    """
+    r = np.linalg.norm(rel, axis=-1)
+    k0 = wave.wavenumber
+    rot = np.exp(1j * k0 * r)
+    if len(phi) > 1:
+        dr = rel / r[..., None]
+    if len(phi) > 2:
+        d2r = (np.eye(3) - dr[..., :, None] * dr[..., None, :]) / r[..., None, None]
+        cross = (phi[1][..., :, None] * dr[..., None, :]
+                 + phi[1][..., None, :] * dr[..., :, None])
+        phi[2] = ((phi[2]
+                   + 1j * k0 * (cross + phi[0][..., None, None] * d2r)
+                   - k0**2 * phi[0][..., None, None] * dr[..., :, None]
+                   * dr[..., None, :]
+                   ) * rot[..., None, None])
+    if len(phi) > 1:
+        # one coordinate at a time: one product broadcast over both the
+        # component and the coordinate axis runs several times slower
+        ik0phi = 1j * k0 * phi[0]
+        term = np.empty_like(ik0phi)
+        for j in range(3):
+            phi[1][..., j] += np.multiply(ik0phi, dr[..., j], out=term)
+        phi[1] *= rot[..., None]
+    phi[0] *= rot
+    return tuple(phi)
 
 
 def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int):
@@ -165,25 +213,7 @@ def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int
     """
     xyz = np.atleast_2d(xyz)
     phi = [_complex(d) for d in _output_jacobians(net, xyz, order)]
-    r = np.linalg.norm(xyz, axis=-1)
-    k0 = wave.wavenumber
-    rot = np.exp(1j * k0 * r)
-    h = [phi[0] * rot[:, None]]
-    if order >= 1:
-        dr = xyz / r[:, None]                                  # (K, 3)
-        h.append((phi[1] + 1j * k0 * phi[0][:, :, None] * dr[:, None, :])
-                 * rot[:, None, None])
-    if order >= 2:
-        d2r = (np.eye(3)[None] - dr[:, :, None] * dr[:, None, :]) / r[:, None, None]
-        cross = (phi[1][:, :, :, None] * dr[:, None, None, :]
-                 + phi[1][:, :, None, :] * dr[:, None, :, None])
-        h.append((phi[2]
-                  + 1j * k0 * (cross
-                               + phi[0][:, :, None, None] * d2r[:, None, :, :])
-                  - k0**2 * phi[0][:, :, None, None] * dr[:, None, :, None]
-                  * dr[:, None, None, :]
-                  ) * rot[:, None, None, None])
-    return tuple(h)
+    return _rotate(phi, xyz[:, None], wave)
 
 
 def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndarray:
@@ -220,6 +250,76 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
     if order == 0:
         return combine_channel(f, out)
     return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(out))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_offsets(geom: SurfaceGeometry):
+    """The relative coordinate of the aperture centres at p1 = 0, the
+    offsets dx, dy (N M,) of the patch pairs from it, and the basis of the
+    expansion in those offsets.
+
+    The terms b = (1, dx, dy, dx^2 / 2, dx dy, dy^2 / 2) are laid out for
+    real views of complex arrays: entry ((t, c), (p, c')) is b_t at pair p
+    if c = c' and 0 otherwise, so that the real view of coefficients
+    (..., T) times the first 2T rows is the real view of their expansion
+    (..., N M).
+    """
+    rel0 = relative_grid(geom, np.zeros(3)).reshape(-1, 3)
+    mean = rel0.mean(axis=0)
+    dx, dy = rel0[:, 0] - mean[0], rel0[:, 1] - mean[1]
+    terms = np.stack([np.ones_like(dx), dx, dy, 0.5 * dx * dx, dx * dy,
+                      0.5 * dy * dy])
+    basis = np.zeros((6, 2, dx.size, 2))
+    basis[:, 0, :, 0] = basis[:, 1, :, 1] = terms
+    basis = basis.reshape(12, 2 * dx.size)
+    for a in (mean, dx, dy, basis):
+        a.flags.writeable = False
+    return mean, dx, dy, basis
+
+
+def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
+                     order: int = 0, f: np.ndarray = None):
+    """``stacked_channel`` at orders 0 and 1, with the network evaluated once
+    per location instead of once per patch pair.
+
+    Every pair's relative coordinate is c + delta: c = p1 + mean(transmit
+    offsets) - mean(receive centres) is the relative coordinate of the two
+    aperture centres, and delta a fixed offset in the aperture plane.  The
+    network, its Jacobian and its Hessian are evaluated at c; the
+    de-rotated output phi of each pair is their second-order expansion in
+    delta, and its partials the first-order one.  The exact exp(i k0 r) and
+    r-hat of each pair then give h and dh.  A location's output does not
+    depend on the rest of the batch, bit for bit: every product is one BLAS
+    call of a fixed shape per location.
+    """
+    if order not in (0, 1):
+        raise ValueError(f"derivative order must be 0 or 1, got {order!r}")
+    mean, dx, dy, basis = _pair_offsets(geom)
+    c = np.asarray(p1, dtype=float) + mean                  # (..., 3)
+    lead, n, m = c.shape[:-1], geom.n_patches, geom.m_patches
+    c = c.reshape(-1, 3)
+    out, d, d2 = _output_jacobians(net, c, 2, _rowwise_matmul)
+    # phi[b, k, p] = sum_t coef[b, k, t] b_t(p)
+    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
+                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    phi = [(coef.view(float) @ basis).view(complex)]          # (B, 6, N M)
+    # the partials and the relative coordinates keep the coordinate axis
+    # outermost in memory, so that the elementwise products in ``_rotate``
+    # run along the pairs
+    if order == 1:
+        # dphi[b, k, p, j] = sum_t coef1[b, j, k, t] b_t(p), t < 3
+        coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
+        coef1 = coef1.transpose(0, 2, 1, 3).reshape(-1, 18, 3)
+        dphi = (coef1.view(float) @ basis[:6]).view(complex)  # (B, 18, N M)
+        phi.append(np.moveaxis(dphi.reshape(-1, 3, 6, n * m), 1, -1))
+    rel = np.stack(np.broadcast_arrays(c[:, 0, None, None] + dx,
+                                       c[:, 1, None, None] + dy,
+                                       c[:, 2, None, None]))  # (3, B, 1, N M)
+    parts = [a.reshape(lead + (6 * n, m) + a.shape[3:])
+             for a in _rotate(phi, np.moveaxis(rel, 0, -1), wave)]
+    if order == 0:
+        return combine_channel(f, parts[0])
+    return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(parts))
 
 
 # --- training ----------------------------------------------------------

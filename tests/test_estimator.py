@@ -288,6 +288,40 @@ class TestGridSearchInit:
         assert abs(p0[2] - true_position[2]) < 0.3
         assert np.all(var0 > 0)
 
+    @pytest.mark.parametrize("snr", [8.0, 20.0])
+    def test_same_tooth_as_per_pair_model(self, trained_net, small_geometry,
+                                          wave, monkeypatch, snr):
+        # the init evaluates the network once per location; on the first
+        # three run_point draws it picks the z-tooth that the per-pair
+        # model picks, at a position within 1e-3 m of that model's
+        cfg = PROFILES["ci"]
+        ecfg = estimator_config(cfg)
+        winners = []
+        refine = estimator._refine_batch
+
+        def record_winner(*args, **kwargs):
+            p, costs = refine(*args, **kwargs)
+            winners.append(int(np.argmin(np.where(np.isfinite(costs), costs,
+                                                  np.inf))))
+            return p, costs
+
+        monkeypatch.setattr(estimator, "_refine_batch", record_winner)
+        seqs = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0,)).spawn(3)
+        for seq in seqs:
+            seeds, p1, pilots, _ = _draw_trial(cfg, small_geometry, cfg["fixed"],
+                                               seq)
+            h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
+            y, _ = simulate_rx(h, pilots, snr, seed=seeds[2])
+            h_ls = ls_estimate(pilots.matrix, y)
+            p_init, _ = grid_search_init(trained_net, small_geometry, h_ls, cfg=ecfg,
+                                         wave=wave)
+            with monkeypatch.context() as per_pair:
+                per_pair.setattr(estimator, "expanded_channel", stacked_channel)
+                p_ref, _ = grid_search_init(trained_net, small_geometry, h_ls,
+                                            cfg=ecfg, wave=wave)
+            assert winners[-2] == winners[-1]
+            assert np.max(np.abs(p_init - p_ref)) <= 1e-3
+
     def test_respects_prior_box(self, trained_net, small_geometry, wave):
         rng = np.random.default_rng(7)
         fake = rng.normal(size=(6 * small_geometry.n_patches,
@@ -345,6 +379,34 @@ class TestRefineBatch:
                                          wave, f)
             assert np.max(np.abs(p_all[i] - p_one[0])) <= 1e-12
             assert abs(c_all[i] - c_one[0]) <= 1e-12 * c_one[0]
+
+
+class TestInitHelpers:
+    @pytest.mark.parametrize("chains", [None, 24])
+    def test_chunks_do_not_mix_locations(self, trained_net, small_geometry, wave,
+                                         true_channel, monkeypatch, chains):
+        # the init's costs, normal equations and envelope scores of a location
+        # are the same bit for bit whether it is evaluated alone or in a batch
+        # that spans several chunks
+        geom = small_geometry
+        f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
+        h_ref = combine_channel(f, true_channel)
+        rng = np.random.default_rng(8)
+        p1s = np.column_stack([rng.uniform(-1, 1, (7, 2)), rng.uniform(20, 40, 7)])
+        monkeypatch.setattr(estimator, "_CHUNK_POINTS",
+                            2 * geom.n_patches * geom.m_patches)
+        assert len(estimator._chunks(geom, len(p1s))) == 4
+        for helper in (estimator._residual_costs, estimator._envelope_scores,
+                       estimator._normal_equations):
+            batch = helper(trained_net, geom, h_ref, p1s, wave, f)
+            for i, p1 in enumerate(p1s):
+                one = helper(trained_net, geom, h_ref, p1[None], wave, f)
+                for b, o in zip(_tuple(batch), _tuple(one)):
+                    assert np.array_equal(b[i], o[0])
+
+
+def _tuple(out):
+    return out if isinstance(out, tuple) else (out,)
 
 
 # --- end-to-end estimators --------------------------------------------------

@@ -148,6 +148,10 @@ class TestConfig:
                               ({"trials": True}, "trials"),
                               ({"fixed": {"patches": "16"}}, "fixed.patches"),
                               ({"threads": 1.5}, "threads"),
+                              # an integer path would be taken as a descriptor
+                              ({"paths": {"out": 1}}, "paths.out \\(a string, got 1\\)"),
+                              ({"paths": {"weights": 5}}, "paths.weights \\(a string"),
+                              ({"sweep": {"variable": 5}}, "sweep.variable \\(a string"),
                               # a section of the wrong kind
                               ({"prior": 5}, "prior \\(a mapping"),
                               ({"geometry": 5}, "geometry \\(a mapping"),
@@ -486,6 +490,16 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "wave.frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_integer_path_exit_code(self, tmp_path):
+        path = tmp_path / "out.yaml"
+        path.write_text("paths:\n  out: 1\n")
+        proc = self._run("field-dump", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert ("config values of the wrong type: paths.out (a string, got 1)"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_out_of_range_value_exit_code(self, tmp_path):
         path = tmp_path / "freq.yaml"
