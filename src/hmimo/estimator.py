@@ -259,6 +259,9 @@ def _grid_candidates(cfg: EstimatorConfig):
 # without a combiner), so a chunk stays under 6 MB whatever the geometry;
 # chunks of 2048 to 8192 pairs run equally fast per pair on the ci profile.
 _CHUNK_POINTS = 4096
+# Levenberg-Marquardt steps per z-tooth, and the step (m) that stops one early
+_REFINE_STEPS = 8
+_REFINE_STEP_TOL = 1e-5
 
 
 def _chunks(geom: SurfaceGeometry, count: int):
@@ -332,11 +335,11 @@ def _solve_each(a: np.ndarray, rhs: np.ndarray):
         return x, ok
 
 
-def _refine_batch(net, geom, h_ref, p0s, wave, f=None, steps=8, step_tol=1e-5):
+def _refine_batch(net, geom, h_ref, p0s, wave, f=None):
     """Levenberg-style local fit of B starting locations (B, 3) to h_ref.
 
     Every start is an independent fit with its own damping, previous cost
-    and stop flag: it stops once its step is below ``step_tol`` or its
+    and stop flag: it stops once its step is below _REFINE_STEP_TOL or its
     damped system is singular, so batching does not couple the starts.
     Returns the positions (B, 3) and their residual costs (B,).
     """
@@ -345,7 +348,7 @@ def _refine_batch(net, geom, h_ref, p0s, wave, f=None, steps=8, step_tol=1e-5):
     mu = np.zeros(b)
     prev_cost = np.full(b, np.inf)
     live = np.ones(b, bool)
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
@@ -358,7 +361,7 @@ def _refine_batch(net, geom, h_ref, p0s, wave, f=None, steps=8, step_tol=1e-5):
         idx, step = idx[ok], step[ok]
         p[idx] += step
         prev_cost[idx] = cost[ok]
-        live[idx[np.linalg.norm(step, axis=1) < step_tol]] = False
+        live[idx[np.linalg.norm(step, axis=1) < _REFINE_STEP_TOL]] = False
     return p, _residual_costs(net, geom, h_ref, p, wave, f)
 
 
@@ -398,9 +401,9 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     lam = wave.wavelength
     z_lo, z_hi = cfg.prior_z
     teeth = np.arange(z_lo, z_hi + lam / 2, lam)
-    # every tooth is refined to convergence: a partially converged cost
-    # mostly measures the distance from the (biased) envelope estimate and
-    # ranks the true basin far down the list
+    # every tooth gets at most _REFINE_STEPS Levenberg-Marquardt steps, and
+    # on the ci profile half or more are still moving when the teeth are
+    # ranked on their costs (see ROADMAP.md, open item 4)
     starts = np.column_stack([np.full(teeth.size, xy[0]),
                               np.full(teeth.size, xy[1]), teeth])
     p_hat, costs = _refine_batch(net, geom, h_ref, starts, wave, f)
@@ -433,23 +436,23 @@ def _scaled_linearization(net: HybridNet, geom: SurfaceGeometry, p1,
     return Linearization(h=lin.h / scale, dh=lin.dh / scale, xi=lin.xi / scale)
 
 
+TRACE_COLUMNS = ("iter", "x", "y", "z", "nmse_h_running", "gamma_hat", "residual")
+
+
 def _trace_row(it, loc, gamma_raw, resid, h_param, h_true):
     nmse = float("nan")
     if h_true is not None:
         nmse = 10 * np.log10(np.linalg.norm(h_param - h_true) ** 2
                              / np.linalg.norm(h_true) ** 2)
-    return {"iter": it, "x": loc.mean[0], "y": loc.mean[1], "z": loc.mean[2],
-            "nmse_h_running": nmse, "gamma_hat": gamma_raw, "residual": resid}
+    return dict(zip(TRACE_COLUMNS, (it, *loc.mean, nmse, gamma_raw, resid)))
 
 
 def write_trace_csv(path, trace) -> None:
     """Dump an iteration trace with the fixed column set."""
-    cols = ["iter", "x", "y", "z", "nmse_h_running", "gamma_hat", "residual"]
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
+        w = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
         w.writeheader()
-        for row in trace:
-            w.writerow({k: row[k] for k in cols})
+        w.writerows(trace)
 
 
 def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
@@ -494,7 +497,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
             amp.h_mean, amp.h_var, _, _ = channel_belief(obs, q, v_q, loc)
 
             if not np.all(np.isfinite(loc.mean)):
-                raise NumericalFailure(f"non-finite location at iteration {it}", trace)
+                raise NumericalFailure("non-finite location", trace)
             lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
             obs = lin.through(f)
             resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)

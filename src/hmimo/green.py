@@ -323,8 +323,5 @@ def field_dump(geom: SurfaceGeometry, wave: WaveConfig, quad: QuadratureRule,
 
 def write_field_dump_csv(path, dump: np.ndarray) -> None:
     """Write a field dump grid as CSV with >= 15 significant digits."""
-    flat = dump.ravel()
-    with open(path, "w") as fh:
-        fh.write("x,y,z,re_raw,im_raw,re_derot,im_derot\n")
-        for row in flat:
-            fh.write(",".join(f"{row[name]:.17g}" for name in row.dtype.names) + "\n")
+    np.savetxt(path, dump.ravel(), fmt="%.17g", delimiter=",",
+               header=",".join(dump.dtype.names), comments="")

@@ -125,32 +125,37 @@ def _unknown_keys(cfg: dict, schema: dict, prefix=""):
             yield from _unknown_keys(val, schema[key], f"{prefix}{key}.")
 
 
-def _is_number(value, integral=False) -> bool:
+def _is_number(value, integral=False, inf_ok=False) -> bool:
+    """Not a bool, and not NaN or an infinity (+inf passes if ``inf_ok``)."""
     kind = numbers.Integral if integral else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (-np.inf < value < np.inf or (inf_ok and value == np.inf)))
 
 
 def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
     """Keys holding a value of another kind than the schema's: a non-mapping
     for a mapping, a non-list for a list, a non-string for a string, a
-    non-number for a number (a non-integer for an integer); lists of
-    numbers are checked per element."""
+    non-number, NaN or an infinity for a number (a non-integer for an
+    integer); lists of numbers are checked per element."""
     for key, val in cfg.items():
         ref = schema.get(key)
+        # an SNR of +inf is noiseless data; validate_config allows it in the
+        # values of an snr sweep only
+        inf_ok = f"{prefix}{key}" in ("fixed.snr", "sweep.values")
         if isinstance(ref, dict) and isinstance(val, dict):
             yield from _mistyped_keys(val, ref, f"{prefix}{key}.")
         elif isinstance(ref, dict):
             yield f"{prefix}{key} (a mapping, got {val!r})"
         elif isinstance(ref, list) and ref and _is_number(ref[0]):
             if not (isinstance(val, list)
-                    and all(_is_number(v) for v in val)):
-                yield f"{prefix}{key} (a list of numbers, got {val!r})"
+                    and all(_is_number(v, inf_ok=inf_ok) for v in val)):
+                yield f"{prefix}{key} (a list of finite numbers, got {val!r})"
         elif isinstance(ref, list) and not isinstance(val, list):
             yield f"{prefix}{key} (a list, got {val!r})"
         elif isinstance(ref, str) and not isinstance(val, str):
             yield f"{prefix}{key} (a string, got {val!r})"
-        elif _is_number(ref) and not _is_number(val, isinstance(ref, int)):
-            kind = "an integer" if isinstance(ref, int) else "a number"
+        elif _is_number(ref) and not _is_number(val, isinstance(ref, int), inf_ok):
+            kind = "an integer" if isinstance(ref, int) else "a finite number"
             yield f"{prefix}{key} ({kind}, got {val!r})"
 
 
@@ -182,6 +187,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"sweep variable {var!r} not in {SWEEP_VARIABLES}")
     if not values:
         raise ConfigError("sweep grid is empty")
+    if var != "snr" and np.inf in values:
+        raise ConfigError(f"sweep values {values!r}: only snr values may be .inf")
     if trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     for axis in ("x", "y", "z"):
@@ -306,9 +313,13 @@ def _trial_values(cfg: dict, variable: str, value):
 def _draw_trial(cfg: dict, geom: SurfaceGeometry, fixed: dict, seed_seq):
     """A trial's four child seeds, its true location p1 (child 0), its
     pilots (child 1) and its combiner (child 3; None without ``chains``);
-    child 2 is for the noise."""
+    child 2 is for the noise.  They are a first ``spawn(4)``'s children,
+    made without advancing ``seed_seq``, so one sequence draws one trial."""
     prior = cfg["prior"]
-    seeds = seed_seq.spawn(4)
+    seeds = [np.random.SeedSequence(seed_seq.entropy,
+                                    spawn_key=seed_seq.spawn_key + (i,),
+                                    pool_size=seed_seq.pool_size)
+             for i in range(4)]
     rng = np.random.default_rng(seeds[0])
     p1 = np.array([rng.uniform(*prior["x"]), rng.uniform(*prior["y"]),
                    rng.uniform(*prior["z"])])
@@ -487,7 +498,7 @@ def load_nets(cfg) -> dict:
         path = cfg["paths"][SURROGATES[kind][1]]
         try:
             nets[kind] = HybridNet.load(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(
                 f"cannot read {kind} surrogate weights {path}, needed by "
                 f"{', '.join(users)}: {type(exc).__name__}: {exc} "
@@ -518,13 +529,9 @@ def crlb_rows(cfg, net) -> list:
             gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
             vals.append(_draw_bound(p1, net, geom, pilots, gamma, wave, f))
         n_ok = int(np.sum(np.isfinite(vals)))
-        rows.append({"sweep_var": variable, "sweep_value": value,
+        rows.append({**dict.fromkeys(CSV_COLUMNS, float("nan")),
+                     "sweep_var": variable, "sweep_value": value,
                      "estimator": "crlb", "trials_ok": n_ok,
                      "trials_failed": len(vals) - n_ok,
-                     "nmse_h_db": float("nan"),
-                     "nmse_h_stderr_db": float("nan"),
-                     "nmse_p_db": float("nan"),
-                     "nmse_p_stderr_db": float("nan"),
-                     "crlb_db": _bound_db(vals),
-                     "wall_s": 0.0})
+                     "crlb_db": _bound_db(vals), "wall_s": 0.0})
     return rows

@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,34 +38,32 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class HybridNet:
-    """Weights, biases and normalization maps of the surrogate network."""
+    """Weights, biases and normalization maps of the surrogate network.  The
+    array fields, in order, are the weights file's arrays; their metadata
+    gives each one's shape, "nh" standing for the hidden-unit count."""
 
-    w1: np.ndarray            # (Nh, 3)
-    b1: np.ndarray            # (Nh,)
-    w2: np.ndarray            # (Nh, 12)
-    b2: np.ndarray            # (12,)
-    input_offset: np.ndarray  # (3,)
-    input_scale: np.ndarray   # (3,)
-    output_offset: np.ndarray # (12,)
-    output_scale: np.ndarray  # (12,)
-    frequency: float          # carrier the net was trained for, Hz
+    w1: np.ndarray = field(metadata={"shape": ("nh", 3)})
+    b1: np.ndarray = field(metadata={"shape": ("nh",)})
+    w2: np.ndarray = field(metadata={"shape": ("nh", 12)})
+    b2: np.ndarray = field(metadata={"shape": (12,)})
+    input_scale: np.ndarray = field(metadata={"shape": (3,)})
+    input_offset: np.ndarray = field(metadata={"shape": (3,)})
+    output_scale: np.ndarray = field(metadata={"shape": (12,)})
+    output_offset: np.ndarray = field(metadata={"shape": (12,)})
+    frequency: float  # carrier the net was trained for, Hz
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.w2 = np.asarray(self.w2, dtype=float)
-        self.b2 = np.asarray(self.b2, dtype=float)
-        self.input_offset = np.asarray(self.input_offset, dtype=float)
-        self.input_scale = np.asarray(self.input_scale, dtype=float)
-        self.output_offset = np.asarray(self.output_offset, dtype=float)
-        self.output_scale = np.asarray(self.output_scale, dtype=float)
-        nh = self.w1.shape[0]
-        if self.w1.shape != (nh, 3) or self.b1.shape != (nh,) \
-                or self.w2.shape != (nh, 12) or self.b2.shape != (12,):
-            raise ValueError("inconsistent weight shapes")
-        for a in (self.w1, self.b1, self.w2, self.b2):
+        nh = np.shape(self.w1)[0] if np.ndim(self.w1) else 0
+        for name, shape in _array_shapes(nh):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
             if not np.all(np.isfinite(a)):
-                raise ValueError("non-finite weights")
+                raise ValueError(f"non-finite {name}")
+            setattr(self, name, a)
+        if not (isinstance(self.frequency, numbers.Real)
+                and 0 < self.frequency < np.inf):
+            raise ValueError(f"frequency must be a positive number, got {self.frequency!r}")
 
     @property
     def hidden_count(self) -> int:
@@ -88,19 +87,10 @@ class HybridNet:
     # --- serialization -----------------------------------------------
 
     def save(self, path) -> None:
-        doc = {
-            "version": WEIGHTS_FORMAT_VERSION,
-            "hidden_count": self.hidden_count,
-            "w1": self.w1.ravel().tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.ravel().tolist(),
-            "b2": self.b2.tolist(),
-            "input_scale": self.input_scale.tolist(),
-            "input_offset": self.input_offset.tolist(),
-            "output_scale": self.output_scale.tolist(),
-            "output_offset": self.output_offset.tolist(),
-            "wave": {"frequency_hz": self.frequency},
-        }
+        doc = {"version": WEIGHTS_FORMAT_VERSION, "hidden_count": self.hidden_count,
+               **{name: getattr(self, name).ravel().tolist()
+                  for name, _ in _array_shapes(self.hidden_count)},
+               "wave": {"frequency_hz": self.frequency}}
         with open(path, "w") as fh:
             json.dump(doc, fh)
 
@@ -113,17 +103,20 @@ class HybridNet:
         if doc.get("version") != WEIGHTS_FORMAT_VERSION:
             raise ValueError(f"unsupported weights file version {doc.get('version')!r}")
         nh = doc["hidden_count"]
-        return cls(
-            w1=np.array(doc["w1"]).reshape(nh, 3),
-            b1=np.array(doc["b1"]),
-            w2=np.array(doc["w2"]).reshape(nh, 12),
-            b2=np.array(doc["b2"]),
-            input_offset=np.array(doc["input_offset"]),
-            input_scale=np.array(doc["input_scale"]),
-            output_offset=np.array(doc["output_offset"]),
-            output_scale=np.array(doc["output_scale"]),
-            frequency=doc["wave"]["frequency_hz"],
-        )
+        if not (type(nh) is int and nh > 0):
+            raise ValueError(f"hidden_count must be a positive integer, got {nh!r}")
+        arrays = {}
+        for name, shape in _array_shapes(nh):
+            a = np.asarray(doc[name], dtype=float)
+            # a wrong size is left for __post_init__ to name
+            arrays[name] = a.reshape(shape) if a.size == np.prod(shape) else a
+        return cls(**arrays, frequency=doc["wave"]["frequency_hz"])
+
+
+def _array_shapes(nh: int):
+    """(name, shape) of the weights-file arrays of a net of ``nh`` hidden units."""
+    return [(f.name, tuple(nh if d == "nh" else d for d in f.metadata["shape"]))
+            for f in fields(HybridNet) if "shape" in f.metadata]
 
 
 # --- channel map and derivatives --------------------------------------

@@ -487,6 +487,18 @@ class TestFullDigitalEstimator:
         assert len(rows) == len(res.trace)
         assert float(rows[-1]["nmse_h_running"]) < -30.0
 
+    def test_failure_names_iteration_once(self, trained_net, small_geometry,
+                                          rx_model, true_position, monkeypatch):
+        _, model, _ = rx_model
+        monkeypatch.setattr(estimator, "location_round",
+                            lambda obs, q, v_q, loc: dataclasses.replace(
+                                loc, mean=np.full(3, np.nan)))
+        cfg = EstimatorConfig(max_iters=4, init_position=true_position)
+        with pytest.raises(NumericalFailure) as info:
+            estimate_full_digital(model, trained_net, small_geometry, cfg)
+        assert str(info.value) == "non-finite location (iteration 1)"
+        assert info.value.trace == []
+
     def test_known_init_converges_fast(self, trained_net, small_geometry,
                                        rx_model, true_channel, true_position):
         _, model, _ = rx_model

@@ -1,7 +1,9 @@
 """Tests for config handling, Monte-Carlo orchestration and the CLI."""
 
 import csv
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +14,10 @@ import yaml
 
 import hmimo
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
-                           _format_cell, _mean_stderr_db, build_geometry,
-                           crlb_rows, load_config, load_nets, run_point,
-                           run_trial, sweep, train_surrogates, validate_config,
-                           write_rows_csv)
+                           _draw_trial, _format_cell, _mean_stderr_db,
+                           build_geometry, crlb_rows, load_config, load_nets,
+                           run_point, run_trial, sweep, train_surrogates,
+                           validate_config, write_rows_csv)
 from hmimo.surrogate import HybridNet, min_training_samples
 
 
@@ -164,6 +166,9 @@ class TestConfig:
         # an integer where the profile holds a float is a number
         validate_config(_deep_merge(PROFILES["ci"], {"wave": {"frequency": 3000000000},
                                                      "fixed": {"snr": 8}}))
+        # an SNR of +inf is noiseless data, as a fixed SNR or in an SNR sweep
+        validate_config(_deep_merge(PROFILES["ci"], {
+            "fixed": {"snr": np.inf}, "sweep": {"values": [np.inf, 10.0]}}))
 
     @pytest.mark.parametrize("override, match", [
         ({"quadrature_order": 1}, "^quadrature_order: .* >= 2"),
@@ -177,12 +182,27 @@ class TestConfig:
         ({"prior": {"x": [0.5]}}, "degenerate prior range for x: \\[0.5\\]"),
         ({"prior": {"z": [0.0, 0.5, 1.0]}}, "degenerate prior range for z"),
         ({"geometry": {"tx_rows": 0}}, "^geometry: tx_rows must be a positive"),
+        ({"wave": {"frequency": np.inf}},
+         "wave.frequency \\(a finite number, got inf\\)"),
+        ({"geometry": {"rx_dx": np.inf}}, "geometry.rx_dx \\(a finite number"),
+        ({"sweep": {"variable": "patches", "values": [np.inf]}},
+         "^sweep values \\[inf\\]: only snr values may be .inf"),
+        ({"prior": {"x": [-np.inf, 1.0]}},
+         "prior.x \\(a list of finite numbers, got \\[-inf, 1.0\\]\\)"),
+        ({"estimator": {"tol": np.nan}}, "estimator.tol \\(a finite number, got nan"),
+        ({"fixed": {"snr": np.nan}}, "fixed.snr \\(a finite number, got nan"),
+        ({"fixed": {"snr": -np.inf}}, "fixed.snr \\(a finite number, got -inf"),
+        ({"sweep": {"values": [0.0, -np.inf]}}, "sweep.values \\(a list of finite"),
+        ({"sweep": {"variable": "length", "values": [np.inf]}},
+         "^sweep values \\[inf\\]: only snr"),
     ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
-            "short-prior", "long-prior", "zero-tx-rows"])
+            "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
+            "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
+            "minus-inf-snr", "minus-inf-snr-sweep", "inf-length-sweep"])
     def test_out_of_range_values_rejected(self, override, match):
-        # the values the program's own constructors refuse, and prior ranges
-        # that are not two increasing numbers
+        # the values the program's own constructors refuse, prior ranges
+        # that are not two increasing numbers, and NaN or infinite numbers
         with pytest.raises(ConfigError, match=match):
             validate_config(_deep_merge(PROFILES["ci"], override))
 
@@ -237,12 +257,23 @@ class TestRunTrial:
         assert np.isfinite(out["crlb"])
 
     def test_trial_reproducible(self, mini_cfg, nets):
-        out1 = run_trial(mini_cfg, nets, "snr", 8.0,
-                         np.random.SeedSequence(entropy=7, spawn_key=(0,)))
-        out2 = run_trial(mini_cfg, nets, "snr", 8.0,
-                         np.random.SeedSequence(entropy=7, spawn_key=(0,)))
-        assert out1["mp-hybrid"]["nmse_h"] == out2["mp-hybrid"]["nmse_h"]
-        assert out1["crlb"] == out2["crlb"]
+        # two equal sequences, then a second call on the same sequence object
+        seq = np.random.SeedSequence(entropy=7, spawn_key=(0,))
+        outs = [run_trial(mini_cfg, nets, "snr", 8.0, s) for s in
+                (np.random.SeedSequence(entropy=7, spawn_key=(0,)), seq, seq)]
+        for out in outs:
+            for name in ("mp-hybrid", "ls", "known-location"):
+                del out[name]["wall_s"]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_draw_children_are_those_of_a_first_spawn(self, mini_cfg):
+        seq = np.random.SeedSequence(entropy=7, spawn_key=(0, 3), pool_size=8)
+        geom = build_geometry(mini_cfg)
+        seeds, *_ = _draw_trial(mini_cfg, geom, mini_cfg["fixed"], seq)
+        fresh = np.random.SeedSequence(entropy=7, spawn_key=(0, 3),
+                                       pool_size=8).spawn(4)
+        assert [s.state for s in seeds] == [s.state for s in fresh]
+        assert seq.n_children_spawned == 0
 
     def test_chains_variable_runs_hybrid_receiver(self, mini_cfg, nets):
         out = run_trial(mini_cfg, nets, "chains", 24,
@@ -333,6 +364,16 @@ class TestCrlbRows:
         assert rows[4]["crlb_db"] > rows[36]["crlb_db"]
 
 
+def _weights_text(**changes) -> str:
+    """A v1 weights file of a one-unit net at 3 GHz, with ``changes`` made
+    to its top-level entries."""
+    doc = {"version": 1, "hidden_count": 1, "w1": [0.5, 0.0, 0.0], "b1": [0.0],
+           "w2": [1.0] * 12, "b2": [0.0] * 12, "input_scale": [1.0] * 3,
+           "input_offset": [0.0] * 3, "output_scale": [1.0] * 12,
+           "output_offset": [0.0] * 12, "wave": {"frequency_hz": 3.0e9}}
+    return json.dumps({**doc, **changes})
+
+
 class TestLoadNets:
     def _cfg(self, tmp_path, frequency):
         rng = np.random.default_rng(0)
@@ -359,12 +400,27 @@ class TestLoadNets:
         ('{"version": 2}', "ValueError: unsupported weights file version 2"),
         ("not json", "JSONDecodeError: Expecting value"),
         ("[]", "ValueError: weights file is not a JSON object"),
-    ], ids=["version", "not-json", "not-object"])
+        (_weights_text(wave={"frequency_hz": "3e9"}),
+         "ValueError: frequency must be a positive number, got '3e9'"),
+        (_weights_text(output_scale=[1.0] * 11),
+         "ValueError: output_scale has shape \\(11,\\), expected \\(12,\\)"),
+        (_weights_text(input_scale=[1.0]),
+         "ValueError: input_scale has shape \\(1,\\), expected \\(3,\\)"),
+        (_weights_text(output_scale=[float("nan")] * 12),
+         "ValueError: non-finite output_scale"),
+        (_weights_text(hidden_count="4"),
+         "ValueError: hidden_count must be a positive integer, got '4'"),
+        (_weights_text(wave=[]), "TypeError: list indices must be integers"),
+    ], ids=["version", "not-json", "not-object", "string-frequency",
+            "short-output-scale", "short-input-scale", "nan-output-scale",
+            "string-hidden-count", "list-wave"])
     def test_unreadable_weights_rejected(self, tmp_path, text, match):
         cfg = self._cfg(tmp_path, 3.0e9)
-        (tmp_path / "w.json").write_text(text)
+        path = tmp_path / "w.json"
+        path.write_text(text)
         with pytest.raises(ConfigError, match=f"cannot read exact surrogate "
-                           f"weights .*needed by mp-hybrid, crlb: {match}.*train"):
+                           f"weights {re.escape(str(path))}, needed by "
+                           f"mp-hybrid, crlb: {match}.*train"):
             load_nets(cfg)
 
 
@@ -456,6 +512,31 @@ class TestCli:
         assert "config error" in proc.stderr and "version 2" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    def test_malformed_weights_exit_code(self, tmp_path):
+        # a one-entry input map used to broadcast over all three inputs
+        weights = tmp_path / "w.json"
+        weights.write_text(_weights_text(input_scale=[1.0]))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "estimators": ["ls"],
+            "paths": {"weights": str(weights), "out": str(tmp_path / "out.csv")}}))
+        proc = self._run("point", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and str(weights) in proc.stderr
+        assert "input_scale has shape (1,)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_nonfinite_value_exit_code(self, tmp_path):
+        path = tmp_path / "freq.yaml"
+        path.write_text("wave:\n  frequency: .inf\n")
+        proc = self._run("field-dump", "--config", str(path),
+                         "--out", str(tmp_path / "dump.csv"))
+        assert proc.returncode == 2
+        assert "wave.frequency (a finite number, got inf)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "dump.csv").exists()
 
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"

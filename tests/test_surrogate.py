@@ -302,6 +302,23 @@ class TestSerialization:
                      "output_offset", "output_scale"):
             assert np.array_equal(getattr(net, name), getattr(back, name))
         assert back.frequency == net.frequency
+        back.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_writes_format_v1(self, net, tmp_path):
+        # the v1 layout, written out here once more so that a change to the
+        # declaration in HybridNet shows as a format change
+        import json
+        path = tmp_path / "net.json"
+        net.save(path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["version", "hidden_count", "w1", "b1", "w2", "b2",
+                             "input_scale", "input_offset", "output_scale",
+                             "output_offset", "wave"]
+        assert (doc["version"], doc["hidden_count"]) == (1, 7)
+        assert doc["w1"] == net.w1.ravel().tolist()
+        assert doc["w2"] == net.w2.ravel().tolist()
+        assert doc["wave"] == {"frequency_hz": 3e9}
 
     def test_version_gate(self, net, tmp_path):
         import json
