@@ -5,9 +5,11 @@ entire sweep point, 4 I/O error.
 """
 
 import argparse
+import math
 import sys
 
-from hmimo.green import WaveConfig, QuadratureRule, field_dump, write_field_dump_csv
+from hmimo.green import (QuadratureRule, SingularityError, WaveConfig, field_dump,
+                         write_field_dump_csv)
 from hmimo.estimator import NumericalFailure
 from hmimo.harness import (ConfigError, build_geometry, crlb_rows, load_config,
                            load_nets, run_point, sweep, train_surrogates,
@@ -63,6 +65,14 @@ def _config_from_args(args):
     return load_config(args.config, profile=args.profile, overrides=overrides)
 
 
+def _check_field_dump_args(args):
+    if min(args.resolution) < 1:
+        raise ConfigError(f"--resolution needs two positive point counts, "
+                          f"got {args.resolution[0]} {args.resolution[1]}")
+    if not all(map(math.isfinite, (args.value, *args.range1, *args.range2))):
+        raise ConfigError("--value, --range1 and --range2 must be finite numbers")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -77,12 +87,17 @@ def main(argv=None) -> int:
             train_surrogates(cfg, progress=print)
             return EXIT_OK
         if args.command == "field-dump":
+            _check_field_dump_args(args)
             geom = build_geometry(cfg)
             wave = WaveConfig(cfg["wave"]["frequency"])
             quad = QuadratureRule(cfg["quadrature_order"])
-            dump = field_dump(geom, wave, quad, args.axis, args.value,
-                              tuple(args.range1), tuple(args.range2),
-                              tuple(args.resolution))
+            try:
+                dump = field_dump(geom, wave, quad, args.axis, args.value,
+                                  tuple(args.range1), tuple(args.range2),
+                                  tuple(args.resolution))
+            except SingularityError as exc:
+                raise ConfigError(f"field-dump plane {args.axis} = {args.value} "
+                                  f"meets the receive aperture: {exc}") from None
             write_field_dump_csv(out, dump)
         else:
             nets = load_nets(cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
                          approx_channel, dyadic_green, field_dump,
                          full_channel, patch_channel, patch_channel_batch,
-                         scalar_green, _BLOCK_IDX, _dyadic_from_displacement,
-                         _offset_axis, _quad_offsets)
+                         scalar_green, _BLOCK_IDX, _CHUNK_NODES,
+                         _dyadic_from_displacement, _offset_axis, _quad_offsets)
 from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
@@ -203,6 +205,60 @@ class TestOffsetRule:
                 patch_channel_batch(np.array([[x, 0.0, 0.0]]), g, wave, q)
         b = patch_channel_batch(np.array([[0.1, 0.0, 0.0]]), g, wave, q)
         assert np.all(np.isfinite(b))
+
+
+class TestChunks:
+    """Batches that ``patch_channel_batch`` takes in several chunks."""
+
+    @staticmethod
+    def _rows(n, seed=5):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n),
+                                rng.uniform(0.5, 40.0, n)])
+
+    @staticmethod
+    def _chunk_rows(geom, q):
+        return _CHUNK_NODES // _quad_offsets(geom, q)[1].size
+
+    def test_rows_match_single_row_calls(self, wave):
+        # three chunks, the last one partial; each row's node sum is its own
+        # rows of one GEMM, so it does not depend on the rows beside it
+        g, q = OFFSET_GEOMETRIES["ci"], QuadratureRule(4)
+        step = self._chunk_rows(g, q)
+        rel = self._rows(2 * step + step // 2)
+        out = patch_channel_batch(rel, g, wave, q)
+        ref = np.concatenate([patch_channel_batch(r, g, wave, q) for r in rel])
+        assert np.array_equal(out, ref)
+
+    def test_zero_distance_in_last_chunk_raises(self, wave):
+        # off the patch plane, so the coplanar check passes, but z^2
+        # underflows and the first node sits at zero distance
+        g, q = OFFSET_GEOMETRIES["ci"], QuadratureRule(4)
+        step = self._chunk_rows(g, q)
+        rel = self._rows(2 * step + 3)
+        offs, _ = _quad_offsets(g, q)
+        rel[-2] = (-offs[0, 0], -offs[0, 1], 1e-200)
+        with pytest.raises(SingularityError, match="zero distance"):
+            patch_channel_batch(rel, g, wave, q)
+        rel[-2] = (0.0, 0.0, 0.0)
+        with pytest.raises(SingularityError, match="overlapping footprints"):
+            patch_channel_batch(rel, g, wave, q)
+
+    def test_memory_bounded(self, wave):
+        # doubling the rows adds their input and output, not more workspace
+        g, q = OFFSET_GEOMETRIES["ci"], QuadratureRule(4)
+        peaks = []
+        for n in (20_000, 40_000):
+            rel = self._rows(n)
+            tracemalloc.start()
+            try:
+                out = patch_channel_batch(rel, g, wave, q)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del out
+        added = 20_000 * (3 * 8 + 6 * 16)
+        assert peaks[1] - peaks[0] <= added + 2 ** 20
 
 
 class TestApproxChannel:

@@ -538,6 +538,19 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "dump.csv").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("--resolution", "-1", "3"), "--resolution needs two positive"),
+        (("--axis", "z", "--value", "0", "--range1", "-0.01", "0.01",
+          "--range2", "-0.01", "0.01"), "meets the receive aperture"),
+        (("--range1", "nan", "1"), "must be finite numbers"),
+    ])
+    def test_field_dump_bad_arguments_exit_code(self, tmp_path, args, message):
+        proc = self._run("field-dump", *args, "--out", str(tmp_path / "dump.csv"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "dump.csv").exists()
+
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"
         path.write_text("fixed:\n  length: 10\n")
