@@ -199,6 +199,8 @@ def validate_config(cfg: dict) -> None:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
     training = cfg["training"]
+    _check_built("training", TrainConfig, training["hidden_count"],
+                 training["epochs"], training["seed"])
     n_min = min_training_samples(training["hidden_count"])
     if training["samples"] < n_min:
         raise ConfigError(f"training.samples {training['samples']} is below the "

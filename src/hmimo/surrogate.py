@@ -380,6 +380,14 @@ class TrainConfig:
     epochs: int = 300
     seed: int = 0
 
+    def __post_init__(self):
+        if not (isinstance(self.hidden_count, numbers.Integral)
+                and self.hidden_count > 0):
+            raise ValueError("hidden_count must be a positive integer, "
+                             f"got {self.hidden_count!r}")
+        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 0):
+            raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
+
 
 # Fixed settings of the fit: held-out share, mini-batch size, cosine-decayed
 # learning rate from LR to LR_FINAL, and the cadence (epochs) of the exact
@@ -399,13 +407,6 @@ def nmse_db(pred12: np.ndarray, target12: np.ndarray) -> float:
         return float(10.0 * np.log10(err / ref))
 
 
-def _ls_output_layer(a: np.ndarray, tn: np.ndarray):
-    """Exact least-squares solve of the (linear) output layer."""
-    design = np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
-    sol, *_ = np.linalg.lstsq(design, tn, rcond=None)
-    return sol[:-1], sol[-1]
-
-
 def min_training_samples(hidden_count: int) -> int:
     """Smallest training set ``train`` accepts: ten samples per weight of a
     net with ``hidden_count`` hidden units (4H + 12(H + 1) weights)."""
@@ -414,12 +415,24 @@ def min_training_samples(hidden_count: int) -> int:
 
 def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
           frequency: float):
-    """Fit a HybridNet by adaptive-step mini-batch gradient descent.
+    """Fit a HybridNet by Adam on mini-batches, with a cosine-decayed rate.
 
     The output layer is periodically re-solved exactly (it is linear in the
-    weights) which greatly accelerates convergence.  Returns (net, report);
-    the report carries the held-out validation NMSE in dB.
+    weights) which greatly accelerates convergence.  The fit runs in fixed
+    workspaces allocated once per call: one design matrix for those
+    solves, one set of batch buffers, and one flat parameter vector (w1, b1,
+    w2 and b2 are views into it) with its gradient and Adam moments.
+    ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
+    (net, report); the report carries the held-out validation NMSE in dB.
     """
+    if np.ndim(inputs) != 2 or np.shape(inputs)[1] != 3:
+        raise ValueError(f"inputs must be (K, 3), got shape {np.shape(inputs)}")
+    if np.shape(targets) != (len(inputs), 12):
+        raise ValueError(f"targets must be (K, 12) for the K = {len(inputs)} "
+                         f"inputs, got shape {np.shape(targets)}")
+    for name, arr in (("inputs", inputs), ("targets", targets)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} hold non-finite values")
     n_min = min_training_samples(cfg.hidden_count)
     if inputs.shape[0] < n_min:
         raise ValueError(f"need at least {n_min} samples for hidden_count={cfg.hidden_count}")
@@ -435,67 +448,83 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     out_scale = targets[tr_idx].std(axis=0)
     out_scale[out_scale == 0] = 1.0
 
-    xn = (inputs - in_off) / in_scale
-    tn = (targets - out_off) / out_scale
-    x_tr, t_tr = xn[tr_idx], tn[tr_idx]
-    x_val, t_val = xn[val_idx], tn[val_idx]
+    x_tr, x_val = ((inputs[i] - in_off) / in_scale for i in (tr_idx, val_idx))
+    t_tr, t_val = ((targets[i] - out_off) / out_scale for i in (tr_idx, val_idx))
 
     nh = cfg.hidden_count
-    w1 = rng.normal(scale=1.0, size=(nh, 3))
-    b1 = rng.uniform(-1.0, 1.0, size=nh)
-    a0 = np.tanh(x_tr @ w1.T + b1)
-    w2, b2 = _ls_output_layer(a0, t_tr)
+    flat, flat_grad, m_acc, v_acc = np.zeros((4, 16 * nh + 12))
+    # w1, b1, w2, b2 and their gradients are views into the flat vectors
+    (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = (
+        (v[:3 * nh].reshape(nh, 3), v[3 * nh:4 * nh],
+         v[4 * nh:16 * nh].reshape(nh, 12), v[16 * nh:]) for v in (flat, flat_grad))
 
-    params = [w1, b1, w2, b2]
-    m_acc = [np.zeros_like(p) for p in params]
-    v_acc = [np.zeros_like(p) for p in params]
+    def hidden_layer(x, out):
+        np.add(np.matmul(x, w1.T, out=out), b1, out=out)
+        return np.tanh(out, out=out)
+
+    n_tr = x_tr.shape[0]
+    design = np.ones((n_tr, nh + 1))          # hidden outputs, then a ones column
+
+    def refit_output_layer():
+        """Exact least-squares solve of the (linear) output layer."""
+        hidden_layer(x_tr, design[:, :nh])
+        sol = np.linalg.lstsq(design, t_tr, rcond=None)[0]
+        w2[...], b2[...] = sol[:-1], sol[-1]
+
+    w1[...] = rng.normal(scale=1.0, size=(nh, 3))
+    b1[...] = rng.uniform(-1.0, 1.0, size=nh)
+    refit_output_layer()
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    n_tr = x_tr.shape[0]
+    n_b = min(BATCH_SIZE, n_tr)
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
+    xb, tb, err = np.empty((n_b, 3)), np.empty((n_b, 12)), np.empty((n_b, 12))
+    a, back = np.empty((n_b, nh)), np.empty((n_b, nh))
+    a_val = np.empty((n_val, nh))
     loss_curve = []
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         for k in range(steps_per_epoch):
-            idx = order[k * BATCH_SIZE:(k + 1) * BATCH_SIZE]
-            xb, tb = x_tr[idx], t_tr[idx]
-            a = np.tanh(xb @ w1.T + b1)
-            pred = a @ w2 + b2
-            err = pred - tb                                   # (B, 12)
-            g_w2 = a.T @ err / len(idx)
-            g_b2 = err.mean(axis=0)
-            back = (err @ w2.T) * (1.0 - a**2)                # (B, Nh)
-            g_w1 = back.T @ xb / len(idx)
-            g_b1 = back.mean(axis=0)
-            grads = [g_w1, g_b1, g_w2, g_b2]
+            idx = order[k * n_b:(k + 1) * n_b]
+            # idx is in range; "clip" fills ``out`` directly, "raise" via a copy
+            np.take(x_tr, idx, axis=0, out=xb, mode="clip")
+            np.take(t_tr, idx, axis=0, out=tb, mode="clip")
+            hidden_layer(xb, a)
+            np.matmul(a, w2, out=err)
+            err += b2
+            err -= tb                                         # (B, 12)
+            np.matmul(a.T, err, out=g_w2)
+            g_w2 /= n_b
+            np.mean(err, axis=0, out=g_b2)
+            np.matmul(err, w2.T, out=back)
+            back *= np.subtract(1.0, np.square(a, out=a), out=a)  # (B, Nh)
+            np.matmul(back.T, xb, out=g_w1)
+            g_w1 /= n_b
+            np.mean(back, axis=0, out=g_b1)
             step += 1
             # cosine-decayed learning rate
             frac = step / total_steps
             lr = LR_FINAL + 0.5 * (LR - LR_FINAL) * (1 + np.cos(np.pi * frac))
-            for p, g, m, v in zip(params, grads, m_acc, v_acc):
-                m *= beta1
-                m += (1 - beta1) * g
-                v *= beta2
-                v += (1 - beta2) * g**2
-                mh = m / (1 - beta1**step)
-                vh = v / (1 - beta2**step)
-                p -= lr * mh / (np.sqrt(vh) + eps)
+            m_acc *= beta1
+            m_acc += (1 - beta1) * flat_grad
+            v_acc *= beta2
+            v_acc += (1 - beta2) * flat_grad**2
+            flat -= (lr * (m_acc / (1 - beta1**step))
+                     / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
-            a_full = np.tanh(x_tr @ w1.T + b1)
-            w2_new, b2_new = _ls_output_layer(a_full, t_tr)
-            w2[...], b2[...] = w2_new, b2_new
-        val_pred = np.tanh(x_val @ w1.T + b1) @ w2 + b2
+            refit_output_layer()
+        val_pred = hidden_layer(x_val, a_val) @ w2 + b2
         val_loss = float(np.mean((val_pred - t_val) ** 2))
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
-    a_full = np.tanh(x_tr @ w1.T + b1)
-    w2, b2 = _ls_output_layer(a_full, t_tr)
+    refit_output_layer()
 
-    net = HybridNet(w1=w1, b1=b1, w2=w2, b2=b2,
+    net = HybridNet(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy(),
                     input_offset=in_off, input_scale=in_scale,
                     output_offset=out_off, output_scale=out_scale,
                     frequency=frequency)

@@ -61,3 +61,16 @@ def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry, wave):
         surrogate.stacked_channel(net, small_geometry, [0.1, -0.2, 25.0], wave,
                                   order)
         assert calls == [name]
+
+
+def test_train_report_keys():
+    # layers.py reads the fit's epoch count from the report, and the
+    # workloads its validation NMSE
+    rng = np.random.default_rng(0)
+    cfg = surrogate.TrainConfig(hidden_count=4, epochs=3, seed=0)
+    _, report = surrogate.train(rng.normal(size=(1000, 3)),
+                                rng.normal(size=(1000, 12)), cfg, 3e9)
+    assert report["epochs_run"] == cfg.epochs
+    assert len(report["val_loss_curve"]) == cfg.epochs
+    assert np.isfinite(report["val_nmse_db"])
+    assert (report["train_count"], report["val_count"]) == (900, 100)

@@ -195,11 +195,18 @@ class TestConfig:
         ({"sweep": {"values": [0.0, -np.inf]}}, "sweep.values \\(a list of finite"),
         ({"sweep": {"variable": "length", "values": [np.inf]}},
          "^sweep values \\[inf\\]: only snr"),
+        ({"training": {"hidden_count": 0}},
+         "^training: hidden_count must be a positive integer, got 0$"),
+        ({"training": {"hidden_count": -3}},
+         "^training: hidden_count must be a positive integer, got -3$"),
+        ({"training": {"epochs": -5}},
+         "^training: epochs must be a non-negative integer, got -5$"),
     ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
-            "minus-inf-snr", "minus-inf-snr-sweep", "inf-length-sweep"])
+            "minus-inf-snr", "minus-inf-snr-sweep", "inf-length-sweep",
+            "zero-hidden", "negative-hidden", "negative-epochs"])
     def test_out_of_range_values_rejected(self, override, match):
         # the values the program's own constructors refuse, prior ranges
         # that are not two increasing numbers, and NaN or infinite numbers
@@ -573,6 +580,23 @@ class TestCli:
         proc = self._run("train", "--config", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "training.samples 300" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "weights.json").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"hidden_count": 0}, "hidden_count must be a positive integer, got 0"),
+        ({"hidden_count": -3}, "hidden_count must be a positive integer, got -3"),
+        ({"epochs": -5}, "epochs must be a non-negative integer, got -5"),
+    ])
+    def test_bad_training_settings_exit_code(self, tmp_path, setting, message):
+        # each used to train: a net crlb then rejects, a traceback from the
+        # weight draw, and a fit of zero epochs
+        path = tmp_path / "train.yaml"
+        path.write_text(yaml.safe_dump(
+            {"training": {"samples": 2000, "epochs": 2, **setting}}))
+        proc = self._run("train", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "config error: training: " + message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "weights.json").exists()
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hmimo import harness, surrogate
 from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.green import (POLARIZATIONS, QuadratureRule, full_channel,
-                         patch_channel)
+from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
+                         full_channel, patch_channel)
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, expanded_channel,
@@ -369,7 +372,131 @@ class TestTargets:
         assert np.allclose(back, comps)
 
 
+def _reference_train(inputs, targets, cfg):
+    """The trainer's loop with a fresh array for every intermediate, kept
+    as the reference for ``train``.  Returns (w1, b1, w2, b2, loss curve)."""
+    def ls_output_layer(a, tn):
+        design = np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
+        sol, *_ = np.linalg.lstsq(design, tn, rcond=None)
+        return sol[:-1], sol[-1]
+
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(inputs.shape[0])
+    n_val = int(round(surrogate.VAL_FRACTION * inputs.shape[0]))
+    val_idx, tr_idx = perm[:n_val], perm[n_val:]
+    in_lo, in_hi = inputs.min(axis=0), inputs.max(axis=0)
+    in_off = 0.5 * (in_lo + in_hi)
+    in_scale = 0.5 * (in_hi - in_lo)
+    out_off = targets[tr_idx].mean(axis=0)
+    out_scale = targets[tr_idx].std(axis=0)
+    out_scale[out_scale == 0] = 1.0
+    xn = (inputs - in_off) / in_scale
+    tn = (targets - out_off) / out_scale
+    x_tr, t_tr = xn[tr_idx], tn[tr_idx]
+    x_val, t_val = xn[val_idx], tn[val_idx]
+
+    nh = cfg.hidden_count
+    w1 = rng.normal(scale=1.0, size=(nh, 3))
+    b1 = rng.uniform(-1.0, 1.0, size=nh)
+    w2, b2 = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+    params = [w1, b1, w2, b2]
+    m_acc = [np.zeros_like(p) for p in params]
+    v_acc = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    batch = surrogate.BATCH_SIZE
+    n_tr = x_tr.shape[0]
+    steps_per_epoch = max(1, n_tr // batch)
+    total_steps = cfg.epochs * steps_per_epoch
+    loss_curve = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_tr)
+        for k in range(steps_per_epoch):
+            idx = order[k * batch:(k + 1) * batch]
+            xb, tb = x_tr[idx], t_tr[idx]
+            a = np.tanh(xb @ w1.T + b1)
+            err = a @ w2 + b2 - tb
+            g_w2 = a.T @ err / len(idx)
+            g_b2 = err.mean(axis=0)
+            back = (err @ w2.T) * (1.0 - a**2)
+            g_w1 = back.T @ xb / len(idx)
+            g_b1 = back.mean(axis=0)
+            step += 1
+            frac = step / total_steps
+            lr = (surrogate.LR_FINAL + 0.5 * (surrogate.LR - surrogate.LR_FINAL)
+                  * (1 + np.cos(np.pi * frac)))
+            for p, g, m, v in zip(params, [g_w1, g_b1, g_w2, g_b2], m_acc, v_acc):
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g**2
+                mh = m / (1 - beta1**step)
+                vh = v / (1 - beta2**step)
+                p -= lr * mh / (np.sqrt(vh) + eps)
+        if (epoch + 1) % surrogate.LS_REFIT_EVERY == 0:
+            w2[...], b2[...] = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+        val_pred = np.tanh(x_val @ w1.T + b1) @ w2 + b2
+        loss_curve.append(float(np.mean((val_pred - t_val) ** 2)))
+    w2, b2 = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+    return w1, b1, w2, b2, loss_curve
+
+
 class TestTraining:
+    @pytest.mark.parametrize("count, hidden", [(3000, 8), (2000, 4)],
+                             ids=["above-batch", "below-batch"])
+    def test_matches_reference_loop(self, small_geometry, wave, count, hidden):
+        # the fixed workspaces run the same operations in the same order as
+        # a loop that allocates every intermediate, so they agree bit for bit
+        box = CoordinateBox.from_prior(small_geometry, (-1, 1), (-1, 1), (20, 40))
+        X, T = generate_training_set(box, small_geometry, wave, QuadratureRule(2),
+                                     count, seed=7, channel="approx")
+        cfg = TrainConfig(hidden_count=hidden, epochs=surrogate.LS_REFIT_EVERY + 5,
+                          seed=1)
+        net, rep = train(X, T, cfg, wave.frequency)
+        # 3000 samples train on more rows than a batch, 2000 on fewer
+        assert (rep["train_count"] > surrogate.BATCH_SIZE) == (count == 3000)
+        *weights, curve = _reference_train(X, T, cfg)
+        for name, ref in zip(("w1", "b1", "w2", "b2"), weights):
+            assert np.array_equal(getattr(net, name), ref), name
+        assert rep["val_loss_curve"] == curve
+
+    def test_memory_bounded(self):
+        # 20k samples on the ci settings, over one periodic output-layer
+        # refit: the peak holds the (n_train, H + 1) design matrix, the
+        # least-squares solver's copy of it and the normalised training set
+        cfg = harness.PROFILES["ci"]
+        t = cfg["training"]
+        geom = harness.build_geometry(cfg)
+        box = CoordinateBox.from_prior(geom, *(tuple(cfg["prior"][a]) for a in "xyz"))
+        X, T = generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
+                                     QuadratureRule(t["quadrature_order"]),
+                                     t["samples"], seed=t["sample_seed"])
+        tc = TrainConfig(hidden_count=t["hidden_count"],
+                         epochs=surrogate.LS_REFIT_EVERY, seed=t["seed"])
+        tracemalloc.start()
+        try:
+            _, rep = train(X, T, tc, cfg["wave"]["frequency"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design_bytes = rep["train_count"] * (tc.hidden_count + 1) * 8
+        assert peak <= 2.5 * design_bytes
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda X, T: (X[:, :2], T), "inputs must be \\(K, 3\\)"),
+        (lambda X, T: (X, T[:1000]), "targets must be \\(K, 12\\) for the K = 2000"),
+        (lambda X, T: (X, T[:, :6]), "targets must be \\(K, 12\\)"),
+        (lambda X, T: (np.where(np.arange(2000)[:, None] == 5, np.inf, X), T),
+         "inputs hold non-finite values"),
+        (lambda X, T: (X, np.where(np.arange(2000)[:, None] == 5, np.nan, T)),
+         "targets hold non-finite values"),
+    ], ids=["input-width", "target-rows", "target-width", "inf-input", "nan-target"])
+    def test_bad_arrays_rejected(self, change, message):
+        rng = np.random.default_rng(0)
+        X, T = rng.normal(size=(2000, 3)), rng.normal(size=(2000, 12))
+        with pytest.raises(ValueError, match=message):
+            train(*change(X, T), TrainConfig(hidden_count=4, epochs=2), 3e9)
+
     def test_small_fit_reaches_target(self, wave):
         geom = SurfaceGeometry(6, 6, 3, 3, 0.05, 0.05, 0.01, 0.01)
         box = CoordinateBox.from_prior(geom, (-1, 1), (-1, 1), (20, 40))
