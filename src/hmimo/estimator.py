@@ -23,10 +23,10 @@ loop converges on the per-pair model from the init's start.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
@@ -56,6 +56,15 @@ class EstimatorConfig:
     prior_y: tuple = (-1.0, 1.0)
     prior_z: tuple = (20.0, 40.0)
     init_position: tuple = None  # overrides the grid search when set
+
+    def __post_init__(self):
+        for name, least in (("max_iters", 1), ("grid_points", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be >= {least} (an integer), "
+                                 f"got {value!r}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be non-negative, got {self.tol!r}")
 
 
 @dataclass
@@ -365,6 +374,58 @@ def _refine_batch(net, geom, h_ref, p0s, wave, f=None):
     return p, _residual_costs(net, geom, h_ref, p, wave, f)
 
 
+class _OutOfCalls(Exception):
+    """The objective of ``_nelder_mead`` was called past ``maxfev``."""
+
+
+def _nelder_mead(fun, x0, xatol, fatol, maxfev):
+    """The best vertex of scipy's unbounded, non-adaptive Nelder-Mead run on
+    ``fun`` from ``x0`` (n,), operation for operation: start simplex, steps,
+    argsort re-sorting (scipy's second sort of the start changes nothing),
+    xatol/fatol test, and a call past ``maxfev`` ending the run mid-step."""
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfCalls
+        calls += 1
+        return fun(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = counted(sim[k])
+        while True:
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return sim[0]
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            fxr = counted(xr := 2 * xbar - sim[-1])
+            if fxr < fsim[0]:
+                fxe = counted(xe := 3 * xbar - 2 * sim[-1])
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                fxc = counted(xc := 1.5 * xbar - 0.5 * sim[-1] if outside
+                              else 0.5 * xbar + 0.5 * sim[-1])
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = counted(sim[j])
+    except _OutOfCalls:
+        return sim[np.argsort(fsim)[0]]
+
+
 def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
                      cfg: EstimatorConfig, wave: WaveConfig,
                      f: np.ndarray = None):
@@ -392,11 +453,9 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     cands, _ = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, h_ref, cands, wave, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]
-    env = minimize(
+    xy = _nelder_mead(
         lambda p: -_envelope_scores(net, geom, h_ref, p[None], wave, f)[0],
-        coarse, method="Nelder-Mead",
-        options={"xatol": 1e-3, "fatol": 1e-10, "maxfev": 300})
-    xy = env.x if env.x is not None else coarse
+        coarse, xatol=1e-3, fatol=1e-10, maxfev=300)
 
     lam = wave.wavelength
     z_lo, z_hi = cfg.prior_z

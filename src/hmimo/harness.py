@@ -199,6 +199,9 @@ def validate_config(cfg: dict) -> None:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
     training = cfg["training"]
+    for key, seed in (("seed", cfg["seed"]), ("training.seed", training["seed"]),
+                      ("training.sample_seed", training["sample_seed"])):
+        _check_built(key, np.random.SeedSequence, seed)
     _check_built("training", TrainConfig, training["hidden_count"],
                  training["epochs"], training["seed"])
     n_min = min_training_samples(training["hidden_count"])
@@ -226,9 +229,7 @@ def validate_config(cfg: dict) -> None:
                  training["quadrature_order"])
     for v in [None, *patch_counts]:
         _check_built("geometry", build_geometry, cfg, v)
-    if cfg["estimator"]["grid_points"] < 2:
-        raise ConfigError("estimator.grid_points must be >= 2, got "
-                          f"{cfg['estimator']['grid_points']!r}")
+    _check_built("estimator", estimator_config, cfg)
     # the combiner has P <= M rows, for every receive-patch count swept
     m_min = (min(values) if var == "patches"
              else fixed.get("patches") or geom["rx_rows"] * geom["rx_cols"])

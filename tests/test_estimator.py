@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,19 @@ from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
 
 
 # --- Gaussian message algebra --------------------------------------------
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_iters": -3}, "max_iters must be >= 1 \\(an integer\\), got -3"),
+        ({"max_iters": 2.5}, "max_iters must be >= 1 \\(an integer\\), got 2.5"),
+        ({"tol": -1.0}, "tol must be non-negative, got -1.0"),
+        ({"grid_points": 1}, "grid_points must be >= 2 \\(an integer\\), got 1"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            EstimatorConfig(**kwargs)
+        EstimatorConfig(max_iters=1, tol=0.0, grid_points=2)
 
 
 class TestGaussianOps:
@@ -407,6 +424,73 @@ class TestInitHelpers:
 
 def _tuple(out):
     return out if isinstance(out, tuple) else (out,)
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+class TestNelderMead:
+    """``_nelder_mead`` runs the iterates of scipy's Nelder-Mead."""
+
+    def _assert_matches_scipy(self, fun, x0, maxfev=300):
+        optimize = pytest.importorskip("scipy.optimize")
+        x0 = np.asarray(x0, dtype=float)
+        ref = optimize.minimize(fun, x0, method="Nelder-Mead",
+                                options={"xatol": 1e-3, "fatol": 1e-10,
+                                         "maxfev": maxfev})
+        seen = []
+        x = estimator._nelder_mead(lambda p: seen.append(p) or fun(p), x0,
+                                   xatol=1e-3, fatol=1e-10, maxfev=maxfev)
+        assert np.array_equal(x, ref.x)
+        assert len(seen) == ref.nfev <= maxfev
+        return ref
+
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 2.0], [2.5, -1.5]])
+    def test_rosenbrock(self, x0):
+        # [0, 2] starts its simplex with the 0.00025 step of a zero coordinate
+        self._assert_matches_scipy(_rosenbrock, x0)
+
+    @pytest.mark.parametrize("x0", [[1.0, 1.0], [0.5, -2.0]])
+    def test_staircase_forces_shrink_steps(self, x0):
+        # on a flat step neither the reflected nor the contracted vertex is
+        # better, so the simplex shrinks; equal values also tie in the sort
+        self._assert_matches_scipy(lambda x: np.floor(4.0 * np.sum(x ** 2)), x0)
+
+    @pytest.mark.parametrize("maxfev", [6, 7])
+    def test_stops_at_maxfev(self, maxfev):
+        # the start simplex takes 3 calls and each of the first two steps 2;
+        # at 6 the second step is cut after its reflection and abandoned
+        ref = self._assert_matches_scipy(_rosenbrock, [-1.2, 1.0], maxfev=maxfev)
+        assert ref.nfev == maxfev
+
+    def test_envelope_objective_of_a_ci_draw(self, trained_net, small_geometry,
+                                             wave):
+        cfg = PROFILES["ci"]
+        seq = np.random.SeedSequence(cfg["seed"], spawn_key=(0,)).spawn(1)[0]
+        seeds, p1, pilots, _ = _draw_trial(cfg, small_geometry, cfg["fixed"], seq)
+        h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
+        y, _ = simulate_rx(h, pilots, 8.0, seed=seeds[2])
+        h_ls = ls_estimate(pilots.matrix, y)
+        cands, _ = estimator._grid_candidates(estimator_config(cfg))
+        scores = estimator._envelope_scores(trained_net, small_geometry, h_ls,
+                                            cands, wave)
+        self._assert_matches_scipy(
+            lambda p: -estimator._envelope_scores(trained_net, small_geometry,
+                                                  h_ls, p[None], wave)[0],
+            cands[np.argmax(scores)])
+
+
+def test_import_loads_no_scipy():
+    # the init's Nelder-Mead was the package's only use of scipy, whose
+    # optimize module alone took ``import hmimo`` from 27 to 79 MB resident
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    code = ("import sys, hmimo, hmimo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 # --- end-to-end estimators --------------------------------------------------

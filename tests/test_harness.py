@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import hmimo
+from hmimo import cli
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _draw_trial, _format_cell, _mean_stderr_db,
                            build_geometry, crlb_rows, load_config, load_nets,
@@ -201,17 +202,33 @@ class TestConfig:
          "^training: hidden_count must be a positive integer, got -3$"),
         ({"training": {"epochs": -5}},
          "^training: epochs must be a non-negative integer, got -5$"),
+        ({"estimator": {"max_iters": -3}},
+         "^estimator: max_iters must be >= 1 \\(an integer\\), got -3$"),
+        ({"estimator": {"max_iters": 0}},
+         "^estimator: max_iters must be >= 1 \\(an integer\\), got 0$"),
+        ({"estimator": {"tol": -1.0}}, "^estimator: tol must be non-negative, got -1.0$"),
     ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
             "minus-inf-snr", "minus-inf-snr-sweep", "inf-length-sweep",
-            "zero-hidden", "negative-hidden", "negative-epochs"])
+            "zero-hidden", "negative-hidden", "negative-epochs",
+            "negative-max-iters", "zero-max-iters", "negative-tol"])
     def test_out_of_range_values_rejected(self, override, match):
         # the values the program's own constructors refuse, prior ranges
         # that are not two increasing numbers, and NaN or infinite numbers
         with pytest.raises(ConfigError, match=match):
             validate_config(_deep_merge(PROFILES["ci"], override))
+
+    @pytest.mark.parametrize("override, key", [
+        ({"seed": -1}, "seed"),
+        ({"training": {"seed": -1}}, "training.seed"),
+        ({"training": {"sample_seed": -1}}, "training.sample_seed"),
+    ])
+    def test_negative_seeds_rejected(self, override, key):
+        # each used to die in numpy's seeding with a bare ValueError
+        with pytest.raises(ConfigError, match=f"^{key}: expected non-negative"):
+            load_config(profile="ci", overrides=override)
 
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -627,6 +644,11 @@ class TestCli:
         assert "config error" in proc.stderr and "frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["point", "crlb", "sweep"])
+    def test_negative_seed_exit_code(self, command, capsys):
+        assert cli.main([command, "--seed", "-1"]) == 2
+        assert "config error: seed: expected non-negative" in capsys.readouterr().err
 
     def test_train_out_rejected(self, tmp_path):
         proc = self._run("train", "--out", "w.json", cwd=tmp_path)
