@@ -413,15 +413,35 @@ def min_training_samples(hidden_count: int) -> int:
     return 10 * (4 * hidden_count + 12 * (hidden_count + 1))
 
 
+def _hidden_layer(x, w1, b1, out):
+    """tanh(x w1ᵀ + b1) of normalised inputs x, written into ``out``."""
+    return np.tanh(np.add(np.matmul(x, w1.T, out=out), b1, out=out), out=out)
+
+
+def _output_layer_lstsq(x, t, w1, b1, block):
+    """Least-squares output layer (w2, b2) on inputs x and targets t: normal
+    equations summed over row blocks of hidden outputs in ``block`` (rows,
+    H + 1; ones last), solved by SVD (minimum norm if singular, as lstsq)."""
+    n_b, k = block.shape
+    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[1]))
+    for s in range(0, len(x), n_b):
+        blk = block[:len(x) - s]
+        _hidden_layer(x[s:s + n_b], w1, b1, blk[:, :-1])
+        gram += blk.T @ blk
+        rhs += blk.T @ t[s:s + n_b]
+    sol = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return sol[:-1], sol[-1]
+
+
 def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
           frequency: float):
     """Fit a HybridNet by Adam on mini-batches, with a cosine-decayed rate.
 
     The output layer is periodically re-solved exactly (it is linear in the
     weights) which greatly accelerates convergence.  The fit runs in fixed
-    workspaces allocated once per call: one design matrix for those
-    solves, one set of batch buffers, and one flat parameter vector (w1, b1,
-    w2 and b2 are views into it) with its gradient and Adam moments.
+    workspaces allocated once per call: one block of hidden outputs for
+    those solves, one set of batch buffers, and one flat parameter vector
+    (w1, b1, w2 and b2 are views into it) with its gradient and Adam moments.
     ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
     (net, report); the report carries the held-out validation NMSE in dB.
     """
@@ -458,26 +478,16 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         (v[:3 * nh].reshape(nh, 3), v[3 * nh:4 * nh],
          v[4 * nh:16 * nh].reshape(nh, 12), v[16 * nh:]) for v in (flat, flat_grad))
 
-    def hidden_layer(x, out):
-        np.add(np.matmul(x, w1.T, out=out), b1, out=out)
-        return np.tanh(out, out=out)
-
     n_tr = x_tr.shape[0]
-    design = np.ones((n_tr, nh + 1))          # hidden outputs, then a ones column
-
-    def refit_output_layer():
-        """Exact least-squares solve of the (linear) output layer."""
-        hidden_layer(x_tr, design[:, :nh])
-        sol = np.linalg.lstsq(design, t_tr, rcond=None)[0]
-        w2[...], b2[...] = sol[:-1], sol[-1]
+    n_b = min(BATCH_SIZE, n_tr)
+    block = np.ones((n_b, nh + 1))            # hidden outputs, then a ones column
 
     w1[...] = rng.normal(scale=1.0, size=(nh, 3))
     b1[...] = rng.uniform(-1.0, 1.0, size=nh)
-    refit_output_layer()
+    w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    n_b = min(BATCH_SIZE, n_tr)
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
     xb, tb, err = np.empty((n_b, 3)), np.empty((n_b, 12)), np.empty((n_b, 12))
@@ -492,7 +502,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             # idx is in range; "clip" fills ``out`` directly, "raise" via a copy
             np.take(x_tr, idx, axis=0, out=xb, mode="clip")
             np.take(t_tr, idx, axis=0, out=tb, mode="clip")
-            hidden_layer(xb, a)
+            _hidden_layer(xb, w1, b1, a)
             np.matmul(a, w2, out=err)
             err += b2
             err -= tb                                         # (B, 12)
@@ -515,14 +525,15 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             flat -= (lr * (m_acc / (1 - beta1**step))
                      / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
-            refit_output_layer()
-        val_pred = hidden_layer(x_val, a_val) @ w2 + b2
+            w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
+        val_pred = _hidden_layer(x_val, w1, b1, a_val) @ w2 + b2
         val_loss = float(np.mean((val_pred - t_val) ** 2))
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
-    refit_output_layer()
+    if cfg.epochs % LS_REFIT_EVERY:       # else the last epoch has just refitted
+        w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
 
     net = HybridNet(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy(),
                     input_offset=in_off, input_scale=in_scale,

@@ -375,9 +375,15 @@ class TestTargets:
 def _reference_train(inputs, targets, cfg):
     """The trainer's loop with a fresh array for every intermediate, kept
     as the reference for ``train``.  Returns (w1, b1, w2, b2, loss curve)."""
-    def ls_output_layer(a, tn):
-        design = np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
-        sol, *_ = np.linalg.lstsq(design, tn, rcond=None)
+    def ls_output_layer(x, w1, b1, tn):
+        # normal equations summed over blocks of BATCH_SIZE rows, in row order
+        gram, rhs = 0.0, 0.0
+        for s in range(0, x.shape[0], surrogate.BATCH_SIZE):
+            a = np.tanh(x[s:s + surrogate.BATCH_SIZE] @ w1.T + b1)
+            block = np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
+            gram = gram + block.T @ block
+            rhs = rhs + block.T @ tn[s:s + surrogate.BATCH_SIZE]
+        sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         return sol[:-1], sol[-1]
 
     rng = np.random.default_rng(cfg.seed)
@@ -398,7 +404,7 @@ def _reference_train(inputs, targets, cfg):
     nh = cfg.hidden_count
     w1 = rng.normal(scale=1.0, size=(nh, 3))
     b1 = rng.uniform(-1.0, 1.0, size=nh)
-    w2, b2 = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+    w2, b2 = ls_output_layer(x_tr, w1, b1, t_tr)
     params = [w1, b1, w2, b2]
     m_acc = [np.zeros_like(p) for p in params]
     v_acc = [np.zeros_like(p) for p in params]
@@ -434,11 +440,26 @@ def _reference_train(inputs, targets, cfg):
                 vh = v / (1 - beta2**step)
                 p -= lr * mh / (np.sqrt(vh) + eps)
         if (epoch + 1) % surrogate.LS_REFIT_EVERY == 0:
-            w2[...], b2[...] = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+            w2[...], b2[...] = ls_output_layer(x_tr, w1, b1, t_tr)
         val_pred = np.tanh(x_val @ w1.T + b1) @ w2 + b2
         loss_curve.append(float(np.mean((val_pred - t_val) ** 2)))
-    w2, b2 = ls_output_layer(np.tanh(x_tr @ w1.T + b1), t_tr)
+    if cfg.epochs % surrogate.LS_REFIT_EVERY:
+        w2, b2 = ls_output_layer(x_tr, w1, b1, t_tr)
     return w1, b1, w2, b2, loss_curve
+
+
+@pytest.fixture(scope="module")
+def ci_training_set():
+    """The ci profile's 20k exact-oracle training samples and its training
+    settings."""
+    cfg = harness.PROFILES["ci"]
+    t = cfg["training"]
+    geom = harness.build_geometry(cfg)
+    box = CoordinateBox.from_prior(geom, *(tuple(cfg["prior"][a]) for a in "xyz"))
+    X, T = generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
+                                 QuadratureRule(t["quadrature_order"]),
+                                 t["samples"], seed=t["sample_seed"])
+    return X, T, t
 
 
 class TestTraining:
@@ -460,27 +481,74 @@ class TestTraining:
             assert np.array_equal(getattr(net, name), ref), name
         assert rep["val_loss_curve"] == curve
 
-    def test_memory_bounded(self):
-        # 20k samples on the ci settings, over one periodic output-layer
-        # refit: the peak holds the (n_train, H + 1) design matrix, the
-        # least-squares solver's copy of it and the normalised training set
-        cfg = harness.PROFILES["ci"]
-        t = cfg["training"]
-        geom = harness.build_geometry(cfg)
-        box = CoordinateBox.from_prior(geom, *(tuple(cfg["prior"][a]) for a in "xyz"))
-        X, T = generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
-                                     QuadratureRule(t["quadrature_order"]),
-                                     t["samples"], seed=t["sample_seed"])
-        tc = TrainConfig(hidden_count=t["hidden_count"],
-                         epochs=surrogate.LS_REFIT_EVERY, seed=t["seed"])
-        tracemalloc.start()
-        try:
-            _, rep = train(X, T, tc, cfg["wave"]["frequency"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        design_bytes = rep["train_count"] * (tc.hidden_count + 1) * 8
-        assert peak <= 2.5 * design_bytes
+    def test_memory_bounded(self, ci_training_set):
+        # over one periodic output-layer refit on the 20k ci samples, no
+        # (n_train, H)-sized array may be live: one such array of the 18k
+        # training rows grows by 5.5 MiB from H = 10 to H = 50
+        X, T, t = ci_training_set
+        peaks = {}
+        for hidden in (10, 50):
+            tc = TrainConfig(hidden_count=hidden, epochs=surrogate.LS_REFIT_EVERY,
+                             seed=t["seed"])
+            tracemalloc.start()
+            try:
+                train(X, T, tc, harness.PROFILES["ci"]["wave"]["frequency"])
+                peaks[hidden] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50] - peaks[10] <= 5 * 2**20
+
+    @pytest.mark.parametrize("epochs, solves", [
+        (0, 1), (surrogate.LS_REFIT_EVERY, 2), (surrogate.LS_REFIT_EVERY + 5, 3)])
+    def test_refit_count(self, monkeypatch, epochs, solves):
+        # an initial solve, one every LS_REFIT_EVERY epochs, and a final one
+        # only if Adam has stepped since the last
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        rng = np.random.default_rng(0)
+        train(rng.normal(size=(2000, 3)), rng.normal(size=(2000, 12)),
+              TrainConfig(hidden_count=4, epochs=epochs), 3e9)
+        assert len(calls) == solves
+
+    def test_refit_matches_full_design_lstsq(self, ci_training_set):
+        # one refit at the ci settings (H = 50, w1 and b1 drawn as ``train``
+        # draws them) against the SVD solve of the full (n, H + 1) design:
+        # the Gram matrix squares the design's condition number (1.5e3
+        # here, up to 3.6e3 over a ci fit's refits), so agreement to 1e-8
+        # of the largest weight is round-off
+        X, T, t = ci_training_set
+        x = (X - 0.5 * (X.min(axis=0) + X.max(axis=0))) / (0.5 * np.ptp(X, axis=0))
+        tn = (T - T.mean(axis=0)) / T.std(axis=0)
+        rng = np.random.default_rng(t["seed"])
+        nh = t["hidden_count"]
+        w1, b1 = rng.normal(size=(nh, 3)), rng.uniform(-1.0, 1.0, size=nh)
+        block = np.ones((surrogate.BATCH_SIZE, nh + 1))
+        w2, b2 = surrogate._output_layer_lstsq(x, tn, w1, b1, block)
+        design = np.column_stack([np.tanh(x @ w1.T + b1), np.ones(len(x))])
+        ref = np.linalg.lstsq(design, tn, rcond=None)[0]
+        for got, want in ((w2, ref[:-1]), (b2, ref[-1])):
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_refit_rank_deficient_design(self):
+        # two identical hidden units make the Gram matrix singular; the
+        # solve must stay finite and predict as the full-design solve does
+        rng = np.random.default_rng(5)
+        x, tn = rng.uniform(-1.0, 1.0, size=(3000, 3)), rng.normal(size=(3000, 12))
+        w1, b1 = rng.normal(size=(8, 3)), rng.uniform(-1.0, 1.0, size=8)
+        w1[1], b1[1] = w1[0], b1[0]
+        block = np.ones((surrogate.BATCH_SIZE, 9))
+        w2, b2 = surrogate._output_layer_lstsq(x, tn, w1, b1, block)
+        assert np.all(np.isfinite(w2)) and np.all(np.isfinite(b2))
+        design = np.column_stack([np.tanh(x @ w1.T + b1), np.ones(len(x))])
+        ref = design @ np.linalg.lstsq(design, tn, rcond=None)[0]
+        pred = design[:, :-1] @ w2 + b2
+        assert np.max(np.abs(pred - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("change, message", [
         (lambda X, T: (X[:, :2], T), "inputs must be \\(K, 3\\)"),
