@@ -1,7 +1,7 @@
 """Command-line entry point for training, sweeps and diagnostic dumps.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure across an
-entire sweep point, 4 I/O error.
+entire sweep point or a diverged surrogate fit, 4 I/O error.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from hmimo.estimator import NumericalFailure
 from hmimo.harness import (ConfigError, build_geometry, crlb_rows, load_config,
                            load_nets, run_point, sweep, train_surrogates,
                            write_rows_csv)
+from hmimo.surrogate import TrainingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailure as exc:
+    except (NumericalFailure, TrainingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (IOError, OSError) as exc:

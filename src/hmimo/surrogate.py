@@ -413,24 +413,24 @@ def min_training_samples(hidden_count: int) -> int:
     return 10 * (4 * hidden_count + 12 * (hidden_count + 1))
 
 
-def _hidden_layer(x, w1, b1, out):
-    """tanh(x w1ᵀ + b1) of normalised inputs x, written into ``out``."""
-    return np.tanh(np.add(np.matmul(x, w1.T, out=out), b1, out=out), out=out)
+def _hidden_layer(W1, x, out):
+    """tanh(W1 x), W1 = [w1 | b1], of inputs x (4, n; ones last) into ``out``."""
+    return np.tanh(np.matmul(W1, x, out=out), out=out)
 
 
-def _output_layer_lstsq(x, t, w1, b1, block):
-    """Least-squares output layer (w2, b2) on inputs x and targets t: normal
-    equations summed over row blocks of hidden outputs in ``block`` (rows,
-    H + 1; ones last), solved by SVD (minimum norm if singular, as lstsq)."""
-    n_b, k = block.shape
-    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[1]))
-    for s in range(0, len(x), n_b):
-        blk = block[:len(x) - s]
-        _hidden_layer(x[s:s + n_b], w1, b1, blk[:, :-1])
-        gram += blk.T @ blk
-        rhs += blk.T @ t[s:s + n_b]
-    sol = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return sol[:-1], sol[-1]
+def _output_layer_lstsq(x, t, W1, block):
+    """Least-squares W2 = [w2; b2] on inputs x (4, n; ones last) and targets
+    t (12, n): normal equations summed over column blocks of hidden outputs
+    in ``block`` (H + 1, cols; ones last), solved by SVD (minimum norm if
+    singular, as lstsq)."""
+    k, n_b = block.shape
+    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[0]))
+    for s in range(0, x.shape[1], n_b):
+        blk = block[:, :x.shape[1] - s]
+        _hidden_layer(W1, x[:, s:s + n_b], blk[:-1])
+        gram += blk @ blk.T
+        rhs += blk @ t[:, s:s + n_b].T
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
 def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
@@ -438,10 +438,11 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     """Fit a HybridNet by Adam on mini-batches, with a cosine-decayed rate.
 
     The output layer is periodically re-solved exactly (it is linear in the
-    weights) which greatly accelerates convergence.  The fit runs in fixed
-    workspaces allocated once per call: one block of hidden outputs for
-    those solves, one set of batch buffers, and one flat parameter vector
-    (w1, b1, w2 and b2 are views into it) with its gradient and Adam moments.
+    weights) which greatly accelerates convergence.  The fit runs unit-major
+    in workspaces allocated once per call: inputs (4, n) and hidden outputs
+    (H + 1, ``BATCH_SIZE``) end in a ones row, so the biases ride in the
+    products of W1 = [w1 | b1] (H, 4) and W2 = [w2; b2] (H + 1, 12), views
+    into one flat parameter vector (as are the gradient and Adam moments).
     ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
     (net, report); the report carries the held-out validation NMSE in dB.
     """
@@ -464,35 +465,35 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     in_lo, in_hi = inputs.min(axis=0), inputs.max(axis=0)
     in_off = 0.5 * (in_lo + in_hi)
     in_scale = 0.5 * (in_hi - in_lo)
+    in_scale[in_scale == 0] = 1.0
     out_off = targets[tr_idx].mean(axis=0)
     out_scale = targets[tr_idx].std(axis=0)
     out_scale[out_scale == 0] = 1.0
 
-    x_tr, x_val = ((inputs[i] - in_off) / in_scale for i in (tr_idx, val_idx))
-    t_tr, t_val = ((targets[i] - out_off) / out_scale for i in (tr_idx, val_idx))
+    x_tr, x_val = (np.vstack([((inputs[i] - in_off) / in_scale).T, np.ones(len(i))])
+                   for i in (tr_idx, val_idx))
+    t_tr, t_val = (np.ascontiguousarray(((targets[i] - out_off) / out_scale).T)
+                   for i in (tr_idx, val_idx))
 
     nh = cfg.hidden_count
     flat, flat_grad, m_acc, v_acc = np.zeros((4, 16 * nh + 12))
-    # w1, b1, w2, b2 and their gradients are views into the flat vectors
-    (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = (
-        (v[:3 * nh].reshape(nh, 3), v[3 * nh:4 * nh],
-         v[4 * nh:16 * nh].reshape(nh, 12), v[16 * nh:]) for v in (flat, flat_grad))
+    (W1, W2), (g_W1, g_W2) = ((v[:4 * nh].reshape(nh, 4), v[4 * nh:].reshape(nh + 1, 12))
+                              for v in (flat, flat_grad))
 
-    n_tr = x_tr.shape[0]
+    n_tr = x_tr.shape[1]
     n_b = min(BATCH_SIZE, n_tr)
-    block = np.ones((n_b, nh + 1))            # hidden outputs, then a ones column
+    a = np.ones((nh + 1, n_b))                # hidden outputs, then a ones row
 
-    w1[...] = rng.normal(scale=1.0, size=(nh, 3))
-    b1[...] = rng.uniform(-1.0, 1.0, size=nh)
-    w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
+    W1[:, :3] = rng.normal(scale=1.0, size=(nh, 3))
+    W1[:, 3] = rng.uniform(-1.0, 1.0, size=nh)
+    W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
-    xb, tb, err = np.empty((n_b, 3)), np.empty((n_b, 12)), np.empty((n_b, 12))
-    a, back = np.empty((n_b, nh)), np.empty((n_b, nh))
-    a_val = np.empty((n_val, nh))
+    xb, tb, err = np.empty((4, n_b)), np.empty((12, n_b)), np.empty((12, n_b))
+    back, a_val = np.empty((nh, n_b)), np.ones((nh + 1, n_val))
     loss_curve = []
 
     for epoch in range(cfg.epochs):
@@ -500,20 +501,17 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         for k in range(steps_per_epoch):
             idx = order[k * n_b:(k + 1) * n_b]
             # idx is in range; "clip" fills ``out`` directly, "raise" via a copy
-            np.take(x_tr, idx, axis=0, out=xb, mode="clip")
-            np.take(t_tr, idx, axis=0, out=tb, mode="clip")
-            _hidden_layer(xb, w1, b1, a)
-            np.matmul(a, w2, out=err)
-            err += b2
-            err -= tb                                         # (B, 12)
-            np.matmul(a.T, err, out=g_w2)
-            g_w2 /= n_b
-            np.mean(err, axis=0, out=g_b2)
-            np.matmul(err, w2.T, out=back)
-            back *= np.subtract(1.0, np.square(a, out=a), out=a)  # (B, Nh)
-            np.matmul(back.T, xb, out=g_w1)
-            g_w1 /= n_b
-            np.mean(back, axis=0, out=g_b1)
+            np.take(x_tr, idx, axis=1, out=xb, mode="clip")
+            np.take(t_tr, idx, axis=1, out=tb, mode="clip")
+            h = _hidden_layer(W1, xb, a[:-1])
+            np.matmul(W2.T, a, out=err)
+            err -= tb                                         # (12, B)
+            np.matmul(a, err.T, out=g_W2)
+            g_W2 /= n_b
+            np.matmul(W2[:-1], err, out=back)
+            back *= np.subtract(1.0, np.square(h, out=h), out=h)  # (Nh, B)
+            np.matmul(back, xb.T, out=g_W1)
+            g_W1 /= n_b
             step += 1
             # cosine-decayed learning rate
             frac = step / total_steps
@@ -525,17 +523,18 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             flat -= (lr * (m_acc / (1 - beta1**step))
                      / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
-            w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
-        val_pred = _hidden_layer(x_val, w1, b1, a_val) @ w2 + b2
-        val_loss = float(np.mean((val_pred - t_val) ** 2))
+            W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
+        _hidden_layer(W1, x_val, a_val[:-1])
+        val_loss = float(np.mean((W2.T @ a_val - t_val) ** 2))
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
     if cfg.epochs % LS_REFIT_EVERY:       # else the last epoch has just refitted
-        w2[...], b2[...] = _output_layer_lstsq(x_tr, t_tr, w1, b1, block)
+        W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
 
-    net = HybridNet(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy(),
+    net = HybridNet(w1=W1[:, :3].copy(), b1=W1[:, 3].copy(),
+                    w2=W2[:-1].copy(), b2=W2[-1].copy(),
                     input_offset=in_off, input_scale=in_scale,
                     output_offset=out_off, output_scale=out_scale,
                     frequency=frequency)

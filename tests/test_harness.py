@@ -13,13 +13,13 @@ import pytest
 import yaml
 
 import hmimo
-from hmimo import cli
+from hmimo import cli, harness
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _draw_trial, _format_cell, _mean_stderr_db,
                            build_geometry, crlb_rows, load_config, load_nets,
                            run_point, run_trial, sweep, train_surrogates,
                            validate_config, write_rows_csv)
-from hmimo.surrogate import HybridNet, min_training_samples
+from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
 
 class TestConfig:
@@ -649,6 +649,21 @@ class TestCli:
     def test_negative_seed_exit_code(self, command, capsys):
         assert cli.main([command, "--seed", "-1"]) == 2
         assert "config error: seed: expected non-negative" in capsys.readouterr().err
+
+    def test_diverged_training_exit_code(self, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise TrainingError("training diverged at epoch 3: loss=nan")
+
+        monkeypatch.setattr(harness, "train", diverge)
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "training": TINY_TRAINING,
+            "paths": {"weights": str(tmp_path / "w.json"),
+                      "weights_approx": str(tmp_path / "wa.json")}}))
+        assert cli.main(["train", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert ("numerical failure: training diverged at epoch 3"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_train_out_rejected(self, tmp_path):
         proc = self._run("train", "--out", "w.json", cwd=tmp_path)

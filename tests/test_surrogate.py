@@ -372,9 +372,103 @@ class TestTargets:
         assert np.allclose(back, comps)
 
 
+def _normalised_split(inputs, targets, rng):
+    """``train``'s validation split and normalisation, sample-major:
+    (x_tr, t_tr, x_val, t_val)."""
+    perm = rng.permutation(inputs.shape[0])
+    n_val = int(round(surrogate.VAL_FRACTION * inputs.shape[0]))
+    val_idx, tr_idx = perm[:n_val], perm[n_val:]
+    in_lo, in_hi = inputs.min(axis=0), inputs.max(axis=0)
+    in_off = 0.5 * (in_lo + in_hi)
+    in_scale = 0.5 * (in_hi - in_lo)
+    in_scale[in_scale == 0] = 1.0
+    out_off = targets[tr_idx].mean(axis=0)
+    out_scale = targets[tr_idx].std(axis=0)
+    out_scale[out_scale == 0] = 1.0
+    xn = (inputs - in_off) / in_scale
+    tn = (targets - out_off) / out_scale
+    return xn[tr_idx], tn[tr_idx], xn[val_idx], tn[val_idx]
+
+
+def _adam_update(params, grads, m_acc, v_acc, step, total_steps):
+    """``train``'s Adam step at the cosine-decayed rate, in place."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    frac = step / total_steps
+    lr = (surrogate.LR_FINAL + 0.5 * (surrogate.LR - surrogate.LR_FINAL)
+          * (1 + np.cos(np.pi * frac)))
+    for p, g, m, v in zip(params, grads, m_acc, v_acc):
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g**2
+        mh = m / (1 - beta1**step)
+        vh = v / (1 - beta2**step)
+        p -= lr * mh / (np.sqrt(vh) + eps)
+
+
 def _reference_train(inputs, targets, cfg):
     """The trainer's loop with a fresh array for every intermediate, kept
-    as the reference for ``train``.  Returns (w1, b1, w2, b2, loss curve)."""
+    as the reference for ``train``: unit-major, with a ones row under the
+    inputs and under the hidden outputs, so that W1 = [w1 | b1] and
+    W2 = [w2; b2] carry the biases through the products.  Returns
+    (w1, b1, w2, b2, loss curve)."""
+    batch = surrogate.BATCH_SIZE
+
+    def with_ones(rows):
+        return np.vstack([rows, np.ones(rows.shape[1])])
+
+    def ls_output_layer(x, W1, t):
+        # normal equations summed over column blocks of BATCH_SIZE, in order
+        gram, rhs = 0.0, 0.0
+        for s in range(0, x.shape[1], batch):
+            a = with_ones(np.tanh(W1 @ x[:, s:s + batch]))
+            gram = gram + a @ a.T
+            rhs = rhs + a @ t[:, s:s + batch].T
+        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+    rng = np.random.default_rng(cfg.seed)
+    x_tr, t_tr, x_val, t_val = _normalised_split(inputs, targets, rng)
+    x_tr, x_val = with_ones(x_tr.T), with_ones(x_val.T)
+    t_tr, t_val = t_tr.T.copy(), t_val.T.copy()
+
+    nh = cfg.hidden_count
+    W1 = np.column_stack([rng.normal(scale=1.0, size=(nh, 3)),
+                          rng.uniform(-1.0, 1.0, size=nh)])
+    W2 = ls_output_layer(x_tr, W1, t_tr)
+    params = [W1, W2]
+    m_acc = [np.zeros_like(p) for p in params]
+    v_acc = [np.zeros_like(p) for p in params]
+    step = 0
+    n_tr = x_tr.shape[1]
+    steps_per_epoch = max(1, n_tr // batch)
+    total_steps = cfg.epochs * steps_per_epoch
+    loss_curve = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_tr)
+        for k in range(steps_per_epoch):
+            idx = order[k * batch:(k + 1) * batch]
+            xb, tb = x_tr[:, idx], t_tr[:, idx]
+            h = np.tanh(W1 @ xb)
+            a = with_ones(h)
+            err = W2.T @ a - tb
+            g_W2 = a @ err.T / len(idx)
+            back = (W2[:-1] @ err) * (1.0 - h**2)
+            g_W1 = back @ xb.T / len(idx)
+            step += 1
+            _adam_update(params, [g_W1, g_W2], m_acc, v_acc, step, total_steps)
+        if (epoch + 1) % surrogate.LS_REFIT_EVERY == 0:
+            W2[...] = ls_output_layer(x_tr, W1, t_tr)
+        val_pred = W2.T @ with_ones(np.tanh(W1 @ x_val))
+        loss_curve.append(float(np.mean((val_pred - t_val) ** 2)))
+    if cfg.epochs % surrogate.LS_REFIT_EVERY:
+        W2 = ls_output_layer(x_tr, W1, t_tr)
+    return W1[:, :3], W1[:, 3], W2[:-1], W2[-1], loss_curve
+
+
+def _textbook_train(inputs, targets, cfg):
+    """The textbook sample-major loop, with separate bias adds and
+    bias-gradient means: ``train`` sums in another order, so it agrees with
+    this loop to round-off only.  Returns (w1, b1, w2, b2)."""
     def ls_output_layer(x, w1, b1, tn):
         # normal equations summed over blocks of BATCH_SIZE rows, in row order
         gram, rhs = 0.0, 0.0
@@ -387,19 +481,7 @@ def _reference_train(inputs, targets, cfg):
         return sol[:-1], sol[-1]
 
     rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(inputs.shape[0])
-    n_val = int(round(surrogate.VAL_FRACTION * inputs.shape[0]))
-    val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    in_lo, in_hi = inputs.min(axis=0), inputs.max(axis=0)
-    in_off = 0.5 * (in_lo + in_hi)
-    in_scale = 0.5 * (in_hi - in_lo)
-    out_off = targets[tr_idx].mean(axis=0)
-    out_scale = targets[tr_idx].std(axis=0)
-    out_scale[out_scale == 0] = 1.0
-    xn = (inputs - in_off) / in_scale
-    tn = (targets - out_off) / out_scale
-    x_tr, t_tr = xn[tr_idx], tn[tr_idx]
-    x_val, t_val = xn[val_idx], tn[val_idx]
+    x_tr, t_tr, _, _ = _normalised_split(inputs, targets, rng)
 
     nh = cfg.hidden_count
     w1 = rng.normal(scale=1.0, size=(nh, 3))
@@ -408,13 +490,11 @@ def _reference_train(inputs, targets, cfg):
     params = [w1, b1, w2, b2]
     m_acc = [np.zeros_like(p) for p in params]
     v_acc = [np.zeros_like(p) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     batch = surrogate.BATCH_SIZE
     n_tr = x_tr.shape[0]
     steps_per_epoch = max(1, n_tr // batch)
     total_steps = cfg.epochs * steps_per_epoch
-    loss_curve = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         for k in range(steps_per_epoch):
@@ -428,24 +508,34 @@ def _reference_train(inputs, targets, cfg):
             g_w1 = back.T @ xb / len(idx)
             g_b1 = back.mean(axis=0)
             step += 1
-            frac = step / total_steps
-            lr = (surrogate.LR_FINAL + 0.5 * (surrogate.LR - surrogate.LR_FINAL)
-                  * (1 + np.cos(np.pi * frac)))
-            for p, g, m, v in zip(params, [g_w1, g_b1, g_w2, g_b2], m_acc, v_acc):
-                m *= beta1
-                m += (1 - beta1) * g
-                v *= beta2
-                v += (1 - beta2) * g**2
-                mh = m / (1 - beta1**step)
-                vh = v / (1 - beta2**step)
-                p -= lr * mh / (np.sqrt(vh) + eps)
+            _adam_update(params, [g_w1, g_b1, g_w2, g_b2], m_acc, v_acc, step,
+                         total_steps)
         if (epoch + 1) % surrogate.LS_REFIT_EVERY == 0:
             w2[...], b2[...] = ls_output_layer(x_tr, w1, b1, t_tr)
-        val_pred = np.tanh(x_val @ w1.T + b1) @ w2 + b2
-        loss_curve.append(float(np.mean((val_pred - t_val) ** 2)))
     if cfg.epochs % surrogate.LS_REFIT_EVERY:
         w2, b2 = ls_output_layer(x_tr, w1, b1, t_tr)
-    return w1, b1, w2, b2, loss_curve
+    return w1, b1, w2, b2
+
+
+def _small_fit(small_geometry, wave, count, hidden):
+    """Samples of the closed-form channel and a fit of them by ``train``
+    over LS_REFIT_EVERY + 5 epochs: (X, T, cfg, net, report)."""
+    box = CoordinateBox.from_prior(small_geometry, (-1, 1), (-1, 1), (20, 40))
+    X, T = generate_training_set(box, small_geometry, wave, QuadratureRule(2),
+                                 count, seed=7, channel="approx")
+    cfg = TrainConfig(hidden_count=hidden, epochs=surrogate.LS_REFIT_EVERY + 5,
+                      seed=1)
+    net, rep = train(X, T, cfg, wave.frequency)
+    # 3000 samples train on more rows than a batch, 2000 on fewer
+    assert (rep["train_count"] > surrogate.BATCH_SIZE) == (count == 3000)
+    return X, T, cfg, net, rep
+
+
+def _unit_major(x, t, w1, b1):
+    """Normalised inputs (n, 3) and targets (n, 12) in ``train``'s layout,
+    with W1 = [w1 | b1]: (x (4, n; ones last), t (12, n), W1)."""
+    return (np.vstack([x.T, np.ones(len(x))]), np.ascontiguousarray(t.T),
+            np.column_stack([w1, b1]))
 
 
 @pytest.fixture(scope="module")
@@ -468,18 +558,23 @@ class TestTraining:
     def test_matches_reference_loop(self, small_geometry, wave, count, hidden):
         # the fixed workspaces run the same operations in the same order as
         # a loop that allocates every intermediate, so they agree bit for bit
-        box = CoordinateBox.from_prior(small_geometry, (-1, 1), (-1, 1), (20, 40))
-        X, T = generate_training_set(box, small_geometry, wave, QuadratureRule(2),
-                                     count, seed=7, channel="approx")
-        cfg = TrainConfig(hidden_count=hidden, epochs=surrogate.LS_REFIT_EVERY + 5,
-                          seed=1)
-        net, rep = train(X, T, cfg, wave.frequency)
-        # 3000 samples train on more rows than a batch, 2000 on fewer
-        assert (rep["train_count"] > surrogate.BATCH_SIZE) == (count == 3000)
+        X, T, cfg, net, rep = _small_fit(small_geometry, wave, count, hidden)
         *weights, curve = _reference_train(X, T, cfg)
         for name, ref in zip(("w1", "b1", "w2", "b2"), weights):
             assert np.array_equal(getattr(net, name), ref), name
         assert rep["val_loss_curve"] == curve
+
+    @pytest.mark.parametrize("count, hidden", [(3000, 8), (2000, 4)],
+                             ids=["above-batch", "below-batch"])
+    def test_matches_textbook_loop_to_round_off(self, small_geometry, wave,
+                                                count, hidden):
+        # folding the biases into the products reorders sums only, so after
+        # LS_REFIT_EVERY + 5 epochs each weight array is within 1e-8 of its
+        # largest entry of the textbook loop's
+        X, T, cfg, net, _ = _small_fit(small_geometry, wave, count, hidden)
+        for name, ref in zip(("w1", "b1", "w2", "b2"), _textbook_train(X, T, cfg)):
+            got = getattr(net, name)
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref)), name
 
     def test_memory_bounded(self, ci_training_set):
         # over one periodic output-layer refit on the 20k ci samples, no
@@ -528,8 +623,9 @@ class TestTraining:
         rng = np.random.default_rng(t["seed"])
         nh = t["hidden_count"]
         w1, b1 = rng.normal(size=(nh, 3)), rng.uniform(-1.0, 1.0, size=nh)
-        block = np.ones((surrogate.BATCH_SIZE, nh + 1))
-        w2, b2 = surrogate._output_layer_lstsq(x, tn, w1, b1, block)
+        block = np.ones((nh + 1, surrogate.BATCH_SIZE))
+        sol = surrogate._output_layer_lstsq(*_unit_major(x, tn, w1, b1), block)
+        w2, b2 = sol[:-1], sol[-1]
         design = np.column_stack([np.tanh(x @ w1.T + b1), np.ones(len(x))])
         ref = np.linalg.lstsq(design, tn, rcond=None)[0]
         for got, want in ((w2, ref[:-1]), (b2, ref[-1])):
@@ -542,8 +638,9 @@ class TestTraining:
         x, tn = rng.uniform(-1.0, 1.0, size=(3000, 3)), rng.normal(size=(3000, 12))
         w1, b1 = rng.normal(size=(8, 3)), rng.uniform(-1.0, 1.0, size=8)
         w1[1], b1[1] = w1[0], b1[0]
-        block = np.ones((surrogate.BATCH_SIZE, 9))
-        w2, b2 = surrogate._output_layer_lstsq(x, tn, w1, b1, block)
+        block = np.ones((9, surrogate.BATCH_SIZE))
+        sol = surrogate._output_layer_lstsq(*_unit_major(x, tn, w1, b1), block)
+        w2, b2 = sol[:-1], sol[-1]
         assert np.all(np.isfinite(w2)) and np.all(np.isfinite(b2))
         design = np.column_stack([np.tanh(x @ w1.T + b1), np.ones(len(x))])
         ref = design @ np.linalg.lstsq(design, tn, rcond=None)[0]
@@ -564,6 +661,18 @@ class TestTraining:
         X, T = rng.normal(size=(2000, 3)), rng.normal(size=(2000, 12))
         with pytest.raises(ValueError, match=message):
             train(*change(X, T), TrainConfig(hidden_count=4, epochs=2), 3e9)
+
+    @pytest.mark.parametrize("epochs", [0, 5])
+    def test_constant_input_column(self, epochs):
+        # a coordinate with no range is left unscaled instead of giving 0/0
+        rng = np.random.default_rng(0)
+        X, T = rng.normal(size=(3000, 3)), rng.normal(size=(3000, 12))
+        X[:, 2] = 30.0
+        net, rep = train(X, T, TrainConfig(hidden_count=8, epochs=epochs), 3e9)
+        assert net.input_scale[2] == 1.0
+        assert np.isfinite(rep["val_nmse_db"])
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.all(np.isfinite(getattr(net, name))), name
 
     def test_small_fit_reaches_target(self, wave):
         geom = SurfaceGeometry(6, 6, 3, 3, 0.05, 0.05, 0.01, 0.01)
