@@ -13,8 +13,10 @@ antenna patches, and a hybrid receiver observing P < M analog-combined
 outputs G = H F^T.  The init and the loop both read the surrogate of the
 observed channel, projected through the combining matrix F (None for the
 full-digital receiver).  The init searches many candidate locations, and
-reads ``expanded_channel(..., f)``, which evaluates the network once per
-location and expands it over the patch pairs.  The loop reads the
+reads the model of ``expanded_channel(..., f)``, which evaluates the
+network once per location and expands it over the patch pairs; without a
+combiner it sums that model through moments of the expansion basis
+rather than per-pair arrays.  The loop reads the
 per-pair model ``stacked_channel`` through ``taylor_linearize`` and
 ``through``, as do the CRLB and the known-location estimate, so the
 loop converges on the per-pair model from the init's start.
@@ -31,7 +33,8 @@ import numpy as np
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig
 from hmimo.signals import UnitaryModel, combine_channel
-from hmimo.surrogate import HybridNet, expanded_channel, stacked_channel
+from hmimo.surrogate import (HybridNet, expanded_channel, expansion_coefficients,
+                             expansion_terms, stacked_channel)
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -263,57 +266,200 @@ def _grid_candidates(cfg: EstimatorConfig):
     return np.stack([g.ravel() for g in grid], axis=-1), spacing
 
 
-# Patch pairs per batched evaluation in the location init.  A pair costs
-# about 1.3 kB in ``expanded_channel`` and the normal equations (1.0 kB
-# without a combiner), so a chunk stays under 6 MB whatever the geometry;
-# chunks of 2048 to 8192 pairs run equally fast per pair on the ci profile.
-_CHUNK_POINTS = 4096
+# Patch pairs per chunk of locations in the init's sums.  Without a
+# combiner a pair costs about 200 B in the moment sums of the normal
+# equations (60 B in the costs and scores), so a chunk peaks near 3 MB.
+# With one it costs about 1.3 kB in ``expanded_channel`` and the normal
+# equations (1.9 kB at P = M), so that path takes _HYBRID_SHARE times fewer
+# pairs per chunk, and stays under about 6 MB whatever the geometry.
+_CHUNK_POINTS = 16384
+_HYBRID_SHARE = 4
 # Levenberg-Marquardt steps per z-tooth, and the step (m) that stops one early
 _REFINE_STEPS = 8
 _REFINE_STEP_TOL = 1e-5
 
 
-def _chunks(geom: SurfaceGeometry, count: int):
+def _chunks(geom: SurfaceGeometry, count: int, f=None):
     """Slices of a batch of ``count`` locations, each slice holding at most
-    _CHUNK_POINTS patch pairs (but at least one location)."""
-    per = max(1, _CHUNK_POINTS // (geom.n_patches * geom.m_patches))
+    _CHUNK_POINTS patch pairs (_CHUNK_POINTS / _HYBRID_SHARE behind a
+    combiner ``f``), but at least one location."""
+    budget = _CHUNK_POINTS if f is None else _CHUNK_POINTS // _HYBRID_SHARE
+    per = max(1, budget // (geom.n_patches * geom.m_patches))
     return [slice(lo, lo + per) for lo in range(0, count, per)]
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """The data h_ref (6N, M) of the full-digital init, with what its
+    moment sums read of it and of the expansion basis b_t(p) (6, N M):
+    ||h_ref||^2, the products ref_b[p, (k, t)] = h_ref[k, p] b_t(p) and
+    b_b[p, (t, s)] = b_t(p) b_s(p), (N M, 36), and the Gram matrix
+    gram[t, s] = sum_p b_t(p) b_s(p)."""
+
+    norm2: float
+    ref_b: np.ndarray
+    b_b: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def of(cls, geom: SurfaceGeometry, h_ref) -> "_Reference":
+        """Build the reference of the data h_ref, or pass a built one through."""
+        if isinstance(h_ref, cls):
+            return h_ref
+        terms = expansion_terms(geom)
+        ref = np.asarray(h_ref).reshape(6, 1, -1)
+        return cls(norm2=np.linalg.norm(h_ref) ** 2,
+                   ref_b=(ref * terms).reshape(36, -1).T.copy(),
+                   b_b=(terms[:, None] * terms).reshape(36, -1).T.copy(),
+                   gram=terms @ terms.T)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the trailing axes of a * b, one dot product per leading
+    index, so that an entry does not depend on the batch: (B, ...) -> (B,)."""
+    n = len(a)
+    return (a.reshape(n, 1, -1) @ b.reshape(n, -1, 1))[:, 0, 0]
+
+
+# the pairs (i, j), i <= j, of the products r-hat_i r-hat_j
+_IU = np.triu_indices(3)
+
+
+def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
+    """The full-digital init's sums at B locations, from moments of the
+    expansion basis instead of per-pair channel arrays.
+
+    With phi = C b and h = phi exp(i k0 r) per pair, |exp(i k0 r)| = 1 makes
+    ||h||^2 = sum_k C_k^H Gamma C_k with the constant Gram matrix Gamma, and
+    sum conj(h) h_ref = sum_kt conj(C_kt) R_kt with the moments R_kt =
+    sum_p exp(-i k0 r_p) h_ref[k, p] b_t(p).  Returns these two (B,).  With
+    the workspace ``w_r`` it also returns J^H J (B, 3, 3) and
+    Re J^H (h - h_ref) (B, 3) of the Jacobian J of h, dh = (dphi + i k0 phi
+    r-hat) exp(i k0 r), whose moments carry the weights r-hat_j and
+    r-hat_i r-hat_j.  The per-pair weights are written to the first B rows
+    of the workspaces ``w_c`` (complex, 1 or 4 weights) and ``w_r`` (real,
+    9 weights), shaped (rows, weights, N M).
+    """
+    k0 = wave.wavenumber
+    rel, c, c1 = expansion_coefficients(net, geom, p1s, 0 if w_r is None else 1)
+    b = len(c)
+    w_c = w_c[:b]
+    r = rel[0] ** 2
+    r += rel[1] ** 2
+    r += rel[2] ** 2
+    np.sqrt(r, out=r)                                          # (B, N M)
+    np.exp(np.multiply(-1j * k0, r, out=w_c[:, 0]), out=w_c[:, 0])
+    cg = c @ ref.gram                                          # (B, 6, 6)
+    cc = c.conj()
+    norm2 = _dot(cc, cg).real
+    if w_r is None:
+        return norm2, _dot(cc, w_c @ ref.ref_b)
+    # R^w (B, 4, 36) for w = 1, r-hat_x, r-hat_y, r-hat_z, and the weighted
+    # Gram matrices G^w (B, 9, 36) for w = r-hat_j and r-hat_i r-hat_j, i <= j
+    w_r = w_r[:b]
+    np.multiply(rel.transpose(1, 0, 2), np.divide(1.0, r, out=r)[:, None],
+                out=w_r[:, :3])
+    for n, (i, j) in enumerate(zip(*_IU), start=3):
+        np.multiply(w_r[:, i], w_r[:, j], out=w_r[:, n])
+    np.multiply(w_c[:, :1], w_r[:, :3], out=w_c[:, 1:])
+    rm = w_c @ ref.ref_b
+    g_w = w_r @ ref.b_b
+    d = (rm @ cc.reshape(b, 36, 1))[..., 0]                    # (B, 4)
+    # Re J^H e pairs dphi_j + i k0 phi r-hat_j with phi - exp(-i k0 r) h_ref:
+    # dphi_j gives C1_j . (C Gamma - R^1) over t < 3, and i k0 phi r-hat_j
+    # gives -k0 Im(C^H R^{r-hat_j}) plus Re(-i k0 C^H G^j C), which vanishes
+    # as G^j is real and symmetric
+    c1c = c1.conj().reshape(b, 3, 18)
+    grad = ((c1c @ (cg - rm[:, 0].reshape(b, 6, 6))[..., :3].reshape(b, 18, 1))
+            [..., 0].real - k0 * d[:, 1:].imag)
+    # J^H J = Re(dphi^H dphi) + the cross term Re(i k0 dphi_i^H phi r-hat_j)
+    # + (i <-> j) + the carrier term k0^2 |phi|^2 r-hat r-hat^T, each summed
+    # over the basis; half of it plus its transpose is symmetric bit for bit
+    dd = (c1c @ (c1 @ ref.gram[:3, :3]).reshape(b, 3, 18).transpose(0, 2, 1)).real
+    cross = ((c1c.reshape(b, 3, 6, 3).transpose(0, 1, 3, 2) @ c[:, None])
+             .reshape(b, 3, 1, 1, 18).imag
+             @ g_w[:, :3].reshape(b, 1, 3, 6, 6)[..., :3, :]
+             .reshape(b, 1, 3, 18, 1))[..., 0, 0]
+    q = (cc.transpose(0, 2, 1) @ c).real                       # (B, 6, 6)
+    carrier = np.empty((b, 3, 3))
+    carrier[:, _IU[0], _IU[1]] = carrier[:, _IU[1], _IU[0]] = (
+        g_w[:, 3:] @ q.reshape(b, 36, 1))[..., 0]
+    half = 0.5 * dd - k0 * cross + 0.5 * k0 ** 2 * carrier
+    return norm2, d[:, 0], half + half.transpose(0, 2, 1), grad
+
+
+def _moment_chunks(net, geom, ref: _Reference, p1s, wave, order=0):
+    """``_moment_sums`` over the chunks of p1s (B, 3), as (slice, sums).  The
+    chunks share one workspace, allocated once per call."""
+    chunks = _chunks(geom, len(p1s))
+    rows, pairs = len(p1s[chunks[0]]), geom.n_patches * geom.m_patches
+    w_c = np.empty((rows, 4 if order else 1, pairs), dtype=complex)
+    w_r = np.empty((rows, 9, pairs)) if order else None
+    for sl in chunks:
+        yield sl, _moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r)
+
+
+def _score(inner, denom):
+    """|inner| / denom, and 0 where denom is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0, 0.0, np.abs(inner / denom))
 
 
 def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
     """Envelope correlation |<model(p), h_ref>| / (|model(p)| |h_ref|), (B,).
 
-    A location whose prediction vanishes scores 0.
+    A location whose prediction vanishes scores 0.  Without a combiner
+    ``h_ref`` may also be its ``_Reference``.
     """
+    out = np.empty(len(p1s))
+    if f is None:
+        ref = _Reference.of(geom, h_ref)
+        for sl, (norm2, inner) in _moment_chunks(net, geom, ref, p1s, wave):
+            out[sl] = _score(inner, np.sqrt(np.maximum(norm2, 0.0) * ref.norm2))
+        return out
     norm_ref = np.linalg.norm(h_ref)
     ref = h_ref.conj().reshape(-1, 1)
-    out = np.empty(len(p1s))
-    for sl in _chunks(geom, len(p1s)):
+    for sl in _chunks(geom, len(p1s), f):
         pred = expanded_channel(net, geom, p1s[sl], wave, f=f)
         pred = pred.reshape(pred.shape[0], 1, -1)
-        denom = np.linalg.norm(pred[:, 0], axis=1) * norm_ref
         # one dot product per location, so that a score does not depend on
         # the batch; |<h_ref, p>| = |<p, h_ref>|
-        inner = (pred @ ref)[:, 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[sl] = np.where(denom == 0, 0.0, np.abs(inner / denom))
+        out[sl] = _score((pred @ ref)[:, 0, 0],
+                         np.linalg.norm(pred[:, 0], axis=1) * norm_ref)
     return out
 
 
 def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
-    """Squared residual ||model(p) - h_ref||^2 at each of B locations."""
+    """Squared residual ||model(p) - h_ref||^2 at each of B locations.
+
+    Without a combiner ``h_ref`` may also be its ``_Reference``.
+    """
     out = np.empty(len(p1s))
-    for sl in _chunks(geom, len(p1s)):
+    if f is None:
+        ref = _Reference.of(geom, h_ref)
+        for sl, (norm2, inner) in _moment_chunks(net, geom, ref, p1s, wave):
+            out[sl] = norm2 - 2.0 * inner.real + ref.norm2
+        return out
+    for sl in _chunks(geom, len(p1s), f):
         e = expanded_channel(net, geom, p1s[sl], wave, f=f) - h_ref
         out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
     return out
 
 
 def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
-    """Residual cost (B,), Gauss-Newton matrix (B, 3, 3) and gradient (B, 3)."""
+    """Residual cost (B,), Gauss-Newton matrix (B, 3, 3) and gradient (B, 3).
+
+    Without a combiner ``h_ref`` may also be its ``_Reference``.
+    """
     b = len(p1s)
     cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
-    for sl in _chunks(geom, b):
+    if f is None:
+        ref = _Reference.of(geom, h_ref)
+        for sl, (norm2, inner, a_sl, g_sl) in _moment_chunks(
+                net, geom, ref, p1s, wave, order=1):
+            cost[sl], a[sl], g[sl] = norm2 - 2.0 * inner.real + ref.norm2, a_sl, g_sl
+        return cost, a, g
+    for sl in _chunks(geom, b, f):
         h, dh = expanded_channel(net, geom, p1s[sl], wave, order=1, f=f)
         c = h.shape[0]
         e = (h - h_ref).reshape(c, -1)
@@ -443,13 +589,19 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     ``f`` (P, M), predictions are compared with h_ref in the observation
     space of the hybrid receiver, G = H F^T.
 
-    Every prediction is ``expanded_channel``: the network is evaluated once
-    per candidate location, at the relative coordinate of the aperture
-    centres, and expanded over the patch pairs (second order in the pair
-    offsets for the channel, first order for its partials).  The message
-    passing, the CRLB and the known-location estimate read the per-pair
-    model instead.
+    Every prediction is the model of ``expanded_channel``: the network is
+    evaluated once per candidate location, at the relative coordinate of
+    the aperture centres, and expanded over the patch pairs (second order
+    in the pair offsets for the channel, first order for its partials).
+    Behind a combiner the sums run over ``expanded_channel`` arrays, since
+    G = H F^T mixes the carriers of different receive patches.  Without
+    one they run on moments of the expansion basis (``_moment_sums``),
+    and the products of h_ref with that basis are formed once per call.
+    The message passing, the CRLB and the known-location estimate read the
+    per-pair model instead.
     """
+    if f is None:
+        h_ref = _Reference.of(geom, h_ref)
     cands, _ = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, h_ref, cands, wave, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]

@@ -67,7 +67,12 @@ def noise_precision(s: np.ndarray, h: np.ndarray, snr_db: float) -> float:
     SNR is the per-entry average received signal power over the noise
     variance: snr = ||S H||_F^2 * gamma / (3 L M).
     """
-    sig = np.linalg.norm(s @ h) ** 2 / s.shape[0] / h.shape[1]
+    return _precision_of(s @ h, snr_db)
+
+
+def _precision_of(y0: np.ndarray, snr_db: float) -> float:
+    """``noise_precision`` of the noiseless received signal y0 = S H."""
+    sig = np.linalg.norm(y0) ** 2 / y0.shape[0] / y0.shape[1]
     return 10.0 ** (snr_db / 10.0) / sig
 
 
@@ -89,7 +94,7 @@ def simulate_rx(h: np.ndarray, pilots: PilotBlock, snr_db: float, seed):
     y0 = s @ h
     if np.isinf(snr_db):
         return y0, np.inf
-    gamma = noise_precision(s, h, snr_db)
+    gamma = _precision_of(y0, snr_db)
     rng = np.random.default_rng(seed)
     return y0 + _awgn(y0.shape, gamma, rng), gamma
 

@@ -249,13 +249,13 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
 def _pair_offsets(geom: SurfaceGeometry):
     """The relative coordinate of the aperture centres at p1 = 0, the
     offsets dx, dy (N M,) of the patch pairs from it, and the basis of the
-    expansion in those offsets.
+    expansion in those offsets, as terms and as a layout.
 
-    The terms b = (1, dx, dy, dx^2 / 2, dx dy, dy^2 / 2) are laid out for
-    real views of complex arrays: entry ((t, c), (p, c')) is b_t at pair p
-    if c = c' and 0 otherwise, so that the real view of coefficients
-    (..., T) times the first 2T rows is the real view of their expansion
-    (..., N M).
+    The terms b = (1, dx, dy, dx^2 / 2, dx dy, dy^2 / 2) are (6, N M).  The
+    layout is for real views of complex arrays: entry ((t, c), (p, c')) is
+    b_t at pair p if c = c' and 0 otherwise, so that the real view of
+    coefficients (..., T) times the first 2T rows is the real view of their
+    expansion (..., N M).
     """
     rel0 = relative_grid(geom, np.zeros(3)).reshape(-1, 3)
     mean = rel0.mean(axis=0)
@@ -265,9 +265,44 @@ def _pair_offsets(geom: SurfaceGeometry):
     basis = np.zeros((6, 2, dx.size, 2))
     basis[:, 0, :, 0] = basis[:, 1, :, 1] = terms
     basis = basis.reshape(12, 2 * dx.size)
-    for a in (mean, dx, dy, basis):
+    for a in (mean, dx, dy, terms, basis):
         a.flags.writeable = False
-    return mean, dx, dy, basis
+    return mean, dx, dy, terms, basis
+
+
+def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
+    """The basis b_t(p) (6, N M) of ``expansion_coefficients``, read-only;
+    pair p = n M + m is transmit patch n and receive patch m."""
+    return _pair_offsets(geom)[3]
+
+
+def expansion_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
+                           order: int = 0):
+    """The per-location expansion behind ``expanded_channel``.
+
+    For the B locations of ``p1`` (..., 3) returns the relative coordinate
+    of every patch pair, rel (3, B, N M), and the coefficients of the
+    de-rotated output phi and, at ``order`` 1, of its partials over the
+    basis b_t(p) of ``expansion_terms``: phi[b, k, p] = sum_t coef[b, k, t]
+    b_t(p) with coef (B, 6, 6), and dphi[b, k, p, j] = sum_{t < 3}
+    coef1[b, j, k, t] b_t(p) with coef1 (B, 3, 6, 3) (None at order 0).
+    The network, its Jacobian and its Hessian are evaluated once per
+    location, at the relative coordinate c = p1 + mean(transmit offsets) -
+    mean(receive centres) of the two aperture centres, row by row, so that
+    a location's output does not depend on the rest of the batch.
+    """
+    mean, dx, dy, _, _ = _pair_offsets(geom)
+    c = (np.asarray(p1, dtype=float) + mean).reshape(-1, 3)
+    out, d, d2 = _output_jacobians(net, c, 2, _rowwise_matmul)
+    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
+                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    coef1 = None
+    if order == 1:
+        coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
+        coef1 = np.ascontiguousarray(coef1.transpose(0, 2, 1, 3))
+    rel = np.stack(np.broadcast_arrays(c[:, 0, None] + dx, c[:, 1, None] + dy,
+                                       c[:, 2, None]))
+    return rel, coef, coef1
 
 
 def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
@@ -275,41 +310,30 @@ def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig
     """``stacked_channel`` at orders 0 and 1, with the network evaluated once
     per location instead of once per patch pair.
 
-    Every pair's relative coordinate is c + delta: c = p1 + mean(transmit
-    offsets) - mean(receive centres) is the relative coordinate of the two
-    aperture centres, and delta a fixed offset in the aperture plane.  The
-    network, its Jacobian and its Hessian are evaluated at c; the
-    de-rotated output phi of each pair is their second-order expansion in
-    delta, and its partials the first-order one.  The exact exp(i k0 r) and
-    r-hat of each pair then give h and dh.  A location's output does not
-    depend on the rest of the batch, bit for bit: every product is one BLAS
-    call of a fixed shape per location.
+    Every pair's relative coordinate is c + delta: c is the relative
+    coordinate of the two aperture centres, and delta a fixed offset in the
+    aperture plane.  The de-rotated output phi of each pair is the
+    second-order expansion of the network in delta, and its partials the
+    first-order one (``expansion_coefficients``).  The exact exp(i k0 r)
+    and r-hat of each pair then give h and dh.  A location's output does
+    not depend on the rest of the batch, bit for bit: every product is one
+    BLAS call of a fixed shape per location.
     """
     if order not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {order!r}")
-    mean, dx, dy, basis = _pair_offsets(geom)
-    c = np.asarray(p1, dtype=float) + mean                  # (..., 3)
-    lead, n, m = c.shape[:-1], geom.n_patches, geom.m_patches
-    c = c.reshape(-1, 3)
-    out, d, d2 = _output_jacobians(net, c, 2, _rowwise_matmul)
-    # phi[b, k, p] = sum_t coef[b, k, t] b_t(p)
-    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
-                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    _, _, _, _, basis = _pair_offsets(geom)
+    lead = np.shape(p1)[:-1]
+    n, m = geom.n_patches, geom.m_patches
+    rel, coef, coef1 = expansion_coefficients(net, geom, p1, order)
     phi = [(coef.view(float) @ basis).view(complex)]          # (B, 6, N M)
     # the partials and the relative coordinates keep the coordinate axis
     # outermost in memory, so that the elementwise products in ``_rotate``
     # run along the pairs
     if order == 1:
-        # dphi[b, k, p, j] = sum_t coef1[b, j, k, t] b_t(p), t < 3
-        coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
-        coef1 = coef1.transpose(0, 2, 1, 3).reshape(-1, 18, 3)
-        dphi = (coef1.view(float) @ basis[:6]).view(complex)  # (B, 18, N M)
+        dphi = (coef1.reshape(-1, 18, 3).view(float) @ basis[:6]).view(complex)
         phi.append(np.moveaxis(dphi.reshape(-1, 3, 6, n * m), 1, -1))
-    rel = np.stack(np.broadcast_arrays(c[:, 0, None, None] + dx,
-                                       c[:, 1, None, None] + dy,
-                                       c[:, 2, None, None]))  # (3, B, 1, N M)
     parts = [a.reshape(lead + (6 * n, m) + a.shape[3:])
-             for a in _rotate(phi, np.moveaxis(rel, 0, -1), wave)]
+             for a in _rotate(phi, np.moveaxis(rel[:, :, None], 0, -1), wave)]
     if order == 0:
         return combine_channel(f, parts[0])
     return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(parts))

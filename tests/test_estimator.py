@@ -310,9 +310,14 @@ class TestGridSearchInit:
                                           wave, monkeypatch, snr):
         # the init evaluates the network once per location; on the first
         # three run_point draws it picks the z-tooth that the per-pair
-        # model picks, at a position within 1e-3 m of that model's
+        # model picks, at a position within 1e-3 m of that model's.  The
+        # identity combiner is exact, so f = I runs the full-digital init on
+        # ``expanded_channel`` arrays, which the reference swaps for the
+        # per-pair model; the full-digital init's moment sums must land
+        # where those arrays do, within 1e-9 m
         cfg = PROFILES["ci"]
         ecfg = estimator_config(cfg)
+        eye = np.eye(small_geometry.m_patches, dtype=complex)
         winners = []
         refine = estimator._refine_batch
 
@@ -332,11 +337,14 @@ class TestGridSearchInit:
             h_ls = ls_estimate(pilots.matrix, y)
             p_init, _ = grid_search_init(trained_net, small_geometry, h_ls, cfg=ecfg,
                                          wave=wave)
+            p_eye, _ = grid_search_init(trained_net, small_geometry, h_ls,
+                                        cfg=ecfg, wave=wave, f=eye)
             with monkeypatch.context() as per_pair:
                 per_pair.setattr(estimator, "expanded_channel", stacked_channel)
                 p_ref, _ = grid_search_init(trained_net, small_geometry, h_ls,
-                                            cfg=ecfg, wave=wave)
-            assert winners[-2] == winners[-1]
+                                            cfg=ecfg, wave=wave, f=eye)
+            assert winners[-3] == winners[-2] == winners[-1]
+            assert np.max(np.abs(p_init - p_eye)) <= 1e-9
             assert np.max(np.abs(p_init - p_ref)) <= 1e-3
 
     def test_respects_prior_box(self, trained_net, small_geometry, wave):
@@ -420,6 +428,42 @@ class TestInitHelpers:
                 one = helper(trained_net, geom, h_ref, p1[None], wave, f)
                 for b, o in zip(_tuple(batch), _tuple(one)):
                     assert np.array_equal(b[i], o[0])
+
+    @pytest.mark.parametrize("saturating", [False, True])
+    def test_moments_match_expansion_path(self, trained_net, small_geometry,
+                                          wave, true_channel, true_position,
+                                          saturating):
+        # without a combiner the helpers sum basis moments; through the exact
+        # identity combiner they sum ``expanded_channel`` arrays.  Each output
+        # agrees within 1e-12 of its largest entry.  The saturating net's
+        # prediction at z = 60 m vanishes: score 0, cost ||h_ref||^2 and a
+        # singular system
+        geom = small_geometry
+        rng = np.random.default_rng(9)
+        if saturating:
+            net = _saturating_net()
+            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0], wave)
+            p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.1, -0.05, 3.2],
+                            [0.0, 0.1, 3.1], [0.0, 0.0, 60.0]])
+        else:
+            net, h_ref = trained_net, true_channel
+            p1s = np.vstack([np.column_stack([rng.uniform(-1, 1, (6, 2)),
+                                              rng.uniform(20, 40, 6)]),
+                             true_position])
+        eye = np.eye(geom.m_patches, dtype=complex)
+        sums = []       # scores, costs, then cost, J^H J and J^H e
+        for helper in (estimator._envelope_scores, estimator._residual_costs,
+                       estimator._normal_equations):
+            moments = _tuple(helper(net, geom, h_ref, p1s, wave))
+            arrays = _tuple(helper(net, geom, h_ref, p1s, wave, eye))
+            for m, e in zip(moments, arrays):
+                assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
+            sums.extend(moments)
+        if saturating:
+            score, _, cost, a, g = (s[-1] for s in sums)
+            assert score == 0.0
+            assert cost == pytest.approx(np.linalg.norm(h_ref) ** 2, rel=1e-12)
+            assert not np.any(a) and not np.any(g)
 
 
 def _tuple(out):

@@ -72,6 +72,12 @@ class TestSimulateRx:
         assert np.array_equal(y, pilots.matrix @ channel)
         assert gamma == np.inf
 
+    @pytest.mark.parametrize("snr", [-3.0, 10.0, 25.0])
+    def test_precision_equals_noise_precision(self, pilots, channel, snr):
+        # simulate_rx reads the signal power from its noiseless output
+        _, gamma = simulate_rx(channel, pilots, snr, seed=0)
+        assert gamma == noise_precision(pilots.matrix, channel, snr)
+
     def test_snr_calibration(self, pilots, channel):
         y, gamma = simulate_rx(channel, pilots, 10.0, seed=0)
         w = y - pilots.matrix @ channel
