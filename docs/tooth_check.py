@@ -1,0 +1,127 @@
+"""Record or compare the location init's start p0 on the ci profile's draws.
+
+The init (``estimator.grid_search_init``) picks one z-tooth of a comb one
+wavelength apart; a change to it that is meant to move its output only at
+round-off must keep the winning tooth of every draw.  This script runs the
+full-digital estimator on the 60 draws of ``run_point`` on the ci profile
+(seed 0, point seed 0: 20 trials each at 0, 8 and 20 dB), records the p0
+that each init returns, and writes them to a JSON file:
+
+    PYTHONPATH=src python docs/tooth_check.py p0_before.json
+    PYTHONPATH=src python docs/tooth_check.py p0_after.json --weights w.json
+    python docs/tooth_check.py --compare p0_before.json p0_after.json
+
+Without ``--weights`` it trains the ci-settings surrogate first (about
+2 s), as ``hmimo train`` would.  ``--compare`` prints "same tooth k of 60,
+max |dp0| ... m" and exits 1 if any draw's p0 lies on another tooth, that
+is, if its z moved by half a wavelength or more.
+"""
+
+import argparse
+import json
+import sys
+import time
+
+import numpy as np
+
+SNRS = (0.0, 8.0, 20.0)
+
+
+def _ci_net(cfg, weights):
+    from hmimo.harness import build_geometry
+    from hmimo.green import QuadratureRule, WaveConfig
+    from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
+                                 generate_training_set, train)
+    if weights is not None:
+        return HybridNet.load(weights)
+    t, prior = cfg["training"], cfg["prior"]
+    geom, wave = build_geometry(cfg), WaveConfig(cfg["wave"]["frequency"])
+    box = CoordinateBox.from_prior(geom, *(tuple(prior[k]) for k in "xyz"))
+    inputs, targets = generate_training_set(
+        box, geom, wave, QuadratureRule(t["quadrature_order"]), t["samples"],
+        seed=t["sample_seed"])
+    tc = TrainConfig(hidden_count=t["hidden_count"], epochs=t["epochs"],
+                     seed=t["seed"])
+    return train(inputs, targets, tc, wave.frequency)[0]
+
+
+def record(path, weights):
+    from hmimo import estimator
+    from hmimo.green import QuadratureRule, WaveConfig, full_channel
+    from hmimo.harness import (PROFILES, _draw_trial, build_geometry,
+                               estimator_config)
+    from hmimo.signals import simulate_rx, unitary_transform
+
+    cfg = PROFILES["ci"]
+    net = _ci_net(cfg, weights)
+    geom, wave = build_geometry(cfg), WaveConfig(cfg["wave"]["frequency"])
+    ecfg = estimator_config(cfg)
+    init = estimator.grid_search_init
+    starts, cpu = [], []
+
+    def recorded(*args, **kwargs):
+        t0 = time.process_time()
+        p0, var0 = init(*args, **kwargs)
+        cpu.append(time.process_time() - t0)
+        starts.append(p0.tolist())
+        return p0, var0
+
+    # the draws of run_point's first sweep point
+    seqs = np.random.SeedSequence(entropy=cfg["seed"],
+                                  spawn_key=(0,)).spawn(cfg["trials"])
+    estimator.grid_search_init = recorded
+    try:
+        for snr in SNRS:
+            for seq in seqs:
+                seeds, p1, pilots, _ = _draw_trial(cfg, geom, cfg["fixed"], seq)
+                h = full_channel(geom, p1, wave,
+                                 QuadratureRule(cfg["quadrature_order"])).stacked
+                y, _ = simulate_rx(h, pilots, snr, seed=seeds[2])
+                try:
+                    estimator.estimate_full_digital(
+                        unitary_transform(pilots.matrix, y), net, geom, ecfg)
+                except estimator.NumericalFailure:
+                    pass        # the init has run; its p0 is recorded
+    finally:
+        estimator.grid_search_init = init
+    with open(path, "w") as fh:
+        json.dump({"snr_db": SNRS, "trials": cfg["trials"],
+                   "wavelength_m": wave.wavelength, "p0": starts}, fh)
+    print(f"{len(starts)} inits, CPU s per init: min {min(cpu):.3f}, "
+          f"median {np.median(cpu):.3f}, max {max(cpu):.3f} -> {path}")
+
+
+def compare(path_a, path_b) -> int:
+    docs = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    a, b = (np.array(d["p0"]) for d in docs)
+    if a.shape != b.shape:
+        print(f"draw counts differ: {len(a)} and {len(b)}")
+        return 1
+    same = np.abs(a[:, 2] - b[:, 2]) < docs[0]["wavelength_m"] / 2
+    print(f"same tooth {int(same.sum())} of {len(a)}, "
+          f"max |dp0| {np.max(np.abs(a - b)):.3g} m")
+    for i in np.flatnonzero(~same):
+        print(f"  draw {i}: z {a[i, 2]:.6f} -> {b[i, 2]:.6f} m")
+    return 0 if same.all() else 1
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", help="JSON file to write the p0s to")
+    ap.add_argument("--weights", help="surrogate weights file (default: train)")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two recorded files instead")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("give an output file or --compare A B")
+    record(args.out, args.weights)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

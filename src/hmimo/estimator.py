@@ -16,10 +16,11 @@ full-digital receiver).  The init searches many candidate locations, and
 reads the model of ``expanded_channel(..., f)``, which evaluates the
 network once per location and expands it over the patch pairs; without a
 combiner it sums that model through moments of the expansion basis
-rather than per-pair arrays.  The loop reads the
-per-pair model ``stacked_channel`` through ``taylor_linearize`` and
-``through``, as do the CRLB and the known-location estimate, so the
-loop converges on the per-pair model from the init's start.
+rather than per-pair arrays, with one carrier rotation per location and
+a small phase per pair.  The loop reads the per-pair model
+``stacked_channel`` through ``taylor_linearize`` and ``through``, as do
+the CRLB and the known-location estimate, so the loop converges on the
+per-pair model from the init's start.
 """
 
 from __future__ import annotations
@@ -94,6 +95,17 @@ def ls_estimate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     if rank < s.shape[1]:
         raise np.linalg.LinAlgError("pilot matrix is rank deficient")
     return sol
+
+
+def _ls_start(model: UnitaryModel) -> np.ndarray:
+    """``ls_estimate(model.phi, model.r)`` from the factors of the unitary
+    model: Phi's first 6N rows are Sigma V^H, whose rows are orthogonal,
+    and the rest are zero, so the least-squares channel is
+    Phi_1^H (R_1 / rowsum |Phi_1|^2) over those rows."""
+    cols = model.phi.shape[1]
+    phi1 = model.phi[:cols]
+    row2 = np.sum(phi1.real ** 2 + phi1.imag ** 2, axis=1)
+    return phi1.conj().T @ (model.r[:cols] / row2[:, None])
 
 
 # --- AMP linear stage ---------------------------------------------------
@@ -267,8 +279,8 @@ def _grid_candidates(cfg: EstimatorConfig):
 
 
 # Patch pairs per chunk of locations in the init's sums.  Without a
-# combiner a pair costs about 200 B in the moment sums of the normal
-# equations (60 B in the costs and scores), so a chunk peaks near 3 MB.
+# combiner a pair costs about 170 B in the moment sums of the normal
+# equations (80 B in the costs and scores), so a chunk peaks near 3 MB.
 # With one it costs about 1.3 kB in ``expanded_channel`` and the normal
 # equations (1.9 kB at P = M), so that path takes _HYBRID_SHARE times fewer
 # pairs per chunk, and stays under about 6 MB whatever the geometry.
@@ -336,42 +348,66 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     the workspace ``w_r`` it also returns J^H J (B, 3, 3) and
     Re J^H (h - h_ref) (B, 3) of the Jacobian J of h, dh = (dphi + i k0 phi
     r-hat) exp(i k0 r), whose moments carry the weights r-hat_j and
-    r-hat_i r-hat_j.  The per-pair weights are written to the first B rows
-    of the workspaces ``w_c`` (complex, 1 or 4 weights) and ``w_r`` (real,
-    9 weights), shaped (rows, weights, N M).
+    r-hat_i r-hat_j.  The carrier of pair p is that of the aperture centres,
+    r_c = |c| (``expansion_coefficients``), times that of the small offset
+    delta_p = r_p - r_c, written without cancellation as (r_p^2 - r_c^2) /
+    (r_p + r_c) and evaluated as the cosine and sine of a phase of at most a
+    few radians; the moments are linear in the carrier, so the rotation
+    exp(-i k0 r_c) multiplies each location's sums once.  The moments
+    R^{r-hat_j} enter only as C^H R^{r-hat_j}, which is summed over the
+    pairs after the contraction over (k, t).  The per-pair weights are
+    written to the first B rows of the workspaces ``w_c`` (complex, the
+    small-phase carrier) and ``w_r`` (real, 9 weights), shaped (rows,
+    weights, N M).
     """
     k0 = wave.wavenumber
-    rel, c, c1 = expansion_coefficients(net, geom, p1s, 0 if w_r is None else 1)
+    centre, rel, c, c1 = expansion_coefficients(net, geom, p1s,
+                                                0 if w_r is None else 1)
+    _, dx, dy = expansion_terms(geom)[:3]
     b = len(c)
     w_c = w_c[:b]
     r = rel[0] ** 2
     r += rel[1] ** 2
     r += rel[2] ** 2
     np.sqrt(r, out=r)                                          # (B, N M)
-    np.exp(np.multiply(-1j * k0, r, out=w_c[:, 0]), out=w_c[:, 0])
+    r_c = np.linalg.norm(centre, axis=1)[:, None]              # (B, 1)
+    # -k0 delta_p, with r_p^2 - r_c^2 = dx (2 c_x + dx) + dy (2 c_y + dy)
+    phase = np.add(centre[:, :1], rel[0]) * dx
+    phase += np.add(centre[:, 1:2], rel[1]) * dy
+    phase /= r + r_c
+    phase *= -k0
+    np.cos(phase, out=w_c[:, 0].real)
+    np.sin(phase, out=w_c[:, 0].imag)
+    rot = np.exp(-1j * k0 * r_c)                               # (B, 1)
     cg = c @ ref.gram                                          # (B, 6, 6)
     cc = c.conj()
     norm2 = _dot(cc, cg).real
+    rm = (w_c @ ref.ref_b)[:, 0]                    # R exp(i k0 r_c), (B, 36)
+    inner = _dot(cc, rm) * rot[:, 0]
     if w_r is None:
-        return norm2, _dot(cc, w_c @ ref.ref_b)
-    # R^w (B, 4, 36) for w = 1, r-hat_x, r-hat_y, r-hat_z, and the weighted
-    # Gram matrices G^w (B, 9, 36) for w = r-hat_j and r-hat_i r-hat_j, i <= j
+        return norm2, inner
+    # the weighted Gram matrices G^w (B, 9, 36) for w = r-hat_j and
+    # r-hat_i r-hat_j, i <= j
     w_r = w_r[:b]
     np.multiply(rel.transpose(1, 0, 2), np.divide(1.0, r, out=r)[:, None],
                 out=w_r[:, :3])
     for n, (i, j) in enumerate(zip(*_IU), start=3):
         np.multiply(w_r[:, i], w_r[:, j], out=w_r[:, n])
-    np.multiply(w_c[:, :1], w_r[:, :3], out=w_c[:, 1:])
-    rm = w_c @ ref.ref_b
     g_w = w_r @ ref.b_b
-    d = (rm @ cc.reshape(b, 36, 1))[..., 0]                    # (B, 4)
+    # C^H R^{r-hat_j} = sum_p r-hat_j exp(-i k0 r_p) s_p, with s_p = sum_kt
+    # conj(C_kt) h_ref[k, p] b_t(p), as real products of (Re, Im) pairs
+    s = (cc.reshape(b, 1, 36) @ ref.ref_b.T)[:, 0]             # (B, N M)
+    s *= w_c[:, 0]
+    d = (w_r[:, :3] @ s.view(float).reshape(b, -1, 2)).view(complex)[..., 0]
+    d *= rot                                                   # (B, 3)
+    rm *= rot
     # Re J^H e pairs dphi_j + i k0 phi r-hat_j with phi - exp(-i k0 r) h_ref:
-    # dphi_j gives C1_j . (C Gamma - R^1) over t < 3, and i k0 phi r-hat_j
+    # dphi_j gives C1_j . (C Gamma - R) over t < 3, and i k0 phi r-hat_j
     # gives -k0 Im(C^H R^{r-hat_j}) plus Re(-i k0 C^H G^j C), which vanishes
     # as G^j is real and symmetric
     c1c = c1.conj().reshape(b, 3, 18)
-    grad = ((c1c @ (cg - rm[:, 0].reshape(b, 6, 6))[..., :3].reshape(b, 18, 1))
-            [..., 0].real - k0 * d[:, 1:].imag)
+    grad = ((c1c @ (cg - rm.reshape(b, 6, 6))[..., :3].reshape(b, 18, 1))
+            [..., 0].real - k0 * d.imag)
     # J^H J = Re(dphi^H dphi) + the cross term Re(i k0 dphi_i^H phi r-hat_j)
     # + (i <-> j) + the carrier term k0^2 |phi|^2 r-hat r-hat^T, each summed
     # over the basis; half of it plus its transpose is symmetric bit for bit
@@ -385,7 +421,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     carrier[:, _IU[0], _IU[1]] = carrier[:, _IU[1], _IU[0]] = (
         g_w[:, 3:] @ q.reshape(b, 36, 1))[..., 0]
     half = 0.5 * dd - k0 * cross + 0.5 * k0 ** 2 * carrier
-    return norm2, d[:, 0], half + half.transpose(0, 2, 1), grad
+    return norm2, inner, half + half.transpose(0, 2, 1), grad
 
 
 def _moment_chunks(net, geom, ref: _Reference, p1s, wave, order=0):
@@ -393,7 +429,7 @@ def _moment_chunks(net, geom, ref: _Reference, p1s, wave, order=0):
     chunks share one workspace, allocated once per call."""
     chunks = _chunks(geom, len(p1s))
     rows, pairs = len(p1s[chunks[0]]), geom.n_patches * geom.m_patches
-    w_c = np.empty((rows, 4 if order else 1, pairs), dtype=complex)
+    w_c = np.empty((rows, 1, pairs), dtype=complex)
     w_r = np.empty((rows, 9, pairs)) if order else None
     for sl in chunks:
         yield sl, _moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r)
@@ -688,8 +724,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
         _, spacing = _grid_candidates(cfg)
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
-        p0, var0 = grid_search_init(net, geom, ls_estimate(phi, model.r), cfg,
-                                    wave, f=f)
+        p0, var0 = grid_search_init(net, geom, _ls_start(model), cfg, wave, f=f)
 
     loc = init_location_state(p0, var0)
     lin = _scaled_linearization(net, geom, loc.mean, wave, scale)

@@ -6,8 +6,9 @@ Multiplying by exp(i k0 r) recovers the channel itself, and analytic
 first/second derivatives of that product are available for the
 linearized message passing and for Fisher-information computations.  The
 location init, which evaluates the channel at many candidate locations,
-instead evaluates the network once per location and expands its output
-over the patch pairs (``expanded_channel``).
+instead evaluates the network once per location, only for the partials
+that its expansion over the patch pairs reads, and expands its output
+(``expansion_coefficients``, ``expanded_channel``).
 
 Slot layout of the 12 outputs: slots 0..5 are the real parts in the
 order (xx, yy, zz, xy, xz, yz); slots 6..11 the matching imaginary
@@ -69,11 +70,31 @@ class HybridNet:
     def hidden_count(self) -> int:
         return self.w1.shape[0]
 
+    @functools.cached_property
+    def _expansion_block(self) -> np.ndarray:
+        """The output layer of the partials that ``expansion_coefficients``
+        reads, (3 Nh, 12 x 9), built once per net: a partial of order n in
+        the inputs is tanh^(n) of the hidden layer times w2 and n columns of
+        w1, so row block n (tanh, tanh', tanh'') holds those products for
+        the columns _EXPANSION_PARTIALS of each output slot, with the input
+        and output scales folded in, and zeros elsewhere."""
+        nh = self.hidden_count
+        w1s = self.w1 / self.input_scale           # chain rule through input map
+        block = np.zeros((3, nh, 12, len(_EXPANSION_PARTIALS)))
+        for col, axes in enumerate(_EXPANSION_PARTIALS):
+            w = self.w2 * self.output_scale
+            for j in axes:
+                w = w * w1s[:, j, None]
+            block[len(axes), :, :, col] = w
+        block = block.reshape(3 * nh, -1)
+        block.flags.writeable = False
+        return block
+
     # --- forward -----------------------------------------------------
 
-    def _hidden(self, xyz: np.ndarray, matmul=np.matmul) -> np.ndarray:
+    def _hidden(self, xyz: np.ndarray) -> np.ndarray:
         xn = (np.atleast_2d(xyz) - self.input_offset) / self.input_scale
-        return np.tanh(matmul(xn, self.w1.T) + self.b1)
+        return np.tanh(xn @ self.w1.T + self.b1)
 
     def forward(self, xyz: np.ndarray) -> np.ndarray:
         """Raw-unit 12-vector outputs for inputs of shape (K, 3) or (3,)."""
@@ -129,16 +150,14 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b)[:, 0]
 
 
-def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int,
-                      matmul=np.matmul):
+def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
     """Raw-unit outputs of the network and their partials up to ``order``.
 
     Returns (out, d_out, d2_out)[:order + 1], of shapes (K, 12), (K, 12, 3)
-    and (K, 12, 3, 3).  ``matmul`` does the four products over the hidden
-    layer.
+    and (K, 12, 3, 3).
     """
-    a = net._hidden(xyz, matmul)               # (K, Nh)
-    derivs = [(matmul(a, net.w2) + net.b2) * net.output_scale + net.output_offset]
+    a = net._hidden(xyz)                       # (K, Nh)
+    derivs = [(a @ net.w2 + net.b2) * net.output_scale + net.output_offset]
     if order >= 1:
         nh = net.hidden_count
         gp = 1.0 - a**2                            # tanh'
@@ -146,12 +165,12 @@ def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int,
         # dyn[b,k,j] = sum_i gp[b,i] w2[i,k] w1s[i,j], as one (K, Nh) x (Nh, 36)
         # product: a multi-operand einsum here costs ~30x more per call
         w2w1 = net.w2[:, :, None] * w1s[:, None, :]           # (Nh, 12, 3)
-        dyn = matmul(gp, w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
+        dyn = (gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
         derivs.append(dyn * net.output_scale[None, :, None])
     if order >= 2:
         gpp = -2.0 * a * gp                    # tanh''
         w2w1w1 = w2w1[:, :, :, None] * w1s[:, None, None, :]  # (Nh, 12, 3, 3)
-        d2yn = matmul(gpp, w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
+        d2yn = (gpp @ w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
         derivs.append(d2yn * net.output_scale[None, :, None, None])
     return tuple(derivs)
 
@@ -276,33 +295,56 @@ def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
     return _pair_offsets(geom)[3]
 
 
+# The partials of the network output that ``expansion_coefficients`` reads,
+# by the input coordinates they differentiate in: the value, d/dx, d/dy and
+# the second partials xx, xy, yy of the expansion of phi, then d/dz, xz and
+# yz, which only the expansion of its partials reads
+_EXPANSION_PARTIALS = ((), (0,), (1,), (0, 0), (0, 1), (1, 1), (2,), (0, 2), (1, 2))
+# the coefficients of each partial d/dx, d/dy, d/dz of phi over the first three
+# basis terms (1, dx, dy), as columns of _EXPANSION_PARTIALS
+_PARTIAL_COLUMNS = ((1, 3, 4), (2, 4, 5), (6, 7, 8))
+
+
 def expansion_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
                            order: int = 0):
     """The per-location expansion behind ``expanded_channel``.
 
     For the B locations of ``p1`` (..., 3) returns the relative coordinate
-    of every patch pair, rel (3, B, N M), and the coefficients of the
-    de-rotated output phi and, at ``order`` 1, of its partials over the
-    basis b_t(p) of ``expansion_terms``: phi[b, k, p] = sum_t coef[b, k, t]
-    b_t(p) with coef (B, 6, 6), and dphi[b, k, p, j] = sum_{t < 3}
-    coef1[b, j, k, t] b_t(p) with coef1 (B, 3, 6, 3) (None at order 0).
-    The network, its Jacobian and its Hessian are evaluated once per
-    location, at the relative coordinate c = p1 + mean(transmit offsets) -
-    mean(receive centres) of the two aperture centres, row by row, so that
-    a location's output does not depend on the rest of the batch.
+    c (B, 3) of the two aperture centres, c = p1 + mean(transmit offsets) -
+    mean(receive centres), that of every patch pair, rel (3, B, N M), and
+    the coefficients of the de-rotated output phi and, at ``order`` 1, of
+    its partials over the basis b_t(p) of ``expansion_terms``: phi[b, k, p]
+    = sum_t coef[b, k, t] b_t(p) with coef (B, 6, 6), and dphi[b, k, p, j] =
+    sum_{t < 3} coef1[b, j, k, t] b_t(p) with coef1 (B, 3, 6, 3) (None at
+    order 0).  The network is evaluated once per location, at c, and only
+    the partials the expansion reads: the value, the x and y partials and
+    the xx, xy and yy second partials, plus the z, xz and yz ones at order
+    1.  They are one product of the stacked activations [tanh | tanh' |
+    tanh''] with the net's ``_expansion_block``.  Both layers' products run
+    row by row, so that a location's output does not depend on the rest of
+    the batch.
     """
     mean, dx, dy, _, _ = _pair_offsets(geom)
     c = (np.asarray(p1, dtype=float) + mean).reshape(-1, 3)
-    out, d, d2 = _output_jacobians(net, c, 2, _rowwise_matmul)
-    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
-                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    acts = np.empty((len(c), 3, net.hidden_count))
+    a, gp, gpp = acts.transpose(1, 0, 2)
+    xn = (c - net.input_offset) / net.input_scale
+    np.tanh(_rowwise_matmul(xn, net.w1.T) + net.b1, out=a)
+    np.subtract(1.0, np.square(a, out=gp), out=gp)                 # tanh'
+    np.multiply(-2.0 * a, gp, out=gpp)                             # tanh''
+    out = _rowwise_matmul(acts.reshape(len(c), -1), net._expansion_block)
+    out = out.reshape(-1, 12, len(_EXPANSION_PARTIALS))
+    out[:, :, 0] += net.b2 * net.output_scale + net.output_offset
+    coef = _complex(out[:, :, :6])
     coef1 = None
     if order == 1:
-        coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
+        coef1 = _complex(out[:, :, _PARTIAL_COLUMNS])           # (B, 6, 3, 3)
         coef1 = np.ascontiguousarray(coef1.transpose(0, 2, 1, 3))
-    rel = np.stack(np.broadcast_arrays(c[:, 0, None] + dx, c[:, 1, None] + dy,
-                                       c[:, 2, None]))
-    return rel, coef, coef1
+    rel = np.empty((3, len(c), dx.size))
+    np.add(c[:, 0, None], dx, out=rel[0])
+    np.add(c[:, 1, None], dy, out=rel[1])
+    rel[2] = c[:, 2, None]
+    return c, rel, coef, coef1
 
 
 def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
@@ -324,7 +366,7 @@ def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig
     _, _, _, _, basis = _pair_offsets(geom)
     lead = np.shape(p1)[:-1]
     n, m = geom.n_patches, geom.m_patches
-    rel, coef, coef1 = expansion_coefficients(net, geom, p1, order)
+    _, rel, coef, coef1 = expansion_coefficients(net, geom, p1, order)
     phi = [(coef.view(float) @ basis).view(complex)]          # (B, 6, N M)
     # the partials and the relative coordinates keep the coordinate axis
     # outermost in memory, so that the elementwise products in ``_rotate``

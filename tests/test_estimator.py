@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from hmimo.crlb import fim
-from hmimo.geometry import SurfaceGeometry
+from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import QuadratureRule, WaveConfig, full_channel
 from hmimo.harness import PROFILES, _draw_trial, estimator_config
 from hmimo.signals import (PilotBlock, gen_combiner, gen_pilots, simulate_rx,
                            simulate_rx_hybrid, unitary_transform, combine_channel)
 from hmimo import estimator
-from hmimo.surrogate import HybridNet, hybrid_channel, stacked_channel
+from hmimo.surrogate import (HybridNet, expansion_coefficients, hybrid_channel,
+                             stacked_channel, _complex, _output_jacobians)
 from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
                              LocationState, NumericalFailure, UampState,
                              channel_belief, clamp_var, estimate_full_digital,
@@ -89,6 +90,25 @@ class TestLsEstimate:
         rows_ratio = true_channel.shape[0] / pilots.matrix.shape[0]
         expect = rows_ratio / 10 ** (snr_db / 10)
         assert nmse == pytest.approx(expect, rel=0.3)
+
+    @pytest.mark.parametrize("chains", [None, 24])
+    def test_init_start_from_unitary_factors(self, small_geometry, true_channel,
+                                             chains):
+        # the estimator's init starts from the LS channel of the unitary
+        # model, formed from its orthogonal rows rather than by lstsq
+        geom = small_geometry
+        pilots = gen_pilots(geom.n_patches, 100, seed=4)
+        if chains is None:
+            y, _ = simulate_rx(true_channel, pilots, 8.0, seed=1)
+        else:
+            f = gen_combiner(chains, geom.m_patches, seed=5)
+            y, _ = simulate_rx_hybrid(f, true_channel, pilots, 8.0, seed=1)
+        model = unitary_transform(pilots.matrix, y)
+        want = ls_estimate(model.phi, model.r)
+        got = estimator._ls_start(model)
+        assert got.shape == want.shape == (6 * geom.n_patches,
+                                           chains or geom.m_patches)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- AMP linear stage -----------------------------------------------------
@@ -376,6 +396,53 @@ def _saturating_net():
                      output_scale=np.ones(12), frequency=3e9)
 
 
+def _reference_coefficients(net, geom, p1s, order):
+    """``expansion_coefficients``' (coef, coef1) from the full output
+    Jacobian and Hessian, stacked term by term."""
+    mean = relative_grid(geom, np.zeros(3)).reshape(-1, 3).mean(axis=0)
+    out, d, d2 = _output_jacobians(net, p1s + mean, 2)
+    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
+                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    if order == 0:
+        return coef, None
+    coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
+    return coef, coef1.transpose(0, 2, 1, 3)
+
+
+class TestExpansionCoefficients:
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("saturating", [False, True])
+    def test_matches_full_hessian_reference(self, trained_net, small_geometry,
+                                            order, count, saturating):
+        # only the partials the expansion reads, in one product per location,
+        # agree with the full Jacobian and Hessian within 1e-13 of each
+        # array's largest entry
+        geom = small_geometry
+        if saturating:
+            net = _saturating_net()
+            p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.1, -0.05, 3.2],
+                            [0.0, 0.1, 3.1], [0.0, 0.0, 60.0], [-0.3, 0.2, 1.5],
+                            [0.2, 0.4, 4.0]])[:count]
+        else:
+            net = trained_net
+            rng = np.random.default_rng(10)
+            p1s = np.column_stack([rng.uniform(-1, 1, (count, 2)),
+                                   rng.uniform(20, 40, count)])
+        centre, rel, coef, coef1 = expansion_coefficients(net, geom, p1s, order)
+        want, want1 = _reference_coefficients(net, geom, p1s, order)
+        pairs = relative_grid(geom, p1s).reshape(count, -1, 3)
+        assert np.allclose(rel, pairs.transpose(2, 0, 1), rtol=0, atol=1e-12)
+        assert np.allclose(centre, pairs.mean(axis=1), rtol=0, atol=1e-12)
+        assert coef.shape == (count, 6, 6)
+        assert np.max(np.abs(coef - want)) <= 1e-13 * np.max(np.abs(want))
+        if order == 0:
+            assert coef1 is None
+        else:
+            assert coef1.shape == (count, 3, 6, 3)
+            assert np.max(np.abs(coef1 - want1)) <= 1e-13 * np.max(np.abs(want1))
+
+
 class TestRefineBatch:
     @pytest.mark.parametrize("chains", [None, 24])
     def test_batching_does_not_mix_starts(self, small_geometry, wave,
@@ -446,10 +513,18 @@ class TestInitHelpers:
             p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.1, -0.05, 3.2],
                             [0.0, 0.1, 3.1], [0.0, 0.0, 60.0]])
         else:
+            # the corners of the init's clipped prior box at z = 18 m put the
+            # carrier phase of a pair's offset from the aperture centres,
+            # k0 (r_p - r_c), beyond pi / 4
             net, h_ref = trained_net, true_channel
+            corners = [[x, y, 18.0] for x in (-1.2, 1.2) for y in (-1.2, 1.2)]
             p1s = np.vstack([np.column_stack([rng.uniform(-1, 1, (6, 2)),
                                               rng.uniform(20, 40, 6)]),
-                             true_position])
+                             true_position, corners])
+            rel = relative_grid(geom, p1s).reshape(len(p1s), -1, 3)
+            offset = (np.linalg.norm(rel, axis=-1)
+                      - np.linalg.norm(rel.mean(axis=1), axis=-1)[:, None])
+            assert np.max(np.abs(wave.wavenumber * offset[-4:])) > np.pi / 4
         eye = np.eye(geom.m_patches, dtype=complex)
         sums = []       # scores, costs, then cost, J^H J and J^H e
         for helper in (estimator._envelope_scores, estimator._residual_costs,
