@@ -1,0 +1,110 @@
+"""Run the benchmark in two checkouts as alternating pairs and compare them.
+
+    python docs/bench_pairs.py BASE NEW --workload paper-hybrid-warm \\
+        --seeds 21-30
+
+BASE and NEW are the roots of two checkouts, each with its own
+``perfbench/run.py``.  For every seed, one pair of runs of
+``perfbench/run.py --trace 0`` is made, one in each checkout, and which
+side runs first alternates from pair to pair.  For each end-to-end metric
+it prints both sides' median and quartiles, how many pairs NEW is lower
+in, the median of the per-pair ratios NEW / BASE, and whether the medians
+differ by more than BASE's interquartile range.  It exits 1 if any run
+reports ``correct: false`` or prints no result, and 2 on bad arguments.
+Only the standard library is used.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+
+def _seeds(text):
+    """'21-30' or '1,4,9' (or a mix) as a list of ints."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _run(root, workload, seed, seconds):
+    """One benchmark run in the checkout ``root``: its last stdout line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stdout + proc.stderr)
+        return {"correct": False, "metrics": {}}
+
+
+def _quartiles(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=pathlib.Path)
+    parser.add_argument("new", type=pathlib.Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=_seeds, required=True,
+                        help="e.g. 21-30 or 1,3,5")
+    parser.add_argument("--seconds", type=int, default=15)
+    args = parser.parse_args(argv)
+    sides = {"base": args.base.resolve(), "new": args.new.resolve()}
+    for root in sides.values():
+        if not (root / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {root}")
+    if len(args.seeds) < 2:
+        parser.error("need at least two seeds")
+
+    runs = {side: [] for side in sides}
+    correct = True
+    for i, seed in enumerate(args.seeds):
+        order = ("base", "new") if i % 2 == 0 else ("new", "base")
+        for side in order:
+            result = _run(sides[side], args.workload, seed, args.seconds)
+            runs[side].append(result)
+            if not result.get("correct"):
+                correct = False
+                print(f"seed {seed}: {side} run is not correct", file=sys.stderr)
+        print(f"seed {seed}: " + "  ".join(
+            f"{side} trial_s {runs[side][-1]['metrics'].get('trial_s', {}).get('value')}"
+            for side in sides), flush=True)
+
+    names = [n for n in runs["base"][0]["metrics"]
+             if all(n in r["metrics"] for side in sides for r in runs[side])]
+    n = len(args.seeds)
+    print(f"\n{args.workload}, {n} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}")
+    print(f"{'metric':<16}{'side':<6}{'median':>12}{'q1':>12}{'q3':>12}")
+    for name in names:
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in sides}
+        if any(v is None for vs in values.values() for v in vs):
+            print(f"{name:<16}(missing values)")
+            continue
+        stats = {side: _quartiles(values[side]) for side in sides}
+        for side in sides:
+            q1, med, q3 = stats[side]
+            label = name if side == "base" else ""
+            print(f"{label:<16}{side:<6}{med:>12.6g}{q1:>12.6g}{q3:>12.6g}")
+        lower = sum(b < a for a, b in zip(values["base"], values["new"]))
+        ratios = [b / a for a, b in zip(values["base"], values["new"]) if a]
+        ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
+        iqr = stats["base"][2] - stats["base"][0]
+        gap = stats["base"][1] - stats["new"][1]
+        print(f"{'':<16}new lower in {lower} of {n}; median ratio {ratio}; "
+              f"median gap {gap:.4g} vs base IQR {iqr:.4g}")
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

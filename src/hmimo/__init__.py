@@ -6,7 +6,8 @@ from hmimo.surrogate import (HybridNet, TrainConfig, CoordinateBox,
                              generate_training_set, train)
 from hmimo.signals import PilotBlock, UnitaryModel, gen_pilots, simulate_rx, unitary_transform
 from hmimo.estimator import (EstimatorConfig, EstimateResult, NumericalFailure,
-                             estimate_full_digital, estimate_hybrid, ls_estimate)
+                             estimate_full_digital, estimate_hybrid, ls_estimate,
+                             unitary_ls_estimate)
 from hmimo.crlb import fim, crlb_position, crlb_position_normalized
 from hmimo.harness import ConfigError, load_config, run_point, sweep, train_surrogates
 
@@ -32,6 +33,7 @@ __all__ = [
     "estimate_full_digital",
     "estimate_hybrid",
     "ls_estimate",
+    "unitary_ls_estimate",
     "fim",
     "crlb_position",
     "crlb_position_normalized",

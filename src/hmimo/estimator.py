@@ -18,9 +18,9 @@ network once per location and expands it over the patch pairs; without a
 combiner it sums that model through moments of the expansion basis
 rather than per-pair arrays, with one carrier rotation per location and
 a small phase per pair.  The loop reads the per-pair model
-``stacked_channel`` through ``taylor_linearize`` and ``through``, as do
-the CRLB and the known-location estimate, so the loop converges on the
-per-pair model from the init's start.
+``stacked_channel`` through ``taylor_linearize``, which pushes it through
+the combiner, as do the CRLB and the known-location estimate, so the loop
+converges on the per-pair model from the init's start.
 """
 
 from __future__ import annotations
@@ -97,15 +97,12 @@ def ls_estimate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _ls_start(model: UnitaryModel) -> np.ndarray:
-    """``ls_estimate(model.phi, model.r)`` from the factors of the unitary
-    model: Phi's first 6N rows are Sigma V^H, whose rows are orthogonal,
-    and the rest are zero, so the least-squares channel is
-    Phi_1^H (R_1 / rowsum |Phi_1|^2) over those rows."""
-    cols = model.phi.shape[1]
-    phi1 = model.phi[:cols]
-    row2 = np.sum(phi1.real ** 2 + phi1.imag ** 2, axis=1)
-    return phi1.conj().T @ (model.r[:cols] / row2[:, None])
+def unitary_ls_estimate(model: UnitaryModel) -> np.ndarray:
+    """``ls_estimate(s, y)`` from the factors of the unitary model: Phi =
+    Sigma V^H has orthogonal rows, so the least-squares channel is
+    Phi^H (R / rowsum |Phi|^2)."""
+    row2 = np.sum(model.abs_phi2, axis=1)
+    return model.phi_h @ (model.r / row2[:, None])
 
 
 # --- AMP linear stage ---------------------------------------------------
@@ -117,7 +114,7 @@ class UampState:
 
     h_mean: np.ndarray   # (K, M) posterior mean of the mixed matrix
     h_var: np.ndarray    # (K, M)
-    s_res: np.ndarray    # (rows, M) scaled residual
+    s_res: np.ndarray    # (rows, M) scaled residual on the rows of Phi
     gamma: float         # working-unit noise precision estimate
 
     @classmethod
@@ -135,33 +132,36 @@ class UampState:
                               np.ones((width, cols)), rows)
 
 
-def uamp_linear_step(phi: np.ndarray, r: np.ndarray, state: UampState,
+def uamp_linear_step(model: UnitaryModel, state: UampState,
                      estimate_gamma: bool = True, gamma_cap: float = None):
-    """One pass of the AMP linear stage.
+    """One pass of the AMP linear stage on the rows of ``model.phi``.
 
     Returns (q, v_q, new_state) where (q, v_q) are the per-entry extrinsic
     mean/variance toward the prior side.  The matched-filter output Z is
-    evaluated as (gamma*V_Z)*R + P/(gamma*V_P + 1), which equals the
-    textbook V_Z*(gamma*R + P/V_P) but stays finite on the zero rows that
-    a full SVD introduces.  ``gamma_cap`` bounds the refreshed precision
+    evaluated as (gamma*V_Z)*R + P/(gamma*V_P + 1), the textbook
+    V_Z*(gamma*R + P/V_P).  On the 3L - 6N rows that the economy model
+    drops, Phi is zero, so V_P, P and Z are zero there: those rows enter
+    the precision update only, through their energy ``model.dropped`` and
+    the count of 3L M entries.  ``gamma_cap`` bounds the refreshed precision
     estimate; callers use it to keep the effective noise level from
     dropping below the model-mismatch floor on (nearly) noiseless data.
     """
-    abs_phi2 = np.abs(phi) ** 2
-    v_p = abs_phi2 @ state.h_var
-    p = phi @ state.h_mean - v_p * state.s_res
+    r = model.r
+    v_p = model.abs_phi2 @ state.h_var
+    p = model.phi @ state.h_mean - v_p * state.s_res
     gamma = state.gamma
     if estimate_gamma:
         denom = gamma * v_p + 1.0
         v_z = v_p / denom
         z = (gamma * v_z) * r + p / denom
-        gamma = r.size / (np.linalg.norm(r - z) ** 2 + np.sum(v_z))
+        gamma = model.rows * r.shape[1] / (np.linalg.norm(r - z) ** 2
+                                           + model.dropped + np.sum(v_z))
         if gamma_cap is not None:
             gamma = min(gamma, gamma_cap)
     v_s = 1.0 / (v_p + 1.0 / gamma)
     s_res = v_s * (r - p)
-    v_q = clamp_var(1.0 / (abs_phi2.T @ v_s))
-    q = state.h_mean + v_q * (phi.conj().T @ s_res)
+    v_q = clamp_var(1.0 / (model.abs_phi2.T @ v_s))
+    q = state.h_mean + v_q * (model.phi_h @ s_res)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v_q)) and np.isfinite(gamma)):
         raise NumericalFailure("non-finite AMP linear-stage output")
     return q, v_q, UampState(h_mean=state.h_mean, h_var=state.h_var,
@@ -173,39 +173,42 @@ def uamp_linear_step(phi: np.ndarray, r: np.ndarray, state: UampState,
 
 @dataclass
 class Linearization:
-    """First-order expansion of the stacked channel at the location belief.
+    """First-order expansion of the observed channel at the location belief.
 
-    ``h`` and ``xi`` are (6N, M) in the layout of ``green.stacked_pairs``;
-    ``dh`` (6N, M, 3) carries the partials w.r.t. p1 in its last axis.
+    ``h`` and ``xi`` are (6N, P) in the layout of ``green.stacked_pairs``,
+    of G = H F^T behind a combiner (P = M and G = H without one) and in the
+    units of the caller's scale; ``dh`` (6N, P, 3) carries the partials
+    w.r.t. p1 in its last axis.  ``channel`` is H itself, (6N, M) in raw
+    units.
     """
 
-    h: np.ndarray      # (6N, M) channel value at the expansion point
-    dh: np.ndarray     # (6N, M, 3)
-    xi: np.ndarray     # (6N, M) affine intercept
+    h: np.ndarray      # (6N, P) observed channel at the expansion point
+    dh: np.ndarray     # (6N, P, 3)
+    xi: np.ndarray     # (6N, P) affine intercept
+    channel: np.ndarray = None  # (6N, M) raw-unit H at the expansion point
 
     def affine(self, p1):
         """Evaluate the affine model at the location p1 (3,)."""
         return self.xi + self.dh @ np.asarray(p1, dtype=float)
 
-    def through(self, f: np.ndarray = None) -> "Linearization":
-        """The expansion of G = H F^T behind the combiner ``f`` (P, M), or of
-        H itself without one."""
-        return Linearization(h=combine_channel(f, self.h),
-                             dh=combine_channel(f, self.dh, trailing=1),
-                             xi=combine_channel(f, self.xi))
-
 
 def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
-                     wave: WaveConfig) -> Linearization:
-    """Expand the surrogate channel around the location p1.
+                     wave: WaveConfig, f: np.ndarray = None,
+                     scale: float = 1.0) -> Linearization:
+    """Expand the surrogate channel around the location p1, behind the
+    combiner ``f`` (P, M) if one is given, in units of ``scale``.
 
     Every transmit patch sits at its known offset from p1, so the partials
-    w.r.t. p1 are those w.r.t. each patch position.  The intercept
-    satisfies xi = h - dh . p1 exactly.
+    w.r.t. p1 are those w.r.t. each patch position.  The channel and its
+    partials go through the combiner first and are divided by ``scale``,
+    and the intercept xi = g - dg . p1 is formed on those (6N, P) arrays.
     """
     p1 = np.asarray(p1, dtype=float)
     h, dh = stacked_channel(net, geom, p1, wave, order=1)
-    return Linearization(h=h, dh=dh, xi=h - dh @ p1)
+    g = combine_channel(f, h) / scale
+    dg = combine_channel(f, dh, trailing=1)
+    dg /= scale
+    return Linearization(h=g, dh=dg, xi=g - dg @ p1, channel=h)
 
 
 @dataclass
@@ -676,13 +679,6 @@ def _working_scale(net: HybridNet) -> float:
     return float(np.sqrt(np.mean(net.output_scale ** 2 + net.output_offset ** 2)))
 
 
-def _scaled_linearization(net: HybridNet, geom: SurfaceGeometry, p1,
-                          wave: WaveConfig, scale: float) -> Linearization:
-    """``taylor_linearize`` in the working units of the AMP stage."""
-    lin = taylor_linearize(net, geom, p1, wave)
-    return Linearization(h=lin.h / scale, dh=lin.dh / scale, xi=lin.xi / scale)
-
-
 TRACE_COLUMNS = ("iter", "x", "y", "z", "nmse_h_running", "gamma_hat", "residual")
 
 
@@ -707,9 +703,11 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     """The message-passing loop of both receivers; ``f`` None is full-digital.
 
     The AMP recursion on R = Phi G, G = H F^T (G = H without a combiner),
-    yields per-entry extrinsics on G.  The location messages and the
-    channel belief read them through the linearization of H projected
-    through F, and the belief is the prior of the next AMP pass.  AMP starts
+    yields per-entry extrinsics on G.  It runs on the 6N rows of the
+    economy model; the rows it drops enter the precision update, its cap
+    and the residual through their energy.  The location messages and the
+    channel belief read the extrinsics through the linearization of G, and
+    the belief is the prior of the next AMP pass.  AMP starts
     from the channel prior that the initial location belief implies, so
     that a correct p0 is not pulled away by the first extrinsics.
     ``h_true`` is optional and only feeds the iteration trace.
@@ -717,46 +715,47 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     cfg = cfg or EstimatorConfig()
     wave = WaveConfig(net.frequency)
     scale = _working_scale(net)
-    r_n = model.r / scale
-    phi = model.phi
+    # the model in working units; its |Phi|^2 and Phi^H are formed once here
+    work = UnitaryModel(phi=model.phi, r=model.r / scale,
+                        dropped=model.dropped / scale ** 2, rows=model.rows)
+    y_norm = max(np.sqrt(np.linalg.norm(work.r) ** 2 + work.dropped), 1e-300)
+    entries = work.rows * work.r.shape[1]
 
     if cfg.init_position is not None:
         _, spacing = _grid_candidates(cfg)
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
-        p0, var0 = grid_search_init(net, geom, _ls_start(model), cfg, wave, f=f)
+        p0, var0 = grid_search_init(net, geom, unitary_ls_estimate(model), cfg,
+                                    wave, f=f)
 
     loc = init_location_state(p0, var0)
-    lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
-    obs = lin.through(f)
-    amp = UampState.from_prior(*location_prior(obs, loc), phi.shape[0])
+    lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
+    amp = UampState.from_prior(*location_prior(lin, loc), work.phi.shape[0])
     trace = []
     converged = False
     it = 0
     try:
         for it in range(1, cfg.max_iters + 1):
-            cap = r_n.size / max(np.linalg.norm(r_n - phi @ obs.h) ** 2, 1e-300)
-            q, v_q, amp = uamp_linear_step(phi, r_n, amp, gamma_cap=cap)
+            cap = entries / max(work.misfit(lin.h), 1e-300)
+            q, v_q, amp = uamp_linear_step(work, amp, gamma_cap=cap)
 
             prev = loc.mean
-            loc = location_round(obs, q, v_q, loc)
-            amp.h_mean, amp.h_var, _, _ = channel_belief(obs, q, v_q, loc)
+            loc = location_round(lin, q, v_q, loc)
+            amp.h_mean, amp.h_var, _, _ = channel_belief(lin, q, v_q, loc)
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure("non-finite location", trace)
-            lin = _scaled_linearization(net, geom, loc.mean, wave, scale)
-            obs = lin.through(f)
-            resid = float(np.linalg.norm(r_n - phi @ amp.h_mean)
-                          / max(np.linalg.norm(r_n), 1e-300))
+            lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
+            resid = float(np.sqrt(work.misfit(amp.h_mean)) / y_norm)
             trace.append(_trace_row(it, loc, amp.gamma / scale ** 2, resid,
-                                    lin.h * scale, h_true))
+                                    lin.channel, h_true))
             if np.linalg.norm(loc.mean - prev) < cfg.tol:
                 converged = True
                 break
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
 
-    return EstimateResult(h_hat=lin.h * scale, position=loc.mean,
+    return EstimateResult(h_hat=lin.channel, position=loc.mean,
                           position_var=np.diag(loc.cov).copy(),
                           gamma_hat=amp.gamma / scale ** 2,
                           iterations=it, converged=converged, trace=trace)

@@ -25,7 +25,7 @@ from hmimo.signals import (combine_channel, gen_combiner, gen_pilots,
                            noise_precision, simulate_rx, unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
-                             ls_estimate)
+                             unitary_ls_estimate)
 from hmimo.crlb import SingularInformationError, crlb_position_normalized, fim
 
 CSV_COLUMNS = ["sweep_var", "sweep_value", "estimator", "trials_ok",
@@ -368,7 +368,7 @@ def run_trial(cfg, nets, variable, value, seed_seq):
                 nmse_h = np.linalg.norm(res.h_hat - h_true) ** 2 / ref_power
                 nmse_p = float(np.sum((res.position - p1) ** 2)) / p_power
             elif name == "ls":
-                g_ls = ls_estimate(pilots.matrix, y)
+                g_ls = unitary_ls_estimate(model)
                 # minimum-norm completion through the combiner
                 h_ls = g_ls if f is None else g_ls @ np.linalg.pinv(f.T)
                 nmse_h = np.linalg.norm(h_ls - h_true) ** 2 / ref_power

@@ -3,13 +3,14 @@
 Three co-located orthogonally polarized pilot streams of length L are
 transmitted from N patches.  Stacking the three received polarizations
 gives the linear model Y = S H + W with Y in C^{3L x M}, the block pilot
-matrix S in C^{3L x 6N} and the stacked channel H in C^{6N x M}.  A full
-SVD of S provides the unitary rotation under which the approximate
-message-passing recursions stay well behaved.
+matrix S in C^{3L x 6N} and the stacked channel H in C^{6N x M}.  An
+economy SVD of S provides the unitary rotation under which the
+approximate message-passing recursions stay well behaved.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,28 +102,50 @@ def simulate_rx(h: np.ndarray, pilots: PilotBlock, snr_db: float, seed):
 
 @dataclass(frozen=True)
 class UnitaryModel:
-    """Rotated observation model R = Phi H + U^H W from a full SVD of S."""
+    """Rotated observation model R = Phi H + U_1^H W from the economy SVD
+    S = U_1 Sigma V^H of the pilot matrix, with what UAMP reads of the rest.
 
-    phi: np.ndarray       # (3L, 6N) = Lambda V^H, rows beyond 6N are zero
-    r: np.ndarray         # (3L, M)
+    A full SVD would add 3L - 6N rows on which Phi is zero.  They carry
+    only noise, and UAMP reads them only through their energy ``dropped``
+    and their count, so the model keeps those two instead of the rows.
+    """
+
+    phi: np.ndarray       # (6N, 6N) = Sigma V^H
+    r: np.ndarray         # (6N, M) = U_1^H Y
+    dropped: float        # ||Y - U_1 R||^2, the energy of the dropped rows
+    rows: int             # 3L, the row count of S and Y
+
+    @functools.cached_property
+    def abs_phi2(self) -> np.ndarray:
+        """|Phi|^2 entrywise, formed once per model."""
+        return self.phi.real ** 2 + self.phi.imag ** 2
+
+    @functools.cached_property
+    def phi_h(self) -> np.ndarray:
+        """Phi^H as a contiguous array, formed once per model."""
+        return np.ascontiguousarray(self.phi.conj().T)
+
+    def misfit(self, h: np.ndarray) -> float:
+        """||Y - S h||^2 over all 3L rows: ||R - Phi h||^2 plus the dropped
+        energy."""
+        return float(np.linalg.norm(self.r - self.phi @ h) ** 2 + self.dropped)
 
 
 def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
     """Rotate the observation model by the left singular basis of S.
 
-    Uses the full SVD so that R keeps all 3L rows; the rows of Phi beyond
-    the column count are zero but carry noise energy that the estimator's
-    precision update needs.
+    The economy SVD keeps the 6N rows on which Phi is non-zero; the energy
+    of Y outside the span of U_1 stands in for the rest.
     """
     rows, cols = s.shape
     if rows < cols:
         raise PreprocessError(f"pilot matrix {s.shape} has fewer rows than columns")
-    u, sv, vh = np.linalg.svd(s, full_matrices=True)
+    u, sv, vh = np.linalg.svd(s, full_matrices=False)
     if sv[-1] <= rows * np.finfo(float).eps * sv[0]:
         raise PreprocessError("pilot matrix is rank deficient")
-    phi = np.zeros_like(s)
-    phi[:cols] = sv[:, None] * vh
-    return UnitaryModel(phi=phi, r=u.conj().T @ y)
+    r = u.conj().T @ y
+    return UnitaryModel(phi=sv[:, None] * vh, r=r,
+                        dropped=float(np.linalg.norm(y - u @ r) ** 2), rows=rows)
 
 
 # --- hybrid (analog combining) receiver --------------------------------

@@ -90,6 +90,35 @@ class HybridNet:
         block.flags.writeable = False
         return block
 
+    @functools.cached_property
+    def _partials_block(self):
+        """The output layer of ``_output_partials``, built once per net: the
+        map (b2, output_scale, output_offset) of the value, as (3, 12), and
+        one block (Nh, 12 x 3^n) per derivative order n = 0, 1, 2.  A
+        partial of order n in the inputs is tanh^(n) of the hidden layer
+        times w2 and n columns of w1; block n holds those products, with
+        the input scale and, for n >= 1, the output scale folded in (the
+        value takes its map after the product, in the order ``train`` fits
+        it).  The columns are ordered (component, coordinates, re/im), so
+        that a product is the real view of the complex partial.  Read-only.
+        """
+        w1s = self.w1 / self.input_scale           # chain rule through input map
+
+        def by_component(a):                       # slots (..., 12) -> (..., 6, 2)
+            return np.moveaxis(a.reshape(a.shape[:-1] + (2, 6)), -2, -1)
+
+        value = by_component(self.w2)
+        d1 = (by_component(self.w2 * self.output_scale)[:, :, None]
+              * w1s[:, None, :, None])                          # (Nh, 6, 3, 2)
+        d2 = d1[:, :, :, None] * w1s[:, None, None, :, None]    # (Nh, 6, 3, 3, 2)
+        # reshaping the moved axes copies, in C order
+        out = (by_component(np.stack([self.b2, self.output_scale,
+                                      self.output_offset])).reshape(3, 12),
+               *(a.reshape(self.hidden_count, -1) for a in (value, d1, d2)))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     # --- forward -----------------------------------------------------
 
     def _hidden(self, xyz: np.ndarray) -> np.ndarray:
@@ -98,12 +127,13 @@ class HybridNet:
 
     def forward(self, xyz: np.ndarray) -> np.ndarray:
         """Raw-unit 12-vector outputs for inputs of shape (K, 3) or (3,)."""
-        out = _output_jacobians(self, xyz, 0)[0]
+        phi = _output_partials(self, xyz, 0)[0]
+        out = np.concatenate([phi.real, phi.imag], axis=-1)
         return out if np.asarray(xyz).ndim > 1 else out[0]
 
     def phi(self, xyz: np.ndarray) -> np.ndarray:
         """De-rotated channel components as complex (K, 6)."""
-        return _complex(_output_jacobians(self, xyz, 0)[0])
+        return _output_partials(self, xyz, 0)[0]
 
     # --- serialization -----------------------------------------------
 
@@ -150,29 +180,24 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b)[:, 0]
 
 
-def _output_jacobians(net: HybridNet, xyz: np.ndarray, order: int):
-    """Raw-unit outputs of the network and their partials up to ``order``.
+def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
+    """De-rotated output phi of the network and its partials up to ``order``.
 
-    Returns (out, d_out, d2_out)[:order + 1], of shapes (K, 12), (K, 12, 3)
-    and (K, 12, 3, 3).
+    Returns [phi, dphi, d2phi][:order + 1], complex of shapes (K, 6),
+    (K, 6, 3) and (K, 6, 3, 3): one product per order of tanh, tanh' or
+    tanh'' of the hidden layer with the net's ``_partials_block``, whose
+    outputs are viewed as complex in place.
     """
     a = net._hidden(xyz)                       # (K, Nh)
-    derivs = [(a @ net.w2 + net.b2) * net.output_scale + net.output_offset]
+    (b2, scale, offset), *blocks = net._partials_block
+    out = [((a @ blocks[0] + b2) * scale + offset).view(complex)]
     if order >= 1:
-        nh = net.hidden_count
         gp = 1.0 - a**2                            # tanh'
-        w1s = net.w1 / net.input_scale[None, :]    # chain rule through input map
-        # dyn[b,k,j] = sum_i gp[b,i] w2[i,k] w1s[i,j], as one (K, Nh) x (Nh, 36)
-        # product: a multi-operand einsum here costs ~30x more per call
-        w2w1 = net.w2[:, :, None] * w1s[:, None, :]           # (Nh, 12, 3)
-        dyn = (gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
-        derivs.append(dyn * net.output_scale[None, :, None])
+        out.append((gp @ blocks[1]).view(complex).reshape(-1, 6, 3))
     if order >= 2:
-        gpp = -2.0 * a * gp                    # tanh''
-        w2w1w1 = w2w1[:, :, :, None] * w1s[:, None, None, :]  # (Nh, 12, 3, 3)
-        d2yn = (gpp @ w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
-        derivs.append(d2yn * net.output_scale[None, :, None, None])
-    return tuple(derivs)
+        gpp = -2.0 * a * gp                        # tanh''
+        out.append((gpp @ blocks[2]).view(complex).reshape(-1, 6, 3, 3))
+    return out
 
 
 def _complex(slots: np.ndarray) -> np.ndarray:
@@ -224,8 +249,7 @@ def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int
     through them, they equal the partials w.r.t. the transmit position.
     """
     xyz = np.atleast_2d(xyz)
-    phi = [_complex(d) for d in _output_jacobians(net, xyz, order)]
-    return _rotate(phi, xyz[:, None], wave)
+    return _rotate(_output_partials(net, xyz, order), xyz[:, None], wave)
 
 
 def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndarray:

@@ -175,8 +175,7 @@ def test_criterion_6_noiseless_oracles(trained_net, small_geometry, wave,
     model = unitary_transform(s, y)
     state = UampState.initial(*model.r.shape, model.phi.shape[1])
     state.gamma = 1e10
-    q, _, _ = uamp_linear_step(model.phi, model.r, state,
-                               estimate_gamma=False)
+    q, _, _ = uamp_linear_step(model, state, estimate_gamma=False)
     rel_amp = np.linalg.norm(q - h_ls) / np.linalg.norm(h_ls)
     ok_b = rel_amp < 1e-6
 

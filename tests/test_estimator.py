@@ -14,17 +14,19 @@ from hmimo.crlb import fim
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import QuadratureRule, WaveConfig, full_channel
 from hmimo.harness import PROFILES, _draw_trial, estimator_config
-from hmimo.signals import (PilotBlock, gen_combiner, gen_pilots, simulate_rx,
-                           simulate_rx_hybrid, unitary_transform, combine_channel)
+from hmimo.signals import (PilotBlock, UnitaryModel, gen_combiner, gen_pilots,
+                           simulate_rx, simulate_rx_hybrid, unitary_transform,
+                           combine_channel)
 from hmimo import estimator
 from hmimo.surrogate import (HybridNet, expansion_coefficients, hybrid_channel,
-                             stacked_channel, _complex, _output_jacobians)
+                             stacked_channel, _output_partials)
 from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
                              LocationState, NumericalFailure, UampState,
                              channel_belief, clamp_var, estimate_full_digital,
                              estimate_hybrid, grid_search_init,
                              init_location_state, location_round, ls_estimate,
-                             taylor_linearize, uamp_linear_step, write_trace_csv,
+                             taylor_linearize, uamp_linear_step,
+                             unitary_ls_estimate, write_trace_csv,
                              _refine_batch)
 
 
@@ -94,8 +96,9 @@ class TestLsEstimate:
     @pytest.mark.parametrize("chains", [None, 24])
     def test_init_start_from_unitary_factors(self, small_geometry, true_channel,
                                              chains):
-        # the estimator's init starts from the LS channel of the unitary
-        # model, formed from its orthogonal rows rather than by lstsq
+        # the ls estimator and the init's start take the LS channel of the
+        # unitary model, formed from its orthogonal rows, not by an lstsq over
+        # all 3L rows of the pilot matrix
         geom = small_geometry
         pilots = gen_pilots(geom.n_patches, 100, seed=4)
         if chains is None:
@@ -104,14 +107,26 @@ class TestLsEstimate:
             f = gen_combiner(chains, geom.m_patches, seed=5)
             y, _ = simulate_rx_hybrid(f, true_channel, pilots, 8.0, seed=1)
         model = unitary_transform(pilots.matrix, y)
-        want = ls_estimate(model.phi, model.r)
-        got = estimator._ls_start(model)
+        want = ls_estimate(pilots.matrix, y)
+        got = unitary_ls_estimate(model)
         assert got.shape == want.shape == (6 * geom.n_patches,
                                            chains or geom.m_patches)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- AMP linear stage -----------------------------------------------------
+
+
+def _full_svd_model(s, y):
+    """The model of a full SVD of S, its 3L - 6N trailing rows kept: Phi is
+    zero on them and R holds Y along the trailing left singular vectors.
+    The leading factors are those ``unitary_transform`` computes."""
+    u1, sv, vh = np.linalg.svd(s, full_matrices=False)
+    u2 = np.linalg.svd(s, full_matrices=True)[0][:, s.shape[1]:]
+    phi = np.zeros_like(s)
+    phi[:s.shape[1]] = sv[:, None] * vh
+    r = np.concatenate([u1.conj().T @ y, u2.conj().T @ y])
+    return UnitaryModel(phi=phi, r=r, dropped=0.0, rows=s.shape[0])
 
 
 class TestUampLinearStep:
@@ -126,7 +141,8 @@ class TestUampLinearStep:
         r = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
         state = UampState.initial(8, 3, 4)
         state.gamma = 5.0
-        q, v_q, _ = uamp_linear_step(phi, r, state, estimate_gamma=False)
+        q, v_q, _ = uamp_linear_step(UnitaryModel(phi, r, 0.0, 8), state,
+                                     estimate_gamma=False)
         # zero-mean unit-variance start: P = 0, V_P = |phi|^2 1
         v_p = (np.abs(phi) ** 2) @ np.ones((4, 3))
         v_s = 1.0 / (v_p + 1.0 / 5.0)
@@ -140,8 +156,7 @@ class TestUampLinearStep:
         model, _ = self._model(small_geometry, true_channel, np.inf)
         state = UampState.initial(*model.r.shape, model.phi.shape[1])
         state.gamma = 1e10
-        q, _, _ = uamp_linear_step(model.phi, model.r, state,
-                                   estimate_gamma=False)
+        q, _, _ = uamp_linear_step(model, state, estimate_gamma=False)
         rel = np.linalg.norm(q - true_channel) / np.linalg.norm(true_channel)
         assert rel < 1e-6
 
@@ -149,7 +164,7 @@ class TestUampLinearStep:
         model, gamma_true = self._model(small_geometry, true_channel, 5.0, seed=3)
         state = UampState.initial(*model.r.shape, model.phi.shape[1])
         for _ in range(25):
-            q, v_q, state = uamp_linear_step(model.phi, model.r, state)
+            q, v_q, state = uamp_linear_step(model, state)
             state.h_mean, state.h_var = q, v_q
         assert gamma_true / 2 < state.gamma < gamma_true * 2
 
@@ -157,17 +172,54 @@ class TestUampLinearStep:
         model, _ = self._model(small_geometry, true_channel, np.inf)
         state = UampState.initial(*model.r.shape, model.phi.shape[1])
         for _ in range(10):
-            q, v_q, state = uamp_linear_step(model.phi, model.r, state,
-                                             gamma_cap=123.0)
+            q, v_q, state = uamp_linear_step(model, state, gamma_cap=123.0)
             state.h_mean, state.h_var = q, v_q
         assert state.gamma <= 123.0
+
+    @pytest.mark.parametrize("estimate_gamma, gamma_cap",
+                             [(False, None), (True, None), (True, 0.25)])
+    def test_economy_step_matches_full_svd(self, small_geometry, true_channel,
+                                           estimate_gamma, gamma_cap):
+        # the rows the economy model drops enter only gamma's update, through
+        # their energy and count: two steps from a non-trivial state agree
+        # with the same steps on the full-SVD model within 1e-12
+        pilots = gen_pilots(small_geometry.n_patches, 60, seed=9)
+        y, _ = simulate_rx(true_channel, pilots, 5.0, seed=3)
+        scale = np.max(np.abs(true_channel))
+        y = y / scale
+        eco = unitary_transform(pilots.matrix, y)
+        full = _full_svd_model(pilots.matrix, y)
+        k, m = eco.r.shape
+        rng = np.random.default_rng(8)
+        h_mean = (true_channel / scale + 0.1 * rng.normal(size=(k, m))
+                  + 0.1j * rng.normal(size=(k, m)))
+        h_var = rng.uniform(0.005, 0.02, size=(k, m))
+        s_res = rng.normal(size=(full.rows, m)) + 1j * rng.normal(size=(full.rows, m))
+        states = [UampState(h_mean, h_var, s_res[:k].copy(), 2.0),
+                  UampState(h_mean, h_var, s_res.copy(), 2.0)]
+        for _ in range(2):
+            (q_e, v_e, states[0]), (q_f, v_f, states[1]) = (
+                uamp_linear_step(mod, st, estimate_gamma=estimate_gamma,
+                                 gamma_cap=gamma_cap)
+                for mod, st in zip((eco, full), states))
+            for got, want in ((q_e, q_f), (v_e, v_f),
+                              (states[0].s_res, states[1].s_res[:k])):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert states[0].gamma == pytest.approx(states[1].gamma, rel=1e-12)
+            for st in states:
+                st.h_mean, st.h_var = q_f, v_f
+        if gamma_cap is not None:
+            assert states[0].gamma == gamma_cap
+        elif estimate_gamma:
+            assert states[0].gamma != 2.0
 
     def test_nonfinite_input_raises(self):
         phi = np.eye(4, dtype=complex)
         r = np.full((4, 2), np.nan, dtype=complex)
         state = UampState.initial(4, 2, 4)
         with pytest.raises(NumericalFailure):
-            uamp_linear_step(phi, r, state, estimate_gamma=False)
+            uamp_linear_step(UnitaryModel(phi, r, 0.0, 4), state,
+                             estimate_gamma=False)
 
 
 # --- Taylor linearization -------------------------------------------------
@@ -194,6 +246,30 @@ class TestTaylorLinearize:
             errs.append(np.linalg.norm(lin.affine(shifted) - exact_at(shifted)))
         # halving the offset shrinks the remainder roughly fourfold
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
+
+    @pytest.mark.parametrize("chains", [None, 24, 36])
+    def test_observed_matches_raw_reference(self, trained_net, small_geometry,
+                                            wave, true_position, chains):
+        # the expansion of G = H F^T in working units, formed on the (6N, P)
+        # arrays, equals the raw expansion of H divided by the scale and then
+        # pushed through F, within 1e-13 of each array's largest entry; 36
+        # chains is the identity combiner
+        geom = small_geometry
+        m = geom.m_patches
+        f = None if chains is None else gen_combiner(chains, m, seed=5,
+                                                     identity=chains == m)
+        scale = estimator._working_scale(trained_net)
+        assert not 0.1 < scale < 10.0      # so that a unit slip shows
+        p = true_position
+        h, dh = stacked_channel(trained_net, geom, p, wave, order=1)
+        want = (combine_channel(f, h / scale),
+                combine_channel(f, dh / scale, trailing=1),
+                combine_channel(f, (h - dh @ p) / scale))
+        lin = taylor_linearize(trained_net, geom, p, wave, f, scale)
+        for got, ref in zip((lin.h, lin.dh, lin.xi), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(lin.channel, h)
 
 
 # --- location and channel messages ----------------------------------------
@@ -400,12 +476,12 @@ def _reference_coefficients(net, geom, p1s, order):
     """``expansion_coefficients``' (coef, coef1) from the full output
     Jacobian and Hessian, stacked term by term."""
     mean = relative_grid(geom, np.zeros(3)).reshape(-1, 3).mean(axis=0)
-    out, d, d2 = _output_jacobians(net, p1s + mean, 2)
-    coef = _complex(np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0],
-                              d2[..., 0, 1], d2[..., 1, 1]], axis=-1))
+    out, d, d2 = _output_partials(net, p1s + mean, 2)
+    coef = np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0], d2[..., 0, 1],
+                     d2[..., 1, 1]], axis=-1)
     if order == 0:
         return coef, None
-    coef1 = _complex(np.stack([d, d2[..., 0], d2[..., 1]], axis=-1))
+    coef1 = np.stack([d, d2[..., 0], d2[..., 1]], axis=-1)
     return coef, coef1.transpose(0, 2, 1, 3)
 
 
@@ -720,6 +796,27 @@ class TestFullDigitalEstimator:
         assert converged >= 11
         assert 0.8 <= np.median(ratios) <= 1.25
         assert max(errors) < 0.5
+
+
+@pytest.mark.parametrize("chains", [None, 24])
+def test_economy_model_matches_full_svd(trained_net, small_geometry,
+                                        true_channel, chains):
+    # the loop reads the dropped rows in gamma's update, its cap and the
+    # residual; on the full-SVD model, rows kept, every iteration lands
+    # where it does on the economy model, up to round-off
+    geom = small_geometry
+    pilots = gen_pilots(geom.n_patches, 100, seed=7)
+    f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
+    y, _ = simulate_rx(combine_channel(f, true_channel), pilots, 8.0, seed=3)
+    cfg = EstimatorConfig(max_iters=6, init_position=np.array([0.3, -0.4, 27.0]))
+    eco, full = (estimator._estimate(model, f, trained_net, geom, cfg, None)
+                 for model in (unitary_transform(pilots.matrix, y),
+                               _full_svd_model(pilots.matrix, y)))
+    assert len(eco.trace) == len(full.trace) == 6
+    for a, b in zip(eco.trace, full.trace):
+        assert max(abs(a[k] - b[k]) for k in "xyz") <= 1e-8
+        for key in ("gamma_hat", "residual"):
+            assert a[key] == pytest.approx(b[key], rel=1e-10)
 
 
 class TestHybridEstimator:

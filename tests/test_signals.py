@@ -99,12 +99,16 @@ class TestSimulateRx:
 
 class TestUnitaryTransform:
     def test_phi_shape_and_residual(self, pilots, channel):
+        # the economy model keeps the 6N rows of Phi; its misfit adds the
+        # dropped energy, so that it is the residual over all 3L rows
         y, _ = simulate_rx(channel, pilots, 5.0, seed=2)
         s = pilots.matrix
         model = unitary_transform(s, y)
-        assert model.phi.shape == (300, 150)
-        assert np.linalg.norm(model.r - model.phi @ channel) == pytest.approx(
-            np.linalg.norm(y - s @ channel), rel=1e-10)
+        assert model.phi.shape == (150, 150)
+        assert model.r.shape == (150, 100)
+        assert model.rows == 300
+        assert model.misfit(channel) == pytest.approx(
+            np.linalg.norm(y - s @ channel) ** 2, rel=1e-10)
 
     def test_gram_preserved(self, pilots):
         s = pilots.matrix
@@ -118,9 +122,29 @@ class TestUnitaryTransform:
         assert np.linalg.norm(model.phi @ channel) == pytest.approx(
             np.linalg.norm(s @ channel), rel=1e-12)
 
-    def test_trailing_rows_zero(self, pilots):
-        model = unitary_transform(pilots.matrix, np.zeros((300, 2), dtype=complex))
-        assert np.all(model.phi[150:] == 0)
+    def test_trailing_rows_zero(self, pilots, channel):
+        # the 3L - 6N rows a full SVD adds, on which Phi is zero, are kept
+        # only as their energy: that of Y along the trailing left singular
+        # vectors
+        s = pilots.matrix
+        y, _ = simulate_rx(channel, pilots, 5.0, seed=3)
+        model = unitary_transform(s, y)
+        u = np.linalg.svd(s, full_matrices=True)[0]
+        trailing = np.linalg.norm(u[:, 150:].conj().T @ y) ** 2
+        assert model.dropped == pytest.approx(trailing, rel=1e-12)
+        zero = unitary_transform(s, np.zeros((300, 2), dtype=complex))
+        assert zero.r.shape == (150, 2) and zero.dropped == 0.0
+
+    def test_energy_split(self, pilots, channel):
+        y, _ = simulate_rx(channel, pilots, 5.0, seed=4)
+        model = unitary_transform(pilots.matrix, y)
+        assert (np.linalg.norm(model.r) ** 2 + model.dropped
+                == pytest.approx(np.linalg.norm(y) ** 2, rel=1e-12))
+
+    def test_noiseless_dropped_at_roundoff(self, pilots, channel):
+        y = pilots.matrix @ channel
+        model = unitary_transform(pilots.matrix, y)
+        assert model.dropped <= 1e-24 * np.linalg.norm(y) ** 2
 
     def test_rank_deficient_rejected(self):
         s = np.ones((10, 4), dtype=complex)

@@ -11,7 +11,7 @@ from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, expanded_channel,
                              generate_training_set, hybrid_channel, nmse_db,
-                             stacked_channel, train, _output_jacobians)
+                             stacked_channel, train, _output_partials)
 from hmimo.signals import combine_channel, gen_combiner
 
 
@@ -30,6 +30,27 @@ def _random_net(nh):
 def _parts(out):
     """A stacked_channel or per-pair result as a tuple of arrays."""
     return out if isinstance(out, tuple) else (out,)
+
+
+def _slot_reference(net, xyz, wave, order):
+    """``channel_derivs`` from the twelve real output slots: the value and
+    its partials (K, 12, ...) from products of w2 and w1 columns, the output
+    scale applied after each product, and the slots split into the six
+    complex components before the rotation."""
+    a = net._hidden(xyz)
+    nh = net.hidden_count
+    scale = net.output_scale
+    slots = [(a @ net.w2 + net.b2) * scale + net.output_offset]
+    gp = 1.0 - a**2
+    w1s = net.w1 / net.input_scale[None, :]
+    w2w1 = net.w2[:, :, None] * w1s[:, None, :]
+    slots.append((gp @ w2w1.reshape(nh, 36)).reshape(-1, 12, 3)
+                 * scale[None, :, None])
+    w2w1w1 = w2w1[:, :, :, None] * w1s[:, None, None, :]
+    slots.append((-2.0 * a * gp @ w2w1w1.reshape(nh, 108)).reshape(-1, 12, 3, 3)
+                 * scale[None, :, None, None])
+    phi = [d[:, :6] + 1j * d[:, 6:] for d in slots[:order + 1]]
+    return surrogate._rotate(phi, xyz[:, None], wave)
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +300,8 @@ class TestDerivatives:
         assert np.array_equal(dh1, dh2)
 
     def test_jacobians_match_einsum_form(self, net, points):
-        # the matmul contractions against the direct einsum statement
-        _, dout, d2out = _output_jacobians(net, points, 2)
+        # the per-order block products against the direct einsum statement
+        _, dphi, d2phi = _output_partials(net, points, 2)
         a = net._hidden(points)
         gp = 1.0 - a**2
         w1s = net.w1 / net.input_scale[None, :]
@@ -288,8 +309,31 @@ class TestDerivatives:
         d2 = np.einsum("ik,bi,ij,il->bkjl", net.w2, -2.0 * a * gp, w1s, w1s)
         ref1 = d1 * net.output_scale[None, :, None]
         ref2 = d2 * net.output_scale[None, :, None, None]
-        assert np.max(np.abs(dout - ref1)) <= 1e-12 * np.max(np.abs(ref1))
-        assert np.max(np.abs(d2out - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+        ref1, ref2 = (r[:, :6] + 1j * r[:, 6:] for r in (ref1, ref2))
+        assert np.max(np.abs(dphi - ref1)) <= 1e-12 * np.max(np.abs(ref1))
+        assert np.max(np.abs(d2phi - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+
+    @pytest.mark.parametrize("hidden", [7, 50])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_kernel_matches_slot_reference(self, wave, hidden, order):
+        # one product per order with the cached blocks, viewed as complex,
+        # against the output slots and partials formed from w2 and w1 with
+        # the output map applied after, split into complex by copies, then
+        # rotated: within 1e-13 of each array's largest entry
+        net = _random_net(hidden)
+        rng = np.random.default_rng(hidden)
+        xyz = np.column_stack([rng.uniform(-1.5, 1.5, (40, 2)),
+                               rng.uniform(20.0, 40.0, 40)])
+        got = surrogate.channel_derivs(net, xyz, wave, order)
+        want = _slot_reference(net, xyz, wave, order)
+        assert len(got) == len(want) == order + 1
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_blocks_read_only(self, net):
+        for block in net._partials_block:
+            assert not block.flags.writeable
 
     def test_hessian_symmetric(self, net, points, wave):
         _, _, d2h = channel_second_derivs(net, points, wave)
