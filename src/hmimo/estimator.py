@@ -17,10 +17,11 @@ reads the model of ``expanded_channel(..., f)``, which evaluates the
 network once per location and expands it over the patch pairs; without a
 combiner it sums that model through moments of the expansion basis
 rather than per-pair arrays, with one carrier rotation per location and
-a small phase per pair.  The loop reads the per-pair model
+a small phase per pair.  The loop reads the per-pair model of
 ``stacked_channel`` through ``taylor_linearize``, which pushes it through
-the combiner, as do the CRLB and the known-location estimate, so the loop
-converges on the per-pair model from the init's start.
+the combiner in the pair layout; the CRLB and the known-location estimate
+read ``stacked_channel`` itself, so the loop converges on the per-pair
+model from the init's start.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry
-from hmimo.green import WaveConfig
-from hmimo.signals import UnitaryModel, combine_channel
-from hmimo.surrogate import (HybridNet, expanded_channel, expansion_coefficients,
-                             expansion_terms, stacked_channel)
+from hmimo.geometry import SurfaceGeometry, relative_grid
+from hmimo.green import WaveConfig, pairs_to_stacked
+from hmimo.signals import UnitaryModel, combine_channel, combine_pairs
+from hmimo.surrogate import (HybridNet, channel_first_derivs, expanded_channel,
+                             expansion_coefficients, expansion_terms)
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -199,16 +200,25 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
     combiner ``f`` (P, M) if one is given, in units of ``scale``.
 
     Every transmit patch sits at its known offset from p1, so the partials
-    w.r.t. p1 are those w.r.t. each patch position.  The channel and its
-    partials go through the combiner first and are divided by ``scale``,
-    and the intercept xi = g - dg . p1 is formed on those (6N, P) arrays.
+    w.r.t. p1 are those w.r.t. each patch position.  The raw channel is
+    stacked, as ``channel`` needs it, and goes through the combiner scaled
+    by 1 / ``scale``; the partials go through it in the pair layout of the
+    surrogate's output and are stacked once, (6N, P, 3), so the raw
+    partials are never stacked.  The intercept xi = g - dg . p1 is formed
+    on the stacked arrays.
     """
     p1 = np.asarray(p1, dtype=float)
-    h, dh = stacked_channel(net, geom, p1, wave, order=1)
-    g = combine_channel(f, h) / scale
-    dg = combine_channel(f, dh, trailing=1)
-    dg /= scale
-    return Linearization(h=g, dh=dg, xi=g - dg @ p1, channel=h)
+    rel = relative_grid(geom, p1)                          # (N, M, 3)
+    h, dh = (a.reshape(rel.shape[:2] + a.shape[1:])
+             for a in channel_first_derivs(net, rel.reshape(-1, 3), wave))
+    channel = pairs_to_stacked(h)
+    if f is None:
+        g, dg = channel / scale, pairs_to_stacked(dh)
+        dg /= scale
+    else:
+        f = f / scale
+        g, dg = combine_channel(f, channel), pairs_to_stacked(combine_pairs(f, dh))
+    return Linearization(h=g, dh=dg, xi=g - dg @ p1, channel=channel)
 
 
 @dataclass
@@ -250,8 +260,14 @@ def location_round(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
 
 
 def location_prior(lin: Linearization, loc: LocationState):
-    """Channel prior (mean, var) implied by the belief of p1, shaped as ``lin.h``."""
-    prior_var = np.sum((lin.dh @ loc.cov) * lin.dh.conj(), axis=-1).real
+    """Channel prior (mean, var) implied by the belief of p1, shaped as ``lin.h``.
+
+    With dh = a + ib per entry and the real symmetric covariance C, the
+    variance Re(dh C dh^H) is a C a^T + b C b^T: one real product of the
+    interleaved (Re, Im) view of dh with C acting on each half.
+    """
+    d = np.ascontiguousarray(lin.dh).view(float)        # (..., 6): Re, Im per axis
+    prior_var = np.einsum("...i,...i->...", d @ np.kron(loc.cov, np.eye(2)), d)
     return lin.affine(loc.mean), clamp_var(prior_var)
 
 

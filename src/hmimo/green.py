@@ -3,7 +3,7 @@
 The per-patch-pair channel is a symmetric 3x3 complex block obtained by
 integrating the dyadic Green's function over both patch areas, scaled by
 the i*omega*mu prefactor; it is carried as its six independent
-components, which ``stacked_pairs`` lays out as the stacked (6N, M)
+components, which ``pairs_to_stacked`` lays out as the stacked (6N, M)
 channel.  The integrand depends on the two patch points only
 through their difference, so the area integral is computed as a 2-D
 Gauss-Legendre rule over that difference, weighted by its trapezoid
@@ -300,6 +300,16 @@ class ChannelTensor:
     stacked: np.ndarray
 
 
+def pairs_to_stacked(a: np.ndarray, lead: int = 0) -> np.ndarray:
+    """The pair layout (..., N, M, 6, ...), with ``lead`` axes before N, as
+    the stacked layout (..., 6N, M, ...): row k*N + n - 1 and column m - 1
+    hold component k of pair (n, m).  M may be any receive axis, such as the
+    P outputs of a combiner.  One copy."""
+    n, m = a.shape[lead:lead + 2]
+    return np.moveaxis(a, lead + 2, lead).reshape(
+        a.shape[:lead] + (6 * n, m) + a.shape[lead + 3:])
+
+
 def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1):
     """``pair_fn`` on every patch pair at p1, in the stacked layout.
 
@@ -307,15 +317,13 @@ def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1):
     (K, 6, ...) in ``POLARIZATIONS`` order, or to a tuple of such arrays;
     trailing axes are derivative axes.  ``p1`` is one location (3,) or a
     stack of them (..., 3).  Each output comes back as (..., 6N, M, ...),
-    row k*N + n - 1 and column m - 1 holding component k of pair (n, m).
+    laid out by ``pairs_to_stacked``.
     """
     rel = relative_grid(geom, p1)                  # (..., N, M, 3)
     parts = pair_fn(rel.reshape(-1, 3))
     single = not isinstance(parts, tuple)
-    lead, (n, m) = rel.shape[:-3], rel.shape[-3:-1]
-    k = len(lead)
-    out = tuple(np.moveaxis(a.reshape(lead + (n, m) + a.shape[1:]), k + 2, k)
-                .reshape(lead + (6 * n, m) + a.shape[2:])
+    out = tuple(pairs_to_stacked(a.reshape(rel.shape[:-1] + a.shape[1:]),
+                                 rel.ndim - 3)
                 for a in ((parts,) if single else parts))
     return out[0] if single else out
 

@@ -61,7 +61,7 @@ PROFILES = {
         "sweep": {"variable": "snr", "values": [0.0, 4.0, 8.0, 12.0]},
         "fixed": {"snr": 8.0, "length": 100, "chains": None},
         "trials": 20,
-        "quadrature_order": 8,
+        "quadrature_order": 4,
         "estimators": ["mp-hybrid", "ls", "known-location"],
         "estimator": {"max_iters": 50, "tol": 1e-6, "grid_points": 9},
         "training": {"samples": 20000, "hidden_count": 50, "epochs": 150,
@@ -79,7 +79,7 @@ PROFILES["paper"] = _deep_merge(PROFILES["ci"], {
     "sweep": {"values": [0.0, 4.0, 8.0, 12.0, 16.0, 20.0]},
     "trials": 100,
     "estimators": ["mp-hybrid", "mp-approx", "ls", "known-location"],
-    "training": {"samples": 50000, "epochs": 300, "quadrature_order": 8},
+    "training": {"samples": 50000, "epochs": 300},
 })
 
 

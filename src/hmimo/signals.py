@@ -3,9 +3,9 @@
 Three co-located orthogonally polarized pilot streams of length L are
 transmitted from N patches.  Stacking the three received polarizations
 gives the linear model Y = S H + W with Y in C^{3L x M}, the block pilot
-matrix S in C^{3L x 6N} and the stacked channel H in C^{6N x M}.  An
-economy SVD of S provides the unitary rotation under which the
-approximate message-passing recursions stay well behaved.
+matrix S in C^{3L x 6N} and the stacked channel H in C^{6N x M}.  The
+eigendecomposition of the Gram matrix S^H S provides the unitary rotation
+under which the approximate message-passing recursions stay well behaved.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def simulate_rx(h: np.ndarray, pilots: PilotBlock, snr_db: float, seed):
 
 @dataclass(frozen=True)
 class UnitaryModel:
-    """Rotated observation model R = Phi H + U_1^H W from the economy SVD
+    """Rotated observation model R = Phi H + U_1^H W from the factors
     S = U_1 Sigma V^H of the pilot matrix, with what UAMP reads of the rest.
 
     A full SVD would add 3L - 6N rows on which Phi is zero.  They carry
@@ -134,18 +134,34 @@ class UnitaryModel:
 def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
     """Rotate the observation model by the left singular basis of S.
 
-    The economy SVD keeps the 6N rows on which Phi is non-zero; the energy
-    of Y outside the span of U_1 stands in for the rest.
+    The Gram matrix S^H S = V Sigma^2 V^H gives Phi = Sigma V^H and
+    R = U_1^H Y = Sigma^-1 V^H (S^H Y), with U_1 = S V Sigma^-1 left
+    implicit.  The energy of Y outside the span of S stands in for the
+    3L - 6N rows a full SVD adds; it is formed as ||Y - S X||^2 from the
+    least-squares channel X = V Sigma^-1 R, not as ||Y||^2 - ||R||^2,
+    which cancels when Y lies nearly in that span.
+
+    ``eigh`` resolves the eigenvalues of S^H S only to about 3L eps times
+    the largest, so S is refused as rank deficient once its condition
+    number sigma_max / sigma_min reaches 1 / sqrt(3L eps), 3.9e6 at
+    3L = 300.
     """
     rows, cols = s.shape
     if rows < cols:
         raise PreprocessError(f"pilot matrix {s.shape} has fewer rows than columns")
-    u, sv, vh = np.linalg.svd(s, full_matrices=False)
-    if sv[-1] <= rows * np.finfo(float).eps * sv[0]:
-        raise PreprocessError("pilot matrix is rank deficient")
-    r = u.conj().T @ y
+    s_h = s.conj().T
+    lam, v = np.linalg.eigh(s_h @ s)
+    if not lam[0] > rows * np.finfo(float).eps * lam[-1]:
+        cond = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
+        raise PreprocessError(
+            f"pilot matrix is rank deficient: condition number {cond:.3g} "
+            f"reaches {1.0 / np.sqrt(rows * np.finfo(float).eps):.3g}")
+    sv = np.sqrt(lam)
+    vh = v.conj().T
+    r = (vh @ (s_h @ y)) / sv[:, None]
+    x = v @ (r / sv[:, None])
     return UnitaryModel(phi=sv[:, None] * vh, r=r,
-                        dropped=float(np.linalg.norm(y - u @ r) ** 2), rows=rows)
+                        dropped=float(np.linalg.norm(y - s @ x) ** 2), rows=rows)
 
 
 # --- hybrid (analog combining) receiver --------------------------------
@@ -181,6 +197,16 @@ def combine_channel(f: np.ndarray, h: np.ndarray, trailing: int = 0) -> np.ndarr
         raise ValueError(f"combiner columns {f.shape[1]} != antennas {h.shape[axis]}")
     # one GEMM over the receive axis; an einsum here is over 10x slower
     return np.moveaxis(np.tensordot(h, f, axes=([axis], [1])), -1, axis)
+
+
+def combine_pairs(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``combine_channel`` in the pair layout: ``h`` (N, M, 6, ...) holds
+    the six components of each patch pair, and G (N, P, 6, ...) is its
+    contraction with ``f`` (P, M) over M, one GEMM per transmit patch and
+    no layout copy.  ``green.pairs_to_stacked`` then lays G out as
+    ``combine_channel`` would return it."""
+    n, m = h.shape[:2]
+    return (f @ h.reshape(n, m, -1)).reshape((n, f.shape[0]) + h.shape[2:])
 
 
 def simulate_rx_hybrid(f: np.ndarray, h: np.ndarray, pilots: PilotBlock,

@@ -120,13 +120,22 @@ class TestLsEstimate:
 def _full_svd_model(s, y):
     """The model of a full SVD of S, its 3L - 6N trailing rows kept: Phi is
     zero on them and R holds Y along the trailing left singular vectors.
-    The leading factors are those ``unitary_transform`` computes."""
-    u1, sv, vh = np.linalg.svd(s, full_matrices=False)
+    The leading rows are those ``unitary_transform`` computes."""
+    eco = unitary_transform(s, y)
     u2 = np.linalg.svd(s, full_matrices=True)[0][:, s.shape[1]:]
     phi = np.zeros_like(s)
-    phi[:s.shape[1]] = sv[:, None] * vh
-    r = np.concatenate([u1.conj().T @ y, u2.conj().T @ y])
+    phi[:s.shape[1]] = eco.phi
+    r = np.concatenate([eco.r, u2.conj().T @ y])
     return UnitaryModel(phi=phi, r=r, dropped=0.0, rows=s.shape[0])
+
+
+def _economy_svd_model(s, y):
+    """The economy-SVD model S = U_1 Sigma V^H, and U_1."""
+    u1, sv, vh = np.linalg.svd(s, full_matrices=False)
+    r = u1.conj().T @ y
+    return UnitaryModel(phi=sv[:, None] * vh, r=r,
+                        dropped=float(np.linalg.norm(y - u1 @ r) ** 2),
+                        rows=s.shape[0]), u1
 
 
 class TestUampLinearStep:
@@ -213,6 +222,42 @@ class TestUampLinearStep:
         elif estimate_gamma:
             assert states[0].gamma != 2.0
 
+    @pytest.mark.parametrize("estimate_gamma, gamma_cap",
+                             [(False, None), (True, None), (True, 0.25)])
+    def test_gram_step_matches_economy_svd(self, small_geometry, true_channel,
+                                           estimate_gamma, gamma_cap):
+        # the Gram-matrix model's rows are the economy SVD's up to unit
+        # phases; from the same state, a residual of the same 3L-row vector
+        # in each basis, one step gives the same q, v_q, gamma and (mapped
+        # back to the 3L rows) residual within 1e-12
+        pilots = gen_pilots(small_geometry.n_patches, 60, seed=9)
+        s = pilots.matrix
+        y, _ = simulate_rx(true_channel, pilots, 5.0, seed=3)
+        scale = np.max(np.abs(true_channel))
+        y = y / scale
+        gram = unitary_transform(s, y)
+        svd, u_svd = _economy_svd_model(s, y)
+        u_gram = s @ gram.phi_h / np.sum(gram.abs_phi2, axis=1)   # S V Sigma^-1
+        k, m = gram.r.shape
+        rng = np.random.default_rng(8)
+        h_mean = (true_channel / scale + 0.1 * rng.normal(size=(k, m))
+                  + 0.1j * rng.normal(size=(k, m)))
+        h_var = rng.uniform(0.005, 0.02, size=(k, m))
+        e = rng.normal(size=(s.shape[0], m)) + 1j * rng.normal(size=(s.shape[0], m))
+        out = [uamp_linear_step(mod, UampState(h_mean, h_var, u.conj().T @ e, 2.0),
+                                estimate_gamma=estimate_gamma, gamma_cap=gamma_cap)
+               for mod, u in ((gram, u_gram), (svd, u_svd))]
+        (q_g, v_g, st_g), (q_s, v_s, st_s) = out
+        for got, want in ((q_g, q_s), (v_g, v_s),
+                          (u_gram @ st_g.s_res, u_svd @ st_s.s_res)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert st_g.gamma == pytest.approx(st_s.gamma, rel=1e-12)
+        assert gram.dropped == pytest.approx(svd.dropped, rel=1e-12)
+        if gamma_cap is not None:
+            assert st_g.gamma == gamma_cap
+        elif not estimate_gamma:
+            assert st_g.gamma == 2.0
+
     def test_nonfinite_input_raises(self):
         phi = np.eye(4, dtype=complex)
         r = np.full((4, 2), np.nan, dtype=complex)
@@ -247,13 +292,13 @@ class TestTaylorLinearize:
         # halving the offset shrinks the remainder roughly fourfold
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
-    @pytest.mark.parametrize("chains", [None, 24, 36])
+    @pytest.mark.parametrize("chains", [None, 24, 32, 36])
     def test_observed_matches_raw_reference(self, trained_net, small_geometry,
                                             wave, true_position, chains):
-        # the expansion of G = H F^T in working units, formed on the (6N, P)
-        # arrays, equals the raw expansion of H divided by the scale and then
-        # pushed through F, within 1e-13 of each array's largest entry; 36
-        # chains is the identity combiner
+        # the expansion of G = H F^T in working units, combined in the pair
+        # layout and stacked once, equals the raw expansion of H stacked,
+        # divided by the scale and then pushed through F, within 1e-13 of
+        # each array's largest entry; 36 chains is the identity combiner
         geom = small_geometry
         m = geom.m_patches
         f = None if chains is None else gen_combiner(chains, m, seed=5,
@@ -333,6 +378,28 @@ class TestLocationRound:
         assert np.allclose(out.cov, cov, rtol=1e-12, atol=0)
         assert np.allclose(out.mean, cov @ (a.T @ (w * b) + state.mean / VAR_MAX),
                            rtol=1e-12, atol=0)
+
+
+class TestLocationPrior:
+    @pytest.mark.parametrize("chains", [None, 32])
+    def test_variance_matches_complex_form(self, trained_net, small_geometry,
+                                           wave, true_position, chains):
+        # the real-arithmetic variance equals Re(dh C dh^H) formed in complex
+        # arithmetic, within 1e-13 of its largest entry, for a diagonal and
+        # a full covariance; the mean is the affine model at the belief
+        f = (None if chains is None
+             else gen_combiner(chains, small_geometry.m_patches, seed=5))
+        lin = taylor_linearize(trained_net, small_geometry, true_position, wave,
+                               f, estimator._working_scale(trained_net))
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 3))
+        for cov in (np.diag([1e-4, 2e-4, 5e-3]), 1e-4 * (a @ a.T + np.eye(3))):
+            loc = LocationState(mean=true_position + 0.01, cov=cov)
+            mean, var = estimator.location_prior(lin, loc)
+            want = clamp_var(np.sum((lin.dh @ cov) * lin.dh.conj(), axis=-1).real)
+            assert var.shape == mean.shape == lin.h.shape
+            assert np.max(np.abs(var - want)) <= 1e-13 * np.max(want)
+            assert np.array_equal(mean, lin.affine(loc.mean))
 
 
 class TestChannelBelief:

@@ -1,6 +1,7 @@
 """Tests for config handling, Monte-Carlo orchestration and the CLI."""
 
 import csv
+import itertools
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            build_geometry, crlb_rows, load_config, load_nets,
                            run_point, run_trial, sweep, train_surrogates,
                            validate_config, write_rows_csv)
+from hmimo.green import QuadratureRule, WaveConfig, full_channel
 from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
 
@@ -26,6 +28,24 @@ class TestConfig:
     def test_profiles_valid(self):
         for profile in PROFILES.values():
             validate_config(profile)
+
+    @pytest.mark.parametrize("profile", ["ci", "paper"])
+    def test_oracle_order_matches_order_16(self, profile):
+        # the profile's truth order, and its training order, reproduce the
+        # order-16 channel within 1e-12 relative at the 8 corners of its
+        # prior box, where the integrand varies fastest over a patch
+        cfg = load_config(profile=profile)
+        geom = build_geometry(cfg)
+        wave = WaveConfig(cfg["wave"]["frequency"])
+        corners = np.array(list(itertools.product(
+            *(cfg["prior"][axis] for axis in "xyz"))), dtype=float)
+        ref = full_channel(geom, corners, wave, QuadratureRule(16)).stacked
+        for order in {cfg["quadrature_order"],
+                      cfg["training"]["quadrature_order"]}:
+            got = full_channel(geom, corners, wave, QuadratureRule(order)).stacked
+            rel = (np.linalg.norm(got - ref, axis=(1, 2))
+                   / np.linalg.norm(ref, axis=(1, 2)))
+            assert np.max(rel) <= 1e-12, (order, rel)
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="profile"):
@@ -719,3 +739,38 @@ class TestCli:
         assert rows[0] == ["x", "y", "z", "re_raw", "im_raw",
                            "re_derot", "im_derot"]
         assert len(rows) == 1 + 9
+
+
+class TestCsvDiff:
+    """``docs/csv_diff.py``, the cell-by-cell gate on two result CSVs."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "csv_diff.py"
+
+    def _run(self, tmp_path, before, after, *extra):
+        paths = []
+        for name, rows in (("a.csv", before), ("b.csv", after)):
+            path = tmp_path / name
+            path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            paths.append(str(path))
+        return subprocess.run([sys.executable, str(self.SCRIPT), *paths, *extra],
+                              capture_output=True, text=True)
+
+    def test_exit_codes(self, tmp_path):
+        head = ["sweep_var", "estimator", "nmse_h_db", "crlb_db"]
+        base = [head, ["snr", "ls", "-15.5", "nan"], ["snr", "mp", "-44.4", "nan"]]
+        same = self._run(tmp_path, base, base)
+        assert same.returncode == 0 and "nmse_h_db" in same.stdout
+        moved = [head, ["snr", "ls", "-15.5", "nan"], ["snr", "mp", "-44.40002", "nan"]]
+        out = self._run(tmp_path, base, moved)
+        assert out.returncode == 1
+        assert re.search(r"nmse_h_db\s+max \|delta\| 2e-05 \(row 2\)", out.stdout)
+        assert self._run(tmp_path, base, moved, "--tol", "1e-4").returncode == 0
+        renamed = [head, ["snr", "lsq", "-15.5", "nan"], base[2]]
+        assert self._run(tmp_path, base, renamed).returncode == 1
+        nan_vs_number = [head, ["snr", "ls", "-15.5", "-60"], base[2]]
+        assert self._run(tmp_path, base, nan_vs_number).returncode == 1
+        assert self._run(tmp_path, base, base[:2]).returncode == 1
+        missing = subprocess.run([sys.executable, str(self.SCRIPT),
+                                  str(tmp_path / "none.csv"), str(tmp_path / "a.csv")],
+                                 capture_output=True, text=True)
+        assert missing.returncode == 2

@@ -157,6 +157,40 @@ class TestUnitaryTransform:
                               np.zeros((4, 1), dtype=complex))
 
 
+class TestGramRefusal:
+    @staticmethod
+    def _pilots_of_condition(cond, rows=40, cols=8):
+        rng = np.random.default_rng(1)
+        q1 = np.linalg.qr(rng.normal(size=(rows, cols))
+                          + 1j * rng.normal(size=(rows, cols)))[0]
+        q2 = np.linalg.qr(rng.normal(size=(cols, cols))
+                          + 1j * rng.normal(size=(cols, cols)))[0]
+        return (q1 * np.geomspace(1.0, 1.0 / cond, cols)) @ q2.conj().T
+
+    def test_refused_between_old_and_new_thresholds(self):
+        # the Gram matrix resolves sigma_min only above sqrt(3L eps) sigma_max
+        # (1.1e7 at 3L = 40), so a condition number of 1e9, which the SVD
+        # threshold 1 / (3L eps) = 1.1e14 let pass, is refused by name
+        s = self._pilots_of_condition(1e9)
+        assert np.linalg.cond(s) == pytest.approx(1e9, rel=1e-3)
+        with pytest.raises(PreprocessError, match=r"condition number .* 1\.06e\+07"):
+            unitary_transform(s, np.zeros((40, 1), dtype=complex))
+
+    def test_accepted_below_new_threshold(self):
+        # at a condition number of 1e5 the model is built, and its dropped
+        # energy is the least-squares residual (first-order insensitive to
+        # the cond^2 eps error of the Gram solve)
+        s = self._pilots_of_condition(1e5)
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        model = unitary_transform(s, y)
+        ls = np.linalg.lstsq(s, y, rcond=None)[0]
+        assert model.dropped == pytest.approx(np.linalg.norm(y - s @ ls) ** 2,
+                                              rel=1e-10)
+        assert np.allclose(model.phi.conj().T @ model.phi, s.conj().T @ s,
+                           rtol=0, atol=1e-12)
+
+
 class TestCombiner:
     def test_identity(self):
         f = gen_combiner(8, 8, seed=0, identity=True)
