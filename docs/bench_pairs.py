@@ -8,10 +8,11 @@ BASE and NEW are the roots of two checkouts, each with its own
 ``perfbench/run.py --trace 0`` is made, one in each checkout, and which
 side runs first alternates from pair to pair.  For each end-to-end metric
 it prints both sides' median and quartiles, how many pairs NEW is lower
-in, the median of the per-pair ratios NEW / BASE, and whether the medians
-differ by more than BASE's interquartile range.  It exits 1 if any run
-reports ``correct: false`` or prints no result, and 2 on bad arguments.
-Only the standard library is used.
+in and how many tie, the median of the per-pair ratios NEW / BASE, the
+gap of the medians against BASE's interquartile range, and whether the
+claim rule of ``claim_verdict`` holds.  It exits 1 if any run reports
+``correct: false`` or prints no result, and 2 on bad arguments.  Only the
+standard library is used.
 """
 
 import argparse
@@ -48,6 +49,19 @@ def _run(root, workload, seed, seconds):
 def _quartiles(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def claim_verdict(base, new):
+    """The claim rule for a lower-is-better metric on paired runs: NEW is
+    lower in at least nine tenths of all pairs, a tie counting for neither
+    side, and BASE's median exceeds NEW's by more than BASE's
+    interquartile range.  Returns (pairs NEW is lower in, ties, median gap,
+    BASE's interquartile range, whether the rule holds)."""
+    lower = sum(b < a for a, b in zip(base, new))
+    ties = sum(b == a for a, b in zip(base, new))
+    q1, med, q3 = _quartiles(base)
+    gap = med - statistics.median(new)
+    return lower, ties, gap, q3 - q1, 10 * lower >= 9 * len(base) and gap > q3 - q1
 
 
 def main(argv=None):
@@ -96,13 +110,13 @@ def main(argv=None):
             q1, med, q3 = stats[side]
             label = name if side == "base" else ""
             print(f"{label:<16}{side:<6}{med:>12.6g}{q1:>12.6g}{q3:>12.6g}")
-        lower = sum(b < a for a, b in zip(values["base"], values["new"]))
+        lower, ties, gap, iqr, holds = claim_verdict(values["base"], values["new"])
         ratios = [b / a for a, b in zip(values["base"], values["new"]) if a]
         ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
-        iqr = stats["base"][2] - stats["base"][0]
-        gap = stats["base"][1] - stats["new"][1]
-        print(f"{'':<16}new lower in {lower} of {n}; median ratio {ratio}; "
-              f"median gap {gap:.4g} vs base IQR {iqr:.4g}")
+        print(f"{'':<16}new lower in {lower} of {n}, {ties} ties; median ratio "
+              f"{ratio}; median gap {gap:.4g} vs base IQR {iqr:.4g}")
+        print(f"{'':<16}claim rule (lower in >= 9/10, gap > IQR): "
+              f"{'holds' if holds else 'does not hold'}")
     return 0 if correct else 1
 
 

@@ -35,8 +35,8 @@ import numpy as np
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import WaveConfig, pairs_to_stacked
 from hmimo.signals import UnitaryModel, combine_channel, combine_pairs
-from hmimo.surrogate import (HybridNet, channel_first_derivs, expanded_channel,
-                             expansion_coefficients, expansion_terms)
+from hmimo.surrogate import (EXPANSION_BASIS, HybridNet, channel_first_derivs,
+                             expanded_channel, expansion_terms, term_coefficients)
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -298,8 +298,9 @@ def _grid_candidates(cfg: EstimatorConfig):
 
 
 # Patch pairs per chunk of locations in the init's sums.  Without a
-# combiner a pair costs about 170 B in the moment sums of the normal
-# equations (80 B in the costs and scores), so a chunk peaks near 3 MB.
+# combiner a pair costs about 100 B in the moment sums of the normal
+# equations (70 B in the costs and scores; tracemalloc peaks at the ci and
+# paper geometries), so a chunk peaks near 1.6 MB.
 # With one it costs about 1.3 kB in ``expanded_channel`` and the normal
 # equations (1.9 kB at P = M), so that path takes _HYBRID_SHARE times fewer
 # pairs per chunk, and stays under about 6 MB whatever the geometry.
@@ -311,25 +312,56 @@ _REFINE_STEP_TOL = 1e-5
 
 
 def _chunks(geom: SurfaceGeometry, count: int, f=None):
-    """Slices of a batch of ``count`` locations, each slice holding at most
-    _CHUNK_POINTS patch pairs (_CHUNK_POINTS / _HYBRID_SHARE behind a
-    combiner ``f``), but at least one location."""
+    """Slices of a batch of ``count`` locations: as few as hold at most
+    _CHUNK_POINTS patch pairs each (_CHUNK_POINTS / _HYBRID_SHARE behind a
+    combiner ``f``), but at least one location, and of near-equal sizes,
+    which differ by one location at most."""
     budget = _CHUNK_POINTS if f is None else _CHUNK_POINTS // _HYBRID_SHARE
     per = max(1, budget // (geom.n_patches * geom.m_patches))
-    return [slice(lo, lo + per) for lo in range(0, count, per)]
+    n = -(-count // per)
+    return [slice(i * count // n, (i + 1) * count // n) for i in range(n)]
+
+
+# The monomials dx^a dy^b, a + b <= 4, of the products of the basis terms
+# b_t = f dx^a dy^b (``EXPANSION_BASIS``) that the init's sums read, by degree
+_MONOMIALS = [(a, n - a) for n in range(5) for a in range(n, -1, -1)]
+
+
+def _product_monomials(*counts):
+    """For the products b_t b_s ... of the first ``counts`` basis terms in
+    each factor: the index into _MONOMIALS of each product and its factor."""
+    index, factor = np.empty(counts, int), np.empty(counts)
+    for ts in np.ndindex(*counts):
+        a, b, f = np.array([EXPANSION_BASIS[t] for t in ts]).T
+        index[ts], factor[ts] = _MONOMIALS.index((a.sum(), b.sum())), f.prod()
+    return index, factor
+
+
+# |phi|^2 = sum_ts Re(C^H C)_ts b_t b_s in monomials: the (36, 15) map of
+# Re(C^H C) to the coefficients
+_SQUARE_INDEX, _SQUARE_FACTOR = _product_monomials(6, 6)
+_SQUARE_MAP = np.zeros((36, len(_MONOMIALS)))
+_SQUARE_MAP[np.arange(36), _SQUARE_INDEX.ravel()] = _SQUARE_FACTOR.ravel()
+# the monomials of b_t b_s m_a, t < 3, with m = (1, dx, dy), and of m_a m_a'
+_CROSS_INDEX, _CROSS_FACTOR = _product_monomials(3, 6, 3)
+_CARRIER_INDEX, _ = _product_monomials(3, 3)
 
 
 @dataclass(frozen=True)
 class _Reference:
     """The data h_ref (6N, M) of the full-digital init, with what its
-    moment sums read of it and of the expansion basis b_t(p) (6, N M):
-    ||h_ref||^2, the products ref_b[p, (k, t)] = h_ref[k, p] b_t(p) and
-    b_b[p, (t, s)] = b_t(p) b_s(p), (N M, 36), and the Gram matrix
+    moment sums read of it and of the pair offsets (dx, dy) (N M,) and the
+    expansion basis b_t(p) (6, N M): ||h_ref||^2, the rows (2 dx, 2 dy, 0)
+    and dx^2 + dy^2 of r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2, the
+    products ref_b[(t, k), p] = b_t(p) h_ref[k, p] (36, N M), the
+    monomials dx^a dy^b (15, N M) of _MONOMIALS and the Gram matrix
     gram[t, s] = sum_p b_t(p) b_s(p)."""
 
     norm2: float
+    offsets: np.ndarray
+    offsets2: np.ndarray
     ref_b: np.ndarray
-    b_b: np.ndarray
+    monomials: np.ndarray
     gram: np.ndarray
 
     @classmethod
@@ -338,10 +370,12 @@ class _Reference:
         if isinstance(h_ref, cls):
             return h_ref
         terms = expansion_terms(geom)
-        ref = np.asarray(h_ref).reshape(6, 1, -1)
+        dx, dy = terms[1:3]
         return cls(norm2=np.linalg.norm(h_ref) ** 2,
-                   ref_b=(ref * terms).reshape(36, -1).T.copy(),
-                   b_b=(terms[:, None] * terms).reshape(36, -1).T.copy(),
+                   offsets=np.stack([2.0 * dx, 2.0 * dy, np.zeros_like(dx)]),
+                   offsets2=dx * dx + dy * dy,
+                   ref_b=(terms[:, None] * np.reshape(h_ref, (6, -1))).reshape(36, -1),
+                   monomials=np.stack([dx ** a * dy ** b for a, b in _MONOMIALS]),
                    gram=terms @ terms.T)
 
 
@@ -352,112 +386,116 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, 1, -1) @ b.reshape(n, -1, 1))[:, 0, 0]
 
 
-# the pairs (i, j), i <= j, of the products r-hat_i r-hat_j
-_IU = np.triu_indices(3)
-
-
 def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     """The full-digital init's sums at B locations, from moments of the
     expansion basis instead of per-pair channel arrays.
 
     With phi = C b and h = phi exp(i k0 r) per pair, |exp(i k0 r)| = 1 makes
     ||h||^2 = sum_k C_k^H Gamma C_k with the constant Gram matrix Gamma, and
-    sum conj(h) h_ref = sum_kt conj(C_kt) R_kt with the moments R_kt =
-    sum_p exp(-i k0 r_p) h_ref[k, p] b_t(p).  Returns these two (B,).  With
-    the workspace ``w_r`` it also returns J^H J (B, 3, 3) and
-    Re J^H (h - h_ref) (B, 3) of the Jacobian J of h, dh = (dphi + i k0 phi
-    r-hat) exp(i k0 r), whose moments carry the weights r-hat_j and
-    r-hat_i r-hat_j.  The carrier of pair p is that of the aperture centres,
-    r_c = |c| (``expansion_coefficients``), times that of the small offset
-    delta_p = r_p - r_c, written without cancellation as (r_p^2 - r_c^2) /
-    (r_p + r_c) and evaluated as the cosine and sine of a phase of at most a
-    few radians; the moments are linear in the carrier, so the rotation
-    exp(-i k0 r_c) multiplies each location's sums once.  The moments
-    R^{r-hat_j} enter only as C^H R^{r-hat_j}, which is summed over the
-    pairs after the contraction over (k, t).  The per-pair weights are
-    written to the first B rows of the workspaces ``w_c`` (complex, the
-    small-phase carrier) and ``w_r`` (real, 9 weights), shaped (rows,
-    weights, N M).
+    sum conj(h) h_ref = sum_p exp(-i k0 r_p) s_p with s_p = sum_tk
+    conj(C_kt) b_t(p) h_ref[k, p].  Returns these two (B,).  With the
+    workspace ``w_r`` it also returns J^H J (B, 3, 3) and Re J^H (h - h_ref)
+    (B, 3) of the Jacobian J of h, dh = (dphi + i k0 phi r-hat) exp(i k0 r).
+    The unit vector r-hat of pair p is L m / r_p, with the location's L =
+    [c | e_x | e_y] (3, 3) and m = (1, dx, dy), so that a sum weighted by
+    r-hat_j is L times sums weighted by m / r.  J^H J and J^H e then read
+    three per-pair weights, 1 / r, |phi|^2 / r^2 and exp(-i k0 r) s / r,
+    each summed against monomials dx^a dy^b, and the moments R_tk = sum_p
+    exp(-i k0 r_p) b_t(p) h_ref[k, p], t < 3; |phi|^2 = sum_ts Re(C^H C)_ts
+    b_t b_s is itself a sum of monomials.  The carrier of pair p is that of
+    the aperture centres, r_c = |c| (``expansion_coefficients``), times that
+    of the small offset delta_p = r_p - r_c, written without cancellation
+    as (r_p^2 - r_c^2) / (r_p + r_c) and evaluated as the cosine and sine
+    of a phase of at most a few radians; the sums are linear in the
+    carrier, so the rotation exp(-i k0 r_c) multiplies each location's sums
+    once.  The per-pair weights are written to the first B rows of the
+    workspaces ``w_c`` (complex, the small-phase carrier, (rows, N M)) and
+    ``w_r`` (real, the first two weights, (rows, 2, N M)).  Every product
+    runs per location, so that a location's sums do not depend on the
+    batch.
     """
     k0 = wave.wavenumber
-    centre, rel, c, c1 = expansion_coefficients(net, geom, p1s,
-                                                0 if w_r is None else 1)
-    _, dx, dy = expansion_terms(geom)[:3]
+    c_rel, c, c1 = term_coefficients(net, geom, p1s, 0 if w_r is None else 1)
     b = len(c)
     w_c = w_c[:b]
-    r = rel[0] ** 2
-    r += rel[1] ** 2
-    r += rel[2] ** 2
-    np.sqrt(r, out=r)                                          # (B, N M)
-    r_c = np.linalg.norm(centre, axis=1)[:, None]              # (B, 1)
-    # -k0 delta_p, with r_p^2 - r_c^2 = dx (2 c_x + dx) + dy (2 c_y + dy)
-    phase = np.add(centre[:, :1], rel[0]) * dx
-    phase += np.add(centre[:, 1:2], rel[1]) * dy
-    phase /= r + r_c
+    r_c2 = np.square(c_rel).sum(axis=1, keepdims=True)         # (B, 1)
+    r_c = np.sqrt(r_c2)
+    # r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2
+    num = (c_rel[:, None] @ ref.offsets)[:, 0]                 # (B, N M)
+    num += ref.offsets2
+    r2 = num + r_c2
+    r = np.sqrt(r2)
+    phase = num / (r + r_c)
     phase *= -k0
-    np.cos(phase, out=w_c[:, 0].real)
-    np.sin(phase, out=w_c[:, 0].imag)
-    rot = np.exp(-1j * k0 * r_c)                               # (B, 1)
-    cg = c @ ref.gram                                          # (B, 6, 6)
-    cc = c.conj()
-    norm2 = _dot(cc, cg).real
-    rm = (w_c @ ref.ref_b)[:, 0]                    # R exp(i k0 r_c), (B, 36)
-    inner = _dot(cc, rm) * rot[:, 0]
+    np.cos(phase, out=w_c.real)
+    np.sin(phase, out=w_c.imag)
+    rot = np.exp(-1j * k0 * r_c)[:, 0]                         # (B,)
+    # C and C1 are laid out (..., t, k), so that their real views hold the
+    # components and (Re, Im) in the last axis, and real products over it
+    # are the real parts of products of C^H
+    cv = c.view(float)                                         # (B, 6, 12)
+    cg = ref.gram @ cv                                         # Gamma C
+    norm2 = _dot(cv, cg)
+    s = (c.conj().reshape(b, 1, 36) @ ref.ref_b)[:, 0]         # (B, N M)
+    inner = _dot(w_c, s) * rot
     if w_r is None:
         return norm2, inner
-    # the weighted Gram matrices G^w (B, 9, 36) for w = r-hat_j and
-    # r-hat_i r-hat_j, i <= j
+    # the weights 1 / r and |phi|^2 / r^2, and their sums against the 15
+    # monomials (B, 2, 15)
     w_r = w_r[:b]
-    np.multiply(rel.transpose(1, 0, 2), np.divide(1.0, r, out=r)[:, None],
-                out=w_r[:, :3])
-    for n, (i, j) in enumerate(zip(*_IU), start=3):
-        np.multiply(w_r[:, i], w_r[:, j], out=w_r[:, n])
-    g_w = w_r @ ref.b_b
-    # C^H R^{r-hat_j} = sum_p r-hat_j exp(-i k0 r_p) s_p, with s_p = sum_kt
-    # conj(C_kt) h_ref[k, p] b_t(p), as real products of (Re, Im) pairs
-    s = (cc.reshape(b, 1, 36) @ ref.ref_b.T)[:, 0]             # (B, N M)
-    s *= w_c[:, 0]
-    d = (w_r[:, :3] @ s.view(float).reshape(b, -1, 2)).view(complex)[..., 0]
-    d *= rot                                                   # (B, 3)
-    rm *= rot
+    inv_r = np.divide(1.0, r, out=w_r[:, 0])
+    q = (cv @ cv.transpose(0, 2, 1)).reshape(b, 1, 36)         # Re(C^H C)
+    np.matmul(q @ _SQUARE_MAP, ref.monomials, out=w_r[:, 1:2])
+    w_r[:, 1] /= r2
+    mom = w_r @ ref.monomials.T
+    lm = np.zeros((b, 3, 3))
+    lm[:, :, 0] = c_rel
+    lm[:, 0, 1] = lm[:, 1, 2] = 1.0
+    # C^H R^{r-hat_j} = sum_p r-hat_j exp(-i k0 r_p) s_p, the third weight
+    # summed against m
+    s *= w_c
+    s *= inv_r
+    d = (lm @ (ref.monomials[:3] @ s.view(float).reshape(b, -1, 2))).view(complex)
+    d = d[..., 0] * rot[:, None]                               # (B, 3)
     # Re J^H e pairs dphi_j + i k0 phi r-hat_j with phi - exp(-i k0 r) h_ref:
-    # dphi_j gives C1_j . (C Gamma - R) over t < 3, and i k0 phi r-hat_j
+    # dphi_j gives C1_j . (Gamma C - R) over t < 3, and i k0 phi r-hat_j
     # gives -k0 Im(C^H R^{r-hat_j}) plus Re(-i k0 C^H G^j C), which vanishes
-    # as G^j is real and symmetric
-    c1c = c1.conj().reshape(b, 3, 18)
-    grad = ((c1c @ (cg - rm.reshape(b, 6, 6))[..., :3].reshape(b, 18, 1))
-            [..., 0].real - k0 * d.imag)
+    # as G^j = sum_p r-hat_j b b^T is real and symmetric
+    rm = (w_c[:, None] @ ref.ref_b[:18].T)[:, 0] * rot[:, None]   # R, (B, 18)
+    e = cg.view(complex)[:, :3] - rm.reshape(b, 3, 6)
+    c1v = c1.view(float).reshape(b, 3, 36)
+    grad = (c1v @ e.view(float).reshape(b, 36, 1))[..., 0] - k0 * d.imag
     # J^H J = Re(dphi^H dphi) + the cross term Re(i k0 dphi_i^H phi r-hat_j)
     # + (i <-> j) + the carrier term k0^2 |phi|^2 r-hat r-hat^T, each summed
     # over the basis; half of it plus its transpose is symmetric bit for bit
-    dd = (c1c @ (c1 @ ref.gram[:3, :3]).reshape(b, 3, 18).transpose(0, 2, 1)).real
-    cross = ((c1c.reshape(b, 3, 6, 3).transpose(0, 1, 3, 2) @ c[:, None])
-             .reshape(b, 3, 1, 1, 18).imag
-             @ g_w[:, :3].reshape(b, 1, 3, 6, 6)[..., :3, :]
-             .reshape(b, 1, 3, 18, 1))[..., 0, 0]
-    q = (cc.transpose(0, 2, 1) @ c).real                       # (B, 6, 6)
-    carrier = np.empty((b, 3, 3))
-    carrier[:, _IU[0], _IU[1]] = carrier[:, _IU[1], _IU[0]] = (
-        g_w[:, 3:] @ q.reshape(b, 36, 1))[..., 0]
+    dd = c1v @ (ref.gram[:3, :3] @ c1.view(float)).reshape(b, 3, 36).transpose(0, 2, 1)
+    # the cross term's Im(dphi_i^H phi) = Re((i dphi_i)^H phi) has the
+    # coefficients x over the products b_t b_s, t < 3, whose sums weighted
+    # by m_a / r are the monomials' g
+    x = (1j * c1).view(float).reshape(b, 9, 12) @ cv.transpose(0, 2, 1)
+    g = mom[:, 0][:, _CROSS_INDEX] * _CROSS_FACTOR             # (B, 3, 6, 3)
+    cross = (x.reshape(b, 3, 18) @ g.reshape(b, 18, 3)) @ lm.transpose(0, 2, 1)
+    carrier = lm @ mom[:, 1][:, _CARRIER_INDEX] @ lm.transpose(0, 2, 1)
     half = 0.5 * dd - k0 * cross + 0.5 * k0 ** 2 * carrier
     return norm2, inner, half + half.transpose(0, 2, 1), grad
 
 
 def _moment_chunks(net, geom, ref: _Reference, p1s, wave, order=0):
-    """``_moment_sums`` over the chunks of p1s (B, 3), as (slice, sums).  The
-    chunks share one workspace, allocated once per call."""
+    """``_moment_sums`` of p1s (B, 3), evaluated chunk by chunk in one
+    workspace allocated once per call."""
     chunks = _chunks(geom, len(p1s))
-    rows, pairs = len(p1s[chunks[0]]), geom.n_patches * geom.m_patches
-    w_c = np.empty((rows, 1, pairs), dtype=complex)
-    w_r = np.empty((rows, 9, pairs)) if order else None
-    for sl in chunks:
-        yield sl, _moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r)
+    rows, pairs = chunks[-1].stop - chunks[-1].start, geom.n_patches * geom.m_patches
+    w_c = np.empty((rows, pairs), dtype=complex)
+    w_r = np.empty((rows, 2, pairs)) if order else None
+    if len(chunks) == 1:
+        return _moment_sums(net, geom, ref, p1s, wave, w_c, w_r)
+    parts = [_moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r) for sl in chunks]
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _score(inner, denom):
     """|inner| / denom, and 0 where denom is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom == 0, 0.0, np.abs(inner / denom))
+    return np.abs(inner / np.where(denom == 0, np.inf, denom))
 
 
 def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
@@ -466,12 +504,11 @@ def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
     A location whose prediction vanishes scores 0.  Without a combiner
     ``h_ref`` may also be its ``_Reference``.
     """
-    out = np.empty(len(p1s))
     if f is None:
         ref = _Reference.of(geom, h_ref)
-        for sl, (norm2, inner) in _moment_chunks(net, geom, ref, p1s, wave):
-            out[sl] = _score(inner, np.sqrt(np.maximum(norm2, 0.0) * ref.norm2))
-        return out
+        norm2, inner = _moment_chunks(net, geom, ref, p1s, wave)
+        return _score(inner, np.sqrt(np.maximum(norm2, 0.0) * ref.norm2))
+    out = np.empty(len(p1s))
     norm_ref = np.linalg.norm(h_ref)
     ref = h_ref.conj().reshape(-1, 1)
     for sl in _chunks(geom, len(p1s), f):
@@ -489,12 +526,11 @@ def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
 
     Without a combiner ``h_ref`` may also be its ``_Reference``.
     """
-    out = np.empty(len(p1s))
     if f is None:
         ref = _Reference.of(geom, h_ref)
-        for sl, (norm2, inner) in _moment_chunks(net, geom, ref, p1s, wave):
-            out[sl] = norm2 - 2.0 * inner.real + ref.norm2
-        return out
+        norm2, inner = _moment_chunks(net, geom, ref, p1s, wave)
+        return norm2 - 2.0 * inner.real + ref.norm2
+    out = np.empty(len(p1s))
     for sl in _chunks(geom, len(p1s), f):
         e = expanded_channel(net, geom, p1s[sl], wave, f=f) - h_ref
         out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
@@ -506,14 +542,12 @@ def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
 
     Without a combiner ``h_ref`` may also be its ``_Reference``.
     """
-    b = len(p1s)
-    cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
     if f is None:
         ref = _Reference.of(geom, h_ref)
-        for sl, (norm2, inner, a_sl, g_sl) in _moment_chunks(
-                net, geom, ref, p1s, wave, order=1):
-            cost[sl], a[sl], g[sl] = norm2 - 2.0 * inner.real + ref.norm2, a_sl, g_sl
-        return cost, a, g
+        norm2, inner, a, g = _moment_chunks(net, geom, ref, p1s, wave, order=1)
+        return norm2 - 2.0 * inner.real + ref.norm2, a, g
+    b = len(p1s)
+    cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
     for sl in _chunks(geom, b, f):
         h, dh = expanded_channel(net, geom, p1s[sl], wave, order=1, f=f)
         c = h.shape[0]

@@ -34,9 +34,10 @@ class PilotBlock:
         if not (self.sx.shape == self.sy.shape == self.sz.shape):
             raise ValueError("pilot matrices must share one shape")
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Assembled block pilot matrix S of shape (3L, 6N).
+        """Assembled block pilot matrix S of shape (3L, 6N), built once per
+        block and read-only.
 
         Row blocks correspond to the received x, y, z polarizations and
         column blocks to the six stacked channel components
@@ -45,11 +46,13 @@ class PilotBlock:
         n, ell = self.sx.shape
         zero = np.zeros((ell, n), dtype=complex)
         sx, sy, sz = self.sx.T, self.sy.T, self.sz.T
-        return np.block([
+        s = np.block([
             [sx, zero, zero, sy, sz, zero],
             [zero, sy, zero, sx, zero, sz],
             [zero, zero, sz, zero, sx, sy],
         ])
+        s.flags.writeable = False
+        return s
 
 
 def gen_pilots(n_patches: int, length: int, seed) -> PilotBlock:

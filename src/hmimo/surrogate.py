@@ -71,24 +71,44 @@ class HybridNet:
         return self.w1.shape[0]
 
     @functools.cached_property
-    def _expansion_block(self) -> np.ndarray:
+    def _expansion_blocks(self):
         """The output layer of the partials that ``expansion_coefficients``
-        reads, (3 Nh, 12 x 9), built once per net: a partial of order n in
-        the inputs is tanh^(n) of the hidden layer times w2 and n columns of
-        w1, so row block n (tanh, tanh', tanh'') holds those products for
-        the columns _EXPANSION_PARTIALS of each output slot, with the input
-        and output scales folded in, and zeros elsewhere."""
+        reads at orders 0 and 1, built once per net: per order, the value
+        offset b2 * output_scale + output_offset (12,) and one block (Nh,
+        n x 6 x 2) per derivative order of the n partials of
+        _EXPANSION_PARTIALS of that order that it reads.  A partial of
+        order n in the inputs is tanh^(n) of the hidden layer times w2 and
+        n columns of w1; the blocks hold those products with the input and
+        output scales folded in, and their columns are ordered (partial,
+        component, re/im), as is the offset (component, re/im), so that a
+        product is the real view of complex partials (..., n, 6).  The
+        block of the second partials carries the factor -2 of tanh'' =
+        -2 tanh tanh'.  Read-only."""
         nh = self.hidden_count
         w1s = self.w1 / self.input_scale           # chain rule through input map
-        block = np.zeros((3, nh, 12, len(_EXPANSION_PARTIALS)))
-        for col, axes in enumerate(_EXPANSION_PARTIALS):
-            w = self.w2 * self.output_scale
-            for j in axes:
-                w = w * w1s[:, j, None]
-            block[len(axes), :, :, col] = w
-        block = block.reshape(3 * nh, -1)
-        block.flags.writeable = False
-        return block
+        w2s = self.w2 * self.output_scale
+
+        def by_component(a):                       # slots (..., 12) -> (..., 6, 2)
+            return np.moveaxis(a.reshape(a.shape[:-1] + (2, 6)), -2, -1)
+
+        offset = by_component(self.b2 * self.output_scale + self.output_offset)
+        out = []
+        for order in (0, 1):
+            blocks = [offset.ravel()]
+            for partials in _EXPANSION_PARTIALS:
+                cols = []
+                for axes in partials:
+                    if order == 0 and 2 in axes:
+                        continue
+                    w = w2s if len(axes) < 2 else -2.0 * w2s
+                    for j in axes:
+                        w = w * w1s[:, j, None]
+                    cols.append(by_component(w))
+                blocks.append(np.stack(cols, axis=1).reshape(nh, -1))
+            for a in blocks:
+                a.flags.writeable = False
+            out.append(tuple(blocks))
+        return tuple(out)
 
     @functools.cached_property
     def _partials_block(self):
@@ -200,11 +220,6 @@ def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
     return out
 
 
-def _complex(slots: np.ndarray) -> np.ndarray:
-    """Output slots (K, 12, ...) as the six complex components (K, 6, ...)."""
-    return slots[:, :6] + 1j * slots[:, 6:]
-
-
 def _rotate(phi, rel: np.ndarray, wave: WaveConfig):
     """The channel h = phi * exp(i k0 r) and its partials, from those of phi.
 
@@ -288,6 +303,12 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
     return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(out))
 
 
+# The basis b_t = f dx^a dy^b of the expansion in the pair offsets, as
+# (a, b, f): 1, dx, dy, dx^2 / 2, dx dy, dy^2 / 2
+EXPANSION_BASIS = ((0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 0, 0.5),
+                   (1, 1, 1.0), (0, 2, 0.5))
+
+
 @functools.lru_cache(maxsize=8)
 def _pair_offsets(geom: SurfaceGeometry):
     """The relative coordinate of the aperture centres at p1 = 0, the
@@ -303,8 +324,7 @@ def _pair_offsets(geom: SurfaceGeometry):
     rel0 = relative_grid(geom, np.zeros(3)).reshape(-1, 3)
     mean = rel0.mean(axis=0)
     dx, dy = rel0[:, 0] - mean[0], rel0[:, 1] - mean[1]
-    terms = np.stack([np.ones_like(dx), dx, dy, 0.5 * dx * dx, dx * dy,
-                      0.5 * dy * dy])
+    terms = np.stack([f * dx ** a * dy ** b for a, b, f in EXPANSION_BASIS])
     basis = np.zeros((6, 2, dx.size, 2))
     basis[:, 0, :, 0] = basis[:, 1, :, 1] = terms
     basis = basis.reshape(12, 2 * dx.size)
@@ -320,13 +340,17 @@ def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
 
 
 # The partials of the network output that ``expansion_coefficients`` reads,
-# by the input coordinates they differentiate in: the value, d/dx, d/dy and
-# the second partials xx, xy, yy of the expansion of phi, then d/dz, xz and
-# yz, which only the expansion of its partials reads
-_EXPANSION_PARTIALS = ((), (0,), (1,), (0, 0), (0, 1), (1, 1), (2,), (0, 2), (1, 2))
-# the coefficients of each partial d/dx, d/dy, d/dz of phi over the first three
-# basis terms (1, dx, dy), as columns of _EXPANSION_PARTIALS
-_PARTIAL_COLUMNS = ((1, 3, 4), (2, 4, 5), (6, 7, 8))
+# by derivative order and by the input coordinates they differentiate in:
+# the value, then d/dx, d/dy, d/dz, then xx, xy, yy, xz and yz.  The
+# expansion of phi reads those free of z; only that of its partials reads
+# the z, xz and yz ones, at order 1
+_EXPANSION_PARTIALS = (((),), ((0,), (1,), (2,)),
+                       ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2)))
+# at order 1, the rows of the nine partials above, in that order, that hold
+# the coefficients of phi over the six basis terms, and those of each
+# partial d/dx, d/dy, d/dz of phi over the first three terms (1, dx, dy)
+_COEF_ROWS = (0, 1, 2, 4, 5, 6)
+_PARTIAL_ROWS = ((1, 4, 5), (2, 5, 6), (3, 7, 8))
 
 
 def expansion_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
@@ -340,35 +364,51 @@ def expansion_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
     its partials over the basis b_t(p) of ``expansion_terms``: phi[b, k, p]
     = sum_t coef[b, k, t] b_t(p) with coef (B, 6, 6), and dphi[b, k, p, j] =
     sum_{t < 3} coef1[b, j, k, t] b_t(p) with coef1 (B, 3, 6, 3) (None at
-    order 0).  The network is evaluated once per location, at c, and only
-    the partials the expansion reads: the value, the x and y partials and
-    the xx, xy and yy second partials, plus the z, xz and yz ones at order
-    1.  They are one product of the stacked activations [tanh | tanh' |
-    tanh''] with the net's ``_expansion_block``.  Both layers' products run
-    row by row, so that a location's output does not depend on the rest of
-    the batch.
+    order 0): those of ``term_coefficients``, transposed.
     """
-    mean, dx, dy, _, _ = _pair_offsets(geom)
-    c = (np.asarray(p1, dtype=float) + mean).reshape(-1, 3)
-    acts = np.empty((len(c), 3, net.hidden_count))
-    a, gp, gpp = acts.transpose(1, 0, 2)
-    xn = (c - net.input_offset) / net.input_scale
-    np.tanh(_rowwise_matmul(xn, net.w1.T) + net.b1, out=a)
-    np.subtract(1.0, np.square(a, out=gp), out=gp)                 # tanh'
-    np.multiply(-2.0 * a, gp, out=gpp)                             # tanh''
-    out = _rowwise_matmul(acts.reshape(len(c), -1), net._expansion_block)
-    out = out.reshape(-1, 12, len(_EXPANSION_PARTIALS))
-    out[:, :, 0] += net.b2 * net.output_scale + net.output_offset
-    coef = _complex(out[:, :, :6])
-    coef1 = None
-    if order == 1:
-        coef1 = _complex(out[:, :, _PARTIAL_COLUMNS])           # (B, 6, 3, 3)
-        coef1 = np.ascontiguousarray(coef1.transpose(0, 2, 1, 3))
+    _, dx, dy, _, _ = _pair_offsets(geom)
+    c, coef, coef1 = term_coefficients(net, geom, p1, order)
     rel = np.empty((3, len(c), dx.size))
     np.add(c[:, 0, None], dx, out=rel[0])
     np.add(c[:, 1, None], dy, out=rel[1])
     rel[2] = c[:, 2, None]
-    return c, rel, coef, coef1
+    if coef1 is not None:
+        coef1 = np.ascontiguousarray(coef1.transpose(0, 1, 3, 2))
+    return c, rel, np.ascontiguousarray(coef.transpose(0, 2, 1)), coef1
+
+
+def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
+                      order: int = 0):
+    """``expansion_coefficients`` without the pairs' coordinates, and with
+    the basis term before the component: (c, coef, coef1) with coef[b, t,
+    k] (B, 6, 6) and coef1[b, j, t, k] (B, 3, 3, 6).
+
+    The network is evaluated once per location, at c, and only for the
+    partials the expansion reads: the value, the x and y partials and the
+    xx, xy and yy second partials, plus the z, xz and yz ones at order 1.
+    They are three products, of tanh, tanh' and tanh'' with the net's
+    ``_expansion_blocks`` of the value, the first and the second partials,
+    written side by side into one array.  Every product runs row by row,
+    so that a location's output does not depend on the rest of the batch.
+    """
+    c = (np.asarray(p1, dtype=float) + _pair_offsets(geom)[0]).reshape(-1, 3)
+    offset, *blocks = net._expansion_blocks[order]
+    xn = (c - net.input_offset) / net.input_scale
+    a = np.tanh(_rowwise_matmul(xn, net.w1.T) + net.b1)
+    gp = 1.0 - np.square(a)                                         # tanh'
+    out = np.empty((len(c), 1, 12 * (6 + 3 * order)))
+    lo = 0
+    # tanh'' = -2 tanh tanh', whose factor -2 the block carries
+    for act, block in zip((a, gp, a * gp), blocks):
+        hi = lo + block.shape[1]
+        np.matmul(act[:, None], block, out=out[:, :, lo:hi])
+        lo = hi
+    out[:, 0, :12] += offset
+    out = out.view(complex).reshape(len(c), -1, 6)                  # (B, 6 | 9, 6)
+    if order == 0:
+        return c, out, None
+    return (c, np.take(out, _COEF_ROWS, axis=1),
+            np.take(out, _PARTIAL_ROWS, axis=1))
 
 
 def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,

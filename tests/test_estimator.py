@@ -13,7 +13,7 @@ import pytest
 from hmimo.crlb import fim
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import QuadratureRule, WaveConfig, full_channel
-from hmimo.harness import PROFILES, _draw_trial, estimator_config
+from hmimo.harness import PROFILES, _draw_trial, build_geometry, estimator_config
 from hmimo.signals import (PilotBlock, UnitaryModel, gen_combiner, gen_pilots,
                            simulate_rx, simulate_rx_hybrid, unitary_transform,
                            combine_channel)
@@ -684,6 +684,58 @@ class TestInitHelpers:
             assert not np.any(a) and not np.any(g)
 
 
+    def test_moments_match_expansion_path_at_paper_geometry(self, trained_net,
+                                                            wave):
+        # the paper profile's shapes: 10 x 10 receive and 5 x 5 transmit
+        # patches, 2,500 pairs and 6 locations a chunk, so that the moment
+        # sums' batch spans three chunks; each output agrees with the
+        # identity-combiner expansion path within 1e-12 of its largest entry
+        geom = build_geometry(PROFILES["paper"])
+        assert geom.n_patches * geom.m_patches == 2500
+        assert len(estimator._chunks(geom, 13)) == 3
+        p_true = np.array([0.37, -0.51, 27.3])
+        h_ref = full_channel(geom, p_true, wave, QuadratureRule(4)).stacked
+        rng = np.random.default_rng(12)
+        corners = [[x, y, 18.0] for x in (-1.2, 1.2) for y in (-1.2, 1.2)]
+        p1s = np.vstack([np.column_stack([rng.uniform(-1, 1, (8, 2)),
+                                          rng.uniform(20, 40, 8)]),
+                         p_true, corners])
+        eye = np.eye(geom.m_patches, dtype=complex)
+        for helper in (estimator._envelope_scores, estimator._residual_costs,
+                       estimator._normal_equations):
+            moments = _tuple(helper(trained_net, geom, h_ref, p1s, wave))
+            arrays = _tuple(helper(trained_net, geom, h_ref, p1s, wave, eye))
+            for m, e in zip(moments, arrays):
+                assert m.shape == e.shape
+                assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
+
+    @pytest.mark.parametrize("profile, count, chains", [
+        ("ci", 201, None), ("ci", 729, None), ("ci", 201, 24),
+        ("paper", 201, None), ("paper", 729, None), ("paper", 7, 32)])
+    def test_chunks_cover_the_batch_evenly(self, profile, count, chains):
+        # contiguous slices that cover the batch exactly, as many as the pair
+        # budget needs, each of at least one and at most the budget's
+        # locations, and sizes within one location of each other; no chunk
+        # is a one-location remainder unless the budget is one location
+        geom = build_geometry(PROFILES[profile])
+        f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
+        budget = estimator._CHUNK_POINTS
+        if f is not None:
+            budget //= estimator._HYBRID_SHARE
+        per = max(1, budget // (geom.n_patches * geom.m_patches))
+        chunks = estimator._chunks(geom, count, f)
+        assert len(chunks) == -(-count // per)
+        assert chunks[0].start == 0 and chunks[-1].stop == count
+        for a, b in zip(chunks, chunks[1:]):
+            assert a.stop == b.start
+        sizes = [sl.stop - sl.start for sl in chunks]
+        assert 1 <= min(sizes) and max(sizes) <= per
+        assert max(sizes) - min(sizes) <= 1
+        if per > 1:
+            assert min(sizes) > 1
+        assert estimator._chunks(geom, 0, f) == []
+
+
 def _tuple(out):
     return out if isinstance(out, tuple) else (out,)
 
@@ -741,6 +793,34 @@ class TestNelderMead:
             lambda p: -estimator._envelope_scores(trained_net, small_geometry,
                                                   h_ls, p[None], wave)[0],
             cands[np.argmax(scores)])
+
+    @pytest.mark.parametrize("saturating", [False, True])
+    def test_objective_is_a_row_of_a_batch(self, trained_net, small_geometry,
+                                           wave, true_channel, monkeypatch,
+                                           saturating):
+        # the objective's one-location call equals that location's row of a
+        # batch spanning several chunks, bit for bit, also where the
+        # prediction vanishes and the score is 0
+        geom = small_geometry
+        if saturating:
+            net = _saturating_net()
+            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0], wave)
+            p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.0, 0.0, 60.0],
+                            [0.1, -0.05, 3.2], [0.0, 0.1, 3.1]])
+        else:
+            net, h_ref = trained_net, true_channel
+            p1s = np.array([[0.37, -0.51, 27.3], [-0.8, 0.2, 21.0],
+                            [0.0, 0.0, 30.0], [0.9, 0.9, 39.5], [-1.1, 1.1, 18.0]])
+        monkeypatch.setattr(estimator, "_CHUNK_POINTS",
+                            2 * geom.n_patches * geom.m_patches)
+        assert len(estimator._chunks(geom, len(p1s))) == 3
+        ref = estimator._Reference.of(geom, h_ref)
+        batch = estimator._envelope_scores(net, geom, ref, p1s, wave)
+        for i, p in enumerate(p1s):
+            one = -estimator._envelope_scores(net, geom, ref, p[None], wave)[0]
+            assert one.tobytes() == (-batch[i]).tobytes()
+        if saturating:
+            assert batch[2] == 0.0
 
 
 def test_import_loads_no_scipy():

@@ -774,3 +774,39 @@ class TestCsvDiff:
                                   str(tmp_path / "none.csv"), str(tmp_path / "a.csv")],
                                  capture_output=True, text=True)
         assert missing.returncode == 2
+
+
+class TestBenchPairs:
+    """``docs/bench_pairs.py``'s claim rule, imported from the script."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "bench_pairs.py"
+
+    @pytest.fixture(scope="class")
+    def verdict(self):
+        import importlib.util
+        spec = importlib.util.spec_from_file_location("bench_pairs", self.SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.claim_verdict
+
+    def test_clear_gain_holds(self, verdict):
+        base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+        new = [b - 0.5 for b in base]
+        lower, ties, gap, iqr, holds = verdict(base, new)
+        assert (lower, ties, holds) == (10, 0, True)
+        assert gap == pytest.approx(0.5) and 0 < iqr < gap
+
+    def test_nine_of_ten_needed_and_ties_count_for_neither(self, verdict):
+        base = [1.0] * 10
+        # lower in 9 of 10 and a tie: 9 / 10 holds
+        assert verdict(base, [0.5] * 9 + [1.0])[:2] == (9, 1)
+        assert verdict(base, [0.5] * 9 + [1.0])[4]
+        # lower in 8 and two ties: the ties count for neither side
+        lower, ties, _, _, holds = verdict(base, [0.5] * 8 + [1.0, 1.0])
+        assert (lower, ties, holds) == (8, 2, False)
+
+    def test_gap_must_exceed_base_spread(self, verdict):
+        # lower in every pair, but by less than the base runs spread
+        base = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        lower, _, gap, iqr, holds = verdict(base, [b - 0.1 for b in base])
+        assert lower == 10 and gap < iqr and not holds

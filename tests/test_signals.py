@@ -61,6 +61,21 @@ class TestPilots:
         assert np.array_equal(s[2 * ell:, 4 * n:5 * n], p.sx.T)
         assert np.array_equal(s[2 * ell:, 5 * n:], p.sy.T)
 
+    def test_matrix_built_once_read_only(self):
+        # every read returns the one read-only array, equal to the np.block
+        # assembly of the three pilot matrices
+        p = gen_pilots(3, 5, seed=4)
+        s = p.matrix
+        assert p.matrix is s
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.0
+        zero = np.zeros((5, 3), dtype=complex)
+        sx, sy, sz = p.sx.T, p.sy.T, p.sz.T
+        assert np.array_equal(s, np.block([[sx, zero, zero, sy, sz, zero],
+                                           [zero, sy, zero, sx, zero, sz],
+                                           [zero, zero, sz, zero, sx, sy]]))
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             gen_pilots(0, 5, seed=0)
