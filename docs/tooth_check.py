@@ -5,14 +5,18 @@ wavelength apart; a change to it that is meant to move its output only at
 round-off must keep the winning tooth of every draw.  This script runs the
 full-digital estimator on the 60 draws of ``run_point`` on the ci profile
 (seed 0, point seed 0: 20 trials each at 0, 8 and 20 dB), records the p0
-that each init returns, and writes them to a JSON file:
+that each init returns and the CPU time of each init, and writes the p0s
+to a JSON file:
 
     PYTHONPATH=src python docs/tooth_check.py p0_before.json
     PYTHONPATH=src python docs/tooth_check.py p0_after.json --weights w.json
     python docs/tooth_check.py --compare p0_before.json p0_after.json
 
-Without ``--weights`` it trains the ci-settings surrogate first (about
-2 s), as ``hmimo train`` would.  ``--compare`` prints "same tooth k of 60,
+With ``--chains P`` it runs the hybrid estimator (``estimate_hybrid``) on
+the same draws instead, each behind its trial's P-chain combiner (child 3
+of the trial's seed, as ``run_trial`` draws it).  Without ``--weights`` it
+trains the ci-settings surrogate first (about 2 s), as ``hmimo train``
+would.  ``--compare`` prints "same tooth k of 60,
 max |dp0| ... m" and exits 1 if any draw's p0 lies on another tooth, that
 is, if its z moved by half a wavelength or more.
 """
@@ -45,12 +49,12 @@ def _ci_net(cfg, weights):
     return train(inputs, targets, tc, wave.frequency)[0]
 
 
-def record(path, weights):
+def record(path, weights, chains=None):
     from hmimo import estimator
     from hmimo.green import QuadratureRule, WaveConfig, full_channel
     from hmimo.harness import (PROFILES, _draw_trial, build_geometry,
                                estimator_config)
-    from hmimo.signals import simulate_rx, unitary_transform
+    from hmimo.signals import combine_channel, simulate_rx, unitary_transform
 
     cfg = PROFILES["ci"]
     net = _ci_net(cfg, weights)
@@ -69,23 +73,28 @@ def record(path, weights):
     # the draws of run_point's first sweep point
     seqs = np.random.SeedSequence(entropy=cfg["seed"],
                                   spawn_key=(0,)).spawn(cfg["trials"])
+    fixed = dict(cfg["fixed"], chains=chains) if chains else cfg["fixed"]
     estimator.grid_search_init = recorded
     try:
         for snr in SNRS:
             for seq in seqs:
-                seeds, p1, pilots, _ = _draw_trial(cfg, geom, cfg["fixed"], seq)
+                seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
                 h = full_channel(geom, p1, wave,
                                  QuadratureRule(cfg["quadrature_order"])).stacked
-                y, _ = simulate_rx(h, pilots, snr, seed=seeds[2])
+                y, _ = simulate_rx(combine_channel(f, h), pilots, snr,
+                                   seed=seeds[2])
+                model = unitary_transform(pilots.matrix, y)
                 try:
-                    estimator.estimate_full_digital(
-                        unitary_transform(pilots.matrix, y), net, geom, ecfg)
-                except estimator.NumericalFailure:
+                    if f is None:
+                        estimator.estimate_full_digital(model, net, geom, ecfg)
+                    else:
+                        estimator.estimate_hybrid(model, f, net, geom, ecfg)
+                except (estimator.NumericalFailure, np.linalg.LinAlgError):
                     pass        # the init has run; its p0 is recorded
     finally:
         estimator.grid_search_init = init
     with open(path, "w") as fh:
-        json.dump({"snr_db": SNRS, "trials": cfg["trials"],
+        json.dump({"snr_db": SNRS, "trials": cfg["trials"], "chains": chains,
                    "wavelength_m": wave.wavelength, "p0": starts}, fh)
     print(f"{len(starts)} inits, CPU s per init: min {min(cpu):.3f}, "
           f"median {np.median(cpu):.3f}, max {max(cpu):.3f} -> {path}")
@@ -112,6 +121,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", nargs="?", help="JSON file to write the p0s to")
     ap.add_argument("--weights", help="surrogate weights file (default: train)")
+    ap.add_argument("--chains", type=int, metavar="P",
+                    help="run the hybrid receiver behind P-chain combiners")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two recorded files instead")
     args = ap.parse_args(argv)
@@ -119,7 +130,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.out is None:
         ap.error("give an output file or --compare A B")
-    record(args.out, args.weights)
+    record(args.out, args.weights, args.chains)
     return 0
 
 

@@ -12,12 +12,11 @@ One loop serves two receivers: a full-digital receiver observing all M
 antenna patches, and a hybrid receiver observing P < M analog-combined
 outputs G = H F^T.  The init and the loop both read the surrogate of the
 observed channel, projected through the combining matrix F (None for the
-full-digital receiver).  The init searches many candidate locations, and
+full-digital receiver).  The init searches many candidate locations and
 reads the model of ``expanded_channel(..., f)``, which evaluates the
-network once per location and expands it over the patch pairs; without a
-combiner it sums that model through moments of the expansion basis
-rather than per-pair arrays, with one carrier rotation per location and
-a small phase per pair.  The loop reads the per-pair model of
+network once per location; one helper sums it, through moments of the
+expansion basis without a combiner and through ``expanded_channel``
+arrays behind one.  The loop reads the per-pair model of
 ``stacked_channel`` through ``taylor_linearize``, which pushes it through
 the combiner in the pair layout; the CRLB and the known-location estimate
 read ``stacked_channel`` itself, so the loop converges on the per-pair
@@ -349,32 +348,40 @@ _CARRIER_INDEX, _ = _product_monomials(3, 3)
 
 @dataclass(frozen=True)
 class _Reference:
-    """The data h_ref (6N, M) of the full-digital init, with what its
-    moment sums read of it and of the pair offsets (dx, dy) (N M,) and the
-    expansion basis b_t(p) (6, N M): ||h_ref||^2, the rows (2 dx, 2 dy, 0)
-    and dx^2 + dy^2 of r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2, the
-    products ref_b[(t, k), p] = b_t(p) h_ref[k, p] (36, N M), the
-    monomials dx^a dy^b (15, N M) of _MONOMIALS and the Gram matrix
-    gram[t, s] = sum_p b_t(p) b_s(p)."""
+    """The data h_ref of the init, (6N, M) or, behind a combiner, (6N, P),
+    with what its sums read of it: ||h_ref||^2 and, behind a combiner,
+    h_ref (6N P,) and its conjugate as a (6N P, 1) column.  Without one,
+    they read the products ref_b[(t, k), p] = b_t(p) h_ref[k, p] (36, N M)
+    of the expansion basis b_t(p) (6, N M), and of the pair offsets
+    (dx, dy) (N M,) the rows (2 dx, 2 dy, 0) and dx^2 + dy^2 of
+    r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2, the monomials dx^a dy^b
+    (15, N M) of _MONOMIALS and the Gram matrix gram[t, s] =
+    sum_p b_t(p) b_s(p)."""
 
     norm2: float
-    offsets: np.ndarray
-    offsets2: np.ndarray
-    ref_b: np.ndarray
-    monomials: np.ndarray
-    gram: np.ndarray
+    h_ref: np.ndarray = None
+    conj: np.ndarray = None
+    ref_b: np.ndarray = None
+    offsets: np.ndarray = None
+    offsets2: np.ndarray = None
+    monomials: np.ndarray = None
+    gram: np.ndarray = None
 
     @classmethod
-    def of(cls, geom: SurfaceGeometry, h_ref) -> "_Reference":
-        """Build the reference of the data h_ref, or pass a built one through."""
+    def of(cls, geom: SurfaceGeometry, h_ref, f=None) -> "_Reference":
+        """Build the reference of the data h_ref of the receiver with the
+        combiner ``f``, or pass a built one through."""
         if isinstance(h_ref, cls):
             return h_ref
+        norm2 = np.linalg.norm(h_ref) ** 2
+        if f is not None:
+            return cls(norm2, h_ref.reshape(-1), h_ref.conj().reshape(-1, 1))
         terms = expansion_terms(geom)
         dx, dy = terms[1:3]
-        return cls(norm2=np.linalg.norm(h_ref) ** 2,
+        return cls(norm2,
+                   ref_b=(terms[:, None] * np.reshape(h_ref, (6, -1))).reshape(36, -1),
                    offsets=np.stack([2.0 * dx, 2.0 * dy, np.zeros_like(dx)]),
                    offsets2=dx * dx + dy * dy,
-                   ref_b=(terms[:, None] * np.reshape(h_ref, (6, -1))).reshape(36, -1),
                    monomials=np.stack([dx ** a * dy ** b for a, b in _MONOMIALS]),
                    gram=terms @ terms.T)
 
@@ -403,7 +410,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     each summed against monomials dx^a dy^b, and the moments R_tk = sum_p
     exp(-i k0 r_p) b_t(p) h_ref[k, p], t < 3; |phi|^2 = sum_ts Re(C^H C)_ts
     b_t b_s is itself a sum of monomials.  The carrier of pair p is that of
-    the aperture centres, r_c = |c| (``expansion_coefficients``), times that
+    the aperture centres, r_c = |c| (``term_coefficients``), times that
     of the small offset delta_p = r_p - r_c, written without cancellation
     as (r_p^2 - r_c^2) / (r_p + r_c) and evaluated as the cosine and sine
     of a phase of at most a few radians; the sums are linear in the
@@ -480,87 +487,78 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     return norm2, inner, half + half.transpose(0, 2, 1), grad
 
 
-def _moment_chunks(net, geom, ref: _Reference, p1s, wave, order=0):
-    """``_moment_sums`` of p1s (B, 3), evaluated chunk by chunk in one
-    workspace allocated once per call."""
-    chunks = _chunks(geom, len(p1s))
-    rows, pairs = chunks[-1].stop - chunks[-1].start, geom.n_patches * geom.m_patches
-    w_c = np.empty((rows, pairs), dtype=complex)
-    w_r = np.empty((rows, 2, pairs)) if order else None
-    if len(chunks) == 1:
-        return _moment_sums(net, geom, ref, p1s, wave, w_c, w_r)
-    parts = [_moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r) for sl in chunks]
+def _array_sums(net, geom, ref: _Reference, p1s, wave, f, order):
+    """The sums of ``_chunked_sums`` behind the combiner ``f``, over the
+    ``expanded_channel`` arrays g of the locations p1s, one product each."""
+    out = expanded_channel(net, geom, p1s, wave, order, f)
+    g = (out[0] if order else out).reshape(len(p1s), 1, -1)
+    gv = g.view(float)
+    # <g, h_ref> is the conjugate of sum g conj(h_ref)
+    sums = [_dot(gv, gv), (g @ ref.conj)[:, 0, 0].conj()]
+    if order:
+        # Re(u^H v) is the dot product of the (Re, Im) pairs of u and v, so
+        # J^H J and J^H e are real products of real views; J^H J as nine
+        # dot products, which BLAS does faster than a 3 x 2K x 3 GEMM
+        jac = np.ascontiguousarray(np.moveaxis(out[1], -1, 1).reshape(len(g), 3, -1))
+        jac = jac.view(float)                                  # (B, 3, 2K)
+        e = (g - ref.h_ref).view(float)                        # (B, 1, 2K)
+        sums += [(jac[:, :, None, None] @ jac[:, None, :, :, None])[..., 0, 0],
+                 (jac @ e.transpose(0, 2, 1))[..., 0]]
+    return tuple(sums)
+
+
+def _chunked_sums(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
+    """The init's sums at p1s (B, 3), chunk by chunk: ||model||^2 and
+    <model, h_ref> (B,) and, at ``order`` 1, J^H J (B, 3, 3) and
+    Re J^H (model - h_ref) (B, 3) of the model's Jacobian J.  Without a
+    combiner they are ``_moment_sums``, in one workspace allocated once per
+    call, and behind the combiner ``f`` ``_array_sums``."""
+    chunks = _chunks(geom, len(p1s), f)
+    if not chunks:
+        return (np.empty(0), np.empty(0, complex), np.empty((0, 3, 3)),
+                np.empty((0, 3)))[:2 + 2 * order]
+    if f is None:
+        rows, pairs = chunks[-1].stop - chunks[-1].start, geom.n_patches * geom.m_patches
+        w_c = np.empty((rows, pairs), dtype=complex)
+        w_r = np.empty((rows, 2, pairs)) if order else None
+        parts = [_moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r) for sl in chunks]
+    else:
+        parts = [_array_sums(net, geom, ref, p1s[sl], wave, f, order) for sl in chunks]
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _score(inner, denom):
-    """|inner| / denom, and 0 where denom is 0."""
-    return np.abs(inner / np.where(denom == 0, np.inf, denom))
 
 
 def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
     """Envelope correlation |<model(p), h_ref>| / (|model(p)| |h_ref|), (B,).
 
-    A location whose prediction vanishes scores 0.  Without a combiner
-    ``h_ref`` may also be its ``_Reference``.
+    A location whose prediction vanishes scores 0.  ``h_ref`` may also be
+    its ``_Reference``.
     """
-    if f is None:
-        ref = _Reference.of(geom, h_ref)
-        norm2, inner = _moment_chunks(net, geom, ref, p1s, wave)
-        return _score(inner, np.sqrt(np.maximum(norm2, 0.0) * ref.norm2))
-    out = np.empty(len(p1s))
-    norm_ref = np.linalg.norm(h_ref)
-    ref = h_ref.conj().reshape(-1, 1)
-    for sl in _chunks(geom, len(p1s), f):
-        pred = expanded_channel(net, geom, p1s[sl], wave, f=f)
-        pred = pred.reshape(pred.shape[0], 1, -1)
-        # one dot product per location, so that a score does not depend on
-        # the batch; |<h_ref, p>| = |<p, h_ref>|
-        out[sl] = _score((pred @ ref)[:, 0, 0],
-                         np.linalg.norm(pred[:, 0], axis=1) * norm_ref)
-    return out
+    ref = _Reference.of(geom, h_ref, f)
+    norm2, inner = _chunked_sums(net, geom, ref, p1s, wave, f)
+    denom = np.sqrt(np.maximum(norm2, 0.0) * ref.norm2)
+    return np.abs(inner / np.where(denom == 0, np.inf, denom))
 
 
 def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
     """Squared residual ||model(p) - h_ref||^2 at each of B locations.
 
-    Without a combiner ``h_ref`` may also be its ``_Reference``.
+    ``h_ref`` may also be its ``_Reference``.
     """
-    if f is None:
-        ref = _Reference.of(geom, h_ref)
-        norm2, inner = _moment_chunks(net, geom, ref, p1s, wave)
-        return norm2 - 2.0 * inner.real + ref.norm2
-    out = np.empty(len(p1s))
-    for sl in _chunks(geom, len(p1s), f):
-        e = expanded_channel(net, geom, p1s[sl], wave, f=f) - h_ref
-        out[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=(1, 2))
-    return out
+    ref = _Reference.of(geom, h_ref, f)
+    norm2, inner = _chunked_sums(net, geom, ref, p1s, wave, f)
+    return norm2 - 2.0 * inner.real + ref.norm2
 
 
 def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
     """Residual cost (B,), Gauss-Newton matrix (B, 3, 3) and gradient (B, 3).
 
-    Without a combiner ``h_ref`` may also be its ``_Reference``.
+    ``h_ref`` may also be its ``_Reference``.
     """
-    if f is None:
-        ref = _Reference.of(geom, h_ref)
-        norm2, inner, a, g = _moment_chunks(net, geom, ref, p1s, wave, order=1)
-        return norm2 - 2.0 * inner.real + ref.norm2, a, g
-    b = len(p1s)
-    cost, a, g = np.empty(b), np.empty((b, 3, 3)), np.empty((b, 3))
-    for sl in _chunks(geom, b, f):
-        h, dh = expanded_channel(net, geom, p1s[sl], wave, order=1, f=f)
-        c = h.shape[0]
-        e = (h - h_ref).reshape(c, -1)
-        cost[sl] = np.sum(e.real ** 2 + e.imag ** 2, axis=1)
-        # Re(u^H v) is the dot product of the (Re, Im) pairs of u and v, so
-        # J^H J and J^H e are real products of real views; J^H J as nine
-        # dot products, which BLAS does faster than a 3 x 2K x 3 GEMM
-        jac = np.ascontiguousarray(np.moveaxis(dh, -1, 1).reshape(c, 3, -1))
-        jac = jac.view(float)                                # (c, 3, 2K)
-        a[sl] = (jac[:, :, None, None] @ jac[:, None, :, :, None])[..., 0, 0]
-        g[sl] = (jac @ e.view(float)[..., None])[..., 0]
-    return cost, a, g
+    ref = _Reference.of(geom, h_ref, f)
+    norm2, inner, a, g = _chunked_sums(net, geom, ref, p1s, wave, f, order=1)
+    return norm2 - 2.0 * inner.real + ref.norm2, a, g
 
 
 def _solve_each(a: np.ndarray, rhs: np.ndarray):
@@ -682,15 +680,14 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     evaluated once per candidate location, at the relative coordinate of
     the aperture centres, and expanded over the patch pairs (second order
     in the pair offsets for the channel, first order for its partials).
-    Behind a combiner the sums run over ``expanded_channel`` arrays, since
-    G = H F^T mixes the carriers of different receive patches.  Without
-    one they run on moments of the expansion basis (``_moment_sums``),
-    and the products of h_ref with that basis are formed once per call.
-    The message passing, the CRLB and the known-location estimate read the
-    per-pair model instead.
+    One helper, ``_chunked_sums``, sums it against h_ref: behind a combiner
+    over ``expanded_channel`` arrays, since G = H F^T mixes the carriers of
+    different receive patches, and without one on moments of the expansion
+    basis (``_moment_sums``).  What the sums read of h_ref is formed once
+    per call (``_Reference``).  The message passing, the CRLB and the
+    known-location estimate read the per-pair model instead.
     """
-    if f is None:
-        h_ref = _Reference.of(geom, h_ref)
+    h_ref = _Reference.of(geom, h_ref, f)
     cands, _ = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, h_ref, cands, wave, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]

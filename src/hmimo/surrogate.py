@@ -7,8 +7,9 @@ first/second derivatives of that product are available for the
 linearized message passing and for Fisher-information computations.  The
 location init, which evaluates the channel at many candidate locations,
 instead evaluates the network once per location, only for the partials
-that its expansion over the patch pairs reads, and expands its output
-(``expansion_coefficients``, ``expanded_channel``).
+that its expansion over the patch pairs reads, with columns gathered from
+the same output block (``term_coefficients``), and expands its output
+(``expanded_channel``).
 
 Slot layout of the 12 outputs: slots 0..5 are the real parts in the
 order (xx, yy, zz, xy, xz, yz); slots 6..11 the matching imaginary
@@ -71,46 +72,6 @@ class HybridNet:
         return self.w1.shape[0]
 
     @functools.cached_property
-    def _expansion_blocks(self):
-        """The output layer of the partials that ``expansion_coefficients``
-        reads at orders 0 and 1, built once per net: per order, the value
-        offset b2 * output_scale + output_offset (12,) and one block (Nh,
-        n x 6 x 2) per derivative order of the n partials of
-        _EXPANSION_PARTIALS of that order that it reads.  A partial of
-        order n in the inputs is tanh^(n) of the hidden layer times w2 and
-        n columns of w1; the blocks hold those products with the input and
-        output scales folded in, and their columns are ordered (partial,
-        component, re/im), as is the offset (component, re/im), so that a
-        product is the real view of complex partials (..., n, 6).  The
-        block of the second partials carries the factor -2 of tanh'' =
-        -2 tanh tanh'.  Read-only."""
-        nh = self.hidden_count
-        w1s = self.w1 / self.input_scale           # chain rule through input map
-        w2s = self.w2 * self.output_scale
-
-        def by_component(a):                       # slots (..., 12) -> (..., 6, 2)
-            return np.moveaxis(a.reshape(a.shape[:-1] + (2, 6)), -2, -1)
-
-        offset = by_component(self.b2 * self.output_scale + self.output_offset)
-        out = []
-        for order in (0, 1):
-            blocks = [offset.ravel()]
-            for partials in _EXPANSION_PARTIALS:
-                cols = []
-                for axes in partials:
-                    if order == 0 and 2 in axes:
-                        continue
-                    w = w2s if len(axes) < 2 else -2.0 * w2s
-                    for j in axes:
-                        w = w * w1s[:, j, None]
-                    cols.append(by_component(w))
-                blocks.append(np.stack(cols, axis=1).reshape(nh, -1))
-            for a in blocks:
-                a.flags.writeable = False
-            out.append(tuple(blocks))
-        return tuple(out)
-
-    @functools.cached_property
     def _partials_block(self):
         """The output layer of ``_output_partials``, built once per net: the
         map (b2, output_scale, output_offset) of the value, as (3, 12), and
@@ -119,8 +80,9 @@ class HybridNet:
         times w2 and n columns of w1; block n holds those products, with
         the input scale and, for n >= 1, the output scale folded in (the
         value takes its map after the product, in the order ``train`` fits
-        it).  The columns are ordered (component, coordinates, re/im), so
-        that a product is the real view of the complex partial.  Read-only.
+        it).  Block 2 carries the factor -2 of tanh'' = -2 tanh tanh'.  The
+        columns are ordered (component, coordinates, re/im), so that a
+        product is the real view of the complex partial.  Read-only.
         """
         w1s = self.w1 / self.input_scale           # chain rule through input map
 
@@ -130,7 +92,7 @@ class HybridNet:
         value = by_component(self.w2)
         d1 = (by_component(self.w2 * self.output_scale)[:, :, None]
               * w1s[:, None, :, None])                          # (Nh, 6, 3, 2)
-        d2 = d1[:, :, :, None] * w1s[:, None, None, :, None]    # (Nh, 6, 3, 3, 2)
+        d2 = -2.0 * d1[:, :, :, None] * w1s[:, None, None, :, None]  # (Nh, 6, 3, 3, 2)
         # reshaping the moved axes copies, in C order
         out = (by_component(np.stack([self.b2, self.output_scale,
                                       self.output_offset])).reshape(3, 12),
@@ -138,6 +100,31 @@ class HybridNet:
         for a in out:
             a.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def _expansion_blocks(self):
+        """The output layer of the partials that ``term_coefficients`` reads
+        at orders 0 and 1, gathered once per net from ``_partials_block``:
+        per order, the value offset b2 * output_scale + output_offset (12,)
+        and, per derivative order, the block's columns of the partials of
+        _EXPANSION_PARTIALS that it reads, the value's times the output
+        scale.  The columns are ordered (partial, component, re/im), as is
+        the offset (component, re/im), so that a product is the real view of
+        complex partials (..., n, 6).  Read-only."""
+        (b2, scale, offset), value, *partials = self._partials_block
+        nh = self.hidden_count
+        out = []
+        for order in (0, 1):
+            blocks = [b2 * scale + offset]
+            for n, block in enumerate((value * scale, *partials)):
+                cols = [np.ravel_multi_index(axes, (3,) * n)
+                        for axes in _EXPANSION_PARTIALS[n] if order or 2 not in axes]
+                gathered = block.reshape(nh, 6, 3 ** n, 2)[:, :, cols]
+                blocks.append(np.moveaxis(gathered, 2, 1).reshape(nh, -1))
+            for a in blocks:
+                a.flags.writeable = False
+            out.append(tuple(blocks))
+        return tuple(out)
 
     # --- forward -----------------------------------------------------
 
@@ -215,8 +202,8 @@ def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
         gp = 1.0 - a**2                            # tanh'
         out.append((gp @ blocks[1]).view(complex).reshape(-1, 6, 3))
     if order >= 2:
-        gpp = -2.0 * a * gp                        # tanh''
-        out.append((gpp @ blocks[2]).view(complex).reshape(-1, 6, 3, 3))
+        # tanh'' = -2 tanh tanh', whose factor -2 the block carries
+        out.append(((a * gp) @ blocks[2]).view(complex).reshape(-1, 6, 3, 3))
     return out
 
 
@@ -334,12 +321,12 @@ def _pair_offsets(geom: SurfaceGeometry):
 
 
 def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
-    """The basis b_t(p) (6, N M) of ``expansion_coefficients``, read-only;
+    """The basis b_t(p) (6, N M) of ``term_coefficients``, read-only;
     pair p = n M + m is transmit patch n and receive patch m."""
     return _pair_offsets(geom)[3]
 
 
-# The partials of the network output that ``expansion_coefficients`` reads,
+# The partials of the network output that ``term_coefficients`` reads,
 # by derivative order and by the input coordinates they differentiate in:
 # the value, then d/dx, d/dy, d/dz, then xx, xy, yy, xz and yz.  The
 # expansion of phi reads those free of z; only that of its partials reads
@@ -353,35 +340,17 @@ _COEF_ROWS = (0, 1, 2, 4, 5, 6)
 _PARTIAL_ROWS = ((1, 4, 5), (2, 5, 6), (3, 7, 8))
 
 
-def expansion_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
-                           order: int = 0):
+def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
+                      order: int = 0):
     """The per-location expansion behind ``expanded_channel``.
 
     For the B locations of ``p1`` (..., 3) returns the relative coordinate
     c (B, 3) of the two aperture centres, c = p1 + mean(transmit offsets) -
-    mean(receive centres), that of every patch pair, rel (3, B, N M), and
-    the coefficients of the de-rotated output phi and, at ``order`` 1, of
-    its partials over the basis b_t(p) of ``expansion_terms``: phi[b, k, p]
-    = sum_t coef[b, k, t] b_t(p) with coef (B, 6, 6), and dphi[b, k, p, j] =
-    sum_{t < 3} coef1[b, j, k, t] b_t(p) with coef1 (B, 3, 6, 3) (None at
-    order 0): those of ``term_coefficients``, transposed.
-    """
-    _, dx, dy, _, _ = _pair_offsets(geom)
-    c, coef, coef1 = term_coefficients(net, geom, p1, order)
-    rel = np.empty((3, len(c), dx.size))
-    np.add(c[:, 0, None], dx, out=rel[0])
-    np.add(c[:, 1, None], dy, out=rel[1])
-    rel[2] = c[:, 2, None]
-    if coef1 is not None:
-        coef1 = np.ascontiguousarray(coef1.transpose(0, 1, 3, 2))
-    return c, rel, np.ascontiguousarray(coef.transpose(0, 2, 1)), coef1
-
-
-def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
-                      order: int = 0):
-    """``expansion_coefficients`` without the pairs' coordinates, and with
-    the basis term before the component: (c, coef, coef1) with coef[b, t,
-    k] (B, 6, 6) and coef1[b, j, t, k] (B, 3, 3, 6).
+    mean(receive centres), and the coefficients of the de-rotated output
+    phi and, at ``order`` 1, of its partials over the basis b_t(p) of
+    ``expansion_terms``: phi[b, k, p] = sum_t coef[b, t, k] b_t(p) with
+    coef (B, 6, 6), and dphi[b, k, p, j] = sum_{t < 3} coef1[b, j, t, k]
+    b_t(p) with coef1 (B, 3, 3, 6) (None at order 0).
 
     The network is evaluated once per location, at c, and only for the
     partials the expansion reads: the value, the x and y partials and the
@@ -420,22 +389,30 @@ def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig
     coordinate of the two aperture centres, and delta a fixed offset in the
     aperture plane.  The de-rotated output phi of each pair is the
     second-order expansion of the network in delta, and its partials the
-    first-order one (``expansion_coefficients``).  The exact exp(i k0 r)
+    first-order one (``term_coefficients``).  The exact exp(i k0 r)
     and r-hat of each pair then give h and dh.  A location's output does
     not depend on the rest of the batch, bit for bit: every product is one
     BLAS call of a fixed shape per location.
     """
     if order not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {order!r}")
-    _, _, _, _, basis = _pair_offsets(geom)
+    _, dx, dy, _, basis = _pair_offsets(geom)
     lead = np.shape(p1)[:-1]
     n, m = geom.n_patches, geom.m_patches
-    _, rel, coef, coef1 = expansion_coefficients(net, geom, p1, order)
+    c, coef, coef1 = term_coefficients(net, geom, p1, order)
+    # the real views of the coefficients, laid out (..., k, t), hold the
+    # terms and (Re, Im) in the last axis, as the rows of ``basis``
+    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
     phi = [(coef.view(float) @ basis).view(complex)]          # (B, 6, N M)
-    # the partials and the relative coordinates keep the coordinate axis
-    # outermost in memory, so that the elementwise products in ``_rotate``
-    # run along the pairs
+    # the partials and the relative coordinates c + (dx, dy, 0) keep the
+    # coordinate axis outermost in memory, so that the elementwise products
+    # in ``_rotate`` run along the pairs
+    rel = np.empty((3, len(c), dx.size))
+    np.add(c[:, 0, None], dx, out=rel[0])
+    np.add(c[:, 1, None], dy, out=rel[1])
+    rel[2] = c[:, 2, None]
     if order == 1:
+        coef1 = np.ascontiguousarray(coef1.transpose(0, 1, 3, 2))
         dphi = (coef1.reshape(-1, 18, 3).view(float) @ basis[:6]).view(complex)
         phi.append(np.moveaxis(dphi.reshape(-1, 3, 6, n * m), 1, -1))
     parts = [a.reshape(lead + (6 * n, m) + a.shape[3:])

@@ -1,8 +1,11 @@
-"""The benchmark's tracer wraps hmimo functions by module and name.
+"""The benchmark's tracer wraps hmimo functions by module and name, and
+its workloads build hmimo configs.
 
-``perfbench/layers.py`` lists them in ``TARGETS``; a function renamed or
-deleted here would otherwise surface only as a crash of a traced benchmark
-run.  The layers module is imported without installing any wrapper.
+``perfbench/layers.py`` lists the wrapped functions in ``TARGETS``, and
+``perfbench/workloads.py`` sets config keys; a function renamed or deleted
+here, or a key the config no longer accepts, would otherwise surface only
+as a crash of a benchmark run.  Both modules are imported read-only,
+without installing any wrapper.
 """
 
 import importlib
@@ -10,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hmimo import surrogate
 from hmimo.green import QuadratureRule, full_channel
@@ -17,12 +21,16 @@ from hmimo.green import QuadratureRule, full_channel
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_functions_exist(small_geometry, wave):
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        layers = importlib.import_module("layers")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_functions_exist(small_geometry, wave):
+    layers = _perfbench_module("layers")
     missing = [f"{module}.{attr}" for module, attr, *_ in layers.TARGETS
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
@@ -32,6 +40,14 @@ def test_traced_functions_exist(small_geometry, wave):
                      QuadratureRule(2))
     assert h.stacked.shape == (6 * small_geometry.n_patches,
                                small_geometry.m_patches)
+
+
+@pytest.mark.parametrize("name", ["ci-digital-cold", "paper-hybrid-warm"])
+def test_workload_configs_load(tmp_path, name):
+    # the config of every workload the benchmark declares passes the
+    # harness's validation, with the seed and trial count it sets
+    cfg = _perfbench_module("workloads").config(name, 1, 3, tmp_path)
+    assert (cfg["seed"], cfg["trials"]) == (1, 3)
 
 
 def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry, wave):

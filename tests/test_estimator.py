@@ -18,7 +18,7 @@ from hmimo.signals import (PilotBlock, UnitaryModel, gen_combiner, gen_pilots,
                            simulate_rx, simulate_rx_hybrid, unitary_transform,
                            combine_channel)
 from hmimo import estimator
-from hmimo.surrogate import (HybridNet, expansion_coefficients, hybrid_channel,
+from hmimo.surrogate import (HybridNet, term_coefficients, hybrid_channel,
                              stacked_channel, _output_partials)
 from hmimo.estimator import (VAR_MAX, VAR_MIN, EstimatorConfig, Linearization,
                              LocationState, NumericalFailure, UampState,
@@ -540,16 +540,16 @@ def _saturating_net():
 
 
 def _reference_coefficients(net, geom, p1s, order):
-    """``expansion_coefficients``' (coef, coef1) from the full output
-    Jacobian and Hessian, stacked term by term."""
+    """``term_coefficients``' (coef, coef1) from the full output Jacobian
+    and Hessian, stacked term by term before the component."""
     mean = relative_grid(geom, np.zeros(3)).reshape(-1, 3).mean(axis=0)
     out, d, d2 = _output_partials(net, p1s + mean, 2)
     coef = np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0], d2[..., 0, 1],
-                     d2[..., 1, 1]], axis=-1)
+                     d2[..., 1, 1]], axis=1)
     if order == 0:
         return coef, None
-    coef1 = np.stack([d, d2[..., 0], d2[..., 1]], axis=-1)
-    return coef, coef1.transpose(0, 2, 1, 3)
+    coef1 = np.stack([d, d2[..., 0], d2[..., 1]], axis=1)     # (B, t, k, j)
+    return coef, coef1.transpose(0, 3, 1, 2)
 
 
 class TestExpansionCoefficients:
@@ -572,17 +572,16 @@ class TestExpansionCoefficients:
             rng = np.random.default_rng(10)
             p1s = np.column_stack([rng.uniform(-1, 1, (count, 2)),
                                    rng.uniform(20, 40, count)])
-        centre, rel, coef, coef1 = expansion_coefficients(net, geom, p1s, order)
+        centre, coef, coef1 = term_coefficients(net, geom, p1s, order)
         want, want1 = _reference_coefficients(net, geom, p1s, order)
         pairs = relative_grid(geom, p1s).reshape(count, -1, 3)
-        assert np.allclose(rel, pairs.transpose(2, 0, 1), rtol=0, atol=1e-12)
         assert np.allclose(centre, pairs.mean(axis=1), rtol=0, atol=1e-12)
         assert coef.shape == (count, 6, 6)
         assert np.max(np.abs(coef - want)) <= 1e-13 * np.max(np.abs(want))
         if order == 0:
             assert coef1 is None
         else:
-            assert coef1.shape == (count, 3, 6, 3)
+            assert coef1.shape == (count, 3, 3, 6)
             assert np.max(np.abs(coef1 - want1)) <= 1e-13 * np.max(np.abs(want1))
 
 
@@ -638,6 +637,20 @@ class TestInitHelpers:
                 one = helper(trained_net, geom, h_ref, p1[None], wave, f)
                 for b, o in zip(_tuple(batch), _tuple(one)):
                     assert np.array_equal(b[i], o[0])
+
+    @pytest.mark.parametrize("chains", [None, 24])
+    def test_empty_batch(self, trained_net, small_geometry, wave, true_channel,
+                         chains):
+        # no location gives empty outputs of the batch's shapes
+        geom = small_geometry
+        f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
+        h_ref, p1s = combine_channel(f, true_channel), np.empty((0, 3))
+        scores = estimator._envelope_scores(trained_net, geom, h_ref, p1s, wave, f)
+        costs = estimator._residual_costs(trained_net, geom, h_ref, p1s, wave, f)
+        cost, a, g = estimator._normal_equations(trained_net, geom, h_ref, p1s,
+                                                 wave, f)
+        assert scores.shape == costs.shape == cost.shape == (0,)
+        assert a.shape == (0, 3, 3) and g.shape == (0, 3)
 
     @pytest.mark.parametrize("saturating", [False, True])
     def test_moments_match_expansion_path(self, trained_net, small_geometry,
@@ -800,7 +813,8 @@ class TestNelderMead:
                                            saturating):
         # the objective's one-location call equals that location's row of a
         # batch spanning several chunks, bit for bit, also where the
-        # prediction vanishes and the score is 0
+        # prediction vanishes and the score is 0; of both receivers, each
+        # reading the reference that ``grid_search_init`` builds once
         geom = small_geometry
         if saturating:
             net = _saturating_net()
@@ -811,16 +825,18 @@ class TestNelderMead:
             net, h_ref = trained_net, true_channel
             p1s = np.array([[0.37, -0.51, 27.3], [-0.8, 0.2, 21.0],
                             [0.0, 0.0, 30.0], [0.9, 0.9, 39.5], [-1.1, 1.1, 18.0]])
-        monkeypatch.setattr(estimator, "_CHUNK_POINTS",
-                            2 * geom.n_patches * geom.m_patches)
-        assert len(estimator._chunks(geom, len(p1s))) == 3
-        ref = estimator._Reference.of(geom, h_ref)
-        batch = estimator._envelope_scores(net, geom, ref, p1s, wave)
-        for i, p in enumerate(p1s):
-            one = -estimator._envelope_scores(net, geom, ref, p[None], wave)[0]
-            assert one.tobytes() == (-batch[i]).tobytes()
-        if saturating:
-            assert batch[2] == 0.0
+        for f in (None, gen_combiner(24, geom.m_patches, seed=5)):
+            share = 1 if f is None else estimator._HYBRID_SHARE
+            monkeypatch.setattr(estimator, "_CHUNK_POINTS",
+                                2 * share * geom.n_patches * geom.m_patches)
+            assert len(estimator._chunks(geom, len(p1s), f)) == 3
+            ref = estimator._Reference.of(geom, combine_channel(f, h_ref), f)
+            batch = estimator._envelope_scores(net, geom, ref, p1s, wave, f)
+            for i, p in enumerate(p1s):
+                one = -estimator._envelope_scores(net, geom, ref, p[None], wave, f)[0]
+                assert one.tobytes() == (-batch[i]).tobytes()
+            if saturating:
+                assert batch[2] == 0.0
 
 
 def test_import_loads_no_scipy():
