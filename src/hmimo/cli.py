@@ -38,8 +38,6 @@ def _parser():
         p.add_argument("--profile", choices=("ci", "paper"), default="ci")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output file override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads per sweep point")
     fd = sub.choices["field-dump"]
     fd.add_argument("--axis", choices=("x", "y", "z"), default="y",
                     help="coordinate held fixed")
@@ -61,8 +59,6 @@ def _config_from_args(args):
                               "paths.weights and paths.weights_approx; set "
                               "those keys in the config")
         overrides["paths"] = {"out": args.out}
-    if args.threads and args.threads > 1:
-        overrides["threads"] = args.threads
     return load_config(args.config, profile=args.profile, overrides=overrides)
 
 

@@ -26,6 +26,7 @@ model from the init's start.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -346,44 +347,43 @@ _CROSS_INDEX, _CROSS_FACTOR = _product_monomials(3, 6, 3)
 _CARRIER_INDEX, _ = _product_monomials(3, 3)
 
 
+@functools.lru_cache(maxsize=8)
+def _moment_tables(geom: SurfaceGeometry):
+    """The full-digital init's tables of the geometry, read-only: of the pair
+    offsets (dx, dy) (N M,) the rows (2 dx, 2 dy, 0) and dx^2 + dy^2 of
+    r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2, the monomials (15, N M) of
+    _MONOMIALS and the Gram matrix sum_p b_t(p) b_s(p) of the basis b_t."""
+    terms = expansion_terms(geom)
+    dx, dy = terms[1:3]
+    out = (np.stack([2.0 * dx, 2.0 * dy, np.zeros_like(dx)]), dx * dx + dy * dy,
+           np.stack([dx ** a * dy ** b for a, b in _MONOMIALS]), terms @ terms.T)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class _Reference:
     """The data h_ref of the init, (6N, M) or, behind a combiner, (6N, P),
     with what its sums read of it: ||h_ref||^2 and, behind a combiner,
     h_ref (6N P,) and its conjugate as a (6N P, 1) column.  Without one,
     they read the products ref_b[(t, k), p] = b_t(p) h_ref[k, p] (36, N M)
-    of the expansion basis b_t(p) (6, N M), and of the pair offsets
-    (dx, dy) (N M,) the rows (2 dx, 2 dy, 0) and dx^2 + dy^2 of
-    r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2, the monomials dx^a dy^b
-    (15, N M) of _MONOMIALS and the Gram matrix gram[t, s] =
-    sum_p b_t(p) b_s(p)."""
+    of the expansion basis b_t(p) (6, N M)."""
 
     norm2: float
     h_ref: np.ndarray = None
     conj: np.ndarray = None
     ref_b: np.ndarray = None
-    offsets: np.ndarray = None
-    offsets2: np.ndarray = None
-    monomials: np.ndarray = None
-    gram: np.ndarray = None
 
     @classmethod
     def of(cls, geom: SurfaceGeometry, h_ref, f=None) -> "_Reference":
-        """Build the reference of the data h_ref of the receiver with the
-        combiner ``f``, or pass a built one through."""
-        if isinstance(h_ref, cls):
-            return h_ref
+        """The reference of the data h_ref behind the combiner ``f``."""
         norm2 = np.linalg.norm(h_ref) ** 2
         if f is not None:
             return cls(norm2, h_ref.reshape(-1), h_ref.conj().reshape(-1, 1))
         terms = expansion_terms(geom)
-        dx, dy = terms[1:3]
-        return cls(norm2,
-                   ref_b=(terms[:, None] * np.reshape(h_ref, (6, -1))).reshape(36, -1),
-                   offsets=np.stack([2.0 * dx, 2.0 * dy, np.zeros_like(dx)]),
-                   offsets2=dx * dx + dy * dy,
-                   monomials=np.stack([dx ** a * dy ** b for a, b in _MONOMIALS]),
-                   gram=terms @ terms.T)
+        return cls(norm2, ref_b=(terms[:, None]
+                                 * np.reshape(h_ref, (6, -1))).reshape(36, -1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,14 +422,15 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     batch.
     """
     k0 = wave.wavenumber
+    offsets, offsets2, monomials, gram = _moment_tables(geom)
     c_rel, c, c1 = term_coefficients(net, geom, p1s, 0 if w_r is None else 1)
     b = len(c)
     w_c = w_c[:b]
     r_c2 = np.square(c_rel).sum(axis=1, keepdims=True)         # (B, 1)
     r_c = np.sqrt(r_c2)
     # r_p^2 - r_c^2 = 2 c . delta_p + |delta_p|^2
-    num = (c_rel[:, None] @ ref.offsets)[:, 0]                 # (B, N M)
-    num += ref.offsets2
+    num = (c_rel[:, None] @ offsets)[:, 0]                     # (B, N M)
+    num += offsets2
     r2 = num + r_c2
     r = np.sqrt(r2)
     phase = num / (r + r_c)
@@ -441,7 +442,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     # components and (Re, Im) in the last axis, and real products over it
     # are the real parts of products of C^H
     cv = c.view(float)                                         # (B, 6, 12)
-    cg = ref.gram @ cv                                         # Gamma C
+    cg = gram @ cv                                             # Gamma C
     norm2 = _dot(cv, cg)
     s = (c.conj().reshape(b, 1, 36) @ ref.ref_b)[:, 0]         # (B, N M)
     inner = _dot(w_c, s) * rot
@@ -452,9 +453,9 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     w_r = w_r[:b]
     inv_r = np.divide(1.0, r, out=w_r[:, 0])
     q = (cv @ cv.transpose(0, 2, 1)).reshape(b, 1, 36)         # Re(C^H C)
-    np.matmul(q @ _SQUARE_MAP, ref.monomials, out=w_r[:, 1:2])
+    np.matmul(q @ _SQUARE_MAP, monomials, out=w_r[:, 1:2])
     w_r[:, 1] /= r2
-    mom = w_r @ ref.monomials.T
+    mom = w_r @ monomials.T
     lm = np.zeros((b, 3, 3))
     lm[:, :, 0] = c_rel
     lm[:, 0, 1] = lm[:, 1, 2] = 1.0
@@ -462,7 +463,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     # summed against m
     s *= w_c
     s *= inv_r
-    d = (lm @ (ref.monomials[:3] @ s.view(float).reshape(b, -1, 2))).view(complex)
+    d = (lm @ (monomials[:3] @ s.view(float).reshape(b, -1, 2))).view(complex)
     d = d[..., 0] * rot[:, None]                               # (B, 3)
     # Re J^H e pairs dphi_j + i k0 phi r-hat_j with phi - exp(-i k0 r) h_ref:
     # dphi_j gives C1_j . (Gamma C - R) over t < 3, and i k0 phi r-hat_j
@@ -475,7 +476,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     # J^H J = Re(dphi^H dphi) + the cross term Re(i k0 dphi_i^H phi r-hat_j)
     # + (i <-> j) + the carrier term k0^2 |phi|^2 r-hat r-hat^T, each summed
     # over the basis; half of it plus its transpose is symmetric bit for bit
-    dd = c1v @ (ref.gram[:3, :3] @ c1.view(float)).reshape(b, 3, 36).transpose(0, 2, 1)
+    dd = c1v @ (gram[:3, :3] @ c1.view(float)).reshape(b, 3, 36).transpose(0, 2, 1)
     # the cross term's Im(dphi_i^H phi) = Re((i dphi_i)^H phi) has the
     # coefficients x over the products b_t b_s, t < 3, whose sums weighted
     # by m_a / r are the monomials' g
@@ -529,36 +530,23 @@ def _chunked_sums(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _envelope_scores(net, geom, h_ref, p1s, wave, f=None):
+def _envelope_scores(net, geom, ref: _Reference, p1s, wave, f=None):
     """Envelope correlation |<model(p), h_ref>| / (|model(p)| |h_ref|), (B,).
 
-    A location whose prediction vanishes scores 0.  ``h_ref`` may also be
-    its ``_Reference``.
+    A location whose prediction vanishes scores 0.
     """
-    ref = _Reference.of(geom, h_ref, f)
     norm2, inner = _chunked_sums(net, geom, ref, p1s, wave, f)
     denom = np.sqrt(np.maximum(norm2, 0.0) * ref.norm2)
     return np.abs(inner / np.where(denom == 0, np.inf, denom))
 
 
-def _residual_costs(net, geom, h_ref, p1s, wave, f=None):
-    """Squared residual ||model(p) - h_ref||^2 at each of B locations.
-
-    ``h_ref`` may also be its ``_Reference``.
-    """
-    ref = _Reference.of(geom, h_ref, f)
-    norm2, inner = _chunked_sums(net, geom, ref, p1s, wave, f)
-    return norm2 - 2.0 * inner.real + ref.norm2
-
-
-def _normal_equations(net, geom, h_ref, p1s, wave, f=None):
-    """Residual cost (B,), Gauss-Newton matrix (B, 3, 3) and gradient (B, 3).
-
-    ``h_ref`` may also be its ``_Reference``.
-    """
-    ref = _Reference.of(geom, h_ref, f)
-    norm2, inner, a, g = _chunked_sums(net, geom, ref, p1s, wave, f, order=1)
-    return norm2 - 2.0 * inner.real + ref.norm2, a, g
+def _fit(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
+    """Squared residual ||model(p) - h_ref||^2 at each of B locations, (B,),
+    and at ``order`` 1 also the Gauss-Newton matrix J^H J (B, 3, 3) and the
+    gradient Re J^H (model - h_ref) (B, 3)."""
+    norm2, inner, *normal = _chunked_sums(net, geom, ref, p1s, wave, f, order)
+    cost = norm2 - 2.0 * inner.real + ref.norm2
+    return (cost, *normal) if order else cost
 
 
 def _solve_each(a: np.ndarray, rhs: np.ndarray):
@@ -577,7 +565,7 @@ def _solve_each(a: np.ndarray, rhs: np.ndarray):
         return x, ok
 
 
-def _refine_batch(net, geom, h_ref, p0s, wave, f=None):
+def _refine_batch(net, geom, ref: _Reference, p0s, wave, f=None):
     """Levenberg-style local fit of B starting locations (B, 3) to h_ref.
 
     Every start is an independent fit with its own damping, previous cost
@@ -594,7 +582,7 @@ def _refine_batch(net, geom, h_ref, p0s, wave, f=None):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        cost, a, g = _normal_equations(net, geom, h_ref, p[idx], wave, f)
+        cost, a, g = _fit(net, geom, ref, p[idx], wave, f, order=1)
         diag_max = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
         mu[idx] = (np.where(mu[idx] == 0.0, 1e-3 * diag_max, mu[idx])
                    * np.where(cost > prev_cost[idx], 10.0, 0.3))
@@ -604,7 +592,7 @@ def _refine_batch(net, geom, h_ref, p0s, wave, f=None):
         p[idx] += step
         prev_cost[idx] = cost[ok]
         live[idx[np.linalg.norm(step, axis=1) < _REFINE_STEP_TOL]] = False
-    return p, _residual_costs(net, geom, h_ref, p, wave, f)
+    return p, _fit(net, geom, ref, p, wave, f)
 
 
 class _OutOfCalls(Exception):
@@ -684,15 +672,16 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     over ``expanded_channel`` arrays, since G = H F^T mixes the carriers of
     different receive patches, and without one on moments of the expansion
     basis (``_moment_sums``).  What the sums read of h_ref is formed once
-    per call (``_Reference``).  The message passing, the CRLB and the
-    known-location estimate read the per-pair model instead.
+    per call (``_Reference``), and what they read of the geometry alone
+    once per geometry (``_moment_tables``).  The message passing, the CRLB
+    and the known-location estimate read the per-pair model instead.
     """
-    h_ref = _Reference.of(geom, h_ref, f)
+    ref = _Reference.of(geom, h_ref, f)
     cands, _ = _grid_candidates(cfg)
-    scores = _envelope_scores(net, geom, h_ref, cands, wave, f)
+    scores = _envelope_scores(net, geom, ref, cands, wave, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]
     xy = _nelder_mead(
-        lambda p: -_envelope_scores(net, geom, h_ref, p[None], wave, f)[0],
+        lambda p: -_envelope_scores(net, geom, ref, p[None], wave, f)[0],
         coarse, xatol=1e-3, fatol=1e-10, maxfev=300)
 
     lam = wave.wavelength
@@ -703,7 +692,7 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     # ranked on their costs (see ROADMAP.md, open item 4)
     starts = np.column_stack([np.full(teeth.size, xy[0]),
                               np.full(teeth.size, xy[1]), teeth])
-    p_hat, costs = _refine_batch(net, geom, h_ref, starts, wave, f)
+    p_hat, costs = _refine_batch(net, geom, ref, starts, wave, f)
     valid = np.isfinite(costs) & np.all(np.isfinite(p_hat), axis=1)
     if np.any(valid):
         best_p = p_hat[np.argmin(np.where(valid, costs, np.inf))]

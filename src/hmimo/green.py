@@ -86,15 +86,6 @@ class QuadratureRule:
         object.__setattr__(self, "weights", 0.5 * w)  # sum to 1 on the unit interval
 
 
-def scalar_green(rt, rr, wave: WaveConfig):
-    """exp(i k0 r) / (4 pi r) between source rt and observation rr."""
-    d = np.asarray(rt, dtype=float) - np.asarray(rr, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularityError("scalar Green's function evaluated at zero distance")
-    return np.exp(1j * wave.wavenumber * r) / (4.0 * np.pi * r)
-
-
 def _dyadic_from_displacement(d: np.ndarray, k0: float) -> np.ndarray:
     """Dyadic Green's function for displacement vectors d, shape (..., 3) -> (..., 3, 3).
 
@@ -111,12 +102,6 @@ def _dyadic_from_displacement(d: np.ndarray, k0: float) -> np.ndarray:
     outer = rhat[..., :, None] * rhat[..., None, :]
     eye = np.eye(3)
     return g[..., None, None] * (c1[..., None, None] * eye + c2[..., None, None] * outer)
-
-
-def dyadic_green(rt, rr, wave: WaveConfig) -> np.ndarray:
-    """3x3 dyadic Green's function between rt and rr (no i*omega*mu prefactor)."""
-    d = np.asarray(rt, dtype=float) - np.asarray(rr, dtype=float)
-    return _dyadic_from_displacement(d, wave.wavenumber)
 
 
 def _offset_axis(a: float, b: float, quad: QuadratureRule):

@@ -7,7 +7,6 @@ key tree; two built-in profiles ("ci" desk-scale and "paper" full-scale)
 provide complete defaults that a user file can override.
 """
 
-import concurrent.futures
 import copy
 import csv
 import numbers
@@ -111,9 +110,9 @@ def load_config(path=None, profile="ci", overrides=None) -> dict:
     return cfg
 
 
-# Keys the program reads beyond those every profile sets: ``threads`` (set by
-# the CLI) and ``fixed.patches`` (a fixed receive-patch count).  The values
-# only give the keys' types: both are integers.
+# Keys the program reads beyond those every profile sets: ``fixed.patches``
+# (a fixed receive-patch count) and ``threads`` (a removed option, accepted
+# at 1 only).  The values only give the keys' types: both are integers.
 _OPTIONAL_KEYS = {"threads": 1, "fixed": {"patches": 16}}
 
 
@@ -189,6 +188,12 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("sweep grid is empty")
     if var != "snr" and np.inf in values:
         raise ConfigError(f"sweep values {values!r}: only snr values may be .inf")
+    if var in ("length", "patches") and not all(
+            isinstance(v, numbers.Integral) for v in values):
+        raise ConfigError(f"sweep.values {values!r}: a {var} sweep takes integers")
+    if cfg.get("threads", 1) != 1:
+        raise ConfigError(f"threads {cfg['threads']!r}: the option was removed "
+                          "and trials run one after another; only 1 is accepted")
     if trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     for axis in ("x", "y", "z"):
@@ -426,15 +431,7 @@ def run_point(cfg, nets, variable, value, point_seed) -> list:
     trial_seqs = np.random.SeedSequence(
         entropy=cfg["seed"], spawn_key=(point_seed,)).spawn(trials)
 
-    def one(i):
-        return run_trial(cfg, nets, variable, value, trial_seqs[i])
-
-    threads = int(cfg.get("threads", 1) or 1)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            outcomes = list(ex.map(one, range(trials)))
-    else:
-        outcomes = [one(i) for i in range(trials)]
+    outcomes = [run_trial(cfg, nets, variable, value, seq) for seq in trial_seqs]
 
     crlb_db = _bound_db([o["crlb"] for o in outcomes])
     rows = []
@@ -529,7 +526,7 @@ def crlb_rows(cfg, net) -> list:
             _, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
             # gamma is referenced to the (combined) surrogate channel at p1
             h_model = stacked_channel(net, geom, p1, wave, f=f)
-            gamma = noise_precision(pilots.matrix, h_model, float(fixed["snr"]))
+            gamma = noise_precision(pilots.matrix @ h_model, float(fixed["snr"]))
             vals.append(_draw_bound(p1, net, geom, pilots, gamma, wave, f))
         n_ok = int(np.sum(np.isfinite(vals)))
         rows.append({**dict.fromkeys(CSV_COLUMNS, float("nan")),

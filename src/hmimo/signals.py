@@ -65,17 +65,13 @@ def gen_pilots(n_patches: int, length: int, seed) -> PilotBlock:
     return PilotBlock(sx=sx, sy=sy, sz=sz)
 
 
-def noise_precision(s: np.ndarray, h: np.ndarray, snr_db: float) -> float:
-    """Noise precision gamma giving the requested signal-referenced SNR.
+def noise_precision(y0: np.ndarray, snr_db: float) -> float:
+    """Noise precision gamma giving the requested signal-referenced SNR for
+    the noiseless received signal y0 = S H (3L, M).
 
     SNR is the per-entry average received signal power over the noise
     variance: snr = ||S H||_F^2 * gamma / (3 L M).
     """
-    return _precision_of(s @ h, snr_db)
-
-
-def _precision_of(y0: np.ndarray, snr_db: float) -> float:
-    """``noise_precision`` of the noiseless received signal y0 = S H."""
     sig = np.linalg.norm(y0) ** 2 / y0.shape[0] / y0.shape[1]
     return 10.0 ** (snr_db / 10.0) / sig
 
@@ -98,7 +94,7 @@ def simulate_rx(h: np.ndarray, pilots: PilotBlock, snr_db: float, seed):
     y0 = s @ h
     if np.isinf(snr_db):
         return y0, np.inf
-    gamma = _precision_of(y0, snr_db)
+    gamma = noise_precision(y0, snr_db)
     rng = np.random.default_rng(seed)
     return y0 + _awgn(y0.shape, gamma, rng), gamma
 
@@ -170,18 +166,14 @@ def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
 # --- hybrid (analog combining) receiver --------------------------------
 
 
-def gen_combiner(p: int, m: int, seed, identity: bool = False) -> np.ndarray:
+def gen_combiner(p: int, m: int, seed) -> np.ndarray:
     """Random unit-modulus combining matrix F of shape (P, M).
 
     Entries are phase-only with magnitude 1/sqrt(M) so every row has unit
-    norm; ``identity`` returns I_M (requires P == M) for equivalence tests.
+    norm.
     """
     if not 1 <= p <= m:
         raise ValueError(f"need 1 <= P <= M, got P={p}, M={m}")
-    if identity:
-        if p != m:
-            raise ValueError("identity combiner requires P == M")
-        return np.eye(m, dtype=complex)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2 * np.pi, size=(p, m))
     return np.exp(1j * theta) / np.sqrt(m)

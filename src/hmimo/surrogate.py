@@ -138,10 +138,6 @@ class HybridNet:
         out = np.concatenate([phi.real, phi.imag], axis=-1)
         return out if np.asarray(xyz).ndim > 1 else out[0]
 
-    def phi(self, xyz: np.ndarray) -> np.ndarray:
-        """De-rotated channel components as complex (K, 6)."""
-        return _output_partials(self, xyz, 0)[0]
-
     # --- serialization -----------------------------------------------
 
     def save(self, path) -> None:
@@ -373,7 +369,7 @@ def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
         np.matmul(act[:, None], block, out=out[:, :, lo:hi])
         lo = hi
     out[:, 0, :12] += offset
-    out = out.view(complex).reshape(len(c), -1, 6)                  # (B, 6 | 9, 6)
+    out = out.view(complex).reshape(len(c), 6 + 3 * order, 6)       # (B, 6 | 9, 6)
     if order == 0:
         return c, out, None
     return (c, np.take(out, _COEF_ROWS, axis=1),

@@ -301,8 +301,8 @@ class TestTaylorLinearize:
         # each array's largest entry; 36 chains is the identity combiner
         geom = small_geometry
         m = geom.m_patches
-        f = None if chains is None else gen_combiner(chains, m, seed=5,
-                                                     identity=chains == m)
+        f = (None if chains is None else np.eye(m, dtype=complex) if chains == m
+             else gen_combiner(chains, m, seed=5))
         scale = estimator._working_scale(trained_net)
         assert not 0.1 < scale < 10.0      # so that a unit slip shows
         p = true_position
@@ -604,12 +604,13 @@ class TestRefineBatch:
         # two starts per surrogate call, so the batch spans several chunks
         monkeypatch.setattr(estimator, "_CHUNK_POINTS",
                             2 * small_geometry.n_patches * small_geometry.m_patches)
-        p_all, c_all = _refine_batch(net, small_geometry, h_ref, starts, wave, f)
+        ref = estimator._Reference.of(small_geometry, h_ref, f)
+        p_all, c_all = _refine_batch(net, small_geometry, ref, starts, wave, f)
         assert np.array_equal(p_all[3], starts[3])
         regular = [0, 1, 2, 4, 5, 6]
         assert np.all(np.any(p_all[regular] != starts[regular], axis=1))
         for i, start in enumerate(starts):
-            p_one, c_one = _refine_batch(net, small_geometry, h_ref, start[None],
+            p_one, c_one = _refine_batch(net, small_geometry, ref, start[None],
                                          wave, f)
             assert np.max(np.abs(p_all[i] - p_one[0])) <= 1e-12
             assert abs(c_all[i] - c_one[0]) <= 1e-12 * c_one[0]
@@ -630,13 +631,11 @@ class TestInitHelpers:
         monkeypatch.setattr(estimator, "_CHUNK_POINTS",
                             2 * geom.n_patches * geom.m_patches)
         assert len(estimator._chunks(geom, len(p1s))) == 4
-        for helper in (estimator._residual_costs, estimator._envelope_scores,
-                       estimator._normal_equations):
-            batch = helper(trained_net, geom, h_ref, p1s, wave, f)
-            for i, p1 in enumerate(p1s):
-                one = helper(trained_net, geom, h_ref, p1[None], wave, f)
-                for b, o in zip(_tuple(batch), _tuple(one)):
-                    assert np.array_equal(b[i], o[0])
+        batch = _init_sums(trained_net, geom, h_ref, p1s, wave, f)
+        for i, p1 in enumerate(p1s):
+            one = _init_sums(trained_net, geom, h_ref, p1[None], wave, f)
+            for b, o in zip(batch, one):
+                assert np.array_equal(b[i], o[0])
 
     @pytest.mark.parametrize("chains", [None, 24])
     def test_empty_batch(self, trained_net, small_geometry, wave, true_channel,
@@ -645,10 +644,8 @@ class TestInitHelpers:
         geom = small_geometry
         f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
         h_ref, p1s = combine_channel(f, true_channel), np.empty((0, 3))
-        scores = estimator._envelope_scores(trained_net, geom, h_ref, p1s, wave, f)
-        costs = estimator._residual_costs(trained_net, geom, h_ref, p1s, wave, f)
-        cost, a, g = estimator._normal_equations(trained_net, geom, h_ref, p1s,
-                                                 wave, f)
+        scores, costs, cost, a, g = _init_sums(trained_net, geom, h_ref, p1s,
+                                               wave, f)
         assert scores.shape == costs.shape == cost.shape == (0,)
         assert a.shape == (0, 3, 3) and g.shape == (0, 3)
 
@@ -682,16 +679,12 @@ class TestInitHelpers:
                       - np.linalg.norm(rel.mean(axis=1), axis=-1)[:, None])
             assert np.max(np.abs(wave.wavenumber * offset[-4:])) > np.pi / 4
         eye = np.eye(geom.m_patches, dtype=complex)
-        sums = []       # scores, costs, then cost, J^H J and J^H e
-        for helper in (estimator._envelope_scores, estimator._residual_costs,
-                       estimator._normal_equations):
-            moments = _tuple(helper(net, geom, h_ref, p1s, wave))
-            arrays = _tuple(helper(net, geom, h_ref, p1s, wave, eye))
-            for m, e in zip(moments, arrays):
-                assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
-            sums.extend(moments)
+        moments = _init_sums(net, geom, h_ref, p1s, wave)
+        arrays = _init_sums(net, geom, h_ref, p1s, wave, eye)
+        for m, e in zip(moments, arrays):
+            assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
         if saturating:
-            score, _, cost, a, g = (s[-1] for s in sums)
+            score, _, cost, a, g = (s[-1] for s in moments)
             assert score == 0.0
             assert cost == pytest.approx(np.linalg.norm(h_ref) ** 2, rel=1e-12)
             assert not np.any(a) and not np.any(g)
@@ -714,13 +707,11 @@ class TestInitHelpers:
                                           rng.uniform(20, 40, 8)]),
                          p_true, corners])
         eye = np.eye(geom.m_patches, dtype=complex)
-        for helper in (estimator._envelope_scores, estimator._residual_costs,
-                       estimator._normal_equations):
-            moments = _tuple(helper(trained_net, geom, h_ref, p1s, wave))
-            arrays = _tuple(helper(trained_net, geom, h_ref, p1s, wave, eye))
-            for m, e in zip(moments, arrays):
-                assert m.shape == e.shape
-                assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
+        moments = _init_sums(trained_net, geom, h_ref, p1s, wave)
+        arrays = _init_sums(trained_net, geom, h_ref, p1s, wave, eye)
+        for m, e in zip(moments, arrays):
+            assert m.shape == e.shape
+            assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
 
     @pytest.mark.parametrize("profile, count, chains", [
         ("ci", 201, None), ("ci", 729, None), ("ci", 201, 24),
@@ -749,8 +740,13 @@ class TestInitHelpers:
         assert estimator._chunks(geom, 0, f) == []
 
 
-def _tuple(out):
-    return out if isinstance(out, tuple) else (out,)
+def _init_sums(net, geom, h_ref, p1s, wave, f=None):
+    """The init helpers at p1s against h_ref: the envelope scores, the
+    residual costs, and the cost, J^H J and J^H e of the order-1 fit."""
+    ref = estimator._Reference.of(geom, h_ref, f)
+    return (estimator._envelope_scores(net, geom, ref, p1s, wave, f),
+            estimator._fit(net, geom, ref, p1s, wave, f),
+            *estimator._fit(net, geom, ref, p1s, wave, f, order=1))
 
 
 def _rosenbrock(x):
@@ -800,11 +796,12 @@ class TestNelderMead:
         y, _ = simulate_rx(h, pilots, 8.0, seed=seeds[2])
         h_ls = ls_estimate(pilots.matrix, y)
         cands, _ = estimator._grid_candidates(estimator_config(cfg))
-        scores = estimator._envelope_scores(trained_net, small_geometry, h_ls,
+        ref = estimator._Reference.of(small_geometry, h_ls)
+        scores = estimator._envelope_scores(trained_net, small_geometry, ref,
                                             cands, wave)
         self._assert_matches_scipy(
             lambda p: -estimator._envelope_scores(trained_net, small_geometry,
-                                                  h_ls, p[None], wave)[0],
+                                                  ref, p[None], wave)[0],
             cands[np.argmax(scores)])
 
     @pytest.mark.parametrize("saturating", [False, True])
@@ -988,7 +985,7 @@ class TestHybridEstimator:
                                                     true_channel):
         _, model, _ = rx_model
         m = small_geometry.m_patches
-        f_id = gen_combiner(m, m, seed=0, identity=True)
+        f_id = np.eye(m, dtype=complex)
         cfg = EstimatorConfig(max_iters=8,
                               init_position=np.array([0.3, -0.4, 27.0]))
         res_fd = estimate_full_digital(model, trained_net, small_geometry, cfg)

@@ -5,10 +5,10 @@ import pytest
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
-                         approx_channel, dyadic_green, field_dump,
-                         full_channel, patch_channel, patch_channel_batch,
-                         scalar_green, _BLOCK_IDX, _CHUNK_NODES,
-                         _dyadic_from_displacement, _offset_axis, _quad_offsets)
+                         approx_channel, field_dump, full_channel,
+                         patch_channel, patch_channel_batch, _BLOCK_IDX,
+                         _CHUNK_NODES, _dyadic_from_displacement, _offset_axis,
+                         _quad_offsets)
 from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
@@ -49,52 +49,36 @@ def _tensor_product_blocks(rel, geom, wave, order):
         for r in rel])
 
 
-class TestScalarGreen:
-    def test_one_wavelength(self, wave):
-        lam = wave.wavelength
-        g = scalar_green((0, 0, lam), (0, 0, 0), wave)
-        assert g == pytest.approx(1.0 / (4 * np.pi * lam), rel=1e-12)
-
-    def test_half_wavelength_phase_flip(self, wave):
-        lam = wave.wavelength
-        g = scalar_green((0, 0, lam / 2), (0, 0, 0), wave)
-        assert g == pytest.approx(-1.0 / (2 * np.pi * lam), rel=1e-12)
-
-    def test_magnitude_at_30m(self, wave):
-        g = scalar_green((0, 0, 30.0), (0, 0, 0), wave)
-        assert abs(g) == pytest.approx(1.0 / (4 * np.pi * 30.0), rel=1e-12)
-
+class TestDyadicGreen:
     def test_zero_distance_raises(self, wave):
         with pytest.raises(SingularityError):
-            scalar_green((1, 2, 3), (1, 2, 3), wave)
+            _dyadic_from_displacement(np.zeros(3), wave.wavenumber)
 
-
-class TestDyadicGreen:
     def test_symmetry(self, wave):
         rng = np.random.default_rng(7)
         for _ in range(20):
             rt = rng.normal(size=3) + np.array([0, 0, 10.0])
             rr = rng.normal(size=3)
-            g = dyadic_green(rt, rr, wave)
+            g = _dyadic_from_displacement(rt - rr, wave.wavenumber)
             assert np.array_equal(g, g.T)
 
     def test_far_field_coefficients(self, wave):
         # c1 -> 1, c2 -> -1 as k0*r -> infinity
         lam = wave.wavelength
         r = 1e6 * lam
-        g = dyadic_green((0, 0, r), (0, 0, 0), wave)
-        scal = scalar_green((0, 0, r), (0, 0, 0), wave)
+        g = _dyadic_from_displacement(np.array([0, 0, r]), wave.wavenumber)
+        scal = np.exp(1j * wave.wavenumber * r) / (4 * np.pi * r)
         c1 = g[0, 0] / scal
         c2 = g[2, 2] / scal - c1
         assert abs(c1 - 1.0) < 1e-5
         assert abs(c2 + 1.0) < 1e-5
 
     def test_z_aligned_structure(self, wave):
-        g = dyadic_green((0, 0, 25.0), (0, 0, 0), wave)
+        g = _dyadic_from_displacement(np.array([0, 0, 25.0]), wave.wavenumber)
         offdiag = g - np.diag(np.diag(g))
         assert np.max(np.abs(offdiag)) == 0.0
-        scal = scalar_green((0, 0, 25.0), (0, 0, 0), wave)
         kr = wave.wavenumber * 25.0
+        scal = np.exp(1j * kr) / (4 * np.pi * 25.0)
         c1 = 1 + 1j / kr - 1 / kr**2
         c2 = 3 / kr**2 - 3j / kr - 1
         assert g[2, 2] == pytest.approx(scal * (c1 + c2), rel=1e-12)

@@ -109,6 +109,19 @@ class TestConfig:
                 validate_config(cfg)
         validate_config(_deep_merge(PROFILES["ci"], {"fixed": {"chains": 36}}))
 
+    @pytest.mark.parametrize("variable, values", [
+        ("length", [50.5, 100.0]), ("patches", [16.0, 36])])
+    def test_non_integer_sweep_values_rejected(self, variable, values):
+        # a trial would run int(50.5) = 50 pilots under a row that says 50.5
+        cfg = _deep_merge(PROFILES["ci"],
+                          {"sweep": {"variable": variable, "values": values}})
+        with pytest.raises(ConfigError,
+                           match=f"sweep.values .*: a {variable} sweep"):
+            validate_config(cfg)
+        validate_config(_deep_merge(cfg, {"sweep": {"values": [50, 100]
+                                                    if variable == "length"
+                                                    else [16, 36]}}))
+
     def test_chains_sweep_value_above_m_rejected(self):
         cfg = _deep_merge(PROFILES["ci"],
                           {"sweep": {"variable": "chains", "values": [8, 40]}})
@@ -133,15 +146,22 @@ class TestConfig:
             load_config(profile="ci", overrides={"rx": {"nx": 6, "ny": 6}})
 
     def test_optional_keys_accepted(self):
-        cfg = load_config(profile="ci", overrides={"threads": 2,
+        cfg = load_config(profile="ci", overrides={"threads": 1,
                                                    "fixed": {"patches": 16}})
-        assert cfg["threads"] == 2 and cfg["fixed"]["patches"] == 16
+        assert cfg["threads"] == 1 and cfg["fixed"]["patches"] == 16
         # the paper-geometry hybrid set-up of the benchmark
         load_config(profile="paper", overrides={
             "seed": 1, "trials": 5, "threads": 1,
             "paths": {"weights": "w.json", "weights_approx": "wa.json"},
             "fixed": {"chains": 32}, "estimators": ["mp-hybrid"],
             "training": PROFILES["ci"]["training"]})
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_rejected(self, threads):
+        # the thread pool is gone; the key stays, at 1, for configs that set it
+        with pytest.raises(ConfigError,
+                           match=f"threads {threads}: the option was removed"):
+            load_config(profile="ci", overrides={"threads": threads})
 
     def test_too_few_training_samples_rejected(self):
         # hidden_count = 50 needs 10 * (4*50 + 12*51) = 8120 samples
@@ -345,14 +365,6 @@ class TestRunPointAndSweep:
     def test_sweep_reproducible_rows(self, mini_cfg, nets):
         cfg = _deep_merge(mini_cfg, {"record_timing": False})
         assert self._cells(sweep(cfg, nets)) == self._cells(sweep(cfg, nets))
-
-    def test_threads_match_serial(self, mini_cfg, nets):
-        serial = run_point(_deep_merge(mini_cfg, {"record_timing": False}),
-                           nets, "snr", 8.0, 0)
-        parallel = run_point(_deep_merge(mini_cfg, {"record_timing": False,
-                                                    "threads": 2}),
-                             nets, "snr", 8.0, 0)
-        assert self._cells(serial) == self._cells(parallel)
 
     def test_csv_bytes_reproducible(self, mini_cfg, nets, tmp_path):
         cfg = _deep_merge(mini_cfg, {"record_timing": False})
@@ -664,6 +676,18 @@ class TestCli:
         assert "config error" in proc.stderr and "frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_removed_threads_exit_code(self, tmp_path, capsys):
+        # a config asking for two threads is a config error; the flag is gone
+        path = tmp_path / "threads.yaml"
+        path.write_text("threads: 2\n")
+        assert cli.main(["point", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert ("config error: threads 2: the option was removed"
+                in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["point", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["point", "crlb", "sweep"])
     def test_negative_seed_exit_code(self, command, capsys):

@@ -91,7 +91,7 @@ class TestSimulateRx:
     def test_precision_equals_noise_precision(self, pilots, channel, snr):
         # simulate_rx reads the signal power from its noiseless output
         _, gamma = simulate_rx(channel, pilots, snr, seed=0)
-        assert gamma == noise_precision(pilots.matrix, channel, snr)
+        assert gamma == noise_precision(pilots.matrix @ channel, snr)
 
     def test_snr_calibration(self, pilots, channel):
         y, gamma = simulate_rx(channel, pilots, 10.0, seed=0)
@@ -207,10 +207,6 @@ class TestGramRefusal:
 
 
 class TestCombiner:
-    def test_identity(self):
-        f = gen_combiner(8, 8, seed=0, identity=True)
-        assert np.array_equal(f, np.eye(8))
-
     def test_entry_magnitude(self):
         f = gen_combiner(5, 20, seed=4)
         assert np.allclose(np.abs(f), 1 / np.sqrt(20))
@@ -222,8 +218,6 @@ class TestCombiner:
     def test_invalid(self):
         with pytest.raises(ValueError):
             gen_combiner(10, 5, seed=0)
-        with pytest.raises(ValueError):
-            gen_combiner(4, 5, seed=0, identity=True)
 
     def test_combine_blockdiag_oracle(self, channel):
         f = gen_combiner(20, 100, seed=3)
@@ -254,7 +248,7 @@ class TestCombiner:
         assert combine_channel(None, h, trailing=2) is h
 
     def test_hybrid_identity_reduces(self, pilots, channel):
-        f = gen_combiner(100, 100, seed=0, identity=True)
+        f = np.eye(100, dtype=complex)
         y_h, g_h = simulate_rx_hybrid(f, channel, pilots, 10.0, seed=7)
         y, g = simulate_rx(channel, pilots, 10.0, seed=7)
         assert np.array_equal(y_h, y)
@@ -272,4 +266,4 @@ class TestNoisePrecision:
         s = np.eye(4, dtype=complex)
         h = np.full((4, 2), 2.0, dtype=complex)
         # per-entry signal power = 8*|2|^2/(4*2) = 4; snr 0 dB -> gamma = 1/4
-        assert noise_precision(s, h, 0.0) == pytest.approx(0.25, rel=1e-12)
+        assert noise_precision(s @ h, 0.0) == pytest.approx(0.25, rel=1e-12)

@@ -11,7 +11,8 @@ from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
                              derotated_targets, expanded_channel,
                              generate_training_set, hybrid_channel, nmse_db,
-                             stacked_channel, train, _output_partials)
+                             stacked_channel, term_coefficients, train,
+                             _output_partials)
 from hmimo.signals import combine_channel, gen_combiner
 
 
@@ -90,7 +91,7 @@ class TestForward:
 
     def test_phi_complex_layout(self, net, points):
         out = net.forward(points)
-        phi = net.phi(points)
+        phi = _output_partials(net, points, 0)[0]
         assert np.array_equal(phi.real, out[:, :6])
         assert np.array_equal(phi.imag, out[:, 6:])
 
@@ -114,7 +115,7 @@ class TestForward:
 class TestChannelMap:
     def test_rotation_factor(self, net, points, wave):
         h = hybrid_channel(net, points, wave)
-        phi = net.phi(points)
+        phi = _output_partials(net, points, 0)[0]
         r = np.linalg.norm(points, axis=-1)
         assert np.allclose(h, phi * np.exp(1j * wave.wavenumber * r)[:, None])
 
@@ -162,8 +163,7 @@ class TestStackedChannel:
         p1s = np.column_stack([rng.uniform(-1, 1, (4, 2)),
                                rng.uniform(20, 40, 4)]).reshape(2, 2, 3)
         f = gen_combiner(5, self.geom.m_patches, seed=2)
-        eye = gen_combiner(self.geom.m_patches, self.geom.m_patches, seed=0,
-                           identity=True)
+        eye = np.eye(self.geom.m_patches, dtype=complex)
 
         def check_combined(p1, plain):
             # behind F every output is the combined output without F; behind
@@ -248,6 +248,19 @@ class TestExpandedChannel:
             for a, one in zip(batch, single):
                 assert one.shape == a.shape[1:]
                 assert np.array_equal(a[b], one)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("chains", [None, 24])
+    def test_empty_batch(self, trained_net, small_geometry, wave, order, chains):
+        # no location gives empty outputs of stacked_channel's shapes
+        net, geom, p1s = trained_net, small_geometry, np.empty((0, 3))
+        f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=2)
+        c, coef, coef1 = term_coefficients(net, geom, p1s, order)
+        assert c.shape == (0, 3) and coef.shape == (0, 6, 6)
+        assert coef1 is None if order == 0 else coef1.shape == (0, 3, 3, 6)
+        got = _parts(expanded_channel(net, geom, p1s, wave, order, f))
+        want = _parts(stacked_channel(net, geom, p1s, wave, order, f))
+        assert [a.shape for a in got] == [a.shape for a in want]
 
     def test_combiner_applied_to_plain_output(self, net, wave):
         geom = TestStackedChannel.geom
