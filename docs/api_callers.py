@@ -14,20 +14,25 @@ an attribute that reads it, or a string constant equal to it (the
 benchmark's tracer names the functions it wraps by string).  A
 definition, an import, an ``__all__`` entry and a mention in a docstring
 or comment are not references, and the package's ``__init__.py``, which
-only exports names, and this script are not scanned.  A method counts
-every attribute of its name, whatever object it is read from, so a
-method that shares its name with another is reached where either is.
+only exports names, and this script are not scanned.
 
-It prints one line per name that nothing outside ``tests/`` reaches,
-with its module and the count of test references, or "nothing reaches
-it".  Only the standard library is used.
+An attribute read does not say which class's member it reads, so a
+public method whose name another class of ``src/hmimo`` also defines (as
+a method, a property or a class attribute such as a dataclass field) is
+never counted as reached: it is listed under its own heading, "shared
+name, check by hand", with its count of test references and the classes
+that share the name.
+
+It prints one line per other name that nothing outside ``tests/``
+reaches, with its module and the count of test references, or "nothing
+reaches it", then the shared names.  Only the standard library is used.
 """
 
 import argparse
 import ast
 import pathlib
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 
 def _public_names(tree):
@@ -43,6 +48,22 @@ def _public_names(tree):
                     if isinstance(item, ast.FunctionDef) \
                             and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}"
+
+
+def _members(tree):
+    """(class, the names it defines) per class of a module: its methods and
+    properties and its class attributes, dataclass fields included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign):
+                    names.add(getattr(item.target, "id", None))
+                elif isinstance(item, ast.Assign):
+                    names.update(getattr(t, "id", None) for t in item.targets)
+            yield node.name, names - {None}
 
 
 def _references(tree):
@@ -88,13 +109,25 @@ def main(argv=None):
             outside.update(_references(_parse(path)))
     for path in sorted((root / "tests").glob("**/*.py")):
         inside_tests.update(_references(_parse(path)))
+    definers = defaultdict(set)          # member name -> "module.Class"
+    for path in modules:
+        for cls, names in _members(_parse(path)):
+            for name in names:
+                definers[name].add(f"{path.stem}.{cls}")
+    shared = []
     for path in modules:
         for name in _public_names(_parse(path)):
             last = name.rsplit(".", 1)[-1]
-            if not outside[last]:
+            others = definers[last] - {f"{path.stem}.{name.split('.')[0]}"}
+            if "." in name and others:
+                shared.append(f"  {path.stem}.{name}: {inside_tests[last]} test "
+                              f"references (also {', '.join(sorted(others))})")
+            elif not outside[last]:
                 print(f"{path.stem}.{name}: " + (
                     f"tests only ({inside_tests[last]} test references)"
                     if inside_tests[last] else "nothing reaches it"))
+    if shared:
+        print("shared name, check by hand:", *shared, sep="\n")
     return 0
 
 

@@ -5,8 +5,8 @@ wavelength apart; a change to it that is meant to move its output only at
 round-off must keep the winning tooth of every draw.  This script runs the
 full-digital estimator on the 60 draws of ``run_point`` on the ci profile
 (seed 0, point seed 0: 20 trials each at 0, 8 and 20 dB), records the p0
-that each init returns and the CPU time of each init, and writes the p0s
-to a JSON file:
+that each init returns and the CPU time of each init, and writes both to
+a JSON file:
 
     PYTHONPATH=src python docs/tooth_check.py p0_before.json
     PYTHONPATH=src python docs/tooth_check.py p0_after.json --weights w.json
@@ -18,7 +18,10 @@ of the trial's seed, as ``run_trial`` draws it).  Without ``--weights`` it
 trains the ci-settings surrogate first (about 2 s), as ``hmimo train``
 would.  ``--compare`` prints "same tooth k of 60,
 max |dp0| ... m" and exits 1 if any draw's p0 lies on another tooth, that
-is, if its z moved by half a wavelength or more.
+is, if its z moved by half a wavelength or more, or if the draw counts
+differ.  When both files carry the init CPU times (files written before
+they were recorded do not), it also prints each file's median CPU seconds
+per init.
 """
 
 import argparse
@@ -95,7 +98,8 @@ def record(path, weights, chains=None):
         estimator.grid_search_init = init
     with open(path, "w") as fh:
         json.dump({"snr_db": SNRS, "trials": cfg["trials"], "chains": chains,
-                   "wavelength_m": wave.wavelength, "p0": starts}, fh)
+                   "wavelength_m": wave.wavelength, "p0": starts,
+                   "cpu_s": cpu}, fh)
     print(f"{len(starts)} inits, CPU s per init: min {min(cpu):.3f}, "
           f"median {np.median(cpu):.3f}, max {max(cpu):.3f} -> {path}")
 
@@ -114,6 +118,9 @@ def compare(path_a, path_b) -> int:
           f"max |dp0| {np.max(np.abs(a - b)):.3g} m")
     for i in np.flatnonzero(~same):
         print(f"  draw {i}: z {a[i, 2]:.6f} -> {b[i, 2]:.6f} m")
+    if all("cpu_s" in d for d in docs):
+        print("median CPU s per init: " + " -> ".join(
+            f"{np.median(d['cpu_s']):.4f}" for d in docs))
     return 0 if same.all() else 1
 
 

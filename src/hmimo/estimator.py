@@ -423,7 +423,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     """
     k0 = wave.wavenumber
     offsets, offsets2, monomials, gram = _moment_tables(geom)
-    c_rel, c, c1 = term_coefficients(net, geom, p1s, 0 if w_r is None else 1)
+    c_rel, c, c1 = term_coefficients(net, geom, p1s)
     b = len(c)
     w_c = w_c[:b]
     r_c2 = np.square(c_rel).sum(axis=1, keepdims=True)         # (B, 1)

@@ -125,31 +125,14 @@ def _offset_axis(a: float, b: float, quad: QuadratureRule):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _quad_offsets(geom: SurfaceGeometry, quad: QuadratureRule):
-    """2-D nodes over the tx-minus-rx point offset of a patch pair.
-
-    The integrand depends on the tx and rx points only through their
-    difference, so the 4-D area integral reduces to a 2-D one over that
-    difference, weighted by the overlap density (see ``_offset_axis``):
-    at most (3q)^2 nodes per pair for a rule of order q.  Returns
-    displacement offsets (Q, 3) to add to the relative patch-center
-    vector, and the weights (Q,) carrying the full area measure.
-    """
-    ux, wx = _offset_axis(geom.tx_dx, geom.rx_dx, quad)
-    uy, wy = _offset_axis(geom.tx_dy, geom.rx_dy, quad)
-    gx, gy = np.meshgrid(ux, uy, indexing="ij")
-    offs = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
-    return offs, np.outer(wx, wy).ravel()
-
-
 def _component_sums(c: np.ndarray, ux: np.ndarray, uy: np.ndarray, w4: np.ndarray,
                     mom: np.ndarray, k0: float, ws: np.ndarray, out: np.ndarray) -> None:
     """Six block components, without the prefactor, of the weighted dyads
     at displacements c + o summed over the nodes o, written to out (b, 6).
 
     ``c`` holds the b relative centers (b, 3); the nodes are the tensor grid
-    ux (nx,) times uy (ny,) at o_z = 0, flattened as in ``_quad_offsets``,
-    with weights w4 (Q,) and moments mom (Q, 6) = (1, ox, oy, ox^2, oy^2,
+    ux (nx,) times uy (ny,) at o_z = 0, flattened with ux outermost, with
+    weights w4 (Q,) and moments mom (Q, 6) = (1, ox, oy, ox^2, oy^2,
     ox*oy).  ``ws`` is the flat chunk workspace, at least 10 * b * Q floats.
     """
     b, nq = c.shape[0], w4.size
@@ -203,13 +186,16 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
 
     ``rel`` has shape (K, 3); returns the six components (K, 6) of each
     pair's symmetric block, in ``POLARIZATIONS`` order and including the
-    i*omega*mu prefactor.  Per node, the kernel forms only the scalars
-    w*g*c1 and B = w*g*c2/r^2, in real arithmetic, with r^2 separable over
-    the tensor grid of offsets.  One GEMM with the node moments
-    (1, ox, oy, ox^2, oy^2, ox*oy) then gives sum_q B*d_p*d_q, with
-    d = c + o, in closed form.  Rows are taken _CHUNK_NODES quadrature
-    nodes at a time through one workspace of ten such arrays, allocated
-    once per call.
+    i*omega*mu prefactor.  The integrand depends on the tx and rx points
+    only through their difference, so the 4-D area integral is a 2-D one
+    over that offset, on the tensor grid of the two axes' offset rules
+    (``_offset_axis``): at most (3q)^2 nodes per pair for a rule of order
+    q.  Per node, the kernel forms only the scalars w*g*c1 and
+    B = w*g*c2/r^2, in real arithmetic, with r^2 separable over the grid.
+    One GEMM with the node moments (1, ox, oy, ox^2, oy^2, ox*oy) then
+    gives sum_q B*d_p*d_q, with d = c + o, in closed form.  Rows are taken
+    _CHUNK_NODES quadrature nodes at a time through one workspace of ten
+    such arrays, allocated once per call.
     """
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     # coplanar patches whose footprints overlap: the integral diverges
@@ -218,10 +204,10 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
                & (np.abs(rel[:, 1]) < (geom.tx_dy + geom.rx_dy) / 2))
     if np.any(overlap):
         raise SingularityError("coplanar patches with overlapping footprints")
-    offs, w = _quad_offsets(geom, quad)
-    ux, _ = _offset_axis(geom.tx_dx, geom.rx_dx, quad)
-    uy, _ = _offset_axis(geom.tx_dy, geom.rx_dy, quad)
-    ox, oy = offs[:, 0], offs[:, 1]
+    ux, wx = _offset_axis(geom.tx_dx, geom.rx_dx, quad)
+    uy, wy = _offset_axis(geom.tx_dy, geom.rx_dy, quad)
+    ox, oy = (g.ravel() for g in np.meshgrid(ux, uy, indexing="ij"))
+    w = np.outer(wx, wy).ravel()
     mom = np.column_stack([np.ones_like(ox), ox, oy, ox * ox, oy * oy, ox * oy])
     w4 = w / (4.0 * np.pi)
     comps = np.empty((rel.shape[0], 6), dtype=complex)

@@ -6,9 +6,9 @@ Multiplying by exp(i k0 r) recovers the channel itself, and analytic
 first/second derivatives of that product are available for the
 linearized message passing and for Fisher-information computations.  The
 location init, which evaluates the channel at many candidate locations,
-instead evaluates the network once per location, only for the partials
-that its expansion over the patch pairs reads, with columns gathered from
-the same output block (``term_coefficients``), and expands its output
+instead evaluates the network and its partials once per location, with
+the same output layer, gathers from them the coefficients of an expansion
+over the patch pairs (``term_coefficients``) and expands those
 (``expanded_channel``).
 
 Slot layout of the 12 outputs: slots 0..5 are the real parts in the
@@ -73,16 +73,18 @@ class HybridNet:
 
     @functools.cached_property
     def _partials_block(self):
-        """The output layer of ``_output_partials``, built once per net: the
-        map (b2, output_scale, output_offset) of the value, as (3, 12), and
-        one block (Nh, 12 x 3^n) per derivative order n = 0, 1, 2.  A
-        partial of order n in the inputs is tanh^(n) of the hidden layer
-        times w2 and n columns of w1; block n holds those products, with
-        the input scale and, for n >= 1, the output scale folded in (the
-        value takes its map after the product, in the order ``train`` fits
-        it).  Block 2 carries the factor -2 of tanh'' = -2 tanh tanh'.  The
-        columns are ordered (component, coordinates, re/im), so that a
-        product is the real view of the complex partial.  Read-only.
+        """The network's one output layer, built once per net and read by
+        both kernels (``_output_partials`` per pair, ``term_coefficients``
+        per location of the init): the map (b2, output_scale, output_offset)
+        of the value, as (3, 12), and one block (Nh, 12 x 3^n) per
+        derivative order n = 0, 1, 2.  A partial of order n in the inputs is
+        tanh^(n) of the hidden layer times w2 and n columns of w1; block n
+        holds those products, with the input scale and, for n >= 1, the
+        output scale folded in (the value takes its map after the product,
+        in the order ``train`` fits it).  Block 2 carries the factor -2 of
+        tanh'' = -2 tanh tanh'.  The columns are ordered (component,
+        coordinates, re/im), so that a product is the real view of the
+        complex partial.  Read-only.
         """
         w1s = self.w1 / self.input_scale           # chain rule through input map
 
@@ -100,31 +102,6 @@ class HybridNet:
         for a in out:
             a.flags.writeable = False
         return out
-
-    @functools.cached_property
-    def _expansion_blocks(self):
-        """The output layer of the partials that ``term_coefficients`` reads
-        at orders 0 and 1, gathered once per net from ``_partials_block``:
-        per order, the value offset b2 * output_scale + output_offset (12,)
-        and, per derivative order, the block's columns of the partials of
-        _EXPANSION_PARTIALS that it reads, the value's times the output
-        scale.  The columns are ordered (partial, component, re/im), as is
-        the offset (component, re/im), so that a product is the real view of
-        complex partials (..., n, 6).  Read-only."""
-        (b2, scale, offset), value, *partials = self._partials_block
-        nh = self.hidden_count
-        out = []
-        for order in (0, 1):
-            blocks = [b2 * scale + offset]
-            for n, block in enumerate((value * scale, *partials)):
-                cols = [np.ravel_multi_index(axes, (3,) * n)
-                        for axes in _EXPANSION_PARTIALS[n] if order or 2 not in axes]
-                gathered = block.reshape(nh, 6, 3 ** n, 2)[:, :, cols]
-                blocks.append(np.moveaxis(gathered, 2, 1).reshape(nh, -1))
-            for a in blocks:
-                a.flags.writeable = False
-            out.append(tuple(blocks))
-        return tuple(out)
 
     # --- forward -----------------------------------------------------
 
@@ -174,13 +151,6 @@ def _array_shapes(nh: int):
 
 
 # --- channel map and derivatives --------------------------------------
-
-
-def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a (K, n) as K one-row products, so that a row of the
-    result does not depend on K; BLAS rounds a row differently with the row
-    count of the call (a one-row call goes to GEMV)."""
-    return (a[:, None, :] @ b)[:, 0]
 
 
 def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
@@ -322,58 +292,67 @@ def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
     return _pair_offsets(geom)[3]
 
 
-# The partials of the network output that ``term_coefficients`` reads,
-# by derivative order and by the input coordinates they differentiate in:
-# the value, then d/dx, d/dy, d/dz, then xx, xy, yy, xz and yz.  The
-# expansion of phi reads those free of z; only that of its partials reads
-# the z, xz and yz ones, at order 1
-_EXPANSION_PARTIALS = (((),), ((0,), (1,), (2,)),
-                       ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2)))
-# at order 1, the rows of the nine partials above, in that order, that hold
-# the coefficients of phi over the six basis terms, and those of each
-# partial d/dx, d/dy, d/dz of phi over the first three terms (1, dx, dy)
-_COEF_ROWS = (0, 1, 2, 4, 5, 6)
-_PARTIAL_ROWS = ((1, 4, 5), (2, 5, 6), (3, 7, 8))
+def _partial_column(k: int, axes) -> int:
+    """The complex column, among the products of ``_partials_block``'s three
+    blocks side by side (6 values, 6 x 3 first and 6 x 3 x 3 second
+    partials), of component k's partial in the input coordinates ``axes``
+    (0, 1, 2 for x, y, z), read in ascending order."""
+    n = len(axes)
+    # the blocks of orders below n hold 6 (1 + ... + 3^(n-1)) columns
+    return 3 * (3 ** n - 1) + int(np.ravel_multi_index((k, *sorted(axes)),
+                                                       (6,) + (3,) * n))
 
 
-def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1,
-                      order: int = 0):
+# The columns ``term_coefficients`` gathers: basis term (a, b, f) reads the
+# partial of phi with a x's and b y's, and in the expansion of the partial
+# d/dj of phi over the first three terms (1, dx, dy) it reads that partial
+# differentiated in j once more (arrays, which ``np.take`` reads without a
+# conversion per call)
+_COEF_COLUMNS = np.array([[_partial_column(k, (0,) * a + (1,) * b) for k in range(6)]
+                          for a, b, _ in EXPANSION_BASIS])
+_COEF1_COLUMNS = np.array([[[_partial_column(k, (j,) + (0,) * a + (1,) * b)
+                             for k in range(6)]
+                            for a, b, _ in EXPANSION_BASIS[:3]] for j in range(3)])
+
+
+def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1):
     """The per-location expansion behind ``expanded_channel``.
 
     For the B locations of ``p1`` (..., 3) returns the relative coordinate
     c (B, 3) of the two aperture centres, c = p1 + mean(transmit offsets) -
     mean(receive centres), and the coefficients of the de-rotated output
-    phi and, at ``order`` 1, of its partials over the basis b_t(p) of
-    ``expansion_terms``: phi[b, k, p] = sum_t coef[b, t, k] b_t(p) with
-    coef (B, 6, 6), and dphi[b, k, p, j] = sum_{t < 3} coef1[b, j, t, k]
-    b_t(p) with coef1 (B, 3, 3, 6) (None at order 0).
+    phi and of its partials over the basis b_t(p) of ``expansion_terms``:
+    phi[b, k, p] = sum_t coef[b, t, k] b_t(p) with coef (B, 6, 6), and
+    dphi[b, k, p, j] = sum_{t < 3} coef1[b, j, t, k] b_t(p) with coef1
+    (B, 3, 3, 6).
 
-    The network is evaluated once per location, at c, and only for the
-    partials the expansion reads: the value, the x and y partials and the
-    xx, xy and yy second partials, plus the z, xz and yz ones at order 1.
-    They are three products, of tanh, tanh' and tanh'' with the net's
-    ``_expansion_blocks`` of the value, the first and the second partials,
-    written side by side into one array.  Every product runs row by row,
+    The network and its partials up to order 2 are evaluated once per
+    location, at c, as in ``_output_partials``: three products, of tanh,
+    tanh' and tanh'' with the blocks of the net's ``_partials_block``,
+    written side by side into one array, from which ``_COEF_COLUMNS`` and
+    ``_COEF1_COLUMNS`` gather the coefficients.  The hidden layer of the
+    inputs (B, 1, 3) makes every product a one-row product per location,
     so that a location's output does not depend on the rest of the batch.
     """
     c = (np.asarray(p1, dtype=float) + _pair_offsets(geom)[0]).reshape(-1, 3)
-    offset, *blocks = net._expansion_blocks[order]
-    xn = (c - net.input_offset) / net.input_scale
-    a = np.tanh(_rowwise_matmul(xn, net.w1.T) + net.b1)
-    gp = 1.0 - np.square(a)                                         # tanh'
-    out = np.empty((len(c), 1, 12 * (6 + 3 * order)))
+    (b2, scale, offset), *blocks = net._partials_block
+    a = net._hidden(c[:, None])                                     # (B, 1, Nh)
+    gp = 1.0 - a**2                                                 # tanh'
+    out = np.empty((len(c), 1, sum(block.shape[1] for block in blocks)))
     lo = 0
     # tanh'' = -2 tanh tanh', whose factor -2 the block carries
     for act, block in zip((a, gp, a * gp), blocks):
         hi = lo + block.shape[1]
-        np.matmul(act[:, None], block, out=out[:, :, lo:hi])
+        np.matmul(act, block, out=out[:, :, lo:hi])
         lo = hi
-    out[:, 0, :12] += offset
-    out = out.view(complex).reshape(len(c), 6 + 3 * order, 6)       # (B, 6 | 9, 6)
-    if order == 0:
-        return c, out, None
-    return (c, np.take(out, _COEF_ROWS, axis=1),
-            np.take(out, _PARTIAL_ROWS, axis=1))
+    value = out[:, 0, :12]          # the value's map, in _output_partials' order
+    value += b2
+    value *= scale
+    value += offset
+    out = out.view(complex)[:, 0]                                   # (B, 78)
+    # ``np.take`` returns contiguous arrays, whose real views the init reads
+    return (c, np.take(out, _COEF_COLUMNS, axis=1),
+            np.take(out, _COEF1_COLUMNS, axis=1))
 
 
 def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
@@ -395,7 +374,7 @@ def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig
     _, dx, dy, _, basis = _pair_offsets(geom)
     lead = np.shape(p1)[:-1]
     n, m = geom.n_patches, geom.m_patches
-    c, coef, coef1 = term_coefficients(net, geom, p1, order)
+    c, coef, coef1 = term_coefficients(net, geom, p1)
     # the real views of the coefficients, laid out (..., k, t), hold the
     # terms and (Re, Im) in the last axis, as the rows of ``basis``
     coef = np.ascontiguousarray(coef.transpose(0, 2, 1))

@@ -539,15 +539,13 @@ def _saturating_net():
                      output_scale=np.ones(12), frequency=3e9)
 
 
-def _reference_coefficients(net, geom, p1s, order):
+def _reference_coefficients(net, geom, p1s):
     """``term_coefficients``' (coef, coef1) from the full output Jacobian
     and Hessian, stacked term by term before the component."""
     mean = relative_grid(geom, np.zeros(3)).reshape(-1, 3).mean(axis=0)
     out, d, d2 = _output_partials(net, p1s + mean, 2)
     coef = np.stack([out, d[..., 0], d[..., 1], d2[..., 0, 0], d2[..., 0, 1],
                      d2[..., 1, 1]], axis=1)
-    if order == 0:
-        return coef, None
     coef1 = np.stack([d, d2[..., 0], d2[..., 1]], axis=1)     # (B, t, k, j)
     return coef, coef1.transpose(0, 3, 1, 2)
 
@@ -558,9 +556,9 @@ class TestExpansionCoefficients:
     @pytest.mark.parametrize("saturating", [False, True])
     def test_matches_full_hessian_reference(self, trained_net, small_geometry,
                                             order, count, saturating):
-        # only the partials the expansion reads, in one product per location,
-        # agree with the full Jacobian and Hessian within 1e-13 of each
-        # array's largest entry
+        # the coefficients of phi (order 0) and of its partials (order 1),
+        # gathered from one product per location, agree with the full
+        # Jacobian and Hessian within 1e-13 of the array's largest entry
         geom = small_geometry
         if saturating:
             net = _saturating_net()
@@ -572,17 +570,12 @@ class TestExpansionCoefficients:
             rng = np.random.default_rng(10)
             p1s = np.column_stack([rng.uniform(-1, 1, (count, 2)),
                                    rng.uniform(20, 40, count)])
-        centre, coef, coef1 = term_coefficients(net, geom, p1s, order)
-        want, want1 = _reference_coefficients(net, geom, p1s, order)
+        centre, *got = term_coefficients(net, geom, p1s)
         pairs = relative_grid(geom, p1s).reshape(count, -1, 3)
         assert np.allclose(centre, pairs.mean(axis=1), rtol=0, atol=1e-12)
-        assert coef.shape == (count, 6, 6)
-        assert np.max(np.abs(coef - want)) <= 1e-13 * np.max(np.abs(want))
-        if order == 0:
-            assert coef1 is None
-        else:
-            assert coef1.shape == (count, 3, 3, 6)
-            assert np.max(np.abs(coef1 - want1)) <= 1e-13 * np.max(np.abs(want1))
+        assert got[0].shape == (count, 6, 6) and got[1].shape == (count, 3, 3, 6)
+        got, want = got[order], _reference_coefficients(net, geom, p1s)[order]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestRefineBatch:

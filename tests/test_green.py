@@ -7,8 +7,7 @@ from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
                          approx_channel, field_dump, full_channel,
                          patch_channel, patch_channel_batch, _BLOCK_IDX,
-                         _CHUNK_NODES, _dyadic_from_displacement, _offset_axis,
-                         _quad_offsets)
+                         _CHUNK_NODES, _dyadic_from_displacement, _offset_axis)
 from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
@@ -31,6 +30,17 @@ OFFSET_GEOMETRIES = {
     "equal": SurfaceGeometry(2, 2, 2, 2, 0.05, 0.05, 0.05, 0.05),
     "rect": SurfaceGeometry(3, 3, 2, 2, 0.03, 0.05, 0.07, 0.02),
 }
+
+
+def _offset_grid(geom, q):
+    """The offset nodes (Q, 3) and weights (Q,) of ``patch_channel_batch``'s
+    rule: the tensor grid of the two axes' offset rules at o_z = 0, x
+    outermost."""
+    (ux, wx), (uy, wy) = (_offset_axis(geom.tx_dx, geom.rx_dx, q),
+                          _offset_axis(geom.tx_dy, geom.rx_dy, q))
+    gx, gy = np.meshgrid(ux, uy, indexing="ij")
+    offs = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
+    return offs, np.outer(wx, wy).ravel()
 
 
 def _tensor_product_blocks(rel, geom, wave, order):
@@ -138,7 +148,7 @@ class TestQuadrature:
         rel = np.column_stack([rng.uniform(-1.5, 1.5, 30),
                                rng.uniform(-1.5, 1.5, 30),
                                rng.uniform(0.5, 40.0, 30)])
-        offs, w = _quad_offsets(geom, q)
+        offs, w = _offset_grid(geom, q)
         dyads = _dyadic_from_displacement(rel[:, None, :] + offs, wave.wavenumber)
         ref = wave.prefactor * np.einsum("q,bqij->bij", w, dyads)
         out = patch_channel_batch(rel, geom, wave, q)[:, _BLOCK_IDX]
@@ -164,7 +174,7 @@ class TestOffsetRule:
             u, w = _offset_axis(a, b, q)
             assert np.sum(w) == pytest.approx(a * b, rel=1e-14)
             assert np.all(np.abs(u) < (a + b) / 2) and np.all(w > 0)
-        offs, w = _quad_offsets(g, q)
+        offs, w = _offset_grid(g, q)
         area = g.tx_dx * g.tx_dy * g.rx_dx * g.rx_dy
         assert np.sum(w) == pytest.approx(area, rel=1e-14)
         pieces = 2 if name == "equal" else 3
@@ -202,7 +212,7 @@ class TestChunks:
 
     @staticmethod
     def _chunk_rows(geom, q):
-        return _CHUNK_NODES // _quad_offsets(geom, q)[1].size
+        return _CHUNK_NODES // _offset_grid(geom, q)[1].size
 
     def test_rows_match_single_row_calls(self, wave):
         # three chunks, the last one partial; each row's node sum is its own
@@ -220,7 +230,7 @@ class TestChunks:
         g, q = OFFSET_GEOMETRIES["ci"], QuadratureRule(4)
         step = self._chunk_rows(g, q)
         rel = self._rows(2 * step + 3)
-        offs, _ = _quad_offsets(g, q)
+        offs, _ = _offset_grid(g, q)
         rel[-2] = (-offs[0, 0], -offs[0, 1], 1e-200)
         with pytest.raises(SingularityError, match="zero distance"):
             patch_channel_batch(rel, g, wave, q)

@@ -834,3 +834,92 @@ class TestBenchPairs:
         base = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         lower, _, gap, iqr, holds = verdict(base, [b - 0.1 for b in base])
         assert lower == 10 and gap < iqr and not holds
+
+
+class TestToothCheck:
+    """``docs/tooth_check.py --compare`` on hand-written records."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "tooth_check.py"
+
+    def _compare(self, tmp_path, a, b):
+        paths = []
+        for name, doc in (("a.json", a), ("b.json", b)):
+            (tmp_path / name).write_text(json.dumps(doc))
+            paths.append(str(tmp_path / name))
+        return subprocess.run([sys.executable, str(self.SCRIPT), "--compare", *paths],
+                              capture_output=True, text=True)
+
+    @staticmethod
+    def _doc(p0, cpu=None):
+        doc = {"wavelength_m": 0.5, "p0": p0}
+        return doc if cpu is None else dict(doc, cpu_s=cpu)
+
+    def test_exit_codes(self, tmp_path):
+        p0 = [[0.1, -0.2, 30.0], [0.3, 0.4, 25.0], [-0.5, 0.6, 38.0]]
+        base = self._doc(p0, [0.05, 0.07, 0.06])
+        nudged = [[x, y, z + 1e-9] for x, y, z in p0]
+        same = self._compare(tmp_path, base, self._doc(nudged, [0.04, 0.05, 0.09]))
+        assert same.returncode == 0
+        assert "same tooth 3 of 3" in same.stdout
+        assert "median CPU s per init: 0.0600 -> 0.0500" in same.stdout
+        # half a wavelength is another tooth
+        moved = [p0[0], [0.3, 0.4, 25.25], p0[2]]
+        out = self._compare(tmp_path, base, self._doc(moved, [0.05] * 3))
+        assert out.returncode == 1
+        assert "same tooth 2 of 3" in out.stdout
+        assert re.search(r"draw 1: z 25\.0+ -> 25\.250+ m", out.stdout)
+        assert "draw 0" not in out.stdout and "draw 2" not in out.stdout
+        fewer = self._compare(tmp_path, base, self._doc(p0[:2], [0.05] * 2))
+        assert fewer.returncode == 1 and "draw counts differ" in fewer.stdout
+        # a file written before the CPU times were recorded has none
+        old = self._compare(tmp_path, self._doc(p0), base)
+        assert old.returncode == 0 and "CPU" not in old.stdout
+
+
+class TestApiCallers:
+    """``docs/api_callers.py`` on a small package tree."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "api_callers.py"
+
+    def _run(self, root):
+        return subprocess.run([sys.executable, str(self.SCRIPT), str(root)],
+                              capture_output=True, text=True)
+
+    def test_shared_method_name_listed_for_hand_check(self, tmp_path):
+        # HybridNet.phi is called by tests only, but the estimator reads the
+        # field of the same name of another class, model.phi
+        files = {
+            "src/hmimo/__init__.py": "",
+            "src/hmimo/surrogate.py": (
+                "class HybridNet:\n"
+                "    def phi(self, x):\n        return x\n\n"
+                "    def forward(self, x):\n        return x\n\n"
+                "def train():\n    return HybridNet()\n\n"
+                "def only_tested():\n    pass\n"),
+            "src/hmimo/signals.py": (
+                "from dataclasses import dataclass\n\n"
+                "@dataclass\nclass UnitaryModel:\n    phi: float\n"),
+            "src/hmimo/estimator.py": (
+                "from hmimo.surrogate import train\n\n"
+                "def estimate(model, net):\n"
+                "    return net.forward(model.phi), train()\n"),
+            "tests/test_net.py": (
+                "from hmimo.surrogate import HybridNet, only_tested\n\n"
+                "def test_phi():\n    HybridNet().phi(1)\n    only_tested()\n"),
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        out = self._run(tmp_path)
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [
+            "estimator.estimate: nothing reaches it",
+            "signals.UnitaryModel: nothing reaches it",
+            "surrogate.only_tested: tests only (1 test references)",
+            "shared name, check by hand:",
+            "  surrogate.HybridNet.phi: 1 test references (also signals.UnitaryModel)",
+        ]
+
+    def test_root_without_package_exits_2(self, tmp_path):
+        out = self._run(tmp_path)
+        assert out.returncode == 2 and "no src/hmimo" in out.stderr

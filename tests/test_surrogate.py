@@ -255,12 +255,22 @@ class TestExpandedChannel:
         # no location gives empty outputs of stacked_channel's shapes
         net, geom, p1s = trained_net, small_geometry, np.empty((0, 3))
         f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=2)
-        c, coef, coef1 = term_coefficients(net, geom, p1s, order)
+        c, coef, coef1 = term_coefficients(net, geom, p1s)
         assert c.shape == (0, 3) and coef.shape == (0, 6, 6)
-        assert coef1 is None if order == 0 else coef1.shape == (0, 3, 3, 6)
+        assert coef1.shape == (0, 3, 3, 6)
         got = _parts(expanded_channel(net, geom, p1s, wave, order, f))
         want = _parts(stacked_channel(net, geom, p1s, wave, order, f))
         assert [a.shape for a in got] == [a.shape for a in want]
+
+    @pytest.mark.parametrize("kind", ["trained", "random"])
+    def test_value_row_equals_output_partials(self, request, small_geometry,
+                                              kind):
+        # the init's value row is the per-pair kernel's value at the centre
+        # c, bit for bit: one output layer, its map applied in one order
+        net = (request.getfixturevalue("trained_net") if kind == "trained"
+               else _random_net(50))
+        c, coef, _ = term_coefficients(net, small_geometry, _ci_locations(40, seed=6))
+        assert np.array_equal(coef[:, 0], _output_partials(net, c[:, None], 0)[0][:, 0])
 
     def test_combiner_applied_to_plain_output(self, net, wave):
         geom = TestStackedChannel.geom
