@@ -5,8 +5,10 @@ wavelength apart; a change to it that is meant to move its output only at
 round-off must keep the winning tooth of every draw.  This script runs the
 full-digital estimator on the 60 draws of ``run_point`` on the ci profile
 (seed 0, point seed 0: 20 trials each at 0, 8 and 20 dB), records the p0
-that each init returns and the CPU time of each init, and writes both to
-a JSON file:
+that each init returns and the CPU time of each init, and, for the
+message passing that follows, each draw's final p-hat, iteration count
+and ``converged`` flag (null for a draw whose estimate raised), and
+writes them to a JSON file:
 
     PYTHONPATH=src python docs/tooth_check.py p0_before.json
     PYTHONPATH=src python docs/tooth_check.py p0_after.json --weights w.json
@@ -21,7 +23,10 @@ max |dp0| ... m" and exits 1 if any draw's p0 lies on another tooth, that
 is, if its z moved by half a wavelength or more, or if the draw counts
 differ.  When both files carry the init CPU times (files written before
 they were recorded do not), it also prints each file's median CPU seconds
-per init.
+per init.  When both carry the final estimates, it prints the largest
+|dp-hat| over the draws that both finished, how many iteration counts
+agree, and each file's count of converged draws; these do not change the
+exit code.
 """
 
 import argparse
@@ -64,7 +69,7 @@ def record(path, weights, chains=None):
     geom, wave = build_geometry(cfg), WaveConfig(cfg["wave"]["frequency"])
     ecfg = estimator_config(cfg)
     init = estimator.grid_search_init
-    starts, cpu = [], []
+    starts, cpu, finals = [], [], []
 
     def recorded(*args, **kwargs):
         t0 = time.process_time()
@@ -88,18 +93,20 @@ def record(path, weights, chains=None):
                                    seed=seeds[2])
                 model = unitary_transform(pilots.matrix, y)
                 try:
-                    if f is None:
-                        estimator.estimate_full_digital(model, net, geom, ecfg)
-                    else:
-                        estimator.estimate_hybrid(model, f, net, geom, ecfg)
+                    res = (estimator.estimate_full_digital(model, net, geom, ecfg)
+                           if f is None else
+                           estimator.estimate_hybrid(model, f, net, geom, ecfg))
+                    finals.append({"p_hat": res.position.tolist(),
+                                   "iterations": res.iterations,
+                                   "converged": res.converged})
                 except (estimator.NumericalFailure, np.linalg.LinAlgError):
-                    pass        # the init has run; its p0 is recorded
+                    finals.append(None)     # the init has run; its p0 is recorded
     finally:
         estimator.grid_search_init = init
     with open(path, "w") as fh:
         json.dump({"snr_db": SNRS, "trials": cfg["trials"], "chains": chains,
                    "wavelength_m": wave.wavelength, "p0": starts,
-                   "cpu_s": cpu}, fh)
+                   "cpu_s": cpu, "final": finals}, fh)
     print(f"{len(starts)} inits, CPU s per init: min {min(cpu):.3f}, "
           f"median {np.median(cpu):.3f}, max {max(cpu):.3f} -> {path}")
 
@@ -121,6 +128,16 @@ def compare(path_a, path_b) -> int:
     if all("cpu_s" in d for d in docs):
         print("median CPU s per init: " + " -> ".join(
             f"{np.median(d['cpu_s']):.4f}" for d in docs))
+    if all("final" in d for d in docs):
+        fa, fb = (d["final"] for d in docs)
+        both = [(x, y) for x, y in zip(fa, fb) if x and y]
+        dp = max((np.max(np.abs(np.subtract(x["p_hat"], y["p_hat"])))
+                  for x, y in both), default=float("nan"))
+        agree = sum(x["iterations"] == y["iterations"] for x, y in both)
+        print(f"max |dp_hat| {dp:.3g} m and iterations agree on {agree} of "
+              f"{len(both)} draws that both finished; converged "
+              + " -> ".join(str(sum(bool(x and x["converged"]) for x in f))
+                            for f in (fa, fb)))
     return 0 if same.all() else 1
 
 

@@ -16,11 +16,10 @@ full-digital receiver).  The init searches many candidate locations and
 reads the model of ``expanded_channel(..., f)``, which evaluates the
 network once per location; one helper sums it, through moments of the
 expansion basis without a combiner and through ``expanded_channel``
-arrays behind one.  The loop reads the per-pair model of
-``stacked_channel`` through ``taylor_linearize``, which pushes it through
-the combiner in the pair layout; the CRLB and the known-location estimate
-read ``stacked_channel`` itself, so the loop converges on the per-pair
-model from the init's start.
+arrays behind one.  The loop, the final channel estimate, the CRLB and
+the known-location estimate all read one per-pair model,
+``stacked_channel``, which combines in the pair layout; the loop reads it
+through ``taylor_linearize``, and converges on it from the init's start.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.green import WaveConfig, pairs_to_stacked
-from hmimo.signals import UnitaryModel, combine_channel, combine_pairs
-from hmimo.surrogate import (EXPANSION_BASIS, HybridNet, channel_first_derivs,
-                             expanded_channel, expansion_terms, term_coefficients)
+from hmimo.geometry import SurfaceGeometry
+from hmimo.green import WaveConfig
+from hmimo.signals import UnitaryModel
+from hmimo.surrogate import (EXPANSION_BASIS, HybridNet, expanded_channel,
+                             expansion_terms, stacked_channel, term_coefficients)
 
 VAR_MIN = 1e-12
 VAR_MAX = 1e12
@@ -126,15 +125,8 @@ class UampState:
                    s_res=np.zeros((rows, h_mean.shape[1]), dtype=complex),
                    gamma=1.0)
 
-    @classmethod
-    def initial(cls, rows: int, cols: int, width: int) -> "UampState":
-        """Non-informative start: zero mean, unit variance."""
-        return cls.from_prior(np.zeros((width, cols), dtype=complex),
-                              np.ones((width, cols)), rows)
 
-
-def uamp_linear_step(model: UnitaryModel, state: UampState,
-                     estimate_gamma: bool = True, gamma_cap: float = None):
+def uamp_linear_step(model: UnitaryModel, state: UampState, gamma_cap: float):
     """One pass of the AMP linear stage on the rows of ``model.phi``.
 
     Returns (q, v_q, new_state) where (q, v_q) are the per-entry extrinsic
@@ -144,21 +136,19 @@ def uamp_linear_step(model: UnitaryModel, state: UampState,
     drops, Phi is zero, so V_P, P and Z are zero there: those rows enter
     the precision update only, through their energy ``model.dropped`` and
     the count of 3L M entries.  ``gamma_cap`` bounds the refreshed precision
-    estimate; callers use it to keep the effective noise level from
-    dropping below the model-mismatch floor on (nearly) noiseless data.
+    estimate (``np.inf`` for no bound); the loop uses it to keep the
+    effective noise level from dropping below the model-mismatch floor on
+    (nearly) noiseless data.
     """
     r = model.r
     v_p = model.abs_phi2 @ state.h_var
     p = model.phi @ state.h_mean - v_p * state.s_res
-    gamma = state.gamma
-    if estimate_gamma:
-        denom = gamma * v_p + 1.0
-        v_z = v_p / denom
-        z = (gamma * v_z) * r + p / denom
-        gamma = model.rows * r.shape[1] / (np.linalg.norm(r - z) ** 2
-                                           + model.dropped + np.sum(v_z))
-        if gamma_cap is not None:
-            gamma = min(gamma, gamma_cap)
+    denom = state.gamma * v_p + 1.0
+    v_z = v_p / denom
+    z = (state.gamma * v_z) * r + p / denom
+    gamma = min(model.rows * r.shape[1] / (np.linalg.norm(r - z) ** 2
+                                           + model.dropped + np.sum(v_z)),
+                gamma_cap)
     v_s = 1.0 / (v_p + 1.0 / gamma)
     s_res = v_s * (r - p)
     v_q = clamp_var(1.0 / (model.abs_phi2.T @ v_s))
@@ -179,14 +169,12 @@ class Linearization:
     ``h`` and ``xi`` are (6N, P) in the layout of ``green.stacked_pairs``,
     of G = H F^T behind a combiner (P = M and G = H without one) and in the
     units of the caller's scale; ``dh`` (6N, P, 3) carries the partials
-    w.r.t. p1 in its last axis.  ``channel`` is H itself, (6N, M) in raw
-    units.
+    w.r.t. p1 in its last axis.
     """
 
     h: np.ndarray      # (6N, P) observed channel at the expansion point
     dh: np.ndarray     # (6N, P, 3)
     xi: np.ndarray     # (6N, P) affine intercept
-    channel: np.ndarray = None  # (6N, M) raw-unit H at the expansion point
 
     def affine(self, p1):
         """Evaluate the affine model at the location p1 (3,)."""
@@ -200,25 +188,15 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
     combiner ``f`` (P, M) if one is given, in units of ``scale``.
 
     Every transmit patch sits at its known offset from p1, so the partials
-    w.r.t. p1 are those w.r.t. each patch position.  The raw channel is
-    stacked, as ``channel`` needs it, and goes through the combiner scaled
-    by 1 / ``scale``; the partials go through it in the pair layout of the
-    surrogate's output and are stacked once, (6N, P, 3), so the raw
-    partials are never stacked.  The intercept xi = g - dg . p1 is formed
-    on the stacked arrays.
+    w.r.t. p1 are those w.r.t. each patch position: the per-pair model of
+    ``stacked_channel`` at order 1, which combines in the pair layout.  The
+    intercept xi = g - dg . p1 is formed on the stacked arrays.
     """
     p1 = np.asarray(p1, dtype=float)
-    rel = relative_grid(geom, p1)                          # (N, M, 3)
-    h, dh = (a.reshape(rel.shape[:2] + a.shape[1:])
-             for a in channel_first_derivs(net, rel.reshape(-1, 3), wave))
-    channel = pairs_to_stacked(h)
-    if f is None:
-        g, dg = channel / scale, pairs_to_stacked(dh)
-        dg /= scale
-    else:
-        f = f / scale
-        g, dg = combine_channel(f, channel), pairs_to_stacked(combine_pairs(f, dh))
-    return Linearization(h=g, dh=dg, xi=g - dg @ p1, channel=channel)
+    g, dg = stacked_channel(net, geom, p1, wave, 1, f)
+    g /= scale
+    dg /= scale
+    return Linearization(h=g, dh=dg, xi=g - dg @ p1)
 
 
 @dataclass
@@ -273,16 +251,13 @@ def location_prior(lin: Linearization, loc: LocationState):
 
 def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
                    loc: LocationState):
-    """Fuse the location-implied channel prior with the AMP extrinsics.
-
-    Returns the per-entry belief (mean, var) plus the prior pair, all
-    shaped as ``lin.h``.
-    """
+    """Fuse the location-implied channel prior (``location_prior``) with
+    the AMP extrinsics: the per-entry belief (mean, var), shaped as
+    ``lin.h``."""
     prior_mean, prior_var = location_prior(lin, loc)
     prec = 1.0 / prior_var + 1.0 / v_q
     var = clamp_var(1.0 / prec)
-    mean = var * (prior_mean / prior_var + q / v_q)
-    return mean, var, prior_mean, prior_var
+    return var * (prior_mean / prior_var + q / v_q), var
 
 
 # --- location init ------------------------------------------------------
@@ -718,10 +693,12 @@ def _working_scale(net: HybridNet) -> float:
 TRACE_COLUMNS = ("iter", "x", "y", "z", "nmse_h_running", "gamma_hat", "residual")
 
 
-def _trace_row(it, loc, gamma_raw, resid, h_param, h_true):
+def _trace_row(it, loc, gamma_raw, resid, channel, h_true):
+    """One trace row; the running NMSE evaluates ``channel`` at the location
+    mean only when ``h_true`` is given."""
     nmse = float("nan")
     if h_true is not None:
-        nmse = 10 * np.log10(np.linalg.norm(h_param - h_true) ** 2
+        nmse = 10 * np.log10(np.linalg.norm(channel(loc.mean) - h_true) ** 2
                              / np.linalg.norm(h_true) ** 2)
     return dict(zip(TRACE_COLUMNS, (it, *loc.mean, nmse, gamma_raw, resid)))
 
@@ -745,11 +722,14 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     channel belief read the extrinsics through the linearization of G, and
     the belief is the prior of the next AMP pass.  AMP starts
     from the channel prior that the initial location belief implies, so
-    that a correct p0 is not pulled away by the first extrinsics.
+    that a correct p0 is not pulled away by the first extrinsics.  The loop
+    re-linearizes only when it goes on, and the channel estimate is the
+    per-pair model H at the final location mean.
     ``h_true`` is optional and only feeds the iteration trace.
     """
     cfg = cfg or EstimatorConfig()
     wave = WaveConfig(net.frequency)
+    channel = functools.partial(stacked_channel, net, geom, wave=wave)
     scale = _working_scale(net)
     # the model in working units; its |Phi|^2 and Phi^H are formed once here
     work = UnitaryModel(phi=model.phi, r=model.r / scale,
@@ -773,25 +753,26 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     try:
         for it in range(1, cfg.max_iters + 1):
             cap = entries / max(work.misfit(lin.h), 1e-300)
-            q, v_q, amp = uamp_linear_step(work, amp, gamma_cap=cap)
+            q, v_q, amp = uamp_linear_step(work, amp, cap)
 
             prev = loc.mean
             loc = location_round(lin, q, v_q, loc)
-            amp.h_mean, amp.h_var, _, _ = channel_belief(lin, q, v_q, loc)
+            amp.h_mean, amp.h_var = channel_belief(lin, q, v_q, loc)
 
             if not np.all(np.isfinite(loc.mean)):
                 raise NumericalFailure("non-finite location", trace)
-            lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
             resid = float(np.sqrt(work.misfit(amp.h_mean)) / y_norm)
             trace.append(_trace_row(it, loc, amp.gamma / scale ** 2, resid,
-                                    lin.channel, h_true))
+                                    channel, h_true))
             if np.linalg.norm(loc.mean - prev) < cfg.tol:
                 converged = True
                 break
+            if it < cfg.max_iters:
+                lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
 
-    return EstimateResult(h_hat=lin.channel, position=loc.mean,
+    return EstimateResult(h_hat=channel(loc.mean), position=loc.mean,
                           position_var=np.diag(loc.cov).copy(),
                           gamma_hat=amp.gamma / scale ** 2,
                           iterations=it, converged=converged, trace=trace)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hmimo.geometry import SurfaceGeometry, relative_grid
+from hmimo.signals import combine_pairs
 
 C0 = 299792458.0          # vacuum speed of light, m/s
 MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
@@ -281,20 +282,23 @@ def pairs_to_stacked(a: np.ndarray, lead: int = 0) -> np.ndarray:
         a.shape[:lead] + (6 * n, m) + a.shape[lead + 3:])
 
 
-def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1):
+def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1, f: np.ndarray = None):
     """``pair_fn`` on every patch pair at p1, in the stacked layout.
 
     ``pair_fn`` maps relative coordinates (K, 3) to the six components
     (K, 6, ...) in ``POLARIZATIONS`` order, or to a tuple of such arrays;
     trailing axes are derivative axes.  ``p1`` is one location (3,) or a
     stack of them (..., 3).  Each output comes back as (..., 6N, M, ...),
-    laid out by ``pairs_to_stacked``.
+    laid out by ``pairs_to_stacked``; behind a combiner ``f`` (P, M) it is
+    first combined in the pair layout (``signals.combine_pairs``), and
+    comes back as (..., 6N, P, ...).
     """
     rel = relative_grid(geom, p1)                  # (..., N, M, 3)
+    lead = rel.ndim - 3
     parts = pair_fn(rel.reshape(-1, 3))
     single = not isinstance(parts, tuple)
-    out = tuple(pairs_to_stacked(a.reshape(rel.shape[:-1] + a.shape[1:]),
-                                 rel.ndim - 3)
+    out = tuple(pairs_to_stacked(combine_pairs(
+                    f, a.reshape(rel.shape[:-1] + a.shape[1:]), lead), lead)
                 for a in ((parts,) if single else parts))
     return out[0] if single else out
 

@@ -244,16 +244,14 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
     channel is (..., 6N, M).  ``order`` 1 returns (h, dh) and 2 returns
     (h, dh, d2h), with the partials w.r.t. p1 in trailing axes: dh is
     (..., 6N, M, 3) and d2h (..., 6N, M, 3, 3).  Behind a combiner ``f``
-    (P, M) each output is of the observed G = H F^T instead, P for M.
+    (P, M) each output is of the observed G = H F^T instead, P for M,
+    combined in the pair layout before it is stacked.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
     # the names are looked up per call, so a rebound module attribute is used
     pair_fn = (hybrid_channel, channel_first_derivs, channel_second_derivs)[order]
-    out = stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1)
-    if order == 0:
-        return combine_channel(f, out)
-    return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(out))
+    return stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1, f)
 
 
 # The basis b_t = f dx^a dy^b of the expansion in the pair offsets, as

@@ -172,9 +172,11 @@ def test_criterion_6_noiseless_oracles(trained_net, small_geometry, wave,
     # non-informative state
     y, _ = simulate_rx(true_channel, pilots, np.inf, seed=0)
     model = unitary_transform(s, y)
-    state = UampState.initial(*model.r.shape, model.phi.shape[1])
+    flat = (model.phi.shape[1], model.r.shape[1])
+    state = UampState.from_prior(np.zeros(flat, dtype=complex), np.ones(flat),
+                                 model.phi.shape[0])
     state.gamma = 1e10
-    q, _, _ = uamp_linear_step(model, state, estimate_gamma=False)
+    q, _, _ = uamp_linear_step(model, state, np.inf)
     rel_amp = np.linalg.norm(q - h_ls) / np.linalg.norm(h_ls)
     ok_b = rel_amp < 1e-6
 

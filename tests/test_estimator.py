@@ -138,6 +138,14 @@ def _economy_svd_model(s, y):
                         rows=s.shape[0]), u1
 
 
+def _flat_state(model):
+    """The non-informative start of the recursion on ``model``: zero mean
+    and unit variance."""
+    shape = (model.phi.shape[1], model.r.shape[1])
+    return UampState.from_prior(np.zeros(shape, dtype=complex), np.ones(shape),
+                                model.phi.shape[0])
+
+
 class TestUampLinearStep:
     def _model(self, small_geometry, true_channel, snr_db, seed=0):
         pilots = gen_pilots(small_geometry.n_patches, 60, seed=9)
@@ -148,13 +156,15 @@ class TestUampLinearStep:
         rng = np.random.default_rng(0)
         phi = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         r = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-        state = UampState.initial(8, 3, 4)
+        model = UnitaryModel(phi, r, 0.0, 8)
+        state = _flat_state(model)
         state.gamma = 5.0
-        q, v_q, _ = uamp_linear_step(UnitaryModel(phi, r, 0.0, 8), state,
-                                     estimate_gamma=False)
-        # zero-mean unit-variance start: P = 0, V_P = |phi|^2 1
+        q, v_q, out = uamp_linear_step(model, state, np.inf)
+        # zero-mean unit-variance start: P = 0, V_P = |phi|^2 1, and the
+        # filter reads the refreshed precision
+        assert out.gamma != 5.0
         v_p = (np.abs(phi) ** 2) @ np.ones((4, 3))
-        v_s = 1.0 / (v_p + 1.0 / 5.0)
+        v_s = 1.0 / (v_p + 1.0 / out.gamma)
         assert np.allclose(q, v_q * (phi.conj().T @ (v_s * r)))
         assert np.allclose(v_q, 1.0 / ((np.abs(phi) ** 2).T @ v_s))
 
@@ -163,32 +173,34 @@ class TestUampLinearStep:
         # with a non-informative starting state the linear stage already
         # solves the (noise-free) least-squares problem in one pass
         model, _ = self._model(small_geometry, true_channel, np.inf)
-        state = UampState.initial(*model.r.shape, model.phi.shape[1])
+        state = _flat_state(model)
         state.gamma = 1e10
-        q, _, _ = uamp_linear_step(model, state, estimate_gamma=False)
+        q, _, _ = uamp_linear_step(model, state, np.inf)
         rel = np.linalg.norm(q - true_channel) / np.linalg.norm(true_channel)
         assert rel < 1e-6
 
     def test_gamma_estimate_near_truth(self, small_geometry, true_channel):
         model, gamma_true = self._model(small_geometry, true_channel, 5.0, seed=3)
-        state = UampState.initial(*model.r.shape, model.phi.shape[1])
+        state = _flat_state(model)
         for _ in range(25):
-            q, v_q, state = uamp_linear_step(model, state)
+            q, v_q, state = uamp_linear_step(model, state, np.inf)
             state.h_mean, state.h_var = q, v_q
         assert gamma_true / 2 < state.gamma < gamma_true * 2
 
     def test_gamma_cap_respected(self, small_geometry, true_channel):
         model, _ = self._model(small_geometry, true_channel, np.inf)
-        state = UampState.initial(*model.r.shape, model.phi.shape[1])
+        state = _flat_state(model)
         for _ in range(10):
             q, v_q, state = uamp_linear_step(model, state, gamma_cap=123.0)
             state.h_mean, state.h_var = q, v_q
         assert state.gamma <= 123.0
 
-    @pytest.mark.parametrize("estimate_gamma, gamma_cap",
-                             [(False, None), (True, None), (True, 0.25)])
+    # ids (gamma refreshed, cap): the step always refreshes gamma, and
+    # np.inf is no cap
+    @pytest.mark.parametrize("gamma_cap", [np.inf, 0.25],
+                             ids=["True-None", "True-0.25"])
     def test_economy_step_matches_full_svd(self, small_geometry, true_channel,
-                                           estimate_gamma, gamma_cap):
+                                           gamma_cap):
         # the rows the economy model drops enter only gamma's update, through
         # their energy and count: two steps from a non-trivial state agree
         # with the same steps on the full-SVD model within 1e-12
@@ -208,8 +220,7 @@ class TestUampLinearStep:
                   UampState(h_mean, h_var, s_res.copy(), 2.0)]
         for _ in range(2):
             (q_e, v_e, states[0]), (q_f, v_f, states[1]) = (
-                uamp_linear_step(mod, st, estimate_gamma=estimate_gamma,
-                                 gamma_cap=gamma_cap)
+                uamp_linear_step(mod, st, gamma_cap)
                 for mod, st in zip((eco, full), states))
             for got, want in ((q_e, q_f), (v_e, v_f),
                               (states[0].s_res, states[1].s_res[:k])):
@@ -217,15 +228,17 @@ class TestUampLinearStep:
             assert states[0].gamma == pytest.approx(states[1].gamma, rel=1e-12)
             for st in states:
                 st.h_mean, st.h_var = q_f, v_f
-        if gamma_cap is not None:
+        if np.isfinite(gamma_cap):
             assert states[0].gamma == gamma_cap
-        elif estimate_gamma:
+        else:
             assert states[0].gamma != 2.0
 
-    @pytest.mark.parametrize("estimate_gamma, gamma_cap",
-                             [(False, None), (True, None), (True, 0.25)])
+    # ids (gamma refreshed, cap): the step always refreshes gamma, and
+    # np.inf is no cap
+    @pytest.mark.parametrize("gamma_cap", [np.inf, 0.25],
+                             ids=["True-None", "True-0.25"])
     def test_gram_step_matches_economy_svd(self, small_geometry, true_channel,
-                                           estimate_gamma, gamma_cap):
+                                           gamma_cap):
         # the Gram-matrix model's rows are the economy SVD's up to unit
         # phases; from the same state, a residual of the same 3L-row vector
         # in each basis, one step gives the same q, v_q, gamma and (mapped
@@ -245,7 +258,7 @@ class TestUampLinearStep:
         h_var = rng.uniform(0.005, 0.02, size=(k, m))
         e = rng.normal(size=(s.shape[0], m)) + 1j * rng.normal(size=(s.shape[0], m))
         out = [uamp_linear_step(mod, UampState(h_mean, h_var, u.conj().T @ e, 2.0),
-                                estimate_gamma=estimate_gamma, gamma_cap=gamma_cap)
+                                gamma_cap)
                for mod, u in ((gram, u_gram), (svd, u_svd))]
         (q_g, v_g, st_g), (q_s, v_s, st_s) = out
         for got, want in ((q_g, q_s), (v_g, v_s),
@@ -253,18 +266,17 @@ class TestUampLinearStep:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert st_g.gamma == pytest.approx(st_s.gamma, rel=1e-12)
         assert gram.dropped == pytest.approx(svd.dropped, rel=1e-12)
-        if gamma_cap is not None:
+        if np.isfinite(gamma_cap):
             assert st_g.gamma == gamma_cap
-        elif not estimate_gamma:
-            assert st_g.gamma == 2.0
+        else:
+            assert st_g.gamma != 2.0
 
     def test_nonfinite_input_raises(self):
         phi = np.eye(4, dtype=complex)
         r = np.full((4, 2), np.nan, dtype=complex)
-        state = UampState.initial(4, 2, 4)
+        model = UnitaryModel(phi, r, 0.0, 4)
         with pytest.raises(NumericalFailure):
-            uamp_linear_step(UnitaryModel(phi, r, 0.0, 4), state,
-                             estimate_gamma=False)
+            uamp_linear_step(model, _flat_state(model), np.inf)
 
 
 # --- Taylor linearization -------------------------------------------------
@@ -314,7 +326,6 @@ class TestTaylorLinearize:
         for got, ref in zip((lin.h, lin.dh, lin.xi), want):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.array_equal(lin.channel, h)
 
 
 # --- location and channel messages ----------------------------------------
@@ -410,7 +421,7 @@ class TestChannelBelief:
         q = rng.normal(size=(6 * n, m)) + 1j * rng.normal(size=(6 * n, m))
         v_q = np.full(q.shape, 0.5)
         loc = init_location_state(np.zeros(3), np.full(3, VAR_MAX))
-        mean, var, _, _ = channel_belief(lin, q, v_q, loc)
+        mean, var = channel_belief(lin, q, v_q, loc)
         assert np.allclose(mean, q, rtol=1e-6)
         assert np.allclose(var, 0.5, rtol=1e-6)
 
@@ -421,7 +432,8 @@ class TestChannelBelief:
         q = np.ones((6 * n, m), dtype=complex) * 100.0
         loc = init_location_state(p, np.full(3, 1e-14))
         v_q = np.full(q.shape, 1e6)
-        mean, var, prior_mean, _ = channel_belief(lin, q, v_q, loc)
+        mean, var = channel_belief(lin, q, v_q, loc)
+        prior_mean, _ = estimator.location_prior(lin, loc)
         assert np.allclose(prior_mean, lin.affine(p), rtol=1e-8)
         assert np.allclose(mean, prior_mean, atol=1e-3)
         assert np.all(var < 1e-4)
@@ -436,7 +448,8 @@ class TestChannelBelief:
         # prior = (xi + 0, |dh|^2 * 1) = (1, 1); extrinsic = (3, 1) -> (2, 0.5)
         q = np.full((6 * n, m), 3.0 + 0j)
         v_q = np.ones((6 * n, m))
-        mean, var, prior_mean, prior_var = channel_belief(lin, q, v_q, loc)
+        mean, var = channel_belief(lin, q, v_q, loc)
+        prior_mean, prior_var = estimator.location_prior(lin, loc)
         assert np.allclose(prior_mean, 1.0)
         assert np.allclose(prior_var, 1.0)
         assert np.allclose(mean, 2.0)
@@ -970,6 +983,34 @@ def test_economy_model_matches_full_svd(trained_net, small_geometry,
         assert max(abs(a[k] - b[k]) for k in "xyz") <= 1e-8
         for key in ("gamma_hat", "residual"):
             assert a[key] == pytest.approx(b[key], rel=1e-10)
+
+
+@pytest.mark.parametrize("chains", [None, 24])
+def test_converged_estimate_linearizes_once_per_iteration(
+        trained_net, small_geometry, wave, true_channel, true_position,
+        monkeypatch, chains):
+    # the loop re-linearizes only when it goes on, so a converged estimate
+    # linearizes once per iteration; its channel estimate is the per-pair
+    # model at the final location mean
+    geom = small_geometry
+    pilots = gen_pilots(geom.n_patches, 100, seed=7)
+    f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
+    y, _ = simulate_rx(combine_channel(f, true_channel), pilots, 8.0, seed=3)
+    model = unitary_transform(pilots.matrix, y)
+    linearize, calls = estimator.taylor_linearize, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return linearize(*args)
+
+    monkeypatch.setattr(estimator, "taylor_linearize", counted)
+    cfg = EstimatorConfig(init_position=true_position)
+    res = (estimate_full_digital(model, trained_net, geom, cfg) if f is None
+           else estimate_hybrid(model, f, trained_net, geom, cfg))
+    assert res.converged and res.iterations > 1
+    assert len(calls) == res.iterations
+    assert np.array_equal(res.h_hat,
+                          stacked_channel(trained_net, geom, res.position, wave))
 
 
 class TestHybridEstimator:

@@ -874,6 +874,27 @@ class TestToothCheck:
         # a file written before the CPU times were recorded has none
         old = self._compare(tmp_path, self._doc(p0), base)
         assert old.returncode == 0 and "CPU" not in old.stdout
+        assert "p_hat" not in old.stdout
+
+    def test_final_estimates_compared(self, tmp_path):
+        p0 = [[0.1, -0.2, 30.0], [0.3, 0.4, 25.0], [-0.5, 0.6, 38.0]]
+
+        def final(p_hat, iterations, converged):
+            return {"p_hat": p_hat, "iterations": iterations,
+                    "converged": converged}
+
+        base = dict(self._doc(p0), final=[
+            final([0.1, -0.2, 30.0], 7, True), final([0.3, 0.4, 25.0], 50, False),
+            None])
+        # draw 0 moves by 2e-9 m in y and draw 1 stops one iteration earlier;
+        # draw 2 raised at the base, so only draws 0 and 1 are compared
+        new = dict(self._doc(p0), final=[
+            final([0.1, -0.2 + 2e-9, 30.0], 7, True),
+            final([0.3, 0.4, 25.0], 49, True), final([-0.5, 0.6, 38.0], 9, True)])
+        out = self._compare(tmp_path, base, new)
+        assert out.returncode == 0
+        assert ("max |dp_hat| 2e-09 m and iterations agree on 1 of 2 draws "
+                "that both finished; converged 1 -> 3") in out.stdout
 
 
 class TestApiCallers:
