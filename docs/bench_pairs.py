@@ -10,9 +10,12 @@ side runs first alternates from pair to pair.  For each end-to-end metric
 it prints both sides' median and quartiles, how many pairs NEW is lower
 in and how many tie, the median of the per-pair ratios NEW / BASE, the
 gap of the medians against BASE's interquartile range, and whether the
-claim rule of ``claim_verdict`` holds.  It exits 1 if any run reports
-``correct: false`` or prints no result, and 2 on bad arguments.  Only the
-standard library is used.
+claim rule of ``claim_verdict`` holds.  For each end-to-end metric of
+BASE's ``BENCHMARK.json`` (read, never written) it also prints the verdict
+of the no-regression rule of ``regression_verdict`` at that metric's bound
+and better direction.  It exits 1 if any run reports ``correct: false`` or
+prints no result, and 2 on bad arguments.  Only the standard library is
+used.
 """
 
 import argparse
@@ -64,6 +67,31 @@ def claim_verdict(base, new):
     return lower, ties, gap, q3 - q1, 10 * lower >= 9 * len(base) and gap > q3 - q1
 
 
+def regression_verdict(base, new, bound, better="lower"):
+    """The no-regression rule for one end-to-end metric on paired runs:
+    "worse" when NEW's median is worse than BASE's, in the ``better``
+    direction ("lower" or "higher"), by more than ``bound`` times BASE's
+    median, and "no worse" otherwise.  When BASE's interquartile range
+    exceeds ``bound`` times its median, the runs spread too widely to tell:
+    the verdict is then "unresolved", unless every NEW run beats every
+    BASE run."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, med, q3 = _quartiles(base)
+    if q3 - q1 > bound * abs(med):
+        beats = max(sign * v for v in new) < min(sign * v for v in base)
+        return "no worse" if beats else "unresolved"
+    worse = sign * (statistics.median(new) - med) > bound * abs(med)
+    return "worse" if worse else "no worse"
+
+
+def end_to_end_bounds(root):
+    """{metric: (bound, better)} for the end-to-end metrics that
+    ``root``'s BENCHMARK.json declares."""
+    with open(root / "BENCHMARK.json") as fh:
+        return {m["name"]: (m["bound"], m["better"])
+                for m in json.load(fh)["end_to_end"]}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=pathlib.Path)
@@ -79,6 +107,9 @@ def main(argv=None):
             parser.error(f"no perfbench/run.py under {root}")
     if len(args.seeds) < 2:
         parser.error("need at least two seeds")
+    if not (sides["base"] / "BENCHMARK.json").is_file():
+        parser.error(f"no BENCHMARK.json under {sides['base']}")
+    bounds = end_to_end_bounds(sides["base"])
 
     runs = {side: [] for side in sides}
     correct = True
@@ -117,6 +148,10 @@ def main(argv=None):
               f"{ratio}; median gap {gap:.4g} vs base IQR {iqr:.4g}")
         print(f"{'':<16}claim rule (lower in >= 9/10, gap > IQR): "
               f"{'holds' if holds else 'does not hold'}")
+        if name in bounds:
+            bound, better = bounds[name]
+            print(f"{'':<16}no-regression rule (bound {bound:g}, {better} is "
+                  f"better): {regression_verdict(values['base'], values['new'], bound, better)}")
     return 0 if correct else 1
 
 

@@ -8,7 +8,8 @@ channel.  The integrand depends on the two patch points only
 through their difference, so the area integral is computed as a 2-D
 Gauss-Legendre rule over that difference, weighted by its trapezoid
 density.  The rule is a tensor grid in x and y, so each node needs only
-two scalars, w*g*c1 and w*g*c2/r^2; one GEMM with the moments
+two scalars, w*g*c1 and w*g*c2/r^2, and its carrier exp(i*k0*r) comes
+from one tangent of half the phase; one GEMM with the moments
 (1, ox, oy, ox^2, oy^2, ox*oy) of the node offsets then sums all six
 components.  A closed-form sinc approximation of the same block is
 provided as a baseline, together with a field-dump helper for
@@ -17,12 +18,12 @@ channel-surface plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from hmimo.geometry import SurfaceGeometry, relative_grid
-from hmimo.signals import combine_pairs
 
 C0 = 299792458.0          # vacuum speed of light, m/s
 MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
@@ -35,10 +36,10 @@ _POL_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 # Quadrature nodes per chunk of ``patch_channel_batch`` (one row at least).
-# Its workspace is ten float arrays of this length, 2.5 MB, allocated once
+# Its workspace is eight float arrays of this length, 2.0 MB, allocated once
 # per call whatever the batch size.  On a 2-core Xeon (2 MB L2 per core),
-# 1 << 15 ran about 7 % faster than 1 << 16 and no slower than 1 << 14 on
-# order-4 and order-8 batches.
+# 1 << 15 ran 15-30 % faster than 1 << 16 and as fast as 1 << 14 on
+# order-4 and order-8 batches of 2,500 paper pairs.
 _CHUNK_NODES = 1 << 15
 
 
@@ -134,39 +135,39 @@ def _component_sums(c: np.ndarray, ux: np.ndarray, uy: np.ndarray, w4: np.ndarra
     ``c`` holds the b relative centers (b, 3); the nodes are the tensor grid
     ux (nx,) times uy (ny,) at o_z = 0, flattened with ux outermost, with
     weights w4 (Q,) and moments mom (Q, 6) = (1, ox, oy, ox^2, oy^2,
-    ox*oy).  ``ws`` is the flat chunk workspace, at least 10 * b * Q floats.
+    ox*oy).  ``ws`` is the flat chunk workspace, at least 8 * b * Q floats.
     """
     b, nq = c.shape[0], w4.size
-    work = ws[:10 * b * nq].reshape(10, b, nq)
-    r2, r, kr, g_re, g_im, tmp = work[:6]
-    acc = work[6:]
-    b_re, b_im, d_re, d_im = acc          # B = w g c2 / r^2 and w g c1
+    work = ws[:8 * b * nq].reshape(8, b, nq)
+    r2, s, t, u = work[:4]
+    acc = work[4:]
+    b_re, b_im, d_re, d_im = acc          # B = w g c2 / r^2 and D = w g c1
     cx, cy, cz = c.T
-    # r^2 = (cx + ux)^2 + (cy + uy)^2 + cz^2 on the (nx, ny) grid
-    np.add(np.square(cx[:, None] + ux)[:, :, None],
-           np.square(cy[:, None] + uy)[:, None, :], out=r2.reshape(b, ux.size, uy.size))
-    r2 += np.square(cz)[:, None]
-    if np.any(r2 == 0.0):
+    # r^2 = (cx + ux)^2 + (cy + uy)^2 + cz^2 on the (nx, ny) grid, zero only
+    # where all three terms are
+    sx, sy, sz = np.square(cx[:, None] + ux), np.square(cy[:, None] + uy), np.square(cz)
+    if np.any((sx == 0.0).any(1) & (sy == 0.0).any(1) & (sz == 0.0)):
         raise SingularityError("dyadic Green's function evaluated at zero distance")
-    np.sqrt(r2, out=r)
-    np.multiply(r, k0, out=kr)
-    s = np.divide(w4, r, out=r)                               # w / (4 pi r)
-    np.multiply(np.cos(kr, out=g_re), s, out=g_re)            # w * g
-    np.multiply(np.sin(kr, out=g_im), s, out=g_im)
-    # c1 = 1 - u^2 + i u and c2 = 3 u^2 - 1 - 3 i u with u = 1 / (k0 r)
-    u = np.divide(1.0, kr, out=kr)
-    u2 = np.multiply(u, u, out=s)
-    c1 = np.subtract(1.0, u2, out=d_im)
+    np.add(sx[:, :, None], sy[:, None, :], out=r2.reshape(b, ux.size, uy.size))
+    r2 += sz[:, None]
+    np.multiply(np.sqrt(r2, out=s), 0.5 * k0, out=t)         # k0 r / 2
+    np.divide(0.5, t, out=u)                                  # u = 1 / (k0 r)
+    np.divide(w4, s, out=s)                                   # w / (4 pi r)
+    # w g = s exp(i k0 r) = s (1 - t^2 + 2 i t) / (1 + t^2) with t = tan(k0 r / 2)
+    t2 = np.multiply(np.tan(t, out=t), t, out=b_im)
+    s /= np.add(1.0, t2, out=b_re)
+    g_re = np.multiply(np.subtract(1.0, t2, out=b_re), s, out=b_re)
+    g_im = np.multiply(np.multiply(t, 2.0, out=t), s, out=t)
+    # D = w g c1 with c1 = 1 - u^2 + i u
+    c1 = np.subtract(1.0, np.multiply(u, u, out=s), out=s)
     np.multiply(g_re, c1, out=d_re)
-    d_re -= np.multiply(g_im, u, out=tmp)
+    d_re -= np.multiply(g_im, u, out=b_im)
     np.multiply(g_im, c1, out=d_im)
-    d_im += np.multiply(g_re, u, out=tmp)
-    c2 = np.subtract(np.multiply(u2, 3.0, out=u2), 1.0, out=u2)
-    np.multiply(g_re, c2, out=b_re)
-    b_re += np.multiply(np.multiply(g_im, 3.0, out=tmp), u, out=tmp)
+    d_im += np.multiply(g_re, u, out=u)
+    # B = (2 w g - 3 D) / r^2, since c2 = 3 u^2 - 1 - 3 i u = 2 - 3 c1
+    np.subtract(np.add(g_re, g_re, out=b_re), np.multiply(d_re, 3.0, out=s), out=b_re)
     b_re /= r2
-    np.multiply(g_im, c2, out=b_im)
-    b_im -= np.multiply(np.multiply(g_re, 3.0, out=tmp), u, out=tmp)
+    np.subtract(np.add(g_im, g_im, out=b_im), np.multiply(d_im, 3.0, out=s), out=b_im)
     b_im /= r2
     # sum_q B d_p d_q with d = c + o, from the moments of B over the nodes
     m = (acc.reshape(4 * b, nq) @ mom).reshape(4, b, 6)
@@ -191,12 +192,15 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     only through their difference, so the 4-D area integral is a 2-D one
     over that offset, on the tensor grid of the two axes' offset rules
     (``_offset_axis``): at most (3q)^2 nodes per pair for a rule of order
-    q.  Per node, the kernel forms only the scalars w*g*c1 and
-    B = w*g*c2/r^2, in real arithmetic, with r^2 separable over the grid.
-    One GEMM with the node moments (1, ox, oy, ox^2, oy^2, ox*oy) then
-    gives sum_q B*d_p*d_q, with d = c + o, in closed form.  Rows are taken
-    _CHUNK_NODES quadrature nodes at a time through one workspace of ten
-    such arrays, allocated once per call.
+    q.  Per node, the kernel forms only the scalars D = w*g*c1 and
+    B = w*g*c2/r^2 = (2*w*g - 3*D)/r^2, in real arithmetic, with r^2
+    separable over the grid and the carrier exp(i*k0*r) =
+    (1 - t^2 + 2i*t)/(1 + t^2) from t = tan(k0*r/2), one tangent in place
+    of a cosine and a sine.  One GEMM with the node moments
+    (1, ox, oy, ox^2, oy^2, ox*oy) then gives sum_q B*d_p*d_q, with
+    d = c + o, in closed form.  Rows are taken _CHUNK_NODES quadrature
+    nodes at a time through one workspace of eight such arrays, allocated
+    once per call.
     """
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     # coplanar patches whose footprints overlap: the integral diverges
@@ -213,7 +217,7 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     w4 = w / (4.0 * np.pi)
     comps = np.empty((rel.shape[0], 6), dtype=complex)
     step = max(1, _CHUNK_NODES // w.size)
-    ws = np.empty(10 * min(step, rel.shape[0]) * w.size)
+    ws = np.empty(8 * min(step, rel.shape[0]) * w.size)
     for i in range(0, rel.shape[0], step):
         _component_sums(rel[i:i + step], ux, uy, w4, mom, wave.wavenumber, ws,
                         comps[i:i + step])
@@ -290,17 +294,23 @@ def stacked_pairs(pair_fn, geom: SurfaceGeometry, p1, f: np.ndarray = None):
     trailing axes are derivative axes.  ``p1`` is one location (3,) or a
     stack of them (..., 3).  Each output comes back as (..., 6N, M, ...),
     laid out by ``pairs_to_stacked``; behind a combiner ``f`` (P, M) it is
-    first combined in the pair layout (``signals.combine_pairs``), and
-    comes back as (..., 6N, P, ...).
+    first contracted with ``f`` over M in the pair layout, one GEMM per
+    transmit patch and location, and comes back as the observed
+    G = H F^T (..., 6N, P, ...).
     """
     rel = relative_grid(geom, p1)                  # (..., N, M, 3)
     lead = rel.ndim - 3
     parts = pair_fn(rel.reshape(-1, 3))
     single = not isinstance(parts, tuple)
-    out = tuple(pairs_to_stacked(combine_pairs(
-                    f, a.reshape(rel.shape[:-1] + a.shape[1:]), lead), lead)
-                for a in ((parts,) if single else parts))
-    return out[0] if single else out
+    out = []
+    for a in ((parts,) if single else parts):
+        rest = a.shape[1:]
+        # the explicit trailing size, since -1 cannot be inferred for an empty batch
+        a = a.reshape(-1, rel.shape[-2], math.prod(rest))
+        if f is not None:
+            a = f @ a
+        out.append(pairs_to_stacked(a.reshape(rel.shape[:-2] + a.shape[1:2] + rest), lead))
+    return out[0] if single else tuple(out)
 
 
 def full_channel(geom: SurfaceGeometry, p1, wave: WaveConfig,

@@ -11,7 +11,6 @@ under which the approximate message-passing recursions stay well behaved.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,22 +192,6 @@ def combine_channel(f: np.ndarray, h: np.ndarray, trailing: int = 0) -> np.ndarr
         raise ValueError(f"combiner columns {f.shape[1]} != antennas {h.shape[axis]}")
     # one GEMM over the receive axis; an einsum here is over 10x slower
     return np.moveaxis(np.tensordot(h, f, axes=([axis], [1])), -1, axis)
-
-
-def combine_pairs(f: np.ndarray, h: np.ndarray, lead: int = 0) -> np.ndarray:
-    """``combine_channel`` in the pair layout, or ``h`` itself without a
-    combiner: ``h`` (..., N, M, 6, ...), with ``lead`` axes before N, holds
-    the six components of each patch pair, and G (..., N, P, 6, ...) is its
-    contraction with ``f`` (P, M) over M, one GEMM per transmit patch (and
-    location) and no layout copy.  ``green.pairs_to_stacked`` then lays G out as
-    ``combine_channel`` would return it."""
-    if f is None:
-        return h
-    k, m = math.prod(h.shape[:lead + 1]), h.shape[lead + 1]
-    rest = h.shape[lead + 2:]
-    # the explicit trailing size, since -1 cannot be inferred for an empty batch
-    return (f @ h.reshape(k, m, math.prod(rest))).reshape(
-        h.shape[:lead + 1] + (f.shape[0],) + rest)
 
 
 def simulate_rx_hybrid(f: np.ndarray, h: np.ndarray, pilots: PilotBlock,

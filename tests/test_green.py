@@ -7,7 +7,8 @@ from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
                          approx_channel, field_dump, full_channel,
                          patch_channel, patch_channel_batch, _BLOCK_IDX,
-                         _CHUNK_NODES, _dyadic_from_displacement, _offset_axis)
+                         _CHUNK_NODES, _component_sums, _dyadic_from_displacement,
+                         _offset_axis)
 from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
@@ -157,11 +158,36 @@ class TestQuadrature:
         assert np.array_equal(out, out.transpose(0, 2, 1))
 
     def test_batch_zero_separation_raises(self, wave):
-        # equal patch sizes: the centre-aligned pair has coinciding nodes
+        # a coplanar pair at zero centre separation: its footprints overlap,
+        # which is refused before the kernel runs
         geom = SurfaceGeometry(2, 2, 2, 2, 0.05, 0.05, 0.05, 0.05)
         rel = np.array([[0.0, 0.0, 25.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularityError):
             patch_channel_batch(rel, geom, wave, QuadratureRule(4))
+
+    def test_kernel_zero_distance_raises(self, wave):
+        # the centre c = (-ux[i], -uy[j], 0) puts node (i, j) at zero
+        # distance; patch_channel_batch refuses it as a coplanar overlap
+        # first, so the kernel's own check is called directly
+        g, q = OFFSET_GEOMETRIES["rect"], QuadratureRule(4)
+        ux, uy = _offset_axis(g.tx_dx, g.rx_dx, q)[0], _offset_axis(g.tx_dy, g.rx_dy, q)[0]
+        offs, w = _offset_grid(g, q)
+        ox, oy = offs[:, 0], offs[:, 1]
+        mom = np.column_stack([np.ones(w.size), ox, oy, ox * ox, oy * oy, ox * oy])
+
+        def sums(*centres):
+            c = np.array(centres)
+            out = np.empty((len(c), 6), dtype=complex)
+            _component_sums(c, ux, uy, w / (4.0 * np.pi), mom, wave.wavenumber,
+                            np.empty(8 * len(c) * w.size), out)
+            return out
+
+        with pytest.raises(SingularityError, match="zero distance"):
+            sums([0.0, 0.0, 25.0], [-ux[2], -uy[5], 0.0])
+        # one or two of the three terms of r^2 vanishing is no singularity
+        for c in ([-ux[2], -uy[5], 1e-3], [-ux[2], 0.5 * (uy[4] + uy[5]), 0.0],
+                  [0.5 * (ux[1] + ux[2]), -uy[5], 0.0]):
+            assert np.all(np.isfinite(sums(c)))
 
 
 class TestOffsetRule:

@@ -806,12 +806,16 @@ class TestBenchPairs:
     SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "bench_pairs.py"
 
     @pytest.fixture(scope="class")
-    def verdict(self):
+    def script(self):
         import importlib.util
         spec = importlib.util.spec_from_file_location("bench_pairs", self.SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.claim_verdict
+        return module
+
+    @pytest.fixture(scope="class")
+    def verdict(self, script):
+        return script.claim_verdict
 
     def test_clear_gain_holds(self, verdict):
         base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
@@ -834,6 +838,39 @@ class TestBenchPairs:
         base = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         lower, _, gap, iqr, holds = verdict(base, [b - 0.1 for b in base])
         assert lower == 10 and gap < iqr and not holds
+
+    # base runs whose interquartile range is 4 % of their median
+    TIGHT = [0.98, 1.0, 1.02, 0.97, 1.03, 1.0, 0.99, 1.01, 1.0, 1.0]
+
+    def test_regression_no_worse(self, script):
+        rule = script.regression_verdict
+        # 20 % slower, inside a 25 % bound; 10 % faster, in either direction
+        assert rule(self.TIGHT, [1.2 * b for b in self.TIGHT], 0.25) == "no worse"
+        assert rule(self.TIGHT, [0.9 * b for b in self.TIGHT], 0.25) == "no worse"
+        assert rule(self.TIGHT, [1.1 * b for b in self.TIGHT], 0.25, "higher") == "no worse"
+
+    def test_regression_worse(self, script):
+        rule = script.regression_verdict
+        assert rule(self.TIGHT, [1.3 * b for b in self.TIGHT], 0.25) == "worse"
+        # the higher-is-better direction: 10 % lower against a 5 % bound
+        assert rule(self.TIGHT, [0.9 * b for b in self.TIGHT], 0.05, "higher") == "worse"
+
+    def test_regression_unresolved(self, script):
+        rule = script.regression_verdict
+        # the base IQR (4 % of the median) exceeds a 1 % bound
+        assert rule(self.TIGHT, list(self.TIGHT), 0.01) == "unresolved"
+        assert rule(self.TIGHT, [1.5 * b for b in self.TIGHT], 0.01) == "unresolved"
+        # unless every new run beats every base run
+        assert rule(self.TIGHT, [0.9 * min(self.TIGHT)] * 10, 0.01) == "no worse"
+        assert rule(self.TIGHT, [1.1 * max(self.TIGHT)] * 10, 0.01, "higher") == "no worse"
+
+    def test_bounds_read_from_benchmark_file(self, script):
+        root = self.SCRIPT.parents[1]
+        before = (root / "BENCHMARK.json").read_bytes()
+        bounds = script.end_to_end_bounds(root)
+        assert bounds["trial_s"] == (0.25, "lower")
+        assert bounds["peak_rss_mb"] == (0.05, "lower")
+        assert (root / "BENCHMARK.json").read_bytes() == before
 
 
 class TestToothCheck:
