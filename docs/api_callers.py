@@ -8,10 +8,10 @@ the top-level functions and classes of each module under ``src/hmimo``,
 and the methods of those classes, whose names do not start with an
 underscore.
 
-For each name it counts references in ``src/hmimo``, ``perfbench/`` and
-``docs/``, and apart from those in ``tests/``.  A reference is a name or
-an attribute that reads it, or a string constant equal to it (the
-benchmark's tracer names the functions it wraps by string).  A
+For each name it counts references in ``src/hmimo`` and ``docs/``, and
+apart from those in ``perfbench/`` and those in ``tests/``.  A reference
+is a name or an attribute that reads it, or a string constant equal to it
+(the benchmark's tracer names the functions it wraps by string).  A
 definition, an import, an ``__all__`` entry and a mention in a docstring
 or comment are not references, and the package's ``__init__.py``, which
 only exports names, and this script are not scanned.
@@ -25,7 +25,9 @@ that share the name.
 
 It prints one line per other name that nothing outside ``tests/``
 reaches, with its module and the count of test references, or "nothing
-reaches it", then the shared names.  Only the standard library is used.
+reaches it".  Then, under the heading "tests and perfbench/ only", the
+names that only tests and the benchmark reach, with both counts, and last
+the shared names.  Only the standard library is used.
 """
 
 import argparse
@@ -102,11 +104,12 @@ def main(argv=None):
     if not package.is_dir():
         parser.error(f"no src/hmimo under {root}")
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    outside, inside_tests = Counter(), Counter()
-    for path in [*modules, *sorted((root / "perfbench").glob("**/*.py")),
-                 *sorted((root / "docs").glob("**/*.py"))]:
+    outside, bench, inside_tests = Counter(), Counter(), Counter()
+    for path in [*modules, *sorted((root / "docs").glob("**/*.py"))]:
         if path.name != pathlib.Path(__file__).name:
             outside.update(_references(_parse(path)))
+    for path in sorted((root / "perfbench").glob("**/*.py")):
+        bench.update(_references(_parse(path)))
     for path in sorted((root / "tests").glob("**/*.py")):
         inside_tests.update(_references(_parse(path)))
     definers = defaultdict(set)          # member name -> "module.Class"
@@ -114,7 +117,7 @@ def main(argv=None):
         for cls, names in _members(_parse(path)):
             for name in names:
                 definers[name].add(f"{path.stem}.{cls}")
-    shared = []
+    benched, shared = [], []
     for path in modules:
         for name in _public_names(_parse(path)):
             last = name.rsplit(".", 1)[-1]
@@ -122,10 +125,15 @@ def main(argv=None):
             if "." in name and others:
                 shared.append(f"  {path.stem}.{name}: {inside_tests[last]} test "
                               f"references (also {', '.join(sorted(others))})")
+            elif not outside[last] and bench[last]:
+                benched.append(f"  {path.stem}.{name}: {bench[last]} perfbench/ "
+                               f"references, {inside_tests[last]} test references")
             elif not outside[last]:
                 print(f"{path.stem}.{name}: " + (
                     f"tests only ({inside_tests[last]} test references)"
                     if inside_tests[last] else "nothing reaches it"))
+    if benched:
+        print("tests and perfbench/ only:", *benched, sep="\n")
     if shared:
         print("shared name, check by hand:", *shared, sep="\n")
     return 0

@@ -54,17 +54,25 @@ def _quartiles(values):
     return q1, med, q3
 
 
+# The smallest gap, relative to BASE's median, that the claim rule counts:
+# a deterministic metric's runs all agree, and a zero interquartile range
+# must not let a move at round-off count as a gain
+GAP_FLOOR = 1e-9
+
+
 def claim_verdict(base, new):
     """The claim rule for a lower-is-better metric on paired runs: NEW is
     lower in at least nine tenths of all pairs, a tie counting for neither
     side, and BASE's median exceeds NEW's by more than BASE's
-    interquartile range.  Returns (pairs NEW is lower in, ties, median gap,
-    BASE's interquartile range, whether the rule holds)."""
+    interquartile range and by more than ``GAP_FLOOR`` times BASE's
+    median.  Returns (pairs NEW is lower in, ties, median gap, BASE's
+    interquartile range, whether the rule holds)."""
     lower = sum(b < a for a, b in zip(base, new))
     ties = sum(b == a for a, b in zip(base, new))
     q1, med, q3 = _quartiles(base)
     gap = med - statistics.median(new)
-    return lower, ties, gap, q3 - q1, 10 * lower >= 9 * len(base) and gap > q3 - q1
+    floor = max(q3 - q1, GAP_FLOOR * abs(med))
+    return lower, ties, gap, q3 - q1, 10 * lower >= 9 * len(base) and gap > floor
 
 
 def regression_verdict(base, new, bound, better="lower"):
@@ -146,7 +154,8 @@ def main(argv=None):
         ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"
         print(f"{'':<16}new lower in {lower} of {n}, {ties} ties; median ratio "
               f"{ratio}; median gap {gap:.4g} vs base IQR {iqr:.4g}")
-        print(f"{'':<16}claim rule (lower in >= 9/10, gap > IQR): "
+        print(f"{'':<16}claim rule (lower in >= 9/10, gap > IQR and "
+              f"> {GAP_FLOOR:g} x base median): "
               f"{'holds' if holds else 'does not hold'}")
         if name in bounds:
             bound, better = bounds[name]

@@ -17,16 +17,16 @@ writes them to a JSON file:
 With ``--chains P`` it runs the hybrid estimator (``estimate_hybrid``) on
 the same draws instead, each behind its trial's P-chain combiner (child 3
 of the trial's seed, as ``run_trial`` draws it).  Without ``--weights`` it
-trains the ci-settings surrogate first (about 2 s), as ``hmimo train``
-would.  ``--compare`` prints "same tooth k of 60,
-max |dp0| ... m" and exits 1 if any draw's p0 lies on another tooth, that
-is, if its z moved by half a wavelength or more, or if the draw counts
-differ.  When both files carry the init CPU times (files written before
-they were recorded do not), it also prints each file's median CPU seconds
-per init.  When both carry the final estimates, it prints the largest
-|dp-hat| over the draws that both finished, how many iteration counts
-agree, and each file's count of converged draws; these do not change the
-exit code.
+trains the ci profile's surrogate first (about 2 s) through
+``harness.train_net``, as ``hmimo train`` does.  ``--compare`` prints
+"same tooth k of 60, max |dp0| ... m" and exits 1 if any draw's p0 lies
+on another tooth, that is, if its z moved by half a wavelength or more,
+or if the draw counts differ.  When both files carry the init CPU times
+(files written before they were recorded do not), it also prints each
+file's median CPU seconds per init.  When both carry the final
+estimates, it prints the largest |dp-hat| over the draws that both
+finished, how many iteration counts agree, and each file's count of
+converged draws; these do not change the exit code.
 """
 
 import argparse
@@ -40,21 +40,9 @@ SNRS = (0.0, 8.0, 20.0)
 
 
 def _ci_net(cfg, weights):
-    from hmimo.harness import build_geometry
-    from hmimo.green import QuadratureRule, WaveConfig
-    from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
-                                 generate_training_set, train)
-    if weights is not None:
-        return HybridNet.load(weights)
-    t, prior = cfg["training"], cfg["prior"]
-    geom, wave = build_geometry(cfg), WaveConfig(cfg["wave"]["frequency"])
-    box = CoordinateBox.from_prior(geom, *(tuple(prior[k]) for k in "xyz"))
-    inputs, targets = generate_training_set(
-        box, geom, wave, QuadratureRule(t["quadrature_order"]), t["samples"],
-        seed=t["sample_seed"])
-    tc = TrainConfig(hidden_count=t["hidden_count"], epochs=t["epochs"],
-                     seed=t["seed"])
-    return train(inputs, targets, tc, wave.frequency)[0]
+    from hmimo.harness import train_net
+    from hmimo.surrogate import HybridNet
+    return HybridNet.load(weights) if weights is not None else train_net(cfg)[0]
 
 
 def record(path, weights, chains=None):

@@ -242,7 +242,9 @@ def patch_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig,
 
 def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig) -> np.ndarray:
     """Closed-form sinc approximation for relative coordinates (K, 3): the
-    six components (K, 6), c1*delta_pq + c2*rhat_p*rhat_q times the scale."""
+    six components (K, 6), c1*delta_pq + c2*rhat_p*rhat_q times the scale,
+    which carries only the transmit patch's sinc pair (the first-order phase
+    k0 rhat.(delta_t - delta_r) gives one sinc pair per patch)."""
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     k0 = wave.wavenumber
     r = np.linalg.norm(rel, axis=-1)

@@ -277,19 +277,32 @@ def _surrogate_users(cfg: dict) -> dict:
     return users
 
 
+def training_data(cfg: dict, target="quadrature"):
+    """(inputs, targets) of the config's training set for the ``target``
+    channel, "quadrature" or "approx", over the box that its prior reaches."""
+    t, prior = cfg["training"], cfg["prior"]
+    geom = build_geometry(cfg)
+    box = CoordinateBox.from_prior(geom, *(tuple(prior[a]) for a in "xyz"))
+    return generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
+                                 QuadratureRule(t["quadrature_order"]),
+                                 t["samples"], seed=t["sample_seed"],
+                                 channel=target)
+
+
+def train_net(cfg: dict, target="quadrature"):
+    """(net, report) of ``train`` on ``training_data(cfg, target)``, with the
+    config's training settings."""
+    t = cfg["training"]
+    tc = TrainConfig(hidden_count=t["hidden_count"], epochs=t["epochs"],
+                     seed=t["seed"])
+    return train(*training_data(cfg, target), tc,
+                 WaveConfig(cfg["wave"]["frequency"]).frequency)
+
+
 def train_surrogates(cfg: dict, progress=None):
     """Train and save the surrogates the run reads: the exact-target net
     always (paths.weights), the closed-form-target net only when mp-approx
     is configured (paths.weights_approx).  Returns {kind: (net, report)}."""
-    t = cfg["training"]
-    geom = build_geometry(cfg)
-    wave = WaveConfig(cfg["wave"]["frequency"])
-    prior = cfg["prior"]
-    box = CoordinateBox.from_prior(geom, tuple(prior["x"]), tuple(prior["y"]),
-                                   tuple(prior["z"]))
-    quad = QuadratureRule(t["quadrature_order"])
-    tc = TrainConfig(hidden_count=t["hidden_count"], epochs=t["epochs"],
-                     seed=t["seed"])
     users = _surrogate_users(cfg)
     out = {}
     for kind, (target, path_key) in SURROGATES.items():
@@ -297,13 +310,8 @@ def train_surrogates(cfg: dict, progress=None):
             if progress is not None:
                 progress(f"{kind} surrogate: skipped (no configured estimator uses it)")
             continue
-        inputs, targets = generate_training_set(box, geom, wave, quad,
-                                                t["samples"],
-                                                seed=t["sample_seed"],
-                                                channel=target)
-        net, report = train(inputs, targets, tc, wave.frequency)
+        net, report = out[kind] = train_net(cfg, target)
         net.save(cfg["paths"][path_key])
-        out[kind] = (net, report)
         if progress is not None:
             progress(f"{kind} surrogate: validation NMSE "
                      f"{report['val_nmse_db']:.1f} dB -> "

@@ -7,8 +7,8 @@ first/second derivatives of that product are available for the
 linearized message passing and for Fisher-information computations.  The
 location init, which evaluates the channel at many candidate locations,
 instead evaluates the network and its partials once per location, with
-the same output layer, gathers from them the coefficients of an expansion
-over the patch pairs (``term_coefficients``) and expands those
+the same kernel, gathers from them the coefficients of an expansion over
+the patch pairs (``term_coefficients``) and expands those
 (``expanded_channel``).
 
 Slot layout of the 12 outputs: slots 0..5 are the real parts in the
@@ -74,10 +74,10 @@ class HybridNet:
     @functools.cached_property
     def _partials_block(self):
         """The network's one output layer, built once per net and read by
-        both kernels (``_output_partials`` per pair, ``term_coefficients``
-        per location of the init): the map (b2, output_scale, output_offset)
-        of the value, as (3, 12), and one block (Nh, 12 x 3^n) per
-        derivative order n = 0, 1, 2.  A partial of order n in the inputs is
+        its one kernel, ``_output_partials`` (per pair, and per location of
+        the init through ``term_coefficients``): the map (b2, output_scale,
+        output_offset) of the value, as (3, 12), and one block (Nh, 12 x 3^n)
+        per derivative order n = 0, 1, 2.  A partial of order n in the inputs is
         tanh^(n) of the hidden layer times w2 and n columns of w1; block n
         holds those products, with the input scale and, for n >= 1, the
         output scale folded in (the value takes its map after the product,
@@ -291,8 +291,8 @@ def expansion_terms(geom: SurfaceGeometry) -> np.ndarray:
 
 
 def _partial_column(k: int, axes) -> int:
-    """The complex column, among the products of ``_partials_block``'s three
-    blocks side by side (6 values, 6 x 3 first and 6 x 3 x 3 second
+    """The complex column, among the three outputs of ``_output_partials``
+    at order 2 side by side (6 values, 6 x 3 first and 6 x 3 x 3 second
     partials), of component k's partial in the input coordinates ``axes``
     (0, 1, 2 for x, y, z), read in ascending order."""
     n = len(axes)
@@ -325,29 +325,16 @@ def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1):
     (B, 3, 3, 6).
 
     The network and its partials up to order 2 are evaluated once per
-    location, at c, as in ``_output_partials``: three products, of tanh,
-    tanh' and tanh'' with the blocks of the net's ``_partials_block``,
-    written side by side into one array, from which ``_COEF_COLUMNS`` and
-    ``_COEF1_COLUMNS`` gather the coefficients.  The hidden layer of the
-    inputs (B, 1, 3) makes every product a one-row product per location,
-    so that a location's output does not depend on the rest of the batch.
+    location, at c, by ``_output_partials``; ``_COEF_COLUMNS`` and
+    ``_COEF1_COLUMNS`` gather the coefficients from its three outputs laid
+    side by side.  The inputs (B, 1, 3) make every product of the kernel a
+    one-row product per location, so that a location's output does not
+    depend on the rest of the batch.
     """
     c = (np.asarray(p1, dtype=float) + _pair_offsets(geom)[0]).reshape(-1, 3)
-    (b2, scale, offset), *blocks = net._partials_block
-    a = net._hidden(c[:, None])                                     # (B, 1, Nh)
-    gp = 1.0 - a**2                                                 # tanh'
-    out = np.empty((len(c), 1, sum(block.shape[1] for block in blocks)))
-    lo = 0
-    # tanh'' = -2 tanh tanh', whose factor -2 the block carries
-    for act, block in zip((a, gp, a * gp), blocks):
-        hi = lo + block.shape[1]
-        np.matmul(act, block, out=out[:, :, lo:hi])
-        lo = hi
-    value = out[:, 0, :12]          # the value's map, in _output_partials' order
-    value += b2
-    value *= scale
-    value += offset
-    out = out.view(complex)[:, 0]                                   # (B, 78)
+    # 6 x 3^n complex columns per order n, which also holds for no location
+    out = np.concatenate([a.reshape(len(c), 6 * 3 ** n) for n, a in
+                          enumerate(_output_partials(net, c[:, None], 2))], axis=1)
     # ``np.take`` returns contiguous arrays, whose real views the init reads
     return (c, np.take(out, _COEF_COLUMNS, axis=1),
             np.take(out, _COEF1_COLUMNS, axis=1))

@@ -5,7 +5,7 @@ import pytest
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, full_channel
-from hmimo.surrogate import CoordinateBox, TrainConfig, generate_training_set, train
+from hmimo.harness import PROFILES, build_geometry, train_net
 
 
 # Per-criterion result lines collected by the acceptance tests; printed as a
@@ -33,13 +33,12 @@ def wave():
 
 @pytest.fixture(scope="session")
 def trained_net(small_geometry, wave):
-    """Surrogate fitted on the small geometry; reaches roughly -50 dB NMSE."""
-    box = CoordinateBox.from_prior(small_geometry, (-1.0, 1.0), (-1.0, 1.0),
-                                   (20.0, 40.0))
-    inputs, targets = generate_training_set(box, small_geometry, wave,
-                                            QuadratureRule(4), 20000, seed=11)
-    cfg = TrainConfig(hidden_count=50, epochs=150, seed=3)
-    net, report = train(inputs, targets, cfg, wave.frequency)
+    """The ci profile's surrogate, as ``hmimo train`` fits it; it is fitted on
+    the small geometry and reaches roughly -50 dB NMSE."""
+    cfg = PROFILES["ci"]
+    assert build_geometry(cfg) == small_geometry
+    assert cfg["wave"]["frequency"] == wave.frequency
+    net, report = train_net(cfg)
     assert report["val_nmse_db"] < -40.0
     return net
 

@@ -24,7 +24,7 @@ from hmimo.estimator import (EstimatorConfig, UampState, estimate_full_digital,
                              estimate_hybrid, ls_estimate, uamp_linear_step)
 from hmimo.crlb import fim, score
 from hmimo.harness import (PROFILES, _deep_merge, run_point, sweep,
-                           write_rows_csv)
+                           train_net, training_data, write_rows_csv)
 
 
 def _report(num, ok, summary):
@@ -45,24 +45,15 @@ def heldout_set(small_geometry, wave):
 
 
 @pytest.fixture(scope="module")
-def training_set(small_geometry, wave):
-    box = CoordinateBox.from_prior(small_geometry, (-1.0, 1.0), (-1.0, 1.0),
-                                   (20.0, 40.0))
-    return generate_training_set(box, small_geometry, wave, QuadratureRule(4),
-                                 20000, seed=11)
+def training_set():
+    return training_data(PROFILES["ci"])
 
 
 @pytest.fixture(scope="module")
-def approx_net(small_geometry, wave):
-    """Surrogate fitted to the closed-form sinc-approximation channel."""
-    box = CoordinateBox.from_prior(small_geometry, (-1.0, 1.0), (-1.0, 1.0),
-                                   (20.0, 40.0))
-    inputs, targets = generate_training_set(box, small_geometry, wave,
-                                            QuadratureRule(4), 20000, seed=11,
-                                            channel="approx")
-    net, report = train(inputs, targets, TrainConfig(hidden_count=50,
-                                                     epochs=150, seed=3),
-                        wave.frequency)
+def approx_net():
+    """The ci profile's surrogate fitted to the closed-form sinc-approximation
+    channel."""
+    net, report = train_net(PROFILES["ci"], "approx")
     # fit quality against its own closed-form targets, not the exact channel
     assert report["val_nmse_db"] < -45.0
     return net

@@ -839,6 +839,14 @@ class TestBenchPairs:
         lower, _, gap, iqr, holds = verdict(base, [b - 0.1 for b in base])
         assert lower == 10 and gap < iqr and not holds
 
+    def test_round_off_move_of_a_deterministic_metric_does_not_hold(self, verdict):
+        # twelve equal base runs have no spread; a change lower by 1.1e-16
+        # in every pair is round-off, below the gap floor
+        base = [1.0] * 12
+        lower, ties, gap, iqr, holds = verdict(base, [1.0 - 1.1e-16] * 12)
+        assert (lower, ties, iqr) == (12, 0, 0.0) and 0 < gap < 1e-15
+        assert not holds
+
     # base runs whose interquartile range is 4 % of their median
     TIGHT = [0.98, 1.0, 1.02, 0.97, 1.03, 1.0, 0.99, 1.01, 1.0, 1.0]
 
@@ -976,6 +984,40 @@ class TestApiCallers:
             "surrogate.only_tested: tests only (1 test references)",
             "shared name, check by hand:",
             "  surrogate.HybridNet.phi: 1 test references (also signals.UnitaryModel)",
+        ]
+
+    def test_names_only_benchmark_reaches_listed_apart(self, tmp_path):
+        # the tracer names a function by string, a workload calls another;
+        # neither counts as reached, and both are listed under their heading
+        files = {
+            "src/hmimo/__init__.py": "",
+            "src/hmimo/estimator.py": (
+                "def estimate():\n    return ls_estimate()\n\n"
+                "def ls_estimate():\n    pass\n\n"
+                "def traced():\n    pass\n\n"
+                "def only_tested():\n    pass\n"),
+            "src/hmimo/signals.py": "def simulate_rx_hybrid():\n    pass\n",
+            "perfbench/layers.py": (
+                'TARGETS = [("hmimo.estimator", "traced")]\n'),
+            "perfbench/workloads.py": (
+                "from hmimo import signals\n\n"
+                "def run():\n    signals.simulate_rx_hybrid()\n"),
+            "docs/check.py": (
+                "from hmimo.estimator import estimate\n\nestimate()\n"),
+            "tests/test_est.py": (
+                "from hmimo.estimator import only_tested, traced\n\n"
+                "def test_it():\n    only_tested()\n    traced()\n"),
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        out = self._run(tmp_path)
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [
+            "estimator.only_tested: tests only (1 test references)",
+            "tests and perfbench/ only:",
+            "  estimator.traced: 1 perfbench/ references, 1 test references",
+            "  signals.simulate_rx_hybrid: 1 perfbench/ references, 0 test references",
         ]
 
     def test_root_without_package_exits_2(self, tmp_path):

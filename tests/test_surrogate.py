@@ -12,7 +12,7 @@ from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              derotated_targets, expanded_channel,
                              generate_training_set, hybrid_channel, nmse_db,
                              stacked_channel, term_coefficients, train,
-                             _output_partials)
+                             EXPANSION_BASIS, _output_partials)
 from hmimo.signals import combine_channel, gen_combiner
 
 
@@ -268,12 +268,27 @@ class TestExpandedChannel:
     @pytest.mark.parametrize("kind", ["trained", "random"])
     def test_value_row_equals_output_partials(self, request, small_geometry,
                                               kind):
-        # the init's value row is the per-pair kernel's value at the centre
-        # c, bit for bit: one output layer, its map applied in one order
+        # every coefficient of the init is the per-pair kernel's partial at
+        # the centre c, bit for bit, in the ascending axes that the basis
+        # term names: coef's term (a, b) is the partial in a x's and b y's,
+        # and coef1's term of coordinate j the partial in j once more
         net = (request.getfixturevalue("trained_net") if kind == "trained"
                else _random_net(50))
-        c, coef, _ = term_coefficients(net, small_geometry, _ci_locations(40, seed=6))
-        assert np.array_equal(coef[:, 0], _output_partials(net, c[:, None], 0)[0][:, 0])
+        c, coef, coef1 = term_coefficients(net, small_geometry,
+                                           _ci_locations(40, seed=6))
+        phi, dphi, d2phi = _output_partials(net, c[:, None], 2)
+        parts = (phi[:, 0], dphi, d2phi)
+
+        def partial(k, axes):
+            return parts[len(axes)][(slice(None), k, *sorted(axes))]
+
+        for t, (a, b, _) in enumerate(EXPANSION_BASIS):
+            xy = (0,) * a + (1,) * b
+            for k in range(6):
+                assert np.array_equal(coef[:, t, k], partial(k, xy)), (t, k)
+                for j in range(3 if t < 3 else 0):
+                    assert np.array_equal(coef1[:, j, t, k],
+                                          partial(k, (j,) + xy)), (j, t, k)
 
     def test_combiner_applied_to_plain_output(self, net, wave):
         geom = TestStackedChannel.geom
@@ -613,13 +628,7 @@ def ci_training_set():
     """The ci profile's 20k exact-oracle training samples and its training
     settings."""
     cfg = harness.PROFILES["ci"]
-    t = cfg["training"]
-    geom = harness.build_geometry(cfg)
-    box = CoordinateBox.from_prior(geom, *(tuple(cfg["prior"][a]) for a in "xyz"))
-    X, T = generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
-                                 QuadratureRule(t["quadrature_order"]),
-                                 t["samples"], seed=t["sample_seed"])
-    return X, T, t
+    return (*harness.training_data(cfg), cfg["training"])
 
 
 class TestTraining:
