@@ -7,10 +7,12 @@ BASE and NEW are the roots of two checkouts, each with its own
 ``perfbench/run.py``.  For every seed, one pair of runs of
 ``perfbench/run.py --trace 0`` is made, one in each checkout, and which
 side runs first alternates from pair to pair.  For each end-to-end metric
-it prints both sides' median and quartiles, how many pairs NEW is lower
-in and how many tie, the median of the per-pair ratios NEW / BASE, the
-gap of the medians against BASE's interquartile range, and whether the
-claim rule of ``claim_verdict`` holds.  For each end-to-end metric of
+it prints both sides' median, quartiles, minimum and maximum, whether
+every NEW run beats every BASE run (``beats_every``, so that a metric as
+steady as a peak RSS reads at a glance), how many pairs NEW is lower in
+and how many tie, the median of the per-pair ratios NEW / BASE, the gap
+of the medians against BASE's interquartile range, and whether the claim
+rule of ``claim_verdict`` holds.  For each end-to-end metric of
 BASE's ``BENCHMARK.json`` (read, never written) it also prints the verdict
 of the no-regression rule of ``regression_verdict`` at that metric's bound
 and better direction.  It exits 1 if any run reports ``correct: false`` or
@@ -75,6 +77,14 @@ def claim_verdict(base, new):
     return lower, ties, gap, q3 - q1, 10 * lower >= 9 * len(base) and gap > floor
 
 
+def beats_every(base, new, better="lower"):
+    """Whether every NEW run is better than every BASE run, in the
+    ``better`` direction ("lower" or "higher"): the runs of the two sides
+    do not overlap at all."""
+    sign = 1.0 if better == "lower" else -1.0
+    return max(sign * v for v in new) < min(sign * v for v in base)
+
+
 def regression_verdict(base, new, bound, better="lower"):
     """The no-regression rule for one end-to-end metric on paired runs:
     "worse" when NEW's median is worse than BASE's, in the ``better``
@@ -86,8 +96,7 @@ def regression_verdict(base, new, bound, better="lower"):
     sign = 1.0 if better == "lower" else -1.0
     q1, med, q3 = _quartiles(base)
     if q3 - q1 > bound * abs(med):
-        beats = max(sign * v for v in new) < min(sign * v for v in base)
-        return "no worse" if beats else "unresolved"
+        return "no worse" if beats_every(base, new, better) else "unresolved"
     worse = sign * (statistics.median(new) - med) > bound * abs(med)
     return "worse" if worse else "no worse"
 
@@ -137,7 +146,8 @@ def main(argv=None):
              if all(n in r["metrics"] for side in sides for r in runs[side])]
     n = len(args.seeds)
     print(f"\n{args.workload}, {n} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}")
-    print(f"{'metric':<16}{'side':<6}{'median':>12}{'q1':>12}{'q3':>12}")
+    print(f"{'metric':<16}{'side':<6}" + "".join(
+        f"{h:>12}" for h in ("median", "q1", "q3", "min", "max")))
     for name in names:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in sides}
@@ -148,7 +158,12 @@ def main(argv=None):
         for side in sides:
             q1, med, q3 = stats[side]
             label = name if side == "base" else ""
-            print(f"{label:<16}{side:<6}{med:>12.6g}{q1:>12.6g}{q3:>12.6g}")
+            print(f"{label:<16}{side:<6}" + "".join(
+                f"{v:>12.6g}" for v in (med, q1, q3, min(values[side]),
+                                       max(values[side]))))
+        better = bounds.get(name, (None, "lower"))[1]
+        print(f"{'':<16}every new run {better} than every base run: "
+              f"{'yes' if beats_every(values['base'], values['new'], better) else 'no'}")
         lower, ties, gap, iqr, holds = claim_verdict(values["base"], values["new"])
         ratios = [b / a for a, b in zip(values["base"], values["new"]) if a]
         ratio = f"{statistics.median(ratios):.4f}" if ratios else "n/a"

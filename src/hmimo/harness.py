@@ -13,7 +13,6 @@ import numbers
 import time
 
 import numpy as np
-import yaml
 
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import WaveConfig, QuadratureRule, full_channel
@@ -92,6 +91,7 @@ def load_config(path=None, profile="ci", overrides=None) -> dict:
         raise ConfigError(f"unknown profile {profile!r}")
     cfg = copy.deepcopy(PROFILES[profile])
     if path is not None:
+        import yaml                       # only a config file needs PyYAML
         try:
             with open(path) as fh:
                 user = yaml.safe_load(fh)

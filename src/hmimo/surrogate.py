@@ -412,13 +412,6 @@ class CoordinateBox:
         return lo + (hi - lo) * rng.random((count, 3))
 
 
-def derotated_targets(rel: np.ndarray, comps: np.ndarray, wave: WaveConfig) -> np.ndarray:
-    """Stack de-rotated components into the 12-slot real target layout."""
-    r = np.linalg.norm(rel, axis=-1)
-    ht = comps * np.exp(-1j * wave.wavenumber * r)[:, None]
-    return np.concatenate([ht.real, ht.imag], axis=-1)
-
-
 def generate_training_set(box: CoordinateBox, geom: SurfaceGeometry, wave: WaveConfig,
                           quad: QuadratureRule, count: int, seed: int,
                           channel: str = "quadrature"):
@@ -426,7 +419,8 @@ def generate_training_set(box: CoordinateBox, geom: SurfaceGeometry, wave: WaveC
 
     ``channel`` selects the target oracle: "quadrature" (exact) or "approx"
     (closed-form sinc model).  Returns (inputs, targets) of shapes
-    (count, 3) and (count, 12).
+    (count, 3) and (count, 12): the oracle's components h, de-rotated in
+    place to h exp(-i k0 r), in the 12-slot real layout.
     """
     rng = np.random.default_rng(seed)
     rel = box.sample(rng, count)
@@ -436,7 +430,10 @@ def generate_training_set(box: CoordinateBox, geom: SurfaceGeometry, wave: WaveC
         comps = approx_channel_batch(rel, geom, wave)
     else:
         raise ValueError(f"unknown channel oracle {channel!r}")
-    return rel, derotated_targets(rel, comps, wave)
+    comps *= np.exp(-1j * wave.wavenumber * np.linalg.norm(rel, axis=-1))[:, None]
+    targets = np.empty((count, 12))
+    targets[:, :6], targets[:, 6:] = comps.real, comps.imag
+    return rel, targets
 
 
 @dataclass
@@ -485,18 +482,26 @@ def _hidden_layer(W1, x, out):
     return np.tanh(np.matmul(W1, x, out=out), out=out)
 
 
-def _output_layer_lstsq(x, t, W1, block):
-    """Least-squares W2 = [w2; b2] on inputs x (4, n; ones last) and targets
-    t (12, n): normal equations summed over column blocks of hidden outputs
-    in ``block`` (H + 1, cols; ones last), solved by SVD (minimum norm if
-    singular, as lstsq)."""
-    k, n_b = block.shape
-    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[0]))
+def _hidden_blocks(W1, x, block):
+    """Hidden outputs of inputs x (4, n; ones last) by column blocks of
+    ``block`` (H + 1, cols; ones last), each over the last: yields (cols, view)."""
+    n_b = block.shape[1]
     for s in range(0, x.shape[1], n_b):
         blk = block[:, :x.shape[1] - s]
         _hidden_layer(W1, x[:, s:s + n_b], blk[:-1])
+        yield slice(s, s + n_b), blk
+
+
+def _output_layer_lstsq(x, t, W1, block):
+    """Least-squares W2 = [w2; b2] on inputs x (4, n; ones last) and targets
+    t (12, n): normal equations summed over the column blocks of
+    ``_hidden_blocks``, solved by SVD (minimum norm if singular, as
+    lstsq)."""
+    k = block.shape[0]
+    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[0]))
+    for cols, blk in _hidden_blocks(W1, x, block):
         gram += blk @ blk.T
-        rhs += blk @ t[:, s:s + n_b].T
+        rhs += blk @ t[:, cols].T
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
@@ -505,11 +510,12 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     """Fit a HybridNet by Adam on mini-batches, with a cosine-decayed rate.
 
     The output layer is periodically re-solved exactly (it is linear in the
-    weights) which greatly accelerates convergence.  The fit runs unit-major
-    in workspaces allocated once per call: inputs (4, n) and hidden outputs
-    (H + 1, ``BATCH_SIZE``) end in a ones row, so the biases ride in the
-    products of W1 = [w1 | b1] (H, 4) and W2 = [w2; b2] (H + 1, 12), views
-    into one flat parameter vector (as are the gradient and Adam moments).
+    weights) which greatly accelerates convergence.  The fit and its
+    held-out loss run unit-major in workspaces allocated once per call:
+    inputs (4, n) and hidden outputs (H + 1, ``BATCH_SIZE``) end in a ones
+    row, so the biases ride in the products of W1 = [w1 | b1] (H, 4) and
+    W2 = [w2; b2] (H + 1, 12), views into one flat parameter vector (as are
+    the gradient and Adam moments).
     ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
     (net, report); the report carries the held-out validation NMSE in dB.
     """
@@ -533,14 +539,16 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     in_off = 0.5 * (in_lo + in_hi)
     in_scale = 0.5 * (in_hi - in_lo)
     in_scale[in_scale == 0] = 1.0
-    out_off = targets[tr_idx].mean(axis=0)
-    out_scale = targets[tr_idx].std(axis=0)
+    t_tr = targets[tr_idx]                    # indexed once, normalised in place
+    out_off, out_scale = t_tr.mean(axis=0), t_tr.std(axis=0)
     out_scale[out_scale == 0] = 1.0
+    t_tr -= out_off
+    t_tr /= out_scale
+    t_tr = np.ascontiguousarray(t_tr.T)
 
     x_tr, x_val = (np.vstack([((inputs[i] - in_off) / in_scale).T, np.ones(len(i))])
                    for i in (tr_idx, val_idx))
-    t_tr, t_val = (np.ascontiguousarray(((targets[i] - out_off) / out_scale).T)
-                   for i in (tr_idx, val_idx))
+    t_val = np.ascontiguousarray(((targets[val_idx] - out_off) / out_scale).T)
 
     nh = cfg.hidden_count
     flat, flat_grad, m_acc, v_acc = np.zeros((4, 16 * nh + 12))
@@ -559,8 +567,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     step = 0
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
-    xb, tb, err = np.empty((4, n_b)), np.empty((12, n_b)), np.empty((12, n_b))
-    back, a_val = np.empty((nh, n_b)), np.ones((nh + 1, n_val))
+    xb, tb, err, back = (np.empty((rows, n_b)) for rows in (4, 12, 12, nh))
     loss_curve = []
 
     for epoch in range(cfg.epochs):
@@ -591,14 +598,17 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
                      / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
             W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
-        _hidden_layer(W1, x_val, a_val[:-1])
-        val_loss = float(np.mean((W2.T @ a_val - t_val) ** 2))
+        # the held-out loss in the blocks of ``a``: one block sums as np.mean
+        val_loss = float(sum(np.sum((W2.T @ blk - t_val[:, cols]) ** 2) for cols, blk
+                             in _hidden_blocks(W1, x_val, a)) / t_val.size)
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
     if cfg.epochs % LS_REFIT_EVERY:       # else the last epoch has just refitted
         W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
+    # release the workspaces before the held-out forward; h is unset at 0 epochs
+    x_tr = t_tr = x_val = t_val = a = h = back = xb = tb = err = None
 
     net = HybridNet(w1=W1[:, :3].copy(), b1=W1[:, 3].copy(),
                     w2=W2[:-1].copy(), b2=W2[-1].copy(),

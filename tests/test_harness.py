@@ -24,6 +24,14 @@ from hmimo.green import QuadratureRule, WaveConfig, full_channel
 from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
 
+def _child_env():
+    """The environment of a child process that imports the same hmimo
+    package as this test process."""
+    src = str(Path(hmimo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestConfig:
     def test_profiles_valid(self):
         for profile in PROFILES.values():
@@ -269,6 +277,15 @@ class TestConfig:
         # each used to die in numpy's seeding with a bare ValueError
         with pytest.raises(ConfigError, match=f"^{key}: expected non-negative"):
             load_config(profile="ci", overrides=override)
+
+    def test_profile_alone_does_not_import_yaml(self):
+        # PyYAML is imported only to read a config file; a fresh interpreter
+        # shows it, since this process has imported it already
+        code = ("import sys, hmimo; hmimo.load_config(profile='ci'); "
+                "print('yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.stdout.split() == ["False"], proc.stderr
 
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -519,13 +536,9 @@ class TestTrainSurrogates:
 
 class TestCli:
     def _run(self, *args, cwd=None):
-        # the child imports the same hmimo package as this test process
-        src = str(Path(hmimo.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                               if p)
         return subprocess.run([sys.executable, "-m", "hmimo.cli", *args],
                               capture_output=True, text=True, cwd=cwd,
-                              env={**os.environ, "PYTHONPATH": path})
+                              env=_child_env())
 
     def test_bad_profile_is_usage_error(self):
         proc = self._run("sweep", "--profile", "nope")
@@ -871,6 +884,45 @@ class TestBenchPairs:
         # unless every new run beats every base run
         assert rule(self.TIGHT, [0.9 * min(self.TIGHT)] * 10, 0.01) == "no worse"
         assert rule(self.TIGHT, [1.1 * max(self.TIGHT)] * 10, 0.01, "higher") == "no worse"
+
+    def test_beats_every(self, script):
+        beats = script.beats_every
+        assert beats([51.0, 50.9, 51.1], [48.2, 48.1, 48.3])
+        # one NEW run above one BASE run, or level with it: the sides overlap
+        assert not beats([51.0, 50.9, 51.1], [48.2, 50.95, 48.3])
+        assert not beats([1.0, 1.1], [1.0, 0.5])
+        assert beats([1.0, 1.1], [1.2, 1.3], "higher")
+        assert not beats([1.0, 1.1], [1.2, 1.3])
+
+    def test_printout_gives_spread_and_whether_every_run_beats(self, script,
+                                                               tmp_path, capsys):
+        # fixture checkouts whose run.py reports, at seed s, a steady
+        # peak_rss_mb (BASE 51 + s / 100, NEW 48 + s / 100) and a trial_s
+        # whose sides overlap (BASE 1 + s / 10, NEW 1.4 - s / 10)
+        for side, rss, trial in (("base", "51 + s / 100", "1 + s / 10"),
+                                 ("new", "48 + s / 100", "1.4 - s / 10")):
+            bench = tmp_path / side / "perfbench"
+            bench.mkdir(parents=True)
+            (bench / "run.py").write_text(
+                "import json, sys\n"
+                "s = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+                "print(json.dumps({'correct': True, 'metrics': {\n"
+                f"    'peak_rss_mb': {{'value': {rss}, 'unit': 'MB'}},\n"
+                f"    'trial_s': {{'value': {trial}, 'unit': 's'}}}}}}))\n")
+        (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "peak_rss_mb", "bound": 0.05, "better": "lower"},
+            {"name": "trial_s", "bound": 0.25, "better": "lower"}]}))
+        assert script.main([str(tmp_path / "base"), str(tmp_path / "new"),
+                            "--workload", "w", "--seeds", "1-3"]) == 0
+        out = capsys.readouterr().out
+        rss, trial = out.split("\npeak_rss_mb")[1].split("\ntrial_s")
+        # median, quartiles, minimum and maximum of each side
+        assert re.search(r"^\s+base\s+51\.02\s+51\.015\s+51\.025\s+51\.01\s+51\.03$",
+                         rss, re.M)
+        assert re.search(r"^\s+new\s+48\.02\s+48\.015\s+48\.025\s+48\.01\s+48\.03$",
+                         rss, re.M)
+        assert "every new run lower than every base run: yes" in rss
+        assert "every new run lower than every base run: no" in trial
 
     def test_bounds_read_from_benchmark_file(self, script):
         root = self.SCRIPT.parents[1]

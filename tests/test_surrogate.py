@@ -6,10 +6,10 @@ import pytest
 from hmimo import harness, surrogate
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
-                         full_channel, patch_channel)
+                         approx_channel_batch, full_channel, patch_channel)
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              channel_first_derivs, channel_second_derivs,
-                             derotated_targets, expanded_channel,
+                             expanded_channel,
                              generate_training_set, hybrid_channel, nmse_db,
                              stacked_channel, term_coefficients, train,
                              EXPANSION_BASIS, _output_partials)
@@ -440,18 +440,22 @@ class TestCoordinateBox:
 
 
 class TestTargets:
-    def test_derotation_preserves_power(self, wave):
-        rng = np.random.default_rng(1)
-        rel = np.array([[0.3, -0.2, 25.0], [0.1, 0.4, 33.0]])
-        comps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
-        t = derotated_targets(rel, comps, wave)
-        assert t.shape == (2, 12)
+    """``generate_training_set``'s targets against its oracle's components."""
+
+    @pytest.fixture(scope="class")
+    def samples(self, small_geometry, wave):
+        box = CoordinateBox.from_prior(small_geometry, (-1, 1), (-1, 1), (20, 40))
+        rel, t = generate_training_set(box, small_geometry, wave, QuadratureRule(2),
+                                       50, seed=4, channel="approx")
+        return rel, t, approx_channel_batch(rel, small_geometry, wave)
+
+    def test_derotation_preserves_power(self, samples):
+        rel, t, comps = samples
+        assert rel.shape == (50, 3) and t.shape == (50, 12)
         assert np.allclose(np.sum(t**2, axis=1), np.sum(np.abs(comps)**2, axis=1))
 
-    def test_rotation_inverse(self, wave):
-        rel = np.array([[0.3, -0.2, 25.0]])
-        comps = np.array([[1 + 2j, 0, 0, 0, 0, 3j]])
-        t = derotated_targets(rel, comps, wave)
+    def test_rotation_inverse(self, samples, wave):
+        rel, t, comps = samples
         r = np.linalg.norm(rel, axis=-1)
         back = (t[:, :6] + 1j * t[:, 6:]) * np.exp(1j * wave.wavenumber * r)[:, None]
         assert np.allclose(back, comps)
@@ -671,6 +675,37 @@ class TestTraining:
             finally:
                 tracemalloc.stop()
         assert peaks[50] - peaks[10] <= 5 * 2**20
+
+    def test_working_memory_pinned(self, ci_training_set):
+        # the traced peak of a ci fit: 7.25 MiB with three target copies and
+        # a held-out workspace of its own, 5.33 MiB with one copy and the
+        # held-out pass in the batch workspace (one epoch peaks as 150 do)
+        X, T, t = ci_training_set
+        tc = TrainConfig(hidden_count=t["hidden_count"], epochs=1, seed=t["seed"])
+        tracemalloc.start()
+        try:
+            train(X, T, tc, harness.PROFILES["ci"]["wave"]["frequency"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * 2**20
+
+    def test_held_out_loss_over_several_blocks(self, small_geometry, wave):
+        # with more held-out samples than a batch the loss is summed block
+        # by block, which reorders np.mean's sum: the curve agrees with the
+        # reference loop's one-shot loss to round-off, and the weights, which
+        # do not read it, bit for bit
+        box = CoordinateBox.from_prior(small_geometry, (-1, 1), (-1, 1), (20, 40))
+        X, T = generate_training_set(box, small_geometry, wave, QuadratureRule(2),
+                                     12 * surrogate.BATCH_SIZE, seed=7,
+                                     channel="approx")
+        cfg = TrainConfig(hidden_count=4, epochs=2, seed=1)
+        net, rep = train(X, T, cfg, wave.frequency)
+        assert rep["val_count"] > surrogate.BATCH_SIZE
+        *weights, curve = _reference_train(X, T, cfg)
+        for name, ref in zip(("w1", "b1", "w2", "b2"), weights):
+            assert np.array_equal(getattr(net, name), ref), name
+        np.testing.assert_allclose(rep["val_loss_curve"], curve, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("epochs, solves", [
         (0, 1), (surrogate.LS_REFIT_EVERY, 2), (surrogate.LS_REFIT_EVERY + 5, 3)])
