@@ -539,7 +539,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     in_off = 0.5 * (in_lo + in_hi)
     in_scale = 0.5 * (in_hi - in_lo)
     in_scale[in_scale == 0] = 1.0
-    t_tr = targets[tr_idx]                    # indexed once, normalised in place
+    t_tr = np.asarray(targets, dtype=float)[tr_idx]   # one copy, normalised in place
     out_off, out_scale = t_tr.mean(axis=0), t_tr.std(axis=0)
     out_scale[out_scale == 0] = 1.0
     t_tr -= out_off
