@@ -39,7 +39,9 @@ _BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 # Its workspace is eight float arrays of this length, 2.0 MB, allocated once
 # per call whatever the batch size.  On a 2-core Xeon (2 MB L2 per core),
 # 1 << 15 ran 15-30 % faster than 1 << 16 and as fast as 1 << 14 on
-# order-4 and order-8 batches of 2,500 paper pairs.
+# order-4 and order-8 batches of 2,500 paper pairs.  1 << 14 is as fast, but glibc
+# then sets its mmap threshold to the 1 MB freed, and each 16-chain ci trial of a
+# process that loads its weights pages its arrays in anew (+50 % CPU).
 _CHUNK_NODES = 1 << 15
 
 

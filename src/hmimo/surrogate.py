@@ -165,7 +165,8 @@ def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
     (b2, scale, offset), *blocks = net._partials_block
     out = [((a @ blocks[0] + b2) * scale + offset).view(complex)]
     if order >= 1:
-        gp = 1.0 - a**2                            # tanh'
+        gp = np.square(a, out=a if order == 1 else None)   # a is read at order 2
+        np.subtract(1.0, gp, out=gp)                       # tanh'
         out.append((gp @ blocks[1]).view(complex).reshape(-1, 6, 3))
     if order >= 2:
         # tanh'' = -2 tanh tanh', whose factor -2 the block carries
@@ -492,16 +493,16 @@ def _hidden_blocks(W1, x, block):
         yield slice(s, s + n_b), blk
 
 
-def _output_layer_lstsq(x, t, W1, block):
-    """Least-squares W2 = [w2; b2] on inputs x (4, n; ones last) and targets
-    t (12, n): normal equations summed over the column blocks of
-    ``_hidden_blocks``, solved by SVD (minimum norm if singular, as
-    lstsq)."""
+def _output_layer_lstsq(x, t_of, W1, block):
+    """Least-squares W2 = [w2; b2] on inputs x (4, n; ones last) and the
+    targets (12, cols) that ``t_of`` gives for a slice of its columns:
+    normal equations summed over the column blocks of ``_hidden_blocks``,
+    solved by SVD (minimum norm if singular, as lstsq)."""
     k = block.shape[0]
-    gram, rhs = np.zeros((k, k)), np.zeros((k, t.shape[0]))
+    gram, rhs = np.zeros((k, k)), np.zeros((k, 12))
     for cols, blk in _hidden_blocks(W1, x, block):
         gram += blk @ blk.T
-        rhs += blk @ t[:, cols].T
+        rhs += blk @ t_of(cols).T
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
@@ -515,7 +516,9 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     inputs (4, n) and hidden outputs (H + 1, ``BATCH_SIZE``) end in a ones
     row, so the biases ride in the products of W1 = [w1 | b1] (H, 4) and
     W2 = [w2; b2] (H + 1, 12), views into one flat parameter vector (as are
-    the gradient and Adam moments).
+    the gradient and Adam moments).  Each batch and block gathers its
+    target rows from ``targets``, which it never writes to, and normalises
+    them in the (12, ``BATCH_SIZE``) workspace: no normalised copy is held.
     ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
     (net, report); the report carries the held-out validation NMSE in dB.
     """
@@ -539,16 +542,12 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     in_off = 0.5 * (in_lo + in_hi)
     in_scale = 0.5 * (in_hi - in_lo)
     in_scale[in_scale == 0] = 1.0
-    t_tr = np.asarray(targets, dtype=float)[tr_idx]   # one copy, normalised in place
-    out_off, out_scale = t_tr.mean(axis=0), t_tr.std(axis=0)
+    targets = np.asarray(targets, dtype=float)    # normalised in double precision
+    out_off, out_scale = targets[tr_idx].mean(axis=0), targets[tr_idx].std(axis=0)
     out_scale[out_scale == 0] = 1.0
-    t_tr -= out_off
-    t_tr /= out_scale
-    t_tr = np.ascontiguousarray(t_tr.T)
 
     x_tr, x_val = (np.vstack([((inputs[i] - in_off) / in_scale).T, np.ones(len(i))])
                    for i in (tr_idx, val_idx))
-    t_val = np.ascontiguousarray(((targets[val_idx] - out_off) / out_scale).T)
 
     nh = cfg.hidden_count
     flat, flat_grad, m_acc, v_acc = np.zeros((4, 16 * nh + 12))
@@ -558,16 +557,27 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     n_tr = x_tr.shape[1]
     n_b = min(BATCH_SIZE, n_tr)
     a = np.ones((nh + 1, n_b))                # hidden outputs, then a ones row
+    xb, tb, err, back = (np.empty((rows, n_b)) for rows in (4, 12, 12, nh))
+    gb = np.empty((n_b, 12))
 
+    def normalised(split, cols):
+        """The normalised targets (12, n) of the n rows ``split[cols]``,
+        gathered from ``targets`` into ``gb`` and normalised in ``tb``."""
+        rows = split[cols]
+        t = tb[:, :len(rows)]
+        t[...] = np.take(targets, rows, axis=0, out=gb[:len(rows)], mode="clip").T
+        t -= out_off[:, None]
+        t /= out_scale[:, None]
+        return t
+    train_targets = functools.partial(normalised, tr_idx)
     W1[:, :3] = rng.normal(scale=1.0, size=(nh, 3))
     W1[:, 3] = rng.uniform(-1.0, 1.0, size=nh)
-    W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
+    W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     steps_per_epoch = max(1, n_tr // BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
-    xb, tb, err, back = (np.empty((rows, n_b)) for rows in (4, 12, 12, nh))
     loss_curve = []
 
     for epoch in range(cfg.epochs):
@@ -576,10 +586,9 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             idx = order[k * n_b:(k + 1) * n_b]
             # idx is in range; "clip" fills ``out`` directly, "raise" via a copy
             np.take(x_tr, idx, axis=1, out=xb, mode="clip")
-            np.take(t_tr, idx, axis=1, out=tb, mode="clip")
             h = _hidden_layer(W1, xb, a[:-1])
             np.matmul(W2.T, a, out=err)
-            err -= tb                                         # (12, B)
+            err -= train_targets(idx)                         # (12, B)
             np.matmul(a, err.T, out=g_W2)
             g_W2 /= n_b
             np.matmul(W2[:-1], err, out=back)
@@ -597,18 +606,18 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             flat -= (lr * (m_acc / (1 - beta1**step))
                      / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
-            W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
+            W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
         # the held-out loss in the blocks of ``a``: one block sums as np.mean
-        val_loss = float(sum(np.sum((W2.T @ blk - t_val[:, cols]) ** 2) for cols, blk
-                             in _hidden_blocks(W1, x_val, a)) / t_val.size)
+        val_loss = float(sum(np.sum((W2.T @ blk - normalised(val_idx, cols)) ** 2)
+                             for cols, blk in _hidden_blocks(W1, x_val, a)) / (12 * n_val))
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
     if cfg.epochs % LS_REFIT_EVERY:       # else the last epoch has just refitted
-        W2[...] = _output_layer_lstsq(x_tr, t_tr, W1, a)
+        W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
     # release the workspaces before the held-out forward; h is unset at 0 epochs
-    x_tr = t_tr = x_val = t_val = a = h = back = xb = tb = err = None
+    x_tr = x_val = a = h = back = xb = tb = gb = err = None
 
     net = HybridNet(w1=W1[:, :3].copy(), b1=W1[:, 3].copy(),
                     w2=W2[:-1].copy(), b2=W2[-1].copy(),

@@ -1,12 +1,15 @@
 """Tests for the Fisher information matrix and position error bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hmimo.green import WaveConfig
+from hmimo.green import QuadratureRule, WaveConfig, full_channel
+from hmimo.harness import PROFILES, build_geometry
 from hmimo.signals import gen_combiner, gen_pilots
 from hmimo.surrogate import HybridNet, stacked_channel
-from hmimo.crlb import (SingularInformationError, crlb_position,
+from hmimo.crlb import (SingularInformationError, _gram_re, crlb_position,
                         crlb_position_normalized, fim, hessian, log_likelihood,
                         score)
 
@@ -14,6 +17,23 @@ from hmimo.crlb import (SingularInformationError, crlb_position,
 @pytest.fixture(scope="module")
 def pilot_matrix(small_geometry):
     return gen_pilots(small_geometry.n_patches, 60, seed=21).matrix
+
+
+@pytest.fixture(scope="module")
+def paper_case():
+    """The paper geometry (10 x 10 receive, 5 x 5 transmit patches), a
+    random 50-node net, the profile's 100 pilots and a 32-chain combiner."""
+    geom = build_geometry(PROFILES["paper"])
+    rng = np.random.default_rng(3)
+    net = HybridNet(w1=rng.normal(size=(50, 3)), b1=rng.normal(size=50),
+                    w2=rng.normal(size=(50, 12)), b2=rng.normal(size=12),
+                    input_offset=np.array([0.0, 0.0, 30.0]),
+                    input_scale=np.array([1.5, 1.5, 10.0]),
+                    output_offset=rng.normal(size=12) * 1e-6,
+                    output_scale=np.abs(rng.normal(size=12)) * 1e-5,
+                    frequency=3e9)
+    return (geom, net, gen_pilots(geom.n_patches, 100, seed=1).matrix,
+            gen_combiner(32, geom.m_patches, seed=2))
 
 
 class TestFim:
@@ -103,6 +123,63 @@ class TestFim:
         emp = scores.T @ scores / scores.shape[0]
         rel = np.linalg.norm(emp - f) / np.linalg.norm(f)
         assert rel < 0.1
+
+
+class TestGramRe:
+    """The real Gram of ``_gram_re`` against the complex form."""
+
+    @pytest.mark.parametrize("combined", [False, True], ids=["digital", "combined"])
+    @pytest.mark.parametrize("shape", ["ci", "paper"])
+    def test_matches_complex_form(self, shape, combined, trained_net,
+                                  small_geometry, pilot_matrix, paper_case, wave):
+        if shape == "ci":
+            geom, net, s = small_geometry, trained_net, pilot_matrix
+            comb = gen_combiner(8, geom.m_patches, seed=5)
+        else:
+            geom, net, s, comb = paper_case
+        f = comb if combined else None
+        p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
+        _, dh = stacked_channel(net, geom, p, wave, order=1, f=f)
+        sd = (s @ dh.reshape(dh.shape[0], -1)).reshape(-1, 3)
+        ref = (sd.conj().T @ sd).real                 # Re((S dh)^H (S dh))
+        got = _gram_re(s, dh)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        fi = fim(p, net, geom, s, gamma, wave, f)
+        assert np.array_equal(fi, fi.T)
+        ref = 2.0 * gamma * ref
+        assert np.linalg.norm(fi - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestTrialPathMemory:
+    """Traced peaks of the trial path's channel-sized work at the paper
+    geometry.  The bounds of fim and stacked_channel lie between the peak
+    with the conjugate copy of S dh in the Gram and tanh' out of place, and
+    the peak without them: fim 3.66 -> 2.29 MiB digital and 3.15 -> 2.09 MiB
+    at P = 32, stacked_channel(order=1) at P = 32 3.15 -> 2.09 MiB.
+    full_channel peaks at 2.47 MiB, 2 MB of it the quadrature workspace
+    (``green._CHUNK_NODES`` says why it stays)."""
+
+    @pytest.mark.parametrize("name, bound_mib", [
+        ("fim-digital", 3.0), ("fim-p32", 2.5), ("stacked-p32", 2.5),
+        ("full-channel", 2.75)])
+    def test_traced_peak_pinned(self, name, bound_mib, paper_case, wave):
+        geom, net, s, comb = paper_case
+        p = np.array([0.3, -0.2, 27.0])
+        call = {
+            "fim-digital": lambda: fim(p, net, geom, s, 1e9, wave),
+            "fim-p32": lambda: fim(p, net, geom, s, 1e9, wave, comb),
+            "stacked-p32": lambda: stacked_channel(net, geom, p, wave, order=1,
+                                                   f=comb),
+            "full-channel": lambda: full_channel(geom, p, wave, QuadratureRule(4)),
+        }[name]
+        call()                  # the net's blocks and the geometry caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
 
 class TestCrlbPosition:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -242,13 +243,16 @@ class TestChunks:
 
     def test_rows_match_single_row_calls(self, wave):
         # three chunks, the last one partial; each row's node sum is its own
-        # rows of one GEMM, so it does not depend on the rows beside it
-        g, q = OFFSET_GEOMETRIES["ci"], QuadratureRule(4)
-        step = self._chunk_rows(g, q)
-        rel = self._rows(2 * step + step // 2)
-        out = patch_channel_batch(rel, g, wave, q)
-        ref = np.concatenate([patch_channel_batch(r, g, wave, q) for r in rel])
-        assert np.array_equal(out, ref)
+        # rows of one GEMM, so it does not depend on the rows beside it, nor
+        # on the workspace size, at either profile's patch widths and at the
+        # orders 4 (both profiles) and 8 (held-out sets)
+        for profile, order in itertools.product(("ci", "paper"), (4, 8)):
+            g, q = build_geometry(PROFILES[profile]), QuadratureRule(order)
+            step = self._chunk_rows(g, q)
+            rel = self._rows(2 * step + step // 2)
+            out = patch_channel_batch(rel, g, wave, q)
+            ref = np.concatenate([patch_channel_batch(r, g, wave, q) for r in rel])
+            assert np.array_equal(out, ref), (profile, order)
 
     def test_zero_distance_in_last_chunk_raises(self, wave):
         # off the patch plane, so the coplanar check passes, but z^2

@@ -994,6 +994,43 @@ class TestToothCheck:
                 "that both finished; converged 1 -> 3") in out.stdout
 
 
+class TestRssPhases:
+    """``docs/rss_phases.py``'s per-phase bookkeeping, on stub stages."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "docs" / "rss_phases.py"
+
+    @pytest.fixture(scope="class")
+    def script(self):
+        import importlib.util
+        spec = importlib.util.spec_from_file_location("rss_phases", self.SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_each_phase_gets_its_own_traced_peak(self, script):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            phases = script.Phases()
+            big = phases.wrap("big", lambda n: len(b"x" * n))
+            assert big(4 * 2**20) == 4 * 2**20        # the result passes through
+            phases.wrap("small", lambda: None)()
+            phases.mark("end")
+        finally:
+            tracemalloc.stop()
+        names, rss, traced = zip(*phases.rows)
+        assert names == ("big", "small", "end")
+        # the 4 MiB block freed in "big" counts there, not in the next phase
+        assert traced[0] >= 4.0 and traced[1] < 0.5
+        assert list(rss) == sorted(rss) and rss[0] > 0
+
+    def test_peak_phase_is_first_to_reach_the_final_peak(self, script):
+        rows = [("set-up", 40.0, 3.0), ("oracle", 41.5, 1.0),
+                ("estimate", 41.5, 2.0), ("fim", 41.5, 1.5)]
+        assert script.peak_phase(rows) == "oracle"
+        assert script.peak_phase(rows[:1]) == "set-up"
+
+
 class TestApiCallers:
     """``docs/api_callers.py`` on a small package tree."""
 
