@@ -16,16 +16,22 @@ combiner before it), ``draws`` (the noisy observation, ``simulate_rx``),
 ``ls``, ``known-location`` and ``fim``.
 
 For each phase it prints ``ru_maxrss`` after it, the process's peak
-resident set so far (MB, as the benchmark's ``peak_rss_mb``), and the
+resident set so far (MB, as the benchmark's ``peak_rss_mb``), glibc
+malloc's heap size and the bytes in use in it after the phase (MB, read
+with ``mallinfo2``; ``n/a`` on a C library without it), and the
 ``tracemalloc`` peak within it (MiB), then names the phase after which
 ``ru_maxrss`` first reached its final value: the phase that set the run's
-peak.  ``tracemalloc``'s own bookkeeping adds to the resident set, and
-enough to move that phase, so set-up and trial run twice in the process:
-untraced for ``ru_maxrss``, then traced for the traced peaks.  Only the
-standard library and hmimo are used.
+peak.  The heap counts what malloc holds from the system, its mmapped
+blocks included, so a heap that grows while the bytes in use do not is
+allocator growth, not live memory.  ``tracemalloc``'s own bookkeeping
+adds to the resident set, and enough to move that phase, so set-up and
+trial run twice in the process: untraced for ``ru_maxrss`` and the heap,
+then traced for the traced peaks.  Only the standard library and hmimo
+are used.
 """
 
 import argparse
+import ctypes
 import os
 import resource
 import sys
@@ -40,10 +46,40 @@ def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+class Mallinfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2`` (glibc 2.33 and later): ten size_t."""
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _load_mallinfo2():
+    """The C library's ``mallinfo2``, or None where it has none."""
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = []
+    fn.restype = Mallinfo2
+    return fn
+
+
+MALLINFO2 = _load_mallinfo2()
+
+
+def heap_mb():
+    """(heap size, bytes in use) of glibc's malloc in MB, each with the
+    mmapped blocks, or (None, None) without ``mallinfo2``."""
+    if MALLINFO2 is None:
+        return None, None
+    m = MALLINFO2()
+    return (m.arena + m.hblkhd) / 2**20, (m.uordblks + m.hblkhd) / 2**20
+
+
 class Phases:
     """Per-phase bookkeeping: ``mark(name)`` closes a phase and records
-    (name, ru_maxrss MB, tracemalloc peak MiB since the previous mark; 0
-    when ``tracemalloc`` is not tracing)."""
+    (name, ru_maxrss MB, tracemalloc peak MiB since the previous mark, 0
+    when ``tracemalloc`` is not tracing, then ``heap_mb()``)."""
 
     def __init__(self):
         self.rows = []
@@ -51,7 +87,7 @@ class Phases:
 
     def mark(self, name):
         self.rows.append((name, maxrss_mb(),
-                          tracemalloc.get_traced_memory()[1] / 2**20))
+                          tracemalloc.get_traced_memory()[1] / 2**20, *heap_mb()))
         tracemalloc.reset_peak()
 
     def wrap(self, name, fn):
@@ -66,7 +102,22 @@ class Phases:
 def peak_phase(rows):
     """The first phase whose ``ru_maxrss`` equals the last (the peak only
     grows, so that phase set it)."""
-    return next(name for name, rss, _ in rows if rss >= rows[-1][1])
+    return next(name for name, rss, *_ in rows if rss >= rows[-1][1])
+
+
+def table(rows, traced):
+    """The printed lines: each phase of the untraced ``rows`` with its
+    heap, and the traced peak of the same phase of ``traced``."""
+    def mb(v):
+        return "n/a" if v is None else f"{v:.2f}"
+
+    lines = [f"{'phase':<18} {'ru_maxrss MB':>12} {'heap MB':>8} {'in use MB':>9} "
+             f"{'traced peak MiB':>16}"]
+    for (name, rss, _, heap, used), (_, _, peak, *_) in zip(rows, traced):
+        lines.append(f"{name:<18} {rss:>12.2f} {mb(heap):>8} {mb(used):>9} "
+                     f"{peak:>16.3f}")
+    lines.append(f"peak set in: {peak_phase(rows)}")
+    return lines
 
 
 # the estimators that read the exact-target net, the one set-up trains
@@ -119,10 +170,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     rows = run(args.profile, args.chains, traced=False)
     traced = run(args.profile, args.chains, traced=True)
-    print(f"{'phase':<18} {'ru_maxrss MB':>12} {'traced peak MiB':>16}")
-    for (name, rss, _), (_, _, peak) in zip(rows, traced):
-        print(f"{name:<18} {rss:>12.2f} {peak:>16.3f}")
-    print(f"peak set in: {peak_phase(rows)}")
+    print("\n".join(table(rows, traced)))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point for training, sweeps and diagnostic dumps.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure across an
-entire sweep point or a diverged surrogate fit, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a channel evaluated at a
+singular geometry among them), 3 numerical failure across an entire sweep
+point, a diverged surrogate fit or an unusable pilot matrix, 4 I/O error.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import sys
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig, field_dump,
                          write_field_dump_csv)
 from hmimo.estimator import NumericalFailure
+from hmimo.signals import PreprocessError
 from hmimo.harness import (ConfigError, build_geometry, crlb_rows, load_config,
                            load_nets, run_point, sweep, train_surrogates,
                            write_rows_csv)
@@ -110,10 +112,10 @@ def main(argv=None) -> int:
                 rows = crlb_rows(cfg, nets["exact"])
             write_rows_csv(out, rows)
         print(f"wrote {out}")
-    except ConfigError as exc:
+    except (ConfigError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, TrainingError) as exc:
+    except (NumericalFailure, TrainingError, PreprocessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (IOError, OSError) as exc:

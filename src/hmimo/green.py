@@ -85,9 +85,58 @@ class QuadratureRule:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("quadrature order must be >= 2")
-        x, w = np.polynomial.legendre.leggauss(self.order)
+        x, w = _leggauss(self.order)
         object.__setattr__(self, "nodes", 0.5 * x)
         object.__setattr__(self, "weights", 0.5 * w)  # sum to 1 on the unit interval
+
+
+def _legval(x: np.ndarray, c) -> np.ndarray:
+    """The Legendre series with coefficients ``c`` (low degree first, at
+    least two) at x, by Clenshaw's recurrence."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd -= 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights of order n >= 2 on [-1, 1].
+
+    A port of ``numpy.polynomial.legendre.leggauss`` with its floating-point
+    operations, and so its results bit for bit, which spares every process
+    the nine modules of ``numpy.polynomial``: the eigenvalues of the scaled,
+    symmetric companion matrix of P_n, one Newton step on them, and weights
+    1 / (P_{n-1} P_n') at the refined nodes, symmetrised and scaled to sum
+    to 2.  The companion matrix's last column gains nothing for P_n, and
+    the integer coefficients of P_n' are exact, so neither is computed as
+    ``leggauss`` does.
+    """
+    c = [0.0] * n + [1.0]                          # P_n
+    mat = np.zeros((n, n))
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    top = mat.reshape(-1)[1::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dc = [0.0] * n
+    for k in range(n - 1, -1, -2):
+        dc[k] = 2.0 * k + 1.0
+    dy = _legval(x, c)
+    df = _legval(x, dc)
+    x -= dy / df
+    fm = _legval(x, c[1:])                         # P_{n-1}
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
 
 
 def _dyadic_from_displacement(d: np.ndarray, k0: float) -> np.ndarray:

@@ -200,9 +200,15 @@ def validate_config(cfg: dict) -> None:
         if len(prior[axis]) != 2 or not prior[axis][0] < prior[axis][1]:
             raise ConfigError(f"degenerate prior range for {axis}: {prior[axis]!r}"
                               " (need two numbers [lo, hi] with lo < hi)")
-    for name in cfg["estimators"]:
+    estimators = cfg["estimators"]
+    for name in estimators:
         if name not in ESTIMATOR_NAMES:
             raise ConfigError(f"unknown estimator {name!r}")
+    if not estimators:
+        raise ConfigError("estimators is empty: a run needs at least one")
+    repeated = sorted({name for name in estimators if estimators.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"estimators lists {', '.join(repeated)} more than once")
     training = cfg["training"]
     for key, seed in (("seed", cfg["seed"]), ("training.seed", training["seed"]),
                       ("training.sample_seed", training["sample_seed"])):

@@ -44,13 +44,13 @@ class PilotBlock:
         (xx, yy, zz, xy, xz, yz).
         """
         n, ell = self.sx.shape
-        zero = np.zeros((ell, n), dtype=complex)
-        sx, sy, sz = self.sx.T, self.sy.T, self.sz.T
-        s = np.block([
-            [sx, zero, zero, sy, sz, zero],
-            [zero, sy, zero, sx, zero, sz],
-            [zero, zero, sz, zero, sx, sy],
-        ])
+        s = np.zeros((3 * ell, 6 * n), dtype=complex)
+        blocks = s.reshape(3, ell, 6, n)         # (row block, L, column block, N)
+        for pilot, places in ((self.sx, ((0, 0), (1, 3), (2, 4))),
+                              (self.sy, ((0, 3), (1, 1), (2, 5))),
+                              (self.sz, ((0, 4), (1, 5), (2, 2)))):
+            for i, k in places:
+                blocks[i, :, k] = pilot.T
         s.flags.writeable = False
         return s
 
@@ -148,8 +148,12 @@ def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
     rows, cols = s.shape
     if rows < cols:
         raise PreprocessError(f"pilot matrix {s.shape} has fewer rows than columns")
+    # less peak memory: S^H is released before eigh, S^H S as eigh returns
     s_h = s.conj().T
-    lam, v = np.linalg.eigh(s_h @ s)
+    gram, s_hy = s_h @ s, s_h @ y
+    del s_h
+    lam, v = np.linalg.eigh(gram)
+    del gram
     if not lam[0] > rows * np.finfo(float).eps * lam[-1]:
         cond = np.sqrt(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
         raise PreprocessError(
@@ -157,9 +161,10 @@ def unitary_transform(s: np.ndarray, y: np.ndarray) -> UnitaryModel:
             f"reaches {1.0 / np.sqrt(rows * np.finfo(float).eps):.3g}")
     sv = np.sqrt(lam)
     vh = v.conj().T
-    r = (vh @ (s_h @ y)) / sv[:, None]
+    r = (vh @ s_hy) / sv[:, None]
     x = v @ (r / sv[:, None])
-    return UnitaryModel(phi=sv[:, None] * vh, r=r,
+    vh *= sv[:, None]                         # Phi = Sigma V^H, in place
+    return UnitaryModel(phi=vh, r=r,
                         dropped=float(np.linalg.norm(y - s @ x) ** 2), rows=rows)
 
 

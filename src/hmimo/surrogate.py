@@ -107,7 +107,9 @@ class HybridNet:
 
     def _hidden(self, xyz: np.ndarray) -> np.ndarray:
         xn = (np.atleast_2d(xyz) - self.input_offset) / self.input_scale
-        return np.tanh(xn @ self.w1.T + self.b1)
+        a = xn @ self.w1.T
+        a += self.b1
+        return np.tanh(a, out=a)
 
     def forward(self, xyz: np.ndarray) -> np.ndarray:
         """Raw-unit 12-vector outputs for inputs of shape (K, 3) or (3,)."""
@@ -163,7 +165,11 @@ def _output_partials(net: HybridNet, xyz: np.ndarray, order: int):
     """
     a = net._hidden(xyz)                       # (K, Nh)
     (b2, scale, offset), *blocks = net._partials_block
-    out = [((a @ blocks[0] + b2) * scale + offset).view(complex)]
+    value = a @ blocks[0]
+    value += b2
+    value *= scale
+    value += offset
+    out = [value.view(complex)]
     if order >= 1:
         gp = np.square(a, out=a if order == 1 else None)   # a is read at order 2
         np.subtract(1.0, gp, out=gp)                       # tanh'

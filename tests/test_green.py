@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hmimo import green
 from hmimo.geometry import SurfaceGeometry
 from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
                          approx_channel, field_dump, full_channel,
@@ -101,6 +106,29 @@ class TestQuadrature:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             QuadratureRule(1)
+
+    def test_rule_is_numpys_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+        for order in range(2, 33):
+            q, (x, w) = QuadratureRule(order), leggauss(order)
+            assert np.array_equal(q.nodes, 0.5 * x), order
+            assert np.array_equal(q.weights, 0.5 * w), order
+
+    def test_oracle_loads_no_numpy_polynomial(self):
+        # numpy.polynomial is nine modules, about 0.75 MB resident, for a
+        # rule that _leggauss computes alike
+        src = str(Path(green.__file__).resolve().parents[1])
+        code = ("import sys, numpy as np\n"
+                "from hmimo import QuadratureRule, SurfaceGeometry, WaveConfig, full_channel\n"
+                "g = SurfaceGeometry(6, 6, 3, 3, 0.05, 0.05, 0.01, 0.01)\n"
+                "h = full_channel(g, np.array([0.3, -0.2, 25.0]), WaveConfig(3e9),\n"
+                "                 QuadratureRule(4)).stacked\n"
+                "assert h.shape == (54, 36)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_weights_sum_to_one(self):
         for order in (2, 4, 8, 16):

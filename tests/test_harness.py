@@ -20,7 +20,8 @@ from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            build_geometry, crlb_rows, load_config, load_nets,
                            run_point, run_trial, sweep, train_surrogates,
                            validate_config, write_rows_csv)
-from hmimo.green import QuadratureRule, WaveConfig, full_channel
+from hmimo.green import QuadratureRule, SingularityError, WaveConfig, full_channel
+from hmimo.signals import PreprocessError
 from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
 
@@ -85,6 +86,18 @@ class TestConfig:
     def test_unknown_estimator_rejected(self):
         cfg = _deep_merge(PROFILES["ci"], {"estimators": ["magic"]})
         with pytest.raises(ConfigError, match="estimator"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("names, match", [
+        ([], "estimators is empty"),
+        (["ls", "ls"], "estimators lists ls more than once"),
+        (["mp-hybrid", "ls", "known-location", "ls", "mp-hybrid"],
+         "estimators lists ls, mp-hybrid more than once")],
+        ids=["empty", "repeated", "two-repeated"])
+    def test_meaningless_estimator_list_rejected(self, names, match):
+        # [] wrote a header-only CSV and [ls, ls] two identical rows
+        cfg = _deep_merge(PROFILES["ci"], {"estimators": names})
+        with pytest.raises(ConfigError, match=match):
             validate_config(cfg)
 
     def test_nonsquare_patch_sweep_rejected(self):
@@ -722,6 +735,44 @@ class TestCli:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [path]
 
+    def _point_config(self, tmp_path, net, **extra):
+        net.save(tmp_path / "w.json")
+        path = tmp_path / "point.yaml"
+        path.write_text(yaml.safe_dump({
+            "trials": 1, "estimators": ["ls"], "record_timing": False,
+            "paths": {"weights": str(tmp_path / "w.json"),
+                      "weights_approx": str(tmp_path / "w.json"),
+                      "out": str(tmp_path / "point.csv")}, **extra}))
+        return path
+
+    def test_empty_estimator_list_exit_code(self, tmp_path, trained_net,
+                                            monkeypatch, capsys):
+        # refused before a trial runs: no CSV is written
+        monkeypatch.setattr(harness, "run_trial", None)
+        path = self._point_config(tmp_path, trained_net, estimators=[])
+        assert cli.main(["point", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: estimators is empty: " \
+                                          "a run needs at least one\n"
+        assert not (tmp_path / "point.csv").exists()
+
+    @pytest.mark.parametrize("stage, error, code, prefix", [
+        ("full_channel", SingularityError("dyadic Green's function evaluated "
+                                          "at zero distance"),
+         cli.EXIT_CONFIG, "config error"),
+        ("unitary_transform", PreprocessError("pilot matrix is rank deficient"),
+         cli.EXIT_NUMERICAL, "numerical failure")], ids=["singular", "preprocess"])
+    def test_package_error_exit_code(self, stage, error, code, prefix, tmp_path,
+                                     trained_net, monkeypatch, capsys):
+        # one line on stderr, no traceback and no CSV
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness, stage, fail)
+        path = self._point_config(tmp_path, trained_net)
+        assert cli.main(["point", "--config", str(path)]) == code
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
+        assert not (tmp_path / "point.csv").exists()
+
     def test_train_out_rejected(self, tmp_path):
         proc = self._run("train", "--out", "w.json", cwd=tmp_path)
         assert proc.returncode == 2
@@ -1018,11 +1069,44 @@ class TestRssPhases:
             phases.mark("end")
         finally:
             tracemalloc.stop()
-        names, rss, traced = zip(*phases.rows)
+        names, rss, traced, _, _ = zip(*phases.rows)
         assert names == ("big", "small", "end")
         # the 4 MiB block freed in "big" counts there, not in the next phase
         assert traced[0] >= 4.0 and traced[1] < 0.5
         assert list(rss) == sorted(rss) and rss[0] > 0
+
+    def test_heap_in_use_follows_live_blocks(self, script):
+        if script.MALLINFO2 is None:
+            pytest.skip("the C library has no mallinfo2")
+        phases = script.Phases()
+        phases.mark("before")
+        held = phases.wrap("hold", lambda n: bytearray(n))(8 * 2**20)
+        del held
+        phases.mark("release")
+        # the 8 MiB block is in use after "hold" and freed after "release"
+        (_, _, _, _, used0), (_, _, _, heap1, used1), (_, _, _, _, used2) = phases.rows
+        assert heap1 >= used1 >= used0 + 8.0
+        assert used1 - used2 >= 8.0
+
+    def test_heap_without_mallinfo2_is_not_available(self, script, monkeypatch):
+        monkeypatch.setattr(script, "MALLINFO2", None)
+        phases = script.Phases()
+        phases.wrap("stage", lambda: None)()
+        assert phases.rows[0][3:] == (None, None)
+        lines = script.table(phases.rows, phases.rows)
+        assert lines[1].split()[2:4] == ["n/a", "n/a"]
+        assert lines[-1] == "peak set in: stage"
+
+    def test_table_aligns_heap_and_traced_columns(self, script):
+        rows = [("set-up", 45.07, 0.0, 7.68, 6.2), ("estimate", 48.16, 0.0, 13.68, 9.22)]
+        traced = [("set-up", 46.0, 5.978, 8.0, 7.0), ("estimate", 49.0, 5.424, 14.0, 10.0)]
+        lines = script.table(rows, traced)
+        assert lines[0].split() == ["phase", "ru_maxrss", "MB", "heap", "MB", "in",
+                                    "use", "MB", "traced", "peak", "MiB"]
+        assert lines[1].split() == ["set-up", "45.07", "7.68", "6.20", "5.978"]
+        assert lines[2].split() == ["estimate", "48.16", "13.68", "9.22", "5.424"]
+        assert lines[3] == "peak set in: estimate"
+        assert len({len(line) for line in lines[:3]}) == 1
 
     def test_peak_phase_is_first_to_reach_the_final_peak(self, script):
         rows = [("set-up", 40.0, 3.0), ("oracle", 41.5, 1.0),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,23 @@ class TestUnitaryTransform:
         y = pilots.matrix @ channel
         model = unitary_transform(pilots.matrix, y)
         assert model.dropped <= 1e-24 * np.linalg.norm(y) ** 2
+
+    def test_working_memory_pinned(self, pilots):
+        # at 3L = 300, 6N = 150 behind 32 chains: 2.16 MiB traced with S^H
+        # held to the end and Phi scaled out of place, 1.20 MiB with S^H Y
+        # formed first, S^H released before eigh, S^H S as it returns and
+        # V^H scaled into Phi in place
+        s = pilots.matrix
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=(300, 32)) + 1j * rng.normal(size=(300, 32))
+        unitary_transform(s, y)
+        tracemalloc.start()
+        try:
+            unitary_transform(s, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 2**20
 
     def test_rank_deficient_rejected(self):
         s = np.ones((10, 4), dtype=complex)
