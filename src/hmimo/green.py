@@ -12,8 +12,7 @@ two scalars, w*g*c1 and w*g*c2/r^2, and its carrier exp(i*k0*r) comes
 from one tangent of half the phase; one GEMM with the moments
 (1, ox, oy, ox^2, oy^2, ox*oy) of the node offsets then sums all six
 components.  A closed-form sinc approximation of the same block is
-provided as a baseline, together with a field-dump helper for
-channel-surface plots.
+provided as a baseline.
 """
 
 from __future__ import annotations
@@ -43,6 +42,12 @@ _BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 # then sets its mmap threshold to the 1 MB freed, and each 16-chain ci trial of a
 # process that loads its weights pages its arrays in anew (+50 % CPU).
 _CHUNK_NODES = 1 << 15
+
+# Highest order a QuadratureRule is built at.  An order-n rule takes the
+# eigenvalues of an n x n matrix, so a larger order, read from a config, is
+# refused before it allocates; up to this bound the rule equals numpy's
+# leggauss bit for bit (TestQuadrature checks it).
+MAX_QUADRATURE_ORDER = 100
 
 
 class SingularityError(ValueError):
@@ -85,6 +90,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("quadrature order must be >= 2")
+        if self.order > MAX_QUADRATURE_ORDER:
+            raise ValueError(f"quadrature order must be <= {MAX_QUADRATURE_ORDER}")
         x, w = _leggauss(self.order)
         object.__setattr__(self, "nodes", 0.5 * x)
         object.__setattr__(self, "weights", 0.5 * w)  # sum to 1 on the unit interval
@@ -371,41 +378,3 @@ def full_channel(geom: SurfaceGeometry, p1, wave: WaveConfig,
     """Quadrature channel for all patch pairs."""
     return ChannelTensor(stacked_pairs(
         lambda rel: patch_channel_batch(rel, geom, wave, quad), geom, p1))
-
-
-def field_dump(geom: SurfaceGeometry, wave: WaveConfig, quad: QuadratureRule,
-               fixed_axis: str, fixed_value: float,
-               sweep1: tuple, sweep2: tuple, resolution: tuple) -> np.ndarray:
-    """Grid of the (1,1) xx channel component over a plane of p1 positions.
-
-    ``fixed_axis`` in {"x","y","z"} pins one coordinate of the first transmit
-    patch; the remaining two sweep linearly over ``sweep1``/``sweep2`` with
-    ``resolution = (n1, n2)`` points.  Returns a structured record per grid
-    point with the raw value and the value de-rotated by exp(i k0 r).
-    """
-    axes = [a for a in "xyz" if a != fixed_axis]
-    if len(axes) != 2:
-        raise ValueError(f"fixed_axis must be one of x, y, z, got {fixed_axis!r}")
-    n1, n2 = resolution
-    v1 = np.linspace(sweep1[0], sweep1[1], n1)
-    v2 = np.linspace(sweep2[0], sweep2[1], n2)
-    g1, g2 = np.meshgrid(v1, v2, indexing="ij")
-    coords = {fixed_axis: np.full(n1 * n2, float(fixed_value)),
-              axes[0]: g1.ravel(), axes[1]: g2.ravel()}
-    rel = np.stack([coords["x"], coords["y"], coords["z"]], axis=-1)
-    raw = patch_channel_batch(rel, geom, wave, quad)[:, 0]
-    r = np.linalg.norm(rel, axis=-1)
-    derot = raw * np.exp(-1j * wave.wavenumber * r)
-    out = np.empty(n1 * n2, dtype=[("x", float), ("y", float), ("z", float),
-                                   ("re_raw", float), ("im_raw", float),
-                                   ("re_derot", float), ("im_derot", float)])
-    out["x"], out["y"], out["z"] = rel[:, 0], rel[:, 1], rel[:, 2]
-    out["re_raw"], out["im_raw"] = raw.real, raw.imag
-    out["re_derot"], out["im_derot"] = derot.real, derot.imag
-    return out.reshape(n1, n2)
-
-
-def write_field_dump_csv(path, dump: np.ndarray) -> None:
-    """Write a field dump grid as CSV with >= 15 significant digits."""
-    np.savetxt(path, dump.ravel(), fmt="%.17g", delimiter=",",
-               header=",".join(dump.dtype.names), comments="")

@@ -9,6 +9,7 @@ provide complete defaults that a user file can override.
 
 import copy
 import csv
+import math
 import numbers
 import time
 
@@ -232,7 +233,7 @@ def validate_config(cfg: dict) -> None:
     patch_counts = ([fixed["patches"]] if "patches" in fixed else []) + (
         list(values) if var == "patches" else [])
     for v in patch_counts:
-        if not (v >= 0 and round(np.sqrt(v)) ** 2 == v):
+        if not (v >= 0 and math.isqrt(v) ** 2 == v):
             raise ConfigError(f"patch count {v} is not a square")
     _check_built("wave", WaveConfig, cfg["wave"]["frequency"])
     _check_built("quadrature_order", QuadratureRule, cfg["quadrature_order"])
@@ -241,9 +242,8 @@ def validate_config(cfg: dict) -> None:
     for v in [None, *patch_counts]:
         _check_built("geometry", build_geometry, cfg, v)
     _check_built("estimator", estimator_config, cfg)
-    # the combiner has P <= M rows, for every receive-patch count swept
-    m_min = (min(values) if var == "patches"
-             else fixed.get("patches") or geom["rx_rows"] * geom["rx_cols"])
+    # the combiner has P <= M rows, for every receive-patch count a run uses
+    m_min = min(patch_counts, default=geom["rx_rows"] * geom["rx_cols"])
     chains = [fixed.get("chains")] + (list(values) if var == "chains" else [])
     for p in chains:
         if p is not None and not (isinstance(p, numbers.Integral)
@@ -256,8 +256,7 @@ def build_geometry(cfg: dict, patches=None) -> SurfaceGeometry:
     g = cfg["geometry"]
     rx_rows, rx_cols = g["rx_rows"], g["rx_cols"]
     if patches is not None:
-        side = int(round(np.sqrt(patches)))
-        rx_rows = rx_cols = side
+        rx_rows = rx_cols = math.isqrt(patches)
     return SurfaceGeometry(rx_rows, rx_cols, g["tx_rows"], g["tx_cols"],
                            g["rx_dx"], g["rx_dy"], g["tx_dx"], g["tx_dy"])
 

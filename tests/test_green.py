@@ -10,8 +10,8 @@ import pytest
 
 from hmimo import green
 from hmimo.geometry import SurfaceGeometry
-from hmimo.green import (QuadratureRule, SingularityError, WaveConfig,
-                         approx_channel, field_dump, full_channel,
+from hmimo.green import (MAX_QUADRATURE_ORDER, QuadratureRule, SingularityError,
+                         WaveConfig, approx_channel, full_channel,
                          patch_channel, patch_channel_batch, _BLOCK_IDX,
                          _CHUNK_NODES, _component_sums, _dyadic_from_displacement,
                          _offset_axis)
@@ -104,12 +104,18 @@ class TestDyadicGreen:
 
 class TestQuadrature:
     def test_rule_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 2"):
             QuadratureRule(1)
+        # refused before a rule is built: 2**63 and 10**400 used to escape
+        # as an OverflowError, and a large order would factor a matrix of
+        # its size
+        for order in (MAX_QUADRATURE_ORDER + 1, 2**63, 10**400):
+            with pytest.raises(ValueError, match=f"<= {MAX_QUADRATURE_ORDER}$"):
+                QuadratureRule(order)
 
     def test_rule_is_numpys_leggauss_bit_for_bit(self):
         from numpy.polynomial.legendre import leggauss
-        for order in range(2, 33):
+        for order in [*range(2, 33), MAX_QUADRATURE_ORDER]:
             q, (x, w) = QuadratureRule(order), leggauss(order)
             assert np.array_equal(q.nodes, 0.5 * x), order
             assert np.array_equal(q.weights, 0.5 * w), order
@@ -378,35 +384,20 @@ class TestChannelTensor:
         assert np.allclose(h[1::4, 1], h[0::4, 0], rtol=1e-13)
 
 
-@pytest.fixture(scope="module")
-def dump(geom, wave):
-    return field_dump(geom, wave, QuadratureRule(4), "y", 0.0,
-                      sweep1=(-1.0, 1.0), sweep2=(20.0, 24.0), resolution=(41, 9))
-
-
 class TestFieldDump:
-    def test_grid_dimensions(self, dump):
-        assert dump.shape == (41, 9)
-
-    def test_magnitude_preserved(self, dump):
-        raw = dump["re_raw"] + 1j * dump["im_raw"]
-        derot = dump["re_derot"] + 1j * dump["im_derot"]
-        assert np.allclose(np.abs(raw), np.abs(derot), rtol=1e-12)
-
-    def test_derotated_varies_slowly(self, dump):
-        raw = dump["re_raw"]
-        derot = dump["re_derot"]
-        grad_raw = np.max(np.abs(np.diff(raw, axis=0)))
-        grad_derot = np.max(np.abs(np.diff(derot, axis=0)))
+    def test_derotated_varies_slowly(self, geom, wave):
+        # the xx component over the plane y = 0 (x on [-1, 1] m, z on
+        # [20, 24] m) changes along x more than ten times faster than the
+        # same component de-rotated by exp(-i k0 |rel|), which is what the
+        # surrogate fits
+        x, z = np.meshgrid(np.linspace(-1.0, 1.0, 41), np.linspace(20.0, 24.0, 9),
+                           indexing="ij")
+        rel = np.stack([x, np.zeros_like(x), z], axis=-1).reshape(-1, 3)
+        raw = patch_channel_batch(rel, geom, wave, QuadratureRule(4))[:, 0]
+        derot = raw * np.exp(-1j * wave.wavenumber * np.linalg.norm(rel, axis=-1))
+        grad_raw = np.max(np.abs(np.diff(raw.real.reshape(41, 9), axis=0)))
+        grad_derot = np.max(np.abs(np.diff(derot.real.reshape(41, 9), axis=0)))
         assert grad_raw > 10 * grad_derot
-
-    def test_csv_writer(self, dump, tmp_path):
-        from hmimo.green import write_field_dump_csv
-        path = tmp_path / "dump.csv"
-        write_field_dump_csv(path, dump)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,z,re_raw,im_raw,re_derot,im_derot"
-        assert len(lines) == 1 + 41 * 9
 
 
 def test_index_out_of_range(geom, wave):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import hmimo
 from hmimo import cli, harness
@@ -20,7 +21,8 @@ from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            build_geometry, crlb_rows, load_config, load_nets,
                            run_point, run_trial, sweep, train_surrogates,
                            validate_config, write_rows_csv)
-from hmimo.green import QuadratureRule, SingularityError, WaveConfig, full_channel
+from hmimo.green import (MAX_QUADRATURE_ORDER, QuadratureRule, SingularityError,
+                         WaveConfig, full_channel)
 from hmimo.signals import PreprocessError
 from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
@@ -158,6 +160,16 @@ class TestConfig:
         validate_config(_deep_merge(PROFILES["ci"], {"sweep": sweep,
                                                      "fixed": {"chains": 16}}))
 
+    def test_chains_checked_against_fixed_patches_in_a_patches_sweep(self):
+        # hmimo point runs at fixed.patches = 4, where 16 chains used to
+        # pass validation and die in the combiner draw
+        cfg = _deep_merge(PROFILES["ci"], {
+            "sweep": {"variable": "patches", "values": [36]},
+            "fixed": {"patches": 4, "chains": 16}})
+        with pytest.raises(ConfigError, match="chains 16 .*M = 4 "):
+            validate_config(cfg)
+        validate_config(_deep_merge(cfg, {"fixed": {"chains": 4}}))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="pilot_length"):
             load_config(profile="ci", overrides={"pilot_length": 10})
@@ -235,6 +247,10 @@ class TestConfig:
     @pytest.mark.parametrize("override, match", [
         ({"quadrature_order": 1}, "^quadrature_order: .* >= 2"),
         ({"training": {"quadrature_order": 1}}, "training.quadrature_order"),
+        ({"quadrature_order": MAX_QUADRATURE_ORDER + 1},
+         f"^quadrature_order: .* <= {MAX_QUADRATURE_ORDER}$"),
+        ({"training": {"quadrature_order": 2**63}},
+         f"^training.quadrature_order: .* <= {MAX_QUADRATURE_ORDER}$"),
         ({"estimator": {"grid_points": 1}}, "grid_points must be >= 2"),
         ({"wave": {"frequency": -3.0e9}}, "frequency must be positive"),
         ({"geometry": {"rx_dx": 0.0}}, "rx_dx must be positive"),
@@ -268,7 +284,8 @@ class TestConfig:
         ({"estimator": {"max_iters": 0}},
          "^estimator: max_iters must be >= 1 \\(an integer\\), got 0$"),
         ({"estimator": {"tol": -1.0}}, "^estimator: tol must be non-negative, got -1.0$"),
-    ], ids=["quadrature", "training-quadrature", "grid-points", "frequency",
+    ], ids=["quadrature", "training-quadrature", "quadrature-above-bound",
+            "training-quadrature-2**63", "grid-points", "frequency",
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
@@ -309,6 +326,87 @@ class TestConfig:
     def test_build_geometry_patch_override(self):
         geom = build_geometry(PROFILES["ci"], patches=16)
         assert geom.m_patches == 16
+
+
+# Values a mutated config key takes: signs and zero, small integers, integers
+# past int64 and past any float, a fraction, the largest float, NaN and the
+# infinities, a bool, null, a string and both empty containers.  No integer
+# lies between 3 and 2**63, which as a quadrature order would be a large
+# matrix to factor if a check let it through.
+EDGE_VALUES = [-1, 0, 1, 2, 3, 2**63, 10**400, 0.5, 1e308, float("nan"),
+               float("inf"), float("-inf"), True, None, "x", [], {}]
+# the ci profile, and with each other sweep variable at four values it accepts
+SWEEP_BASES = [{}, {"sweep": {"variable": "length", "values": [40, 60, 80, 100]}},
+               {"sweep": {"variable": "patches", "values": [4, 9, 16, 36]}},
+               {"sweep": {"variable": "chains", "values": [1, 2, 4, 8]}}]
+
+
+def _key_paths(tree, prefix=()):
+    """Every key path of a config tree, sections and list elements included
+    (an element's index ends its path)."""
+    for key, val in tree.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+        elif isinstance(val, list):
+            yield from (prefix + (key, i) for i in range(len(val)))
+
+
+KEY_PATHS = [*_key_paths(PROFILES["ci"]),
+             ("fixed", "patches"), ("threads",)]
+
+
+def _mutation(base, path, value):
+    """The override ``base`` with ``path`` set to ``value``.  An element
+    path replaces one element of the list that ``base`` merged onto the ci
+    profile holds there, and leaves ``base`` as it is if an earlier edit
+    replaced that list."""
+    if isinstance(path[-1], int):
+        items = _deep_merge(PROFILES["ci"], base)
+        for key in path[:-1]:
+            items = items.get(key) if isinstance(items, dict) else None
+        if not (isinstance(items, list) and path[-1] < len(items)):
+            return base
+        items = list(items)
+        items[path[-1]] = value
+        path, value = path[:-1], items
+    for key in reversed(path):
+        value = {key: value}
+    return _deep_merge(base, value)
+
+
+def _validates_or_config_error(override):
+    try:
+        load_config(profile="ci", overrides=override)
+    except ConfigError:
+        pass
+    except Exception as exc:
+        pytest.fail(f"{override!r} raised {type(exc).__name__}: {exc}")
+
+
+class TestValidationIsTotal:
+    """A config mutated from the profile, one key or list element at a time
+    and then in drawn pairs, validates or raises ConfigError: an
+    OverflowError from a quadrature order of 2**63 and a TypeError from a
+    patch count of 10**400 used to escape as tracebacks."""
+
+    @pytest.mark.parametrize("base", SWEEP_BASES, ids=lambda b: str(b.get(
+        "sweep", {}).get("variable", "snr")))
+    def test_mutations(self, base):
+        for path, value in itertools.product(KEY_PATHS, EDGE_VALUES):
+            _validates_or_config_error(_mutation(base, path, value))
+
+        @settings(derandomize=True, max_examples=50, deadline=None)
+        @given(st.lists(st.tuples(st.sampled_from(KEY_PATHS),
+                                  st.sampled_from(EDGE_VALUES)),
+                        min_size=2, max_size=2))
+        def pairs(edits):
+            override = base
+            for path, value in edits:
+                override = _mutation(override, path, value)
+            _validates_or_config_error(override)
+
+        pairs()
 
 
 class TestStats:
@@ -613,25 +711,12 @@ class TestCli:
     def test_nonfinite_value_exit_code(self, tmp_path):
         path = tmp_path / "freq.yaml"
         path.write_text("wave:\n  frequency: .inf\n")
-        proc = self._run("field-dump", "--config", str(path),
-                         "--out", str(tmp_path / "dump.csv"))
+        proc = self._run("crlb", "--config", str(path),
+                         "--out", str(tmp_path / "crlb.csv"))
         assert proc.returncode == 2
         assert "wave.frequency (a finite number, got inf)" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "dump.csv").exists()
-
-    @pytest.mark.parametrize("args, message", [
-        (("--resolution", "-1", "3"), "--resolution needs two positive"),
-        (("--axis", "z", "--value", "0", "--range1", "-0.01", "0.01",
-          "--range2", "-0.01", "0.01"), "meets the receive aperture"),
-        (("--range1", "nan", "1"), "must be finite numbers"),
-    ])
-    def test_field_dump_bad_arguments_exit_code(self, tmp_path, args, message):
-        proc = self._run("field-dump", *args, "--out", str(tmp_path / "dump.csv"))
-        assert proc.returncode == 2
-        assert "config error" in proc.stderr and message in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "dump.csv").exists()
+        assert not (tmp_path / "crlb.csv").exists()
 
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"
@@ -647,6 +732,18 @@ class TestCli:
         proc = self._run("point", "--config", str(path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "chains 100" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_chains_above_fixed_patches_exit_code(self, tmp_path):
+        # refused before the weights are read, so no weights file is needed
+        path = tmp_path / "chains.yaml"
+        path.write_text(yaml.safe_dump({
+            "sweep": {"variable": "patches", "values": [36]},
+            "fixed": {"patches": 4, "chains": 16}}))
+        proc = self._run("point", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: chains 16 must be an "
+                                      "integer in 1..M = 4 ")
         assert "Traceback" not in proc.stderr
 
     def test_short_training_set_exit_code(self, tmp_path):
@@ -678,8 +775,8 @@ class TestCli:
     def test_non_numeric_value_exit_code(self, tmp_path):
         path = tmp_path / "freq.yaml"
         path.write_text("wave:\n  frequency: 3.0e9\n")
-        proc = self._run("field-dump", "--config", str(path),
-                         "--out", str(tmp_path / "dump.csv"))
+        proc = self._run("crlb", "--config", str(path),
+                         "--out", str(tmp_path / "crlb.csv"))
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "wave.frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -687,7 +784,7 @@ class TestCli:
     def test_integer_path_exit_code(self, tmp_path):
         path = tmp_path / "out.yaml"
         path.write_text("paths:\n  out: 1\n")
-        proc = self._run("field-dump", "--config", str(path), cwd=tmp_path)
+        proc = self._run("crlb", "--config", str(path), cwd=tmp_path)
         assert proc.returncode == 2
         assert ("config values of the wrong type: paths.out (a string, got 1)"
                 in proc.stderr)
@@ -814,19 +911,15 @@ class TestCli:
         assert (tmp_path / "point.csv").exists()
         assert not (tmp_path / "wa.json").exists()
 
-    def test_field_dump(self, tmp_path):
-        out = tmp_path / "dump.csv"
-        proc = self._run("field-dump", "--out", str(out),
-                         "--axis", "y", "--value", "0.0",
-                         "--range1", "-0.2", "0.2",
-                         "--range2", "24.9", "25.1",
-                         "--resolution", "3", "3")
-        assert proc.returncode == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "y", "z", "re_raw", "im_raw",
-                           "re_derot", "im_derot"]
-        assert len(rows) == 1 + 9
+    def test_subcommands(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0, proc.stderr
+        listed = re.search(r"\{([\w,-]+)\}", proc.stdout).group(1)
+        assert listed.split(",") == ["train", "sweep", "point", "crlb"]
+        proc = self._run("field-dump")
+        assert proc.returncode == 2
+        assert "invalid choice: 'field-dump'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCsvDiff:
