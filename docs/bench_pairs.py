@@ -16,8 +16,10 @@ rule of ``claim_verdict`` holds.  For each end-to-end metric of
 BASE's ``BENCHMARK.json`` (read, never written) it also prints the verdict
 of the no-regression rule of ``regression_verdict`` at that metric's bound
 and better direction.  It exits 1 if any run reports ``correct: false`` or
-prints no result, and 2 on bad arguments.  Only the standard library is
-used.
+prints no result, and 2 on bad arguments, among them two checkouts whose
+resolved paths differ in length: on ``ci-digital-cold`` that alone moved
+``peak_rss_mb`` by 0.2 MB between two copies of one commit.  Only the
+standard library is used.
 """
 
 import argparse
@@ -122,6 +124,11 @@ def main(argv=None):
     for root in sides.values():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {root}")
+    lengths = [len(str(root)) for root in sides.values()]
+    if lengths[0] != lengths[1]:
+        parser.error(f"the checkouts' paths are {lengths[0]} and {lengths[1]} "
+                     "characters long; the length alone moves peak_rss_mb, "
+                     "so give paths of equal length")
     if len(args.seeds) < 2:
         parser.error("need at least two seeds")
     if not (sides["base"] / "BENCHMARK.json").is_file():

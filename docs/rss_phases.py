@@ -7,13 +7,14 @@ Set-up trains the exact-target surrogate at the profile's geometry with
 the ``ci`` profile's training settings, as the benchmark's set-up does.
 The trial is ``harness.run_trial`` at the profile's fixed settings, with
 the estimators that read that net (mp-hybrid, ls and known-location), on
-the first trial draw of ``run_point`` at point seed 0 (as the benchmark
-draws it), behind that draw's P-chain combiner with ``--chains P``.  The
-stages are told apart by wrapping the names ``run_trial`` calls them by:
-``oracle`` (``full_channel``, with the trial's draws of p1, pilots and
-combiner before it), ``draws`` (the noisy observation, ``simulate_rx``),
-``unitary_transform``, ``estimate`` (mp-hybrid, location init included),
-``ls``, ``known-location`` and ``fim``.
+the first of the draws that ``harness.point_trials`` gives point seed 0
+(as ``run_point`` and the benchmark draw it), behind that draw's P-chain
+combiner with ``--chains P``.  The stages are told apart by wrapping the
+names ``run_trial`` calls them by: ``oracle`` (``full_channel``, with the
+trial's draws of p1, pilots and combiner before it), ``draws`` (the noisy
+observation, ``simulate_rx``), ``unitary_transform``, ``estimate``
+(mp-hybrid, location init included), ``ls``, ``known-location`` and
+``fim``.
 
 For each phase it prints ``ru_maxrss`` after it, the process's peak
 resident set so far (MB, as the benchmark's ``peak_rss_mb``), glibc
@@ -133,12 +134,11 @@ STAGES = {"full_channel": "oracle", "simulate_rx": "draws",
 def run(profile, chains, traced):
     """The phases of a set-up and one trial, as ``Phases.rows``, under
     ``tracemalloc`` if ``traced``."""
-    import numpy as np
     from hmimo import harness
 
-    fixed = {"chains": chains} if chains else {}
     cfg = harness.load_config(profile=profile, overrides={
-        "training": harness.PROFILES["ci"]["training"], "fixed": fixed,
+        "training": harness.PROFILES["ci"]["training"],
+        "fixed": {"chains": chains} if chains else {},
         "estimators": list(ESTIMATORS)})
     if traced:
         tracemalloc.start()
@@ -151,9 +151,9 @@ def run(profile, chains, traced):
             for name, stage in STAGES.items():
                 setattr(harness, name, phases.wrap(stage, saved[name]))
             variable = cfg["sweep"]["variable"]
-            seq = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0,))
-            harness.run_trial(cfg, nets, variable, cfg["fixed"][variable],
-                              seq.spawn(1)[0])
+            fixed, geom, seqs = harness.point_trials(
+                cfg, variable, cfg["fixed"][variable], 0)
+            harness.run_trial(cfg, nets, fixed, geom, seqs[0])
         finally:
             for name, fn in saved.items():
                 setattr(harness, name, fn)

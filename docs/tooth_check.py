@@ -2,21 +2,22 @@
 
 The init (``estimator.grid_search_init``) picks one z-tooth of a comb one
 wavelength apart; a change to it that is meant to move its output only at
-round-off must keep the winning tooth of every draw.  This script runs the
-full-digital estimator on the 60 draws of ``run_point`` on the ci profile
-(seed 0, point seed 0: 20 trials each at 0, 8 and 20 dB), records the p0
-that each init returns and the CPU time of each init, and, for the
-message passing that follows, each draw's final p-hat, iteration count
-and ``converged`` flag (null for a draw whose estimate raised), and
-writes them to a JSON file:
+round-off must keep the winning tooth of every draw.  This script runs
+``harness.run_trial`` with the mp-hybrid estimator alone on the 60 draws
+that ``harness.point_trials`` gives the ci profile (seed 0, point seed 0:
+20 trials each at 0, 8 and 20 dB), the draws of ``run_point``.  It
+records the p0 that each init returns and the CPU time of each init,
+and, from the trial's mp-hybrid outcome, each draw's final p-hat,
+iteration count and ``converged`` flag (null for a draw whose estimate
+raised), and writes them to a JSON file:
 
     PYTHONPATH=src python docs/tooth_check.py p0_before.json
     PYTHONPATH=src python docs/tooth_check.py p0_after.json --weights w.json
     python docs/tooth_check.py --compare p0_before.json p0_after.json
 
-With ``--chains P`` it runs the hybrid estimator (``estimate_hybrid``) on
-the same draws instead, each behind its trial's P-chain combiner (child 3
-of the trial's seed, as ``run_trial`` draws it).  Without ``--weights`` it
+With ``--chains P`` the config's ``fixed.chains`` is P, so ``run_trial``
+runs the hybrid estimator (``estimate_hybrid``) on the same draws instead,
+each behind its trial's P-chain combiner.  Without ``--weights`` it
 trains the ci profile's surrogate first (about 2 s) through
 ``harness.train_net``, as ``hmimo train`` does.  ``--compare`` prints
 "same tooth k of 60, max |dp0| ... m" and exits 1 if any draw's p0 lies
@@ -46,16 +47,12 @@ def _ci_net(cfg, weights):
 
 
 def record(path, weights, chains=None):
-    from hmimo import estimator
-    from hmimo.green import QuadratureRule, WaveConfig, full_channel
-    from hmimo.harness import (PROFILES, _draw_trial, build_geometry,
-                               estimator_config)
-    from hmimo.signals import combine_channel, simulate_rx, unitary_transform
+    from hmimo import estimator, harness
+    from hmimo.green import WaveConfig
 
-    cfg = PROFILES["ci"]
-    net = _ci_net(cfg, weights)
-    geom, wave = build_geometry(cfg), WaveConfig(cfg["wave"]["frequency"])
-    ecfg = estimator_config(cfg)
+    cfg = harness.load_config(overrides={"estimators": ["mp-hybrid"],
+                                         "fixed": {"chains": chains}})
+    nets = {"exact": _ci_net(cfg, weights)}
     init = estimator.grid_search_init
     starts, cpu, finals = [], [], []
 
@@ -66,35 +63,24 @@ def record(path, weights, chains=None):
         starts.append(p0.tolist())
         return p0, var0
 
-    # the draws of run_point's first sweep point
-    seqs = np.random.SeedSequence(entropy=cfg["seed"],
-                                  spawn_key=(0,)).spawn(cfg["trials"])
-    fixed = dict(cfg["fixed"], chains=chains) if chains else cfg["fixed"]
     estimator.grid_search_init = recorded
     try:
         for snr in SNRS:
+            # the draws of run_point's first sweep point
+            fixed, geom, seqs = harness.point_trials(cfg, "snr", snr, 0)
             for seq in seqs:
-                seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
-                h = full_channel(geom, p1, wave,
-                                 QuadratureRule(cfg["quadrature_order"])).stacked
-                y, _ = simulate_rx(combine_channel(f, h), pilots, snr,
-                                   seed=seeds[2])
-                model = unitary_transform(pilots.matrix, y)
-                try:
-                    res = (estimator.estimate_full_digital(model, net, geom, ecfg)
-                           if f is None else
-                           estimator.estimate_hybrid(model, f, net, geom, ecfg))
-                    finals.append({"p_hat": res.position.tolist(),
-                                   "iterations": res.iterations,
-                                   "converged": res.converged})
-                except (estimator.NumericalFailure, np.linalg.LinAlgError):
-                    finals.append(None)     # the init has run; its p0 is recorded
+                out = harness.run_trial(cfg, nets, fixed, geom, seq)["mp-hybrid"]
+                # a draw whose estimate raised has its init's p0 recorded
+                finals.append({"p_hat": out["position"],
+                               "iterations": out["iterations"],
+                               "converged": out["converged"]}
+                              if out["ok"] else None)
     finally:
         estimator.grid_search_init = init
     with open(path, "w") as fh:
         json.dump({"snr_db": SNRS, "trials": cfg["trials"], "chains": chains,
-                   "wavelength_m": wave.wavelength, "p0": starts,
-                   "cpu_s": cpu, "final": finals}, fh)
+                   "wavelength_m": WaveConfig(cfg["wave"]["frequency"]).wavelength,
+                   "p0": starts, "cpu_s": cpu, "final": finals}, fh)
     print(f"{len(starts)} inits, CPU s per init: min {min(cpu):.3f}, "
           f"median {np.median(cpu):.3f}, max {max(cpu):.3f} -> {path}")
 

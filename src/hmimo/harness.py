@@ -126,17 +126,23 @@ def _unknown_keys(cfg: dict, schema: dict, prefix=""):
 
 
 def _is_number(value, integral=False, inf_ok=False) -> bool:
-    """Not a bool, and not NaN or an infinity (+inf passes if ``inf_ok``)."""
+    """Not a bool, and a finite float once converted (+inf passes if
+    ``inf_ok``); an integer too large for a float is not finite."""
     kind = numbers.Integral if integral else numbers.Real
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (-np.inf < value < np.inf or (inf_ok and value == np.inf)))
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(value) or (inf_ok and value == math.inf)
 
 
 def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
     """Keys holding a value of another kind than the schema's: a non-mapping
     for a mapping, a non-list for a list, a non-string for a string, a
-    non-number, NaN or an infinity for a number (a non-integer for an
-    integer); lists of numbers are checked per element."""
+    non-bool for a bool, a non-number, NaN or an infinity for a number (a
+    non-integer for an integer); lists of numbers are checked per element."""
     for key, val in cfg.items():
         ref = schema.get(key)
         # an SNR of +inf is noiseless data; validate_config allows it in the
@@ -154,6 +160,8 @@ def _mistyped_keys(cfg: dict, schema: dict, prefix=""):
             yield f"{prefix}{key} (a list, got {val!r})"
         elif isinstance(ref, str) and not isinstance(val, str):
             yield f"{prefix}{key} (a string, got {val!r})"
+        elif isinstance(ref, bool) and not isinstance(val, bool):
+            yield f"{prefix}{key} (a bool, got {val!r})"
         elif _is_number(ref) and not _is_number(val, isinstance(ref, int), inf_ok):
             kind = "an integer" if isinstance(ref, int) else "a finite number"
             yield f"{prefix}{key} ({kind}, got {val!r})"
@@ -246,7 +254,7 @@ def validate_config(cfg: dict) -> None:
     m_min = min(patch_counts, default=geom["rx_rows"] * geom["rx_cols"])
     chains = [fixed.get("chains")] + (list(values) if var == "chains" else [])
     for p in chains:
-        if p is not None and not (isinstance(p, numbers.Integral)
+        if p is not None and not (_is_number(p, integral=True)
                                   and 1 <= p <= m_min):
             raise ConfigError(f"chains {p!r} must be an integer in 1..M = {m_min}"
                               " for the receive geometry")
@@ -327,8 +335,14 @@ def train_surrogates(cfg: dict, progress=None):
 # --- Monte-Carlo trials -----------------------------------------------------
 
 
-def _trial_values(cfg: dict, variable: str, value):
-    return {**cfg["fixed"], variable: value}
+def point_trials(cfg: dict, variable: str, value, point_seed: int):
+    """A sweep point's (fixed, geom, seqs): the fixed settings at ``variable``
+    = ``value``, their geometry (``fixed.patches`` honoured) and one
+    SeedSequence per trial, spawned from (``cfg["seed"]``, ``point_seed``)."""
+    fixed = {**cfg["fixed"], variable: value}
+    seqs = np.random.SeedSequence(entropy=cfg["seed"],
+                                  spawn_key=(point_seed,)).spawn(cfg["trials"])
+    return fixed, build_geometry(cfg, patches=fixed.get("patches")), seqs
 
 
 def _draw_trial(cfg: dict, geom: SurfaceGeometry, fixed: dict, seed_seq):
@@ -351,15 +365,12 @@ def _draw_trial(cfg: dict, geom: SurfaceGeometry, fixed: dict, seed_seq):
     return seeds, p1, pilots, f
 
 
-def run_trial(cfg, nets, variable, value, seed_seq):
-    """One Monte-Carlo realization; returns per-estimator metric dict.
-
-    Every estimator sees the identical (H, S, W) realization.  Metric dict
-    maps estimator name to (nmse_h, nmse_p or None); the normalized CRLB
-    at the realized position and precision is included under "crlb".
-    """
-    fixed = _trial_values(cfg, variable, value)
-    geom = build_geometry(cfg, patches=fixed.get("patches"))
+def run_trial(cfg, nets, fixed, geom, seed_seq):
+    """One Monte-Carlo realization at a point's ``fixed`` settings and
+    ``geom``.  Every estimator sees the identical (H, S, W) realization;
+    each maps to nmse_h and nmse_p (None without a location), an mp one
+    also to its estimate's position, iterations and converged.  The
+    normalized CRLB at the realized position and precision is "crlb"."""
     wave = WaveConfig(cfg["wave"]["frequency"])
     quad = QuadratureRule(cfg["quadrature_order"])
     seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seed_seq)
@@ -379,26 +390,26 @@ def run_trial(cfg, nets, variable, value, seed_seq):
         try:
             if name in ("mp-hybrid", "mp-approx"):
                 net = nets[SURROGATE_OF[name]]
-                if f is None:
-                    res = estimate_full_digital(model, net, geom, ecfg)
-                else:
-                    res = estimate_hybrid(model, f, net, geom, ecfg)
+                res = (estimate_full_digital(model, net, geom, ecfg) if f is None
+                       else estimate_hybrid(model, f, net, geom, ecfg))
                 nmse_h = np.linalg.norm(res.h_hat - h_true) ** 2 / ref_power
-                nmse_p = float(np.sum((res.position - p1) ** 2)) / p_power
+                # not the result itself: its h_hat would be held per trial
+                row = {"nmse_p": float(np.sum((res.position - p1) ** 2)) / p_power,
+                       "position": res.position.tolist(),
+                       "iterations": res.iterations, "converged": res.converged}
             elif name == "ls":
                 g_ls = unitary_ls_estimate(model)
                 # minimum-norm completion through the combiner
                 h_ls = g_ls if f is None else g_ls @ np.linalg.pinv(f.T)
                 nmse_h = np.linalg.norm(h_ls - h_true) ** 2 / ref_power
-                nmse_p = None
+                row = {"nmse_p": None}
             elif name == "known-location":
                 h_model = stacked_channel(nets["exact"], geom, p1, wave)
                 nmse_h = np.linalg.norm(h_model - h_true) ** 2 / ref_power
-                nmse_p = None
+                row = {"nmse_p": None}
             else:  # pragma: no cover - guarded by validate_config
                 raise ConfigError(f"unknown estimator {name!r}")
-            results[name] = {"ok": True, "nmse_h": float(nmse_h),
-                             "nmse_p": nmse_p,
+            results[name] = {"ok": True, "nmse_h": float(nmse_h), **row,
                              "wall_s": time.perf_counter() - t0}
         except (NumericalFailure, np.linalg.LinAlgError) as exc:
             results[name] = {"ok": False, "error": str(exc),
@@ -441,10 +452,8 @@ def _mean_stderr_db(values):
 def run_point(cfg, nets, variable, value, point_seed) -> list:
     """All trials of one sweep point; returns one CSV row dict per estimator."""
     trials = cfg["trials"]
-    trial_seqs = np.random.SeedSequence(
-        entropy=cfg["seed"], spawn_key=(point_seed,)).spawn(trials)
-
-    outcomes = [run_trial(cfg, nets, variable, value, seq) for seq in trial_seqs]
+    fixed, geom, seqs = point_trials(cfg, variable, value, point_seed)
+    outcomes = [run_trial(cfg, nets, fixed, geom, seq) for seq in seqs]
 
     crlb_db = _bound_db([o["crlb"] for o in outcomes])
     rows = []
@@ -527,15 +536,12 @@ def load_nets(cfg) -> dict:
 def crlb_rows(cfg, net) -> list:
     """Normalized CRLB per sweep point, averaged over prior draws."""
     variable = cfg["sweep"]["variable"]
+    wave = WaveConfig(cfg["wave"]["frequency"])
     rows = []
     for idx, value in enumerate(cfg["sweep"]["values"]):
-        fixed = _trial_values(cfg, variable, value)
-        geom = build_geometry(cfg, patches=fixed.get("patches"))
-        wave = WaveConfig(cfg["wave"]["frequency"])
-        trial_seqs = np.random.SeedSequence(
-            entropy=cfg["seed"], spawn_key=(idx,)).spawn(cfg["trials"])
+        fixed, geom, seqs = point_trials(cfg, variable, value, idx)
         vals = []
-        for seq in trial_seqs:
+        for seq in seqs:
             _, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
             # gamma is referenced to the (combined) surrogate channel at p1
             h_model = stacked_channel(net, geom, p1, wave, f=f)

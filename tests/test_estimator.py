@@ -13,7 +13,8 @@ import pytest
 from hmimo.crlb import fim
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import QuadratureRule, WaveConfig, full_channel
-from hmimo.harness import PROFILES, _draw_trial, build_geometry, estimator_config
+from hmimo.harness import (PROFILES, _draw_trial, build_geometry,
+                           estimator_config, point_trials)
 from hmimo.signals import (PilotBlock, UnitaryModel, gen_combiner, gen_pilots,
                            simulate_rx, simulate_rx_hybrid, unitary_transform,
                            combine_channel)
@@ -504,8 +505,7 @@ class TestGridSearchInit:
             return p, costs
 
         monkeypatch.setattr(estimator, "_refine_batch", record_winner)
-        seqs = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0,)).spawn(3)
-        for seq in seqs:
+        for seq in point_trials(cfg, "snr", snr, 0)[2][:3]:
             seeds, p1, pilots, _ = _draw_trial(cfg, small_geometry, cfg["fixed"],
                                                seq)
             h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
@@ -796,7 +796,7 @@ class TestNelderMead:
     def test_envelope_objective_of_a_ci_draw(self, trained_net, small_geometry,
                                              wave):
         cfg = PROFILES["ci"]
-        seq = np.random.SeedSequence(cfg["seed"], spawn_key=(0,)).spawn(1)[0]
+        seq = point_trials(cfg, "snr", 8.0, 0)[2][0]
         seeds, p1, pilots, _ = _draw_trial(cfg, small_geometry, cfg["fixed"], seq)
         h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
         y, _ = simulate_rx(h, pilots, 8.0, seed=seeds[2])
@@ -874,10 +874,9 @@ def _warm_start_trials(net, geom, wave, chains=None):
     truth.  Returns the number that converged, the reported / CRLB lateral
     s.d. of each, and the position error of each."""
     cfg = PROFILES["ci"]
-    fixed = {**cfg["fixed"], "chains": chains}
-    seqs = np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(0,)).spawn(12)
+    fixed, _, seqs = point_trials(cfg, "chains", chains, 0)
     converged, ratios, errors = 0, [], []
-    for seq in seqs:
+    for seq in seqs[:12]:
         seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
         h = full_channel(geom, p1, wave, QuadratureRule(8)).stacked
         ecfg = dataclasses.replace(estimator_config(cfg), init_position=p1)

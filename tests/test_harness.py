@@ -19,8 +19,8 @@ from hmimo import cli, harness
 from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            _draw_trial, _format_cell, _mean_stderr_db,
                            build_geometry, crlb_rows, load_config, load_nets,
-                           run_point, run_trial, sweep, train_surrogates,
-                           validate_config, write_rows_csv)
+                           point_trials, run_point, run_trial, sweep,
+                           train_surrogates, validate_config, write_rows_csv)
 from hmimo.green import (MAX_QUADRATURE_ORDER, QuadratureRule, SingularityError,
                          WaveConfig, full_channel)
 from hmimo.signals import PreprocessError
@@ -169,6 +169,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="chains 16 .*M = 4 "):
             validate_config(cfg)
         validate_config(_deep_merge(cfg, {"fixed": {"chains": 4}}))
+
+    @pytest.mark.parametrize("override, match", [
+        ({"fixed": {"chains": True}}, "^chains True must be an integer"),
+        ({"record_timing": "x"}, "record_timing \\(a bool, got 'x'\\)"),
+        ({"record_timing": np.nan}, "record_timing \\(a bool, got nan\\)"),
+        ({"record_timing": 1}, "record_timing \\(a bool, got 1\\)")],
+        ids=["bool-chains", "string-timing", "nan-timing", "int-timing"])
+    def test_bool_and_untyped_keys_rejected(self, override, match):
+        # chains: true ran as P = int(True) = 1, and record_timing took any
+        # value; a key the profile holds a bool at takes a bool only
+        with pytest.raises(ConfigError, match=match):
+            load_config(profile="ci", overrides=override)
+        load_config(profile="ci", overrides={"record_timing": False})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="pilot_length"):
@@ -440,7 +453,8 @@ def nets(trained_net):
 class TestRunTrial:
     def test_trial_metrics(self, mini_cfg, nets):
         seq = np.random.SeedSequence(entropy=1, spawn_key=(0,))
-        out = run_trial(mini_cfg, nets, "snr", 8.0, seq)
+        fixed, geom, _ = point_trials(mini_cfg, "snr", 8.0, 0)
+        out = run_trial(mini_cfg, nets, fixed, geom, seq)
         assert set(out) == {"mp-hybrid", "ls", "known-location", "crlb"}
         assert out["mp-hybrid"]["ok"]
         assert out["mp-hybrid"]["nmse_h"] < out["ls"]["nmse_h"]
@@ -451,12 +465,26 @@ class TestRunTrial:
     def test_trial_reproducible(self, mini_cfg, nets):
         # two equal sequences, then a second call on the same sequence object
         seq = np.random.SeedSequence(entropy=7, spawn_key=(0,))
-        outs = [run_trial(mini_cfg, nets, "snr", 8.0, s) for s in
+        fixed, geom, _ = point_trials(mini_cfg, "snr", 8.0, 0)
+        outs = [run_trial(mini_cfg, nets, fixed, geom, s) for s in
                 (np.random.SeedSequence(entropy=7, spawn_key=(0,)), seq, seq)]
         for out in outs:
             for name in ("mp-hybrid", "ls", "known-location"):
                 del out[name]["wall_s"]
         assert outs[0] == outs[1] == outs[2]
+
+    def test_mp_outcome_holds_the_estimate_without_its_channel(self, mini_cfg,
+                                                              nets):
+        fixed, geom, seqs = point_trials(mini_cfg, "snr", 8.0, 0)
+        out = run_trial(mini_cfg, nets, fixed, geom, seqs[0])["mp-hybrid"]
+        p1 = _draw_trial(mini_cfg, geom, fixed, seqs[0])[1]
+        assert set(out) == {"ok", "nmse_h", "nmse_p", "position", "iterations",
+                            "converged", "wall_s"}
+        assert (float(np.sum((np.asarray(out["position"]) - p1) ** 2))
+                / float(np.sum(p1 ** 2)) == out["nmse_p"])
+        assert 1 <= out["iterations"] <= mini_cfg["estimator"]["max_iters"]
+        assert isinstance(out["converged"], bool)
+        assert max(np.size(v) for v in out.values()) == 3
 
     def test_draw_children_are_those_of_a_first_spawn(self, mini_cfg):
         seq = np.random.SeedSequence(entropy=7, spawn_key=(0, 3), pool_size=8)
@@ -468,7 +496,8 @@ class TestRunTrial:
         assert seq.n_children_spawned == 0
 
     def test_chains_variable_runs_hybrid_receiver(self, mini_cfg, nets):
-        out = run_trial(mini_cfg, nets, "chains", 24,
+        fixed, geom, _ = point_trials(mini_cfg, "chains", 24, 0)
+        out = run_trial(mini_cfg, nets, fixed, geom,
                         np.random.SeedSequence(entropy=2, spawn_key=(0,)))
         assert out["mp-hybrid"]["ok"]
         assert out["mp-hybrid"]["nmse_h"] < 10 ** (-2.5)
@@ -476,6 +505,29 @@ class TestRunTrial:
 
 
 class TestRunPointAndSweep:
+    def test_crlb_rows_and_run_point_draw_the_same_trials(self, mini_cfg, nets,
+                                                          monkeypatch):
+        # behind a combiner, so that the combiner draws are compared too
+        cfg = _deep_merge(mini_cfg, {"fixed": {"chains": 16},
+                                     "estimators": ["ls"]})
+        draw, draws = harness._draw_trial, []
+
+        def recorded(*args):
+            out = draw(*args)
+            draws.append(out[1:])
+            return out
+
+        monkeypatch.setattr(harness, "_draw_trial", recorded)
+        crlb_rows(cfg, nets["exact"])
+        by_crlb, draws[:] = list(draws), []
+        run_point(cfg, nets, "snr", cfg["sweep"]["values"][0], 0)
+        assert len(by_crlb) == len(draws) == cfg["trials"]
+        assert not np.array_equal(draws[0][0], draws[1][0])
+        for (p1, s1, f1), (p2, s2, f2) in zip(by_crlb, draws):
+            assert np.array_equal(p1, p2)
+            assert np.array_equal(s1.matrix, s2.matrix)
+            assert np.array_equal(f1, f2)
+
     def test_rows_shape_and_order(self, mini_cfg, nets):
         rows = run_point(mini_cfg, nets, "snr", 8.0, 0)
         assert [r["estimator"] for r in rows] == mini_cfg["estimators"]
@@ -717,6 +769,22 @@ class TestCli:
         assert "wave.frequency (a finite number, got inf)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "crlb.csv").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("crlb", {"wave": {"frequency": 10**400}}, "wave.frequency (a finite"),
+        ("point", {"estimator": {"grid_points": 10**400}},
+         "estimator.grid_points (an integer")], ids=["frequency", "grid-points"])
+    def test_number_too_large_for_a_float_exit_code(self, tmp_path, command,
+                                                    override, key):
+        # each validated, then died in the run: crlb with an OverflowError
+        # in load_nets' float(), point in the init's np.arange
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(override))
+        proc = self._run(command, "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"config error: config values of the wrong type: {key}")
+        assert "Traceback" not in proc.stderr
 
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"
@@ -1044,7 +1112,7 @@ class TestBenchPairs:
         # peak_rss_mb (BASE 51 + s / 100, NEW 48 + s / 100) and a trial_s
         # whose sides overlap (BASE 1 + s / 10, NEW 1.4 - s / 10)
         for side, rss, trial in (("base", "51 + s / 100", "1 + s / 10"),
-                                 ("new", "48 + s / 100", "1.4 - s / 10")):
+                                 ("next", "48 + s / 100", "1.4 - s / 10")):
             bench = tmp_path / side / "perfbench"
             bench.mkdir(parents=True)
             (bench / "run.py").write_text(
@@ -1056,7 +1124,7 @@ class TestBenchPairs:
         (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
             {"name": "peak_rss_mb", "bound": 0.05, "better": "lower"},
             {"name": "trial_s", "bound": 0.25, "better": "lower"}]}))
-        assert script.main([str(tmp_path / "base"), str(tmp_path / "new"),
+        assert script.main([str(tmp_path / "base"), str(tmp_path / "next"),
                             "--workload", "w", "--seeds", "1-3"]) == 0
         out = capsys.readouterr().out
         rss, trial = out.split("\npeak_rss_mb")[1].split("\ntrial_s")
@@ -1067,6 +1135,22 @@ class TestBenchPairs:
                          rss, re.M)
         assert "every new run lower than every base run: yes" in rss
         assert "every new run lower than every base run: no" in trial
+
+    def test_checkout_paths_of_unequal_length_refused(self, script, tmp_path,
+                                                     capsys):
+        # two copies of one commit, at paths that differed only in length,
+        # read peak_rss_mb 0.2 MB apart on ci-digital-cold
+        for side in ("base", "longer"):
+            (tmp_path / side / "perfbench").mkdir(parents=True)
+            (tmp_path / side / "perfbench" / "run.py").write_text(
+                "raise SystemExit('not run')\n")
+        (tmp_path / "base" / "BENCHMARK.json").write_text('{"end_to_end": []}')
+        with pytest.raises(SystemExit) as exc:
+            script.main([str(tmp_path / "base"), str(tmp_path / "longer"),
+                         "--workload", "w", "--seeds", "1-2"])
+        assert exc.value.code == 2
+        n = len(str((tmp_path / "base").resolve()))
+        assert f"paths are {n} and {n + 2} characters long" in capsys.readouterr().err
 
     def test_bounds_read_from_benchmark_file(self, script):
         root = self.SCRIPT.parents[1]
