@@ -53,10 +53,14 @@ def _gram_re(s: np.ndarray, dh: np.ndarray) -> np.ndarray:
 def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
         gamma: float, wave: WaveConfig = None, f: np.ndarray = None) -> np.ndarray:
     """Fisher information matrix (3, 3) of the position at precision gamma,
-    behind the combiner F (P, M) if one is given."""
+    behind the combiner F (P, M) if one is given.  ``wave`` is only checked
+    against the net's own carrier, by which the channel rotates."""
     _check_net(net)
-    wave = wave or WaveConfig(net.frequency)
-    _, dh = stacked_channel(net, geom, p1, wave, order=1, f=f)
+    if wave is not None and not np.isclose(wave.frequency, net.frequency,
+                                           rtol=1e-9, atol=0.0):
+        raise ValueError(f"wave is at {wave.frequency:.6g} Hz, but the "
+                         f"surrogate was trained at {net.frequency:.6g} Hz")
+    _, dh = stacked_channel(net, geom, p1, order=1, f=f)
     # F_ab = 2 gamma sum_m Re{ dh[:,m,a]^H (S^H S) dh[:,m,b] }
     info = 2.0 * gamma * _gram_re(s, dh)
     return 0.5 * (info + info.T)
@@ -80,29 +84,26 @@ def crlb_position_normalized(fi: np.ndarray, p1) -> float:
 # --- validation path: likelihood, score and pre-expectation Hessian -------
 
 
-def log_likelihood(p1, y, s, net, geom, gamma, wave=None) -> float:
+def log_likelihood(p1, y, s, net, geom, gamma) -> float:
     """Gaussian log-likelihood of Y = S H(p) + W up to an additive constant."""
-    wave = wave or WaveConfig(net.frequency)
-    h = stacked_channel(net, geom, p1, wave)
+    h = stacked_channel(net, geom, p1)
     return float(-gamma * np.linalg.norm(y - s @ h) ** 2)
 
 
-def score(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
+def score(p1, y, s, net, geom, gamma) -> np.ndarray:
     """Gradient (3,) of the log-likelihood at p1."""
-    wave = wave or WaveConfig(net.frequency)
-    h, dh = stacked_channel(net, geom, p1, wave, order=1)
+    h, dh = stacked_channel(net, geom, p1, order=1)
     back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
     return 2.0 * gamma * (dh.reshape(back.size, 3).conj().T @ back).real
 
 
-def hessian(p1, y, s, net, geom, gamma, wave=None) -> np.ndarray:
+def hessian(p1, y, s, net, geom, gamma) -> np.ndarray:
     """Pre-expectation Hessian (3, 3) of the log-likelihood at p1.
 
     Retains the data-dependent term through the second channel
     derivatives; its expectation over Y equals -fim(p1, ...).
     """
-    wave = wave or WaveConfig(net.frequency)
-    h, dh, d2h = stacked_channel(net, geom, p1, wave, order=2)
+    h, dh, d2h = stacked_channel(net, geom, p1, order=2)
     back = (s.conj().T @ (y - s @ h)).ravel()        # S^H (Y - S H), flattened
     gram_term = -2.0 * gamma * _gram_re(s, dh)
     data_term = 2.0 * gamma * (d2h.reshape(back.size, 9).conj().T

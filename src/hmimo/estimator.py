@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hmimo.geometry import SurfaceGeometry
-from hmimo.green import WaveConfig
 from hmimo.signals import UnitaryModel
 from hmimo.surrogate import (EXPANSION_BASIS, HybridNet, expanded_channel,
                              expansion_terms, stacked_channel, term_coefficients)
@@ -182,8 +181,7 @@ class Linearization:
 
 
 def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
-                     wave: WaveConfig, f: np.ndarray = None,
-                     scale: float = 1.0) -> Linearization:
+                     f: np.ndarray = None, scale: float = 1.0) -> Linearization:
     """Expand the surrogate channel around the location p1, behind the
     combiner ``f`` (P, M) if one is given, in units of ``scale``.
 
@@ -193,7 +191,7 @@ def taylor_linearize(net: HybridNet, geom: SurfaceGeometry, p1,
     intercept xi = g - dg . p1 is formed on the stacked arrays.
     """
     p1 = np.asarray(p1, dtype=float)
-    g, dg = stacked_channel(net, geom, p1, wave, 1, f)
+    g, dg = stacked_channel(net, geom, p1, 1, f)
     g /= scale
     dg /= scale
     return Linearization(h=g, dh=dg, xi=g - dg @ p1)
@@ -368,7 +366,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, 1, -1) @ b.reshape(n, -1, 1))[:, 0, 0]
 
 
-def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
+def _moment_sums(net, geom, ref: _Reference, p1s, w_c, w_r=None):
     """The full-digital init's sums at B locations, from moments of the
     expansion basis instead of per-pair channel arrays.
 
@@ -396,7 +394,7 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     runs per location, so that a location's sums do not depend on the
     batch.
     """
-    k0 = wave.wavenumber
+    k0 = net.wave.wavenumber
     offsets, offsets2, monomials, gram = _moment_tables(geom)
     c_rel, c, c1 = term_coefficients(net, geom, p1s)
     b = len(c)
@@ -463,10 +461,10 @@ def _moment_sums(net, geom, ref: _Reference, p1s, wave, w_c, w_r=None):
     return norm2, inner, half + half.transpose(0, 2, 1), grad
 
 
-def _array_sums(net, geom, ref: _Reference, p1s, wave, f, order):
+def _array_sums(net, geom, ref: _Reference, p1s, f, order):
     """The sums of ``_chunked_sums`` behind the combiner ``f``, over the
     ``expanded_channel`` arrays g of the locations p1s, one product each."""
-    out = expanded_channel(net, geom, p1s, wave, order, f)
+    out = expanded_channel(net, geom, p1s, order, f)
     g = (out[0] if order else out).reshape(len(p1s), 1, -1)
     gv = g.view(float)
     # <g, h_ref> is the conjugate of sum g conj(h_ref)
@@ -483,7 +481,7 @@ def _array_sums(net, geom, ref: _Reference, p1s, wave, f, order):
     return tuple(sums)
 
 
-def _chunked_sums(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
+def _chunked_sums(net, geom, ref: _Reference, p1s, f=None, order=0):
     """The init's sums at p1s (B, 3), chunk by chunk: ||model||^2 and
     <model, h_ref> (B,) and, at ``order`` 1, J^H J (B, 3, 3) and
     Re J^H (model - h_ref) (B, 3) of the model's Jacobian J.  Without a
@@ -497,29 +495,29 @@ def _chunked_sums(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
         rows, pairs = chunks[-1].stop - chunks[-1].start, geom.n_patches * geom.m_patches
         w_c = np.empty((rows, pairs), dtype=complex)
         w_r = np.empty((rows, 2, pairs)) if order else None
-        parts = [_moment_sums(net, geom, ref, p1s[sl], wave, w_c, w_r) for sl in chunks]
+        parts = [_moment_sums(net, geom, ref, p1s[sl], w_c, w_r) for sl in chunks]
     else:
-        parts = [_array_sums(net, geom, ref, p1s[sl], wave, f, order) for sl in chunks]
+        parts = [_array_sums(net, geom, ref, p1s[sl], f, order) for sl in chunks]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _envelope_scores(net, geom, ref: _Reference, p1s, wave, f=None):
+def _envelope_scores(net, geom, ref: _Reference, p1s, f=None):
     """Envelope correlation |<model(p), h_ref>| / (|model(p)| |h_ref|), (B,).
 
     A location whose prediction vanishes scores 0.
     """
-    norm2, inner = _chunked_sums(net, geom, ref, p1s, wave, f)
+    norm2, inner = _chunked_sums(net, geom, ref, p1s, f)
     denom = np.sqrt(np.maximum(norm2, 0.0) * ref.norm2)
     return np.abs(inner / np.where(denom == 0, np.inf, denom))
 
 
-def _fit(net, geom, ref: _Reference, p1s, wave, f=None, order=0):
+def _fit(net, geom, ref: _Reference, p1s, f=None, order=0):
     """Squared residual ||model(p) - h_ref||^2 at each of B locations, (B,),
     and at ``order`` 1 also the Gauss-Newton matrix J^H J (B, 3, 3) and the
     gradient Re J^H (model - h_ref) (B, 3)."""
-    norm2, inner, *normal = _chunked_sums(net, geom, ref, p1s, wave, f, order)
+    norm2, inner, *normal = _chunked_sums(net, geom, ref, p1s, f, order)
     cost = norm2 - 2.0 * inner.real + ref.norm2
     return (cost, *normal) if order else cost
 
@@ -540,7 +538,7 @@ def _solve_each(a: np.ndarray, rhs: np.ndarray):
         return x, ok
 
 
-def _refine_batch(net, geom, ref: _Reference, p0s, wave, f=None):
+def _refine_batch(net, geom, ref: _Reference, p0s, f=None):
     """Levenberg-style local fit of B starting locations (B, 3) to h_ref.
 
     Every start is an independent fit with its own damping, previous cost
@@ -557,7 +555,7 @@ def _refine_batch(net, geom, ref: _Reference, p0s, wave, f=None):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        cost, a, g = _fit(net, geom, ref, p[idx], wave, f, order=1)
+        cost, a, g = _fit(net, geom, ref, p[idx], f, order=1)
         diag_max = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
         mu[idx] = (np.where(mu[idx] == 0.0, 1e-3 * diag_max, mu[idx])
                    * np.where(cost > prev_cost[idx], 10.0, 0.3))
@@ -567,7 +565,7 @@ def _refine_batch(net, geom, ref: _Reference, p0s, wave, f=None):
         p[idx] += step
         prev_cost[idx] = cost[ok]
         live[idx[np.linalg.norm(step, axis=1) < _REFINE_STEP_TOL]] = False
-    return p, _fit(net, geom, ref, p, wave, f)
+    return p, _fit(net, geom, ref, p, f)
 
 
 class _OutOfCalls(Exception):
@@ -623,8 +621,7 @@ def _nelder_mead(fun, x0, xatol, fatol, maxfev):
 
 
 def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
-                     cfg: EstimatorConfig, wave: WaveConfig,
-                     f: np.ndarray = None):
+                     cfg: EstimatorConfig, f: np.ndarray = None):
     """Locate the prior-box point whose model prediction best matches h_ref.
 
     The search is staged.  A coarse grid plus one refinement maximize the
@@ -653,13 +650,13 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     """
     ref = _Reference.of(geom, h_ref, f)
     cands, _ = _grid_candidates(cfg)
-    scores = _envelope_scores(net, geom, ref, cands, wave, f)
+    scores = _envelope_scores(net, geom, ref, cands, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]
     xy = _nelder_mead(
-        lambda p: -_envelope_scores(net, geom, ref, p[None], wave, f)[0],
+        lambda p: -_envelope_scores(net, geom, ref, p[None], f)[0],
         coarse, xatol=1e-3, fatol=1e-10, maxfev=300)
 
-    lam = wave.wavelength
+    lam = net.wave.wavelength
     z_lo, z_hi = cfg.prior_z
     teeth = np.arange(z_lo, z_hi + lam / 2, lam)
     # every tooth gets at most _REFINE_STEPS Levenberg-Marquardt steps, and
@@ -667,7 +664,7 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     # ranked on their costs (see ROADMAP.md, open item 4)
     starts = np.column_stack([np.full(teeth.size, xy[0]),
                               np.full(teeth.size, xy[1]), teeth])
-    p_hat, costs = _refine_batch(net, geom, ref, starts, wave, f)
+    p_hat, costs = _refine_batch(net, geom, ref, starts, f)
     valid = np.isfinite(costs) & np.all(np.isfinite(p_hat), axis=1)
     if np.any(valid):
         best_p = p_hat[np.argmin(np.where(valid, costs, np.inf))]
@@ -728,8 +725,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     ``h_true`` is optional and only feeds the iteration trace.
     """
     cfg = cfg or EstimatorConfig()
-    wave = WaveConfig(net.frequency)
-    channel = functools.partial(stacked_channel, net, geom, wave=wave)
+    channel = functools.partial(stacked_channel, net, geom)
     scale = _working_scale(net)
     # the model in working units; its |Phi|^2 and Phi^H are formed once here
     work = UnitaryModel(phi=model.phi, r=model.r / scale,
@@ -741,11 +737,10 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
         _, spacing = _grid_candidates(cfg)
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
-        p0, var0 = grid_search_init(net, geom, unitary_ls_estimate(model), cfg,
-                                    wave, f=f)
+        p0, var0 = grid_search_init(net, geom, unitary_ls_estimate(model), cfg, f=f)
 
     loc = init_location_state(p0, var0)
-    lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
+    lin = taylor_linearize(net, geom, loc.mean, f, scale)
     amp = UampState.from_prior(*location_prior(lin, loc), work.phi.shape[0])
     trace = []
     converged = False
@@ -768,7 +763,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
                 converged = True
                 break
             if it < cfg.max_iters:
-                lin = taylor_linearize(net, geom, loc.mean, wave, f, scale)
+                lin = taylor_linearize(net, geom, loc.mean, f, scale)
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} (iteration {it})", trace) from exc
 

@@ -16,12 +16,13 @@ import time
 import numpy as np
 
 from hmimo.geometry import SurfaceGeometry
-from hmimo.green import WaveConfig, QuadratureRule, full_channel
+from hmimo.green import QuadratureRule, SingularityError, WaveConfig, full_channel
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
                              generate_training_set, min_training_samples,
                              stacked_channel, train)
-from hmimo.signals import (combine_channel, gen_combiner, gen_pilots,
-                           noise_precision, simulate_rx, unitary_transform)
+from hmimo.signals import (PreprocessError, combine_channel, gen_combiner,
+                           gen_pilots, noise_precision, simulate_rx,
+                           unitary_transform)
 from hmimo.estimator import (EstimatorConfig, NumericalFailure,
                              estimate_full_digital, estimate_hybrid,
                              unitary_ls_estimate)
@@ -64,7 +65,7 @@ PROFILES = {
         "estimators": ["mp-hybrid", "ls", "known-location"],
         "estimator": {"max_iters": 50, "tol": 1e-6, "grid_points": 9},
         "training": {"samples": 20000, "hidden_count": 50, "epochs": 150,
-                     "quadrature_order": 4, "seed": 3, "sample_seed": 11},
+                     "seed": 3, "sample_seed": 11},
         "seed": 0,
         "record_timing": True,
         "paths": {"weights": "weights.json",
@@ -245,8 +246,6 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"patch count {v} is not a square")
     _check_built("wave", WaveConfig, cfg["wave"]["frequency"])
     _check_built("quadrature_order", QuadratureRule, cfg["quadrature_order"])
-    _check_built("training.quadrature_order", QuadratureRule,
-                 training["quadrature_order"])
     for v in [None, *patch_counts]:
         _check_built("geometry", build_geometry, cfg, v)
     _check_built("estimator", estimator_config, cfg)
@@ -292,12 +291,13 @@ def _surrogate_users(cfg: dict) -> dict:
 
 def training_data(cfg: dict, target="quadrature"):
     """(inputs, targets) of the config's training set for the ``target``
-    channel, "quadrature" or "approx", over the box that its prior reaches."""
+    channel, "quadrature" (at the truth oracle's ``quadrature_order``) or
+    "approx", over the box that its prior reaches."""
     t, prior = cfg["training"], cfg["prior"]
     geom = build_geometry(cfg)
     box = CoordinateBox.from_prior(geom, *(tuple(prior[a]) for a in "xyz"))
     return generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
-                                 QuadratureRule(t["quadrature_order"]),
+                                 QuadratureRule(cfg["quadrature_order"]),
                                  t["samples"], seed=t["sample_seed"],
                                  channel=target)
 
@@ -370,17 +370,22 @@ def run_trial(cfg, nets, fixed, geom, seed_seq):
     ``geom``.  Every estimator sees the identical (H, S, W) realization;
     each maps to nmse_h and nmse_p (None without a location), an mp one
     also to its estimate's position, iterations and converged.  The
-    normalized CRLB at the realized position and precision is "crlb"."""
-    wave = WaveConfig(cfg["wave"]["frequency"])
+    normalized CRLB at the realized position and precision is "crlb".
+    A SingularityError or PreprocessError of the draw, the oracle, the
+    simulation or the unitary preprocessing fails the trial for every
+    estimator, with its error, and makes "crlb" NaN."""
     quad = QuadratureRule(cfg["quadrature_order"])
-    seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seed_seq)
-    h_true = full_channel(geom, p1, wave, quad).stacked
-    snr_db = float(fixed["snr"])
+    try:
+        seeds, p1, pilots, f = _draw_trial(cfg, geom, fixed, seed_seq)
+        h_true = full_channel(geom, p1, WaveConfig(cfg["wave"]["frequency"]),
+                              quad).stacked
+        y, gamma = simulate_rx(combine_channel(f, h_true), pilots,
+                               float(fixed["snr"]), seed=seeds[2])
+        model = unitary_transform(pilots.matrix, y)
+    except (SingularityError, PreprocessError) as exc:
+        return {**{name: {"ok": False, "error": str(exc), "wall_s": 0.0}
+                   for name in cfg["estimators"]}, "crlb": float("nan")}
     ecfg = estimator_config(cfg)
-
-    y, gamma = simulate_rx(combine_channel(f, h_true), pilots, snr_db,
-                           seed=seeds[2])
-    model = unitary_transform(pilots.matrix, y)
 
     ref_power = np.linalg.norm(h_true) ** 2
     p_power = float(np.sum(p1 ** 2))
@@ -404,7 +409,7 @@ def run_trial(cfg, nets, fixed, geom, seed_seq):
                 nmse_h = np.linalg.norm(h_ls - h_true) ** 2 / ref_power
                 row = {"nmse_p": None}
             elif name == "known-location":
-                h_model = stacked_channel(nets["exact"], geom, p1, wave)
+                h_model = stacked_channel(nets["exact"], geom, p1)
                 nmse_h = np.linalg.norm(h_model - h_true) ** 2 / ref_power
                 row = {"nmse_p": None}
             else:  # pragma: no cover - guarded by validate_config
@@ -415,18 +420,18 @@ def run_trial(cfg, nets, fixed, geom, seed_seq):
             results[name] = {"ok": False, "error": str(exc),
                              "wall_s": time.perf_counter() - t0}
 
-    results["crlb"] = _draw_bound(p1, nets["exact"], geom, pilots, gamma, wave, f)
+    results["crlb"] = _draw_bound(p1, nets["exact"], geom, pilots, gamma, f)
     return results
 
 
-def _draw_bound(p1, net, geom, pilots, gamma, wave, f) -> float:
+def _draw_bound(p1, net, geom, pilots, gamma, f) -> float:
     """Normalized CRLB of one trial draw; NaN where gamma is not finite
     (noiseless data) or the information matrix is singular."""
     if not np.isfinite(gamma):
         return float("nan")
     try:
         return crlb_position_normalized(
-            fim(p1, net, geom, pilots.matrix, gamma, wave, f), p1)
+            fim(p1, net, geom, pilots.matrix, gamma, f=f), p1)
     except SingularInformationError:
         return float("nan")
 
@@ -462,7 +467,8 @@ def run_point(cfg, nets, variable, value, point_seed) -> list:
         failed = trials - len(ok)
         if not ok:
             raise NumericalFailure(
-                f"all {trials} trials failed for {name} at {variable}={value}")
+                f"all {trials} trials failed for {name} at {variable}={value} "
+                f"(first error: {outcomes[0][name]['error']})")
         nmse_h_db, nmse_h_se = _mean_stderr_db([o["nmse_h"] for o in ok])
         p_vals = [o["nmse_p"] for o in ok if o["nmse_p"] is not None]
         if p_vals:
@@ -536,7 +542,6 @@ def load_nets(cfg) -> dict:
 def crlb_rows(cfg, net) -> list:
     """Normalized CRLB per sweep point, averaged over prior draws."""
     variable = cfg["sweep"]["variable"]
-    wave = WaveConfig(cfg["wave"]["frequency"])
     rows = []
     for idx, value in enumerate(cfg["sweep"]["values"]):
         fixed, geom, seqs = point_trials(cfg, variable, value, idx)
@@ -544,9 +549,9 @@ def crlb_rows(cfg, net) -> list:
         for seq in seqs:
             _, p1, pilots, f = _draw_trial(cfg, geom, fixed, seq)
             # gamma is referenced to the (combined) surrogate channel at p1
-            h_model = stacked_channel(net, geom, p1, wave, f=f)
+            h_model = stacked_channel(net, geom, p1, f=f)
             gamma = noise_precision(pilots.matrix @ h_model, float(fixed["snr"]))
-            vals.append(_draw_bound(p1, net, geom, pilots, gamma, wave, f))
+            vals.append(_draw_bound(p1, net, geom, pilots, gamma, f))
         n_ok = int(np.sum(np.isfinite(vals)))
         rows.append({**dict.fromkeys(CSV_COLUMNS, float("nan")),
                      "sweep_var": variable, "sweep_value": value,

@@ -71,6 +71,11 @@ class HybridNet:
     def hidden_count(self) -> int:
         return self.w1.shape[0]
 
+    @property
+    def wave(self) -> WaveConfig:
+        """The carrier of ``frequency``, by which every channel query rotates."""
+        return WaveConfig(self.frequency)
+
     @functools.cached_property
     def _partials_block(self):
         """The network's one output layer, built once per net and read by
@@ -215,7 +220,7 @@ def _rotate(phi, rel: np.ndarray, wave: WaveConfig):
     return tuple(phi)
 
 
-def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int):
+def channel_derivs(net: HybridNet, xyz: np.ndarray, order: int):
     """Channel h = phi * exp(i k0 r) and its partials up to ``order``.
 
     Returns (h, dh, d2h)[:order + 1], complex of shapes (K, 6), (K, 6, 3)
@@ -224,26 +229,26 @@ def channel_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig, order: int
     through them, they equal the partials w.r.t. the transmit position.
     """
     xyz = np.atleast_2d(xyz)
-    return _rotate(_output_partials(net, xyz, order), xyz[:, None], wave)
+    return _rotate(_output_partials(net, xyz, order), xyz[:, None], net.wave)
 
 
-def hybrid_channel(net: HybridNet, xyz: np.ndarray, wave: WaveConfig) -> np.ndarray:
+def hybrid_channel(net: HybridNet, xyz: np.ndarray) -> np.ndarray:
     """Channel components h as complex (K, 6)."""
-    return channel_derivs(net, xyz, wave, 0)[0]
+    return channel_derivs(net, xyz, 0)[0]
 
 
-def channel_first_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
+def channel_first_derivs(net: HybridNet, xyz: np.ndarray):
     """Channel values and first partials, (h, dh)."""
-    return channel_derivs(net, xyz, wave, 1)
+    return channel_derivs(net, xyz, 1)
 
 
-def channel_second_derivs(net: HybridNet, xyz: np.ndarray, wave: WaveConfig):
+def channel_second_derivs(net: HybridNet, xyz: np.ndarray):
     """Channel values plus first and mixed second partials, (h, dh, d2h)."""
-    return channel_derivs(net, xyz, wave, 2)
+    return channel_derivs(net, xyz, 2)
 
 
-def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
-                    order: int = 0, f: np.ndarray = None):
+def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, order: int = 0,
+                    f: np.ndarray = None):
     """Surrogate channel at the transmit location p1, in the stacked layout.
 
     ``p1`` is one location (3,) or a stack of them (..., 3).  Rows follow
@@ -258,7 +263,7 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
     # the names are looked up per call, so a rebound module attribute is used
     pair_fn = (hybrid_channel, channel_first_derivs, channel_second_derivs)[order]
-    return stacked_pairs(lambda rel: pair_fn(net, rel, wave), geom, p1, f)
+    return stacked_pairs(lambda rel: pair_fn(net, rel), geom, p1, f)
 
 
 # The basis b_t = f dx^a dy^b of the expansion in the pair offsets, as
@@ -347,8 +352,8 @@ def term_coefficients(net: HybridNet, geom: SurfaceGeometry, p1):
             np.take(out, _COEF1_COLUMNS, axis=1))
 
 
-def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig,
-                     order: int = 0, f: np.ndarray = None):
+def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, order: int = 0,
+                     f: np.ndarray = None):
     """``stacked_channel`` at orders 0 and 1, with the network evaluated once
     per location instead of once per patch pair.
 
@@ -383,7 +388,7 @@ def expanded_channel(net: HybridNet, geom: SurfaceGeometry, p1, wave: WaveConfig
         dphi = (coef1.reshape(-1, 18, 3).view(float) @ basis[:6]).view(complex)
         phi.append(np.moveaxis(dphi.reshape(-1, 3, 6, n * m), 1, -1))
     parts = [a.reshape(lead + (6 * n, m) + a.shape[3:])
-             for a in _rotate(phi, np.moveaxis(rel[:, :, None], 0, -1), wave)]
+             for a in _rotate(phi, np.moveaxis(rel[:, :, None], 0, -1), net.wave)]
     if order == 0:
         return combine_channel(f, parts[0])
     return tuple(combine_channel(f, a, trailing=k) for k, a in enumerate(parts))

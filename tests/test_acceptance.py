@@ -110,7 +110,7 @@ def test_criterion_3_estimator_ordering(ordering_rows):
 
 
 def test_criterion_4_crlb_bound_property(ordering_rows, trained_net,
-                                         small_geometry, wave):
+                                         small_geometry):
     row = ordering_rows["mp-hybrid"]
     # mean squared position error must not beat the bound by more than 3
     # standard errors of the trial mean
@@ -119,8 +119,8 @@ def test_criterion_4_crlb_bound_property(ordering_rows, trained_net,
     bound_ok = mse_db >= row["crlb_db"] - slack_db
     s = gen_pilots(small_geometry.n_patches, 100, seed=1).matrix
     p = np.array([0.37, -0.51, 27.3])
-    f1 = fim(p, trained_net, small_geometry, s, 1e8, wave)
-    f10 = fim(p, trained_net, small_geometry, s, 1e9, wave)
+    f1 = fim(p, trained_net, small_geometry, s, 1e8)
+    f10 = fim(p, trained_net, small_geometry, s, 1e9)
     linear_ok = np.allclose(f10, 10.0 * f1, rtol=1e-12)
     ok = bound_ok and linear_ok
     _report(4, ok, f"NMSE_p {mse_db:.1f} dB >= CRLB {row['crlb_db']:.1f} dB "
@@ -149,7 +149,7 @@ def test_criterion_5_degenerate_reduction(trained_net, small_geometry,
     assert ok
 
 
-def test_criterion_6_noiseless_oracles(trained_net, small_geometry, wave,
+def test_criterion_6_noiseless_oracles(trained_net, small_geometry,
                                        true_channel, true_position):
     pilots = gen_pilots(small_geometry.n_patches, 100, seed=7)
     s = pilots.matrix
@@ -173,7 +173,7 @@ def test_criterion_6_noiseless_oracles(trained_net, small_geometry, wave,
 
     # (c) initialized at the truth on model-consistent noiseless data, the
     # final position estimate stays at the truth
-    h_model = _model_stacked(trained_net, small_geometry, true_position, wave)
+    h_model = _model_stacked(trained_net, small_geometry, true_position)
     y_model, _ = simulate_rx(h_model, pilots, np.inf, seed=0)
     res = estimate_full_digital(unitary_transform(s, y_model), trained_net,
                                 small_geometry,
@@ -205,17 +205,17 @@ def test_criterion_7_derivative_suite(trained_net, small_geometry, wave,
                         frequency=wave.frequency)
         p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                       rng.uniform(20, 40)])
-        h, dh = channel_first_derivs(net, p, wave)
-        _, _, d2h = channel_second_derivs(net, p, wave)
+        h, dh = channel_first_derivs(net, p)
+        _, _, d2h = channel_second_derivs(net, p)
         scale = np.abs(h).max()
         for a in range(3):
-            fd1 = (hybrid_channel(net, p + eps * eye[a], wave)
-                   - hybrid_channel(net, p - eps * eye[a], wave)) / (2 * eps)
+            fd1 = (hybrid_channel(net, p + eps * eye[a])
+                   - hybrid_channel(net, p - eps * eye[a])) / (2 * eps)
             worst1 = max(worst1, np.abs(dh[0, :, a] - fd1[0]).max()
                          / np.abs(fd1).max())
             # directional finite difference of the analytic gradient
-            fd2 = (channel_first_derivs(net, p + eps * eye[a], wave)[1]
-                   - channel_first_derivs(net, p - eps * eye[a], wave)[1]) \
+            fd2 = (channel_first_derivs(net, p + eps * eye[a])[1]
+                   - channel_first_derivs(net, p - eps * eye[a])[1]) \
                 / (2 * eps)
             worst2 = max(worst2, np.abs(d2h[0, :, :, a] - fd2[0]).max()
                          / np.abs(fd2).max())
@@ -223,10 +223,10 @@ def test_criterion_7_derivative_suite(trained_net, small_geometry, wave,
 
     # FIM versus empirical score covariance
     s = gen_pilots(small_geometry.n_patches, 60, seed=21).matrix
-    h = _model_stacked(trained_net, small_geometry, true_position, wave)
+    h = _model_stacked(trained_net, small_geometry, true_position)
     gamma = 1.0 / (np.abs(h) ** 2).mean()
     y0 = s @ h
-    f = fim(true_position, trained_net, small_geometry, s, gamma, wave)
+    f = fim(true_position, trained_net, small_geometry, s, gamma)
     rng = np.random.default_rng(5)
     scores = []
     for _ in range(1000):

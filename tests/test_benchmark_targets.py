@@ -1,11 +1,12 @@
 """The benchmark's tracer wraps hmimo functions by module and name, and
-its workloads build hmimo configs.
+its workloads build hmimo configs and call hmimo functions.
 
 ``perfbench/layers.py`` lists the wrapped functions in ``TARGETS``, and
-``perfbench/workloads.py`` sets config keys; a function renamed or deleted
-here, or a key the config no longer accepts, would otherwise surface only
-as a crash of a benchmark run.  Both modules are imported read-only,
-without installing any wrapper.
+``perfbench/workloads.py`` sets config keys and runs the trials; a function
+renamed or deleted here, a parameter it no longer takes, or a key the
+config no longer accepts, would otherwise surface only as a crash of a
+benchmark run.  Both modules are imported read-only, without installing
+any wrapper.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmimo import surrogate
+from hmimo import harness, surrogate
 from hmimo.green import QuadratureRule, full_channel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,7 +51,26 @@ def test_workload_configs_load(tmp_path, name):
     assert (cfg["seed"], cfg["trials"]) == (1, 3)
 
 
-def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry, wave):
+# A net that trains in well under a second; the smoke run checks that the
+# trial code runs, not what it reads.
+TINY_TRAINING = {"samples": 800, "hidden_count": 4, "epochs": 2}
+
+
+@pytest.mark.parametrize("name, attempted", [("ci-digital-cold", 4),
+                                             ("paper-hybrid-warm", 2)])
+def test_workload_runs_one_trial(tmp_path, name, attempted):
+    # one trial of each workload's own trial code, on a tiny net trained on
+    # its config: an Outcome of (trial, estimator) pairs and CRLBs comes
+    # back, whatever the figures of so small a net
+    workloads = _perfbench_module("workloads")
+    cfg = workloads.config(name, 1, 1, tmp_path)
+    net, _ = harness.train_net(harness._deep_merge(cfg, {"training": TINY_TRAINING}))
+    out = workloads.run(name, cfg, {"exact": net})
+    assert isinstance(out, workloads.Outcome)
+    assert out.attempted == attempted
+
+
+def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry):
     # the tracer counts the grid init's jacobian_calls and forward_calls, and
     # the surrogate.*.points figures, on these module names; a stacked_channel
     # that called the kernel directly would leave them reading 0
@@ -74,8 +94,7 @@ def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry, wave):
         output_offset=np.zeros(12), output_scale=np.ones(12), frequency=3e9)
     for order, name in enumerate(names):
         calls.clear()
-        surrogate.stacked_channel(net, small_geometry, [0.1, -0.2, 25.0], wave,
-                                  order)
+        surrogate.stacked_channel(net, small_geometry, [0.1, -0.2, 25.0], order)
         assert calls == [name]
 
 

@@ -54,20 +54,20 @@ class TestFim:
         assert np.allclose(f10, 10.0 * f1, rtol=1e-12)
 
     def test_matches_einsum_reference(self, trained_net, small_geometry,
-                                      pilot_matrix, wave):
+                                      pilot_matrix):
         """The GEMM forms of fim and score equal the explicit Gram sums,
         fim also behind a P < M combiner."""
         p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
-        h, dh = stacked_channel(trained_net, small_geometry, p, wave, order=1)
+        h, dh = stacked_channel(trained_net, small_geometry, p, order=1)
         gram = pilot_matrix.conj().T @ pilot_matrix
         ref = 2.0 * gamma * np.einsum("kma,kl,lmb->ab", dh.conj(), gram, dh).real
-        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave)
+        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma)
         assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
         comb = gen_combiner(8, small_geometry.m_patches, seed=5)
         ref = 2.0 * gamma * np.einsum("kma,pm,kl,lnb,pn->ab", dh.conj(),
                                       comb.conj(), gram, dh, comb,
                                       optimize=True).real
-        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, wave, comb)
+        f = fim(p, trained_net, small_geometry, pilot_matrix, gamma, f=comb)
         assert np.linalg.norm(f - ref) <= 1e-12 * np.linalg.norm(ref)
         y0 = pilot_matrix @ h
         rng = np.random.default_rng(2)
@@ -76,17 +76,27 @@ class TestFim:
         ref = 2.0 * gamma * np.einsum("kma,kl,lm->a", dh.conj(),
                                       pilot_matrix.conj().T,
                                       y - y0).real
-        g = score(p, y, pilot_matrix, trained_net, small_geometry, gamma, wave)
+        g = score(p, y, pilot_matrix, trained_net, small_geometry, gamma)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_wave_is_only_checked(self, trained_net, small_geometry, pilot_matrix):
+        # the information rotates by the net's own carrier: a wave at the
+        # net's frequency changes nothing, one at another is refused
+        p = np.array([0.2, 0.4, 25.0])
+        f = fim(p, trained_net, small_geometry, pilot_matrix, 1e9)
+        assert np.array_equal(fim(p, trained_net, small_geometry, pilot_matrix,
+                                  1e9, trained_net.wave), f)
+        with pytest.raises(ValueError, match="^wave is at 6e\\+09 Hz, but the "
+                           "surrogate was trained at 3e\\+09 Hz$"):
+            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, WaveConfig(6e9))
+
     def test_identity_combiner_changes_nothing(self, trained_net,
-                                               small_geometry, pilot_matrix,
-                                               wave):
+                                               small_geometry, pilot_matrix):
         p = np.array([0.2, 0.4, 25.0])
         eye = np.eye(small_geometry.m_patches)
         assert np.array_equal(
-            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, wave, eye),
-            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, wave))
+            fim(p, trained_net, small_geometry, pilot_matrix, 1e9, f=eye),
+            fim(p, trained_net, small_geometry, pilot_matrix, 1e9))
 
     def test_untrained_net_rejected(self, trained_net, small_geometry,
                                     pilot_matrix):
@@ -103,11 +113,11 @@ class TestFim:
                 pilot_matrix, 1.0)
 
     def test_score_covariance_identity(self, trained_net, small_geometry,
-                                       pilot_matrix, true_position, wave):
+                                       pilot_matrix, true_position):
         """Empirical covariance of the score at the truth equals the FIM."""
         gamma = 1.0 / (np.abs(stacked_channel(
-            trained_net, small_geometry, true_position, wave)) ** 2).mean()
-        h = stacked_channel(trained_net, small_geometry, true_position, wave)
+            trained_net, small_geometry, true_position)) ** 2).mean()
+        h = stacked_channel(trained_net, small_geometry, true_position)
         y0 = pilot_matrix @ h
         f = fim(true_position, trained_net, small_geometry, pilot_matrix, gamma)
         rng = np.random.default_rng(5)
@@ -131,7 +141,7 @@ class TestGramRe:
     @pytest.mark.parametrize("combined", [False, True], ids=["digital", "combined"])
     @pytest.mark.parametrize("shape", ["ci", "paper"])
     def test_matches_complex_form(self, shape, combined, trained_net,
-                                  small_geometry, pilot_matrix, paper_case, wave):
+                                  small_geometry, pilot_matrix, paper_case):
         if shape == "ci":
             geom, net, s = small_geometry, trained_net, pilot_matrix
             comb = gen_combiner(8, geom.m_patches, seed=5)
@@ -139,12 +149,12 @@ class TestGramRe:
             geom, net, s, comb = paper_case
         f = comb if combined else None
         p, gamma = np.array([0.2, 0.4, 25.0]), 1e9
-        _, dh = stacked_channel(net, geom, p, wave, order=1, f=f)
+        _, dh = stacked_channel(net, geom, p, order=1, f=f)
         sd = (s @ dh.reshape(dh.shape[0], -1)).reshape(-1, 3)
         ref = (sd.conj().T @ sd).real                 # Re((S dh)^H (S dh))
         got = _gram_re(s, dh)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-        fi = fim(p, net, geom, s, gamma, wave, f)
+        fi = fim(p, net, geom, s, gamma, f=f)
         assert np.array_equal(fi, fi.T)
         ref = 2.0 * gamma * ref
         assert np.linalg.norm(fi - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -168,9 +178,9 @@ class TestTrialPathMemory:
         geom, net, s, comb = paper_case
         p = np.array([0.3, -0.2, 27.0])
         call = {
-            "fim-digital": lambda: fim(p, net, geom, s, 1e9, wave),
-            "fim-p32": lambda: fim(p, net, geom, s, 1e9, wave, comb),
-            "stacked-p32": lambda: stacked_channel(net, geom, p, wave, order=1,
+            "fim-digital": lambda: fim(p, net, geom, s, 1e9),
+            "fim-p32": lambda: fim(p, net, geom, s, 1e9, f=comb),
+            "stacked-p32": lambda: stacked_channel(net, geom, p, order=1,
                                                    f=comb),
             "full-channel": lambda: full_channel(geom, p, wave, QuadratureRule(4)),
         }[name]
@@ -208,20 +218,20 @@ class TestCrlbPosition:
 
 class TestHessianValidation:
     def test_noiseless_hessian_at_truth_equals_minus_fim(
-            self, trained_net, small_geometry, pilot_matrix, true_position, wave):
+            self, trained_net, small_geometry, pilot_matrix, true_position):
         gamma = 2.5e9
         y0 = pilot_matrix @ stacked_channel(trained_net, small_geometry,
-                                            true_position, wave)
+                                            true_position)
         hess = hessian(true_position, y0, pilot_matrix, trained_net,
                        small_geometry, gamma)
         f = fim(true_position, trained_net, small_geometry, pilot_matrix, gamma)
         assert np.allclose(hess, -f, rtol=1e-10)
 
     def test_matches_finite_differences(self, trained_net, small_geometry,
-                                        pilot_matrix, true_position, wave):
+                                        pilot_matrix, true_position):
         gamma = 1e9
         rng = np.random.default_rng(9)
-        h = stacked_channel(trained_net, small_geometry, true_position, wave)
+        h = stacked_channel(trained_net, small_geometry, true_position)
         y = pilot_matrix @ h + 1e-3 * np.abs(h).mean() * (
             rng.standard_normal((pilot_matrix.shape[0], h.shape[1]))
             + 1j * rng.standard_normal((pilot_matrix.shape[0], h.shape[1])))

@@ -285,18 +285,17 @@ class TestUampLinearStep:
 
 class TestTaylorLinearize:
     def test_affine_exact_at_expansion_point(self, trained_net, small_geometry,
-                                             wave, true_position):
+                                             true_position):
         pos = true_position
-        lin = taylor_linearize(trained_net, small_geometry, pos, wave)
+        lin = taylor_linearize(trained_net, small_geometry, pos)
         assert np.allclose(lin.affine(pos), lin.h, rtol=1e-10, atol=0)
 
-    def test_remainder_is_second_order(self, trained_net, small_geometry, wave,
-                                       true_position):
+    def test_remainder_is_second_order(self, trained_net, small_geometry, true_position):
         pos = true_position
-        lin = taylor_linearize(trained_net, small_geometry, pos, wave)
+        lin = taylor_linearize(trained_net, small_geometry, pos)
 
         def exact_at(p):
-            return taylor_linearize(trained_net, small_geometry, p, wave).h
+            return taylor_linearize(trained_net, small_geometry, p).h
 
         errs = []
         for delta in (2e-4, 1e-4):
@@ -307,7 +306,7 @@ class TestTaylorLinearize:
 
     @pytest.mark.parametrize("chains", [None, 24, 32, 36])
     def test_observed_matches_raw_reference(self, trained_net, small_geometry,
-                                            wave, true_position, chains):
+                                            true_position, chains):
         # the expansion of G = H F^T in working units, combined in the pair
         # layout and stacked once, equals the raw expansion of H stacked,
         # divided by the scale and then pushed through F, within 1e-13 of
@@ -319,11 +318,11 @@ class TestTaylorLinearize:
         scale = estimator._working_scale(trained_net)
         assert not 0.1 < scale < 10.0      # so that a unit slip shows
         p = true_position
-        h, dh = stacked_channel(trained_net, geom, p, wave, order=1)
+        h, dh = stacked_channel(trained_net, geom, p, order=1)
         want = (combine_channel(f, h / scale),
                 combine_channel(f, dh / scale, trailing=1),
                 combine_channel(f, (h - dh @ p) / scale))
-        lin = taylor_linearize(trained_net, geom, p, wave, f, scale)
+        lin = taylor_linearize(trained_net, geom, p, f, scale)
         for got, ref in zip((lin.h, lin.dh, lin.xi), want):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -395,14 +394,14 @@ class TestLocationRound:
 class TestLocationPrior:
     @pytest.mark.parametrize("chains", [None, 32])
     def test_variance_matches_complex_form(self, trained_net, small_geometry,
-                                           wave, true_position, chains):
+                                           true_position, chains):
         # the real-arithmetic variance equals Re(dh C dh^H) formed in complex
         # arithmetic, within 1e-13 of its largest entry, for a diagonal and
         # a full covariance; the mean is the affine model at the belief
         f = (None if chains is None
              else gen_combiner(chains, small_geometry.m_patches, seed=5))
-        lin = taylor_linearize(trained_net, small_geometry, true_position, wave,
-                               f, estimator._working_scale(trained_net))
+        lin = taylor_linearize(trained_net, small_geometry, true_position, f,
+                               estimator._working_scale(trained_net))
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 3))
         for cov in (np.diag([1e-4, 2e-4, 5e-3]), 1e-4 * (a @ a.T + np.eye(3))):
@@ -462,22 +461,20 @@ class TestChannelBelief:
 
 class TestGridSearchInit:
     def test_locates_true_position_noiseless(self, trained_net, small_geometry,
-                                             wave, true_channel, true_position):
+                                             true_channel, true_position):
         cfg = EstimatorConfig()
-        p0, var0 = grid_search_init(trained_net, small_geometry, true_channel,
-                                    cfg, wave)
+        p0, var0 = grid_search_init(trained_net, small_geometry, true_channel, cfg)
         assert np.all(np.abs(p0[:2] - true_position[:2]) < 0.05)
         assert abs(p0[2] - true_position[2]) < 0.3
         assert np.all(var0 > 0)
 
     def test_locates_true_position_noiseless_hybrid(self, trained_net,
-                                                    small_geometry, wave,
-                                                    true_channel, true_position):
+                                                    small_geometry, true_channel,
+                                                    true_position):
         f = gen_combiner(24, small_geometry.m_patches, seed=5)
         cfg = EstimatorConfig()
         p0, var0 = grid_search_init(trained_net, small_geometry,
-                                    combine_channel(f, true_channel), cfg, wave,
-                                    f=f)
+                                    combine_channel(f, true_channel), cfg, f=f)
         assert np.all(np.abs(p0[:2] - true_position[:2]) < 0.05)
         assert abs(p0[2] - true_position[2]) < 0.3
         assert np.all(var0 > 0)
@@ -511,24 +508,23 @@ class TestGridSearchInit:
             h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
             y, _ = simulate_rx(h, pilots, snr, seed=seeds[2])
             h_ls = ls_estimate(pilots.matrix, y)
-            p_init, _ = grid_search_init(trained_net, small_geometry, h_ls, cfg=ecfg,
-                                         wave=wave)
+            p_init, _ = grid_search_init(trained_net, small_geometry, h_ls, cfg=ecfg)
             p_eye, _ = grid_search_init(trained_net, small_geometry, h_ls,
-                                        cfg=ecfg, wave=wave, f=eye)
+                                        cfg=ecfg, f=eye)
             with monkeypatch.context() as per_pair:
                 per_pair.setattr(estimator, "expanded_channel", stacked_channel)
                 p_ref, _ = grid_search_init(trained_net, small_geometry, h_ls,
-                                            cfg=ecfg, wave=wave, f=eye)
+                                            cfg=ecfg, f=eye)
             assert winners[-3] == winners[-2] == winners[-1]
             assert np.max(np.abs(p_init - p_eye)) <= 1e-9
             assert np.max(np.abs(p_init - p_ref)) <= 1e-3
 
-    def test_respects_prior_box(self, trained_net, small_geometry, wave):
+    def test_respects_prior_box(self, trained_net, small_geometry):
         rng = np.random.default_rng(7)
         fake = rng.normal(size=(6 * small_geometry.n_patches,
                                 small_geometry.m_patches)) * 1e-5
         cfg = EstimatorConfig()
-        p0, _ = grid_search_init(trained_net, small_geometry, fake + 0j, cfg, wave)
+        p0, _ = grid_search_init(trained_net, small_geometry, fake + 0j, cfg)
         lo = np.array([cfg.prior_x[0], cfg.prior_y[0], cfg.prior_z[0]])
         hi = np.array([cfg.prior_x[1], cfg.prior_y[1], cfg.prior_z[1]])
         margin = 0.1 * (hi - lo)
@@ -593,12 +589,11 @@ class TestExpansionCoefficients:
 
 class TestRefineBatch:
     @pytest.mark.parametrize("chains", [None, 24])
-    def test_batching_does_not_mix_starts(self, small_geometry, wave,
-                                          monkeypatch, chains):
+    def test_batching_does_not_mix_starts(self, small_geometry, monkeypatch, chains):
         net = _saturating_net()
         f = (None if chains is None
              else gen_combiner(chains, small_geometry.m_patches, seed=5))
-        h_ref = stacked_channel(net, small_geometry, [0.1, -0.05, 3.0], wave)
+        h_ref = stacked_channel(net, small_geometry, [0.1, -0.05, 3.0])
         if f is not None:
             h_ref = combine_channel(f, h_ref)
         # the starts stop after different step counts, and the cost of the
@@ -611,20 +606,19 @@ class TestRefineBatch:
         monkeypatch.setattr(estimator, "_CHUNK_POINTS",
                             2 * small_geometry.n_patches * small_geometry.m_patches)
         ref = estimator._Reference.of(small_geometry, h_ref, f)
-        p_all, c_all = _refine_batch(net, small_geometry, ref, starts, wave, f)
+        p_all, c_all = _refine_batch(net, small_geometry, ref, starts, f)
         assert np.array_equal(p_all[3], starts[3])
         regular = [0, 1, 2, 4, 5, 6]
         assert np.all(np.any(p_all[regular] != starts[regular], axis=1))
         for i, start in enumerate(starts):
-            p_one, c_one = _refine_batch(net, small_geometry, ref, start[None],
-                                         wave, f)
+            p_one, c_one = _refine_batch(net, small_geometry, ref, start[None], f)
             assert np.max(np.abs(p_all[i] - p_one[0])) <= 1e-12
             assert abs(c_all[i] - c_one[0]) <= 1e-12 * c_one[0]
 
 
 class TestInitHelpers:
     @pytest.mark.parametrize("chains", [None, 24])
-    def test_chunks_do_not_mix_locations(self, trained_net, small_geometry, wave,
+    def test_chunks_do_not_mix_locations(self, trained_net, small_geometry,
                                          true_channel, monkeypatch, chains):
         # the init's costs, normal equations and envelope scores of a location
         # are the same bit for bit whether it is evaluated alone or in a batch
@@ -637,21 +631,20 @@ class TestInitHelpers:
         monkeypatch.setattr(estimator, "_CHUNK_POINTS",
                             2 * geom.n_patches * geom.m_patches)
         assert len(estimator._chunks(geom, len(p1s))) == 4
-        batch = _init_sums(trained_net, geom, h_ref, p1s, wave, f)
+        batch = _init_sums(trained_net, geom, h_ref, p1s, f)
         for i, p1 in enumerate(p1s):
-            one = _init_sums(trained_net, geom, h_ref, p1[None], wave, f)
+            one = _init_sums(trained_net, geom, h_ref, p1[None], f)
             for b, o in zip(batch, one):
                 assert np.array_equal(b[i], o[0])
 
     @pytest.mark.parametrize("chains", [None, 24])
-    def test_empty_batch(self, trained_net, small_geometry, wave, true_channel,
+    def test_empty_batch(self, trained_net, small_geometry, true_channel,
                          chains):
         # no location gives empty outputs of the batch's shapes
         geom = small_geometry
         f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=5)
         h_ref, p1s = combine_channel(f, true_channel), np.empty((0, 3))
-        scores, costs, cost, a, g = _init_sums(trained_net, geom, h_ref, p1s,
-                                               wave, f)
+        scores, costs, cost, a, g = _init_sums(trained_net, geom, h_ref, p1s, f)
         assert scores.shape == costs.shape == cost.shape == (0,)
         assert a.shape == (0, 3, 3) and g.shape == (0, 3)
 
@@ -668,7 +661,7 @@ class TestInitHelpers:
         rng = np.random.default_rng(9)
         if saturating:
             net = _saturating_net()
-            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0], wave)
+            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0])
             p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.1, -0.05, 3.2],
                             [0.0, 0.1, 3.1], [0.0, 0.0, 60.0]])
         else:
@@ -685,8 +678,8 @@ class TestInitHelpers:
                       - np.linalg.norm(rel.mean(axis=1), axis=-1)[:, None])
             assert np.max(np.abs(wave.wavenumber * offset[-4:])) > np.pi / 4
         eye = np.eye(geom.m_patches, dtype=complex)
-        moments = _init_sums(net, geom, h_ref, p1s, wave)
-        arrays = _init_sums(net, geom, h_ref, p1s, wave, eye)
+        moments = _init_sums(net, geom, h_ref, p1s)
+        arrays = _init_sums(net, geom, h_ref, p1s, eye)
         for m, e in zip(moments, arrays):
             assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
         if saturating:
@@ -713,8 +706,8 @@ class TestInitHelpers:
                                           rng.uniform(20, 40, 8)]),
                          p_true, corners])
         eye = np.eye(geom.m_patches, dtype=complex)
-        moments = _init_sums(trained_net, geom, h_ref, p1s, wave)
-        arrays = _init_sums(trained_net, geom, h_ref, p1s, wave, eye)
+        moments = _init_sums(trained_net, geom, h_ref, p1s)
+        arrays = _init_sums(trained_net, geom, h_ref, p1s, eye)
         for m, e in zip(moments, arrays):
             assert m.shape == e.shape
             assert np.max(np.abs(m - e)) <= 1e-12 * np.max(np.abs(e))
@@ -746,13 +739,13 @@ class TestInitHelpers:
         assert estimator._chunks(geom, 0, f) == []
 
 
-def _init_sums(net, geom, h_ref, p1s, wave, f=None):
+def _init_sums(net, geom, h_ref, p1s, f=None):
     """The init helpers at p1s against h_ref: the envelope scores, the
     residual costs, and the cost, J^H J and J^H e of the order-1 fit."""
     ref = estimator._Reference.of(geom, h_ref, f)
-    return (estimator._envelope_scores(net, geom, ref, p1s, wave, f),
-            estimator._fit(net, geom, ref, p1s, wave, f),
-            *estimator._fit(net, geom, ref, p1s, wave, f, order=1))
+    return (estimator._envelope_scores(net, geom, ref, p1s, f),
+            estimator._fit(net, geom, ref, p1s, f),
+            *estimator._fit(net, geom, ref, p1s, f, order=1))
 
 
 def _rosenbrock(x):
@@ -804,15 +797,15 @@ class TestNelderMead:
         cands, _ = estimator._grid_candidates(estimator_config(cfg))
         ref = estimator._Reference.of(small_geometry, h_ls)
         scores = estimator._envelope_scores(trained_net, small_geometry, ref,
-                                            cands, wave)
+                                            cands)
         self._assert_matches_scipy(
             lambda p: -estimator._envelope_scores(trained_net, small_geometry,
-                                                  ref, p[None], wave)[0],
+                                                  ref, p[None])[0],
             cands[np.argmax(scores)])
 
     @pytest.mark.parametrize("saturating", [False, True])
     def test_objective_is_a_row_of_a_batch(self, trained_net, small_geometry,
-                                           wave, true_channel, monkeypatch,
+                                           true_channel, monkeypatch,
                                            saturating):
         # the objective's one-location call equals that location's row of a
         # batch spanning several chunks, bit for bit, also where the
@@ -821,7 +814,7 @@ class TestNelderMead:
         geom = small_geometry
         if saturating:
             net = _saturating_net()
-            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0], wave)
+            h_ref = stacked_channel(net, geom, [0.1, -0.05, 3.0])
             p1s = np.array([[0.0, 0.0, 2.8], [0.05, 0.0, 3.0], [0.0, 0.0, 60.0],
                             [0.1, -0.05, 3.2], [0.0, 0.1, 3.1]])
         else:
@@ -834,9 +827,9 @@ class TestNelderMead:
                                 2 * share * geom.n_patches * geom.m_patches)
             assert len(estimator._chunks(geom, len(p1s), f)) == 3
             ref = estimator._Reference.of(geom, combine_channel(f, h_ref), f)
-            batch = estimator._envelope_scores(net, geom, ref, p1s, wave, f)
+            batch = estimator._envelope_scores(net, geom, ref, p1s, f)
             for i, p in enumerate(p1s):
-                one = -estimator._envelope_scores(net, geom, ref, p[None], wave, f)[0]
+                one = -estimator._envelope_scores(net, geom, ref, p[None], f)[0]
                 assert one.tobytes() == (-batch[i]).tobytes()
             if saturating:
                 assert batch[2] == 0.0
@@ -888,8 +881,8 @@ def _warm_start_trials(net, geom, wave, chains=None):
             y, gamma = simulate_rx_hybrid(f, h, pilots, 8.0, seed=seeds[2])
             res = estimate_hybrid(unitary_transform(pilots.matrix, y), f, net,
                                   geom, ecfg)
-        bound = np.linalg.inv(fim(p1, net, geom, pilots.matrix, gamma, wave,
-                                  f)).diagonal()
+        bound = np.linalg.inv(fim(p1, net, geom, pilots.matrix, gamma,
+                                  f=f)).diagonal()
         converged += res.converged
         ratios.append(np.sqrt(np.sum(res.position_var[:2]) / np.sum(bound[:2])))
         errors.append(np.linalg.norm(res.position - p1))
@@ -986,7 +979,7 @@ def test_economy_model_matches_full_svd(trained_net, small_geometry,
 
 @pytest.mark.parametrize("chains", [None, 24])
 def test_converged_estimate_linearizes_once_per_iteration(
-        trained_net, small_geometry, wave, true_channel, true_position,
+        trained_net, small_geometry, true_channel, true_position,
         monkeypatch, chains):
     # the loop re-linearizes only when it goes on, so a converged estimate
     # linearizes once per iteration; its channel estimate is the per-pair
@@ -1009,7 +1002,7 @@ def test_converged_estimate_linearizes_once_per_iteration(
     assert res.converged and res.iterations > 1
     assert len(calls) == res.iterations
     assert np.array_equal(res.h_hat,
-                          stacked_channel(trained_net, geom, res.position, wave))
+                          stacked_channel(trained_net, geom, res.position))
 
 
 class TestHybridEstimator:
@@ -1039,13 +1032,12 @@ class TestHybridEstimator:
         assert 0.8 <= np.median(ratios) <= 1.25
         assert max(errors) < 0.5
 
-    def test_noiseless_stays_at_truth(self, trained_net, small_geometry, wave,
-                                      true_position):
+    def test_noiseless_stays_at_truth(self, trained_net, small_geometry, true_position):
         # hybrid counterpart of acceptance criterion 6(c): started at the
         # truth on noiseless model-consistent data, nothing is left to move
         pilots = gen_pilots(small_geometry.n_patches, 100, seed=7)
         f = gen_combiner(24, small_geometry.m_patches, seed=5)
-        h_model = stacked_channel(trained_net, small_geometry, true_position, wave)
+        h_model = stacked_channel(trained_net, small_geometry, true_position)
         y, _ = simulate_rx_hybrid(f, h_model, pilots, np.inf, seed=0)
         res = estimate_hybrid(unitary_transform(pilots.matrix, y), f, trained_net,
                               small_geometry,

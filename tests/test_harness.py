@@ -23,6 +23,7 @@ from hmimo.harness import (CSV_COLUMNS, ConfigError, PROFILES, _deep_merge,
                            train_surrogates, validate_config, write_rows_csv)
 from hmimo.green import (MAX_QUADRATURE_ORDER, QuadratureRule, SingularityError,
                          WaveConfig, full_channel)
+from hmimo.estimator import NumericalFailure
 from hmimo.signals import PreprocessError
 from hmimo.surrogate import HybridNet, TrainingError, min_training_samples
 
@@ -42,21 +43,21 @@ class TestConfig:
 
     @pytest.mark.parametrize("profile", ["ci", "paper"])
     def test_oracle_order_matches_order_16(self, profile):
-        # the profile's truth order, and its training order, reproduce the
-        # order-16 channel within 1e-12 relative at the 8 corners of its
-        # prior box, where the integrand varies fastest over a patch
+        # the profile's quadrature order, of the truth and of the training
+        # targets alike, reproduces the order-16 channel within 1e-12
+        # relative at the 8 corners of its prior box, where the integrand
+        # varies fastest over a patch
         cfg = load_config(profile=profile)
         geom = build_geometry(cfg)
         wave = WaveConfig(cfg["wave"]["frequency"])
         corners = np.array(list(itertools.product(
             *(cfg["prior"][axis] for axis in "xyz"))), dtype=float)
         ref = full_channel(geom, corners, wave, QuadratureRule(16)).stacked
-        for order in {cfg["quadrature_order"],
-                      cfg["training"]["quadrature_order"]}:
-            got = full_channel(geom, corners, wave, QuadratureRule(order)).stacked
-            rel = (np.linalg.norm(got - ref, axis=(1, 2))
-                   / np.linalg.norm(ref, axis=(1, 2)))
-            assert np.max(rel) <= 1e-12, (order, rel)
+        order = cfg["quadrature_order"]
+        got = full_channel(geom, corners, wave, QuadratureRule(order)).stacked
+        rel = (np.linalg.norm(got - ref, axis=(1, 2))
+               / np.linalg.norm(ref, axis=(1, 2)))
+        assert np.max(rel) <= 1e-12, (order, rel)
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="profile"):
@@ -191,6 +192,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rx"):
             load_config(profile="ci", overrides={"rx": {"nx": 6, "ny": 6}})
 
+    def test_training_quadrature_order_is_unknown(self):
+        # the training targets are built at the truth's quadrature_order,
+        # so a separate training order is an unknown key
+        with pytest.raises(ConfigError, match="^unknown config keys: "
+                           "training.quadrature_order$"):
+            load_config(profile="ci",
+                        overrides={"training": {"quadrature_order": 4}})
+
     def test_optional_keys_accepted(self):
         cfg = load_config(profile="ci", overrides={"threads": 1,
                                                    "fixed": {"patches": 16}})
@@ -259,11 +268,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("override, match", [
         ({"quadrature_order": 1}, "^quadrature_order: .* >= 2"),
-        ({"training": {"quadrature_order": 1}}, "training.quadrature_order"),
         ({"quadrature_order": MAX_QUADRATURE_ORDER + 1},
          f"^quadrature_order: .* <= {MAX_QUADRATURE_ORDER}$"),
-        ({"training": {"quadrature_order": 2**63}},
-         f"^training.quadrature_order: .* <= {MAX_QUADRATURE_ORDER}$"),
         ({"estimator": {"grid_points": 1}}, "grid_points must be >= 2"),
         ({"wave": {"frequency": -3.0e9}}, "frequency must be positive"),
         ({"geometry": {"rx_dx": 0.0}}, "rx_dx must be positive"),
@@ -297,8 +303,7 @@ class TestConfig:
         ({"estimator": {"max_iters": 0}},
          "^estimator: max_iters must be >= 1 \\(an integer\\), got 0$"),
         ({"estimator": {"tol": -1.0}}, "^estimator: tol must be non-negative, got -1.0$"),
-    ], ids=["quadrature", "training-quadrature", "quadrature-above-bound",
-            "training-quadrature-2**63", "grid-points", "frequency",
+    ], ids=["quadrature", "quadrature-above-bound", "grid-points", "frequency",
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
@@ -539,6 +544,42 @@ class TestRunPointAndSweep:
         assert np.isnan(by_name["ls"]["nmse_p_db"])
 
     @staticmethod
+    def _fail_preprocessing(monkeypatch, trials):
+        """Make ``unitary_transform`` raise in the given trials, counted
+        from 1 in the order the point runs them."""
+        transform, calls = harness.unitary_transform, []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) in trials:
+                raise PreprocessError("pilot matrix is rank deficient")
+            return transform(*args)
+
+        monkeypatch.setattr(harness, "unitary_transform", flaky)
+
+    def test_failed_trial_counts_against_every_estimator(self, mini_cfg, nets,
+                                                         monkeypatch):
+        # a trial whose preprocessing fails is a failed trial of every
+        # estimator and gives no bound; the other three fill every row
+        cfg = _deep_merge(mini_cfg, {"trials": 4})
+        self._fail_preprocessing(monkeypatch, {2})
+        rows = run_point(cfg, nets, "snr", 8.0, 0)
+        assert [r["estimator"] for r in rows] == cfg["estimators"]
+        for row in rows:
+            assert (row["trials_ok"], row["trials_failed"]) == (3, 1)
+            figures = ["nmse_h_db", "nmse_h_stderr_db", "crlb_db", "wall_s"]
+            if row["estimator"] == "mp-hybrid":
+                figures += ["nmse_p_db", "nmse_p_stderr_db"]
+            assert all(np.isfinite(row[c]) for c in figures), row
+
+    def test_point_of_failed_trials_raises(self, mini_cfg, nets, monkeypatch):
+        cfg = _deep_merge(mini_cfg, {"trials": 4})
+        self._fail_preprocessing(monkeypatch, {1, 2, 3, 4})
+        with pytest.raises(NumericalFailure, match="^all 4 trials failed for "
+                           "mp-hybrid at snr=8.0 \\(first error: pilot matrix"):
+            run_point(cfg, nets, "snr", 8.0, 0)
+
+    @staticmethod
     def _cells(rows):
         return [[_format_cell(row[c]) for c in CSV_COLUMNS] for row in rows]
 
@@ -661,8 +702,7 @@ class TestLoadNets:
 
 
 # Trains in well under a second; only the files written and the bits matter.
-TINY_TRAINING = {"samples": 800, "hidden_count": 4, "epochs": 2,
-                 "quadrature_order": 2}
+TINY_TRAINING = {"samples": 800, "hidden_count": 4, "epochs": 2}
 
 
 class TestTrainSurrogates:
@@ -920,22 +960,24 @@ class TestCli:
                                           "a run needs at least one\n"
         assert not (tmp_path / "point.csv").exists()
 
-    @pytest.mark.parametrize("stage, error, code, prefix", [
+    @pytest.mark.parametrize("stage, error", [
         ("full_channel", SingularityError("dyadic Green's function evaluated "
-                                          "at zero distance"),
-         cli.EXIT_CONFIG, "config error"),
-        ("unitary_transform", PreprocessError("pilot matrix is rank deficient"),
-         cli.EXIT_NUMERICAL, "numerical failure")], ids=["singular", "preprocess"])
-    def test_package_error_exit_code(self, stage, error, code, prefix, tmp_path,
-                                     trained_net, monkeypatch, capsys):
-        # one line on stderr, no traceback and no CSV
+                                          "at zero distance")),
+        ("unitary_transform", PreprocessError("pilot matrix is rank deficient"))],
+        ids=["singular", "preprocess"])
+    def test_package_error_exit_code(self, stage, error, tmp_path, trained_net,
+                                     monkeypatch, capsys):
+        # the error fails its trial; a point whose every trial failed exits
+        # with one line on stderr naming it, no traceback and no CSV
         def fail(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(harness, stage, fail)
         path = self._point_config(tmp_path, trained_net)
-        assert cli.main(["point", "--config", str(path)]) == code
-        assert capsys.readouterr().err == f"{prefix}: {error}\n"
+        assert cli.main(["point", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: all 1 trials failed for ls at snr=8.0 "
+            f"(first error: {error})\n")
         assert not (tmp_path / "point.csv").exists()
 
     def test_train_out_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -114,10 +115,30 @@ class TestForward:
 
 class TestChannelMap:
     def test_rotation_factor(self, net, points, wave):
-        h = hybrid_channel(net, points, wave)
+        h = hybrid_channel(net, points)
         phi = _output_partials(net, points, 0)[0]
         r = np.linalg.norm(points, axis=-1)
         assert np.allclose(h, phi * np.exp(1j * wave.wavenumber * r)[:, None])
+
+    def test_carrier_is_the_nets(self, net, points):
+        # a net restamped at 6 GHz rotates by its own carrier, which is
+        # read-only: per pair, and in the stacked layout, whose rows are
+        # those of one call on every pair's relative coordinate
+        net6 = dataclasses.replace(net, frequency=6e9)
+        assert net6.wave == WaveConfig(6e9)
+        with pytest.raises(AttributeError):
+            net6.wave = WaveConfig(3e9)
+        out = net6.forward(points)
+        rot = np.exp(1j * WaveConfig(6e9).wavenumber * np.linalg.norm(points, axis=-1))
+        want = (out[:, :6] + 1j * out[:, 6:]) * rot[:, None]
+        assert np.allclose(hybrid_channel(net6, points), want, rtol=1e-12, atol=0)
+        geom, p1 = TestStackedChannel.geom, points[0]
+        rel = relative_grid(geom, p1)
+        pairs = hybrid_channel(net6, rel.reshape(-1, 3)).reshape(rel.shape[:2] + (6,))
+        h = stacked_channel(net6, geom, p1)
+        for n, m in np.ndindex(geom.n_patches, geom.m_patches):
+            rows = np.arange(6) * geom.n_patches + n
+            assert np.array_equal(h[rows, m], pairs[n, m])
 
 
 class TestStackedChannel:
@@ -134,19 +155,19 @@ class TestStackedChannel:
         p1s = np.array([[0.3, -0.2, 25.0], [-0.6, 0.4, 31.0]])
         rel = relative_grid(geom, p1s)
         pair_fns = (hybrid_channel, channel_first_derivs, channel_second_derivs)
-        batch = [_parts(stacked_channel(net, geom, p1s, wave, order))
+        batch = [_parts(stacked_channel(net, geom, p1s, order))
                  for order in range(3)]
         for b, p1 in enumerate(p1s):
             truth = full_channel(geom, p1, wave, q).stacked
             assert truth.shape == (6 * n_tx, m_rx)
-            single = [_parts(stacked_channel(net, geom, p1, wave, order))
+            single = [_parts(stacked_channel(net, geom, p1, order))
                       for order in range(3)]
             for n, m in np.ndindex(n_tx, m_rx):             # 0-based
                 rows = np.arange(6) * n_tx + n
                 block = patch_channel(m + 1, n + 1, geom, p1, wave, q)
                 assert np.allclose(truth[rows, m], block[entry], rtol=1e-12, atol=0)
                 for order, pair_fn in enumerate(pair_fns):
-                    want = _parts(pair_fn(net, rel[b, n, m], wave))
+                    want = _parts(pair_fn(net, rel[b, n, m]))
                     for w, one, many in zip(want, single[order], batch[order]):
                         assert np.allclose(one[rows, m], w[0], rtol=1e-13, atol=0)
                         assert np.allclose(many[b, rows, m], w[0], rtol=1e-13,
@@ -154,7 +175,7 @@ class TestStackedChannel:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("hidden, rtol", [(7, 0.0), (50, 1e-13)])
-    def test_batch_equals_single_calls(self, wave, order, hidden, rtol):
+    def test_batch_equals_single_calls(self, order, hidden, rtol):
         # with 50 hidden units the BLAS products round a row differently
         # depending on how many rows the call holds, so a batch matches
         # single calls to round-off only; with 7 they match bit for bit
@@ -169,8 +190,8 @@ class TestStackedChannel:
             # behind F every output is the output without F combined in the
             # stacked layout, within 1e-13 of its largest entry; behind I it
             # is the output without F, bit for bit
-            combined = _parts(stacked_channel(net, self.geom, p1, wave, order, f=f))
-            same = _parts(stacked_channel(net, self.geom, p1, wave, order, f=eye))
+            combined = _parts(stacked_channel(net, self.geom, p1, order, f=f))
+            same = _parts(stacked_channel(net, self.geom, p1, order, f=eye))
             assert len(combined) == len(same) == order + 1
             for k, (h, g, g_eye) in enumerate(zip(plain, combined, same)):
                 want = combine_channel(f, h, trailing=k)
@@ -178,11 +199,11 @@ class TestStackedChannel:
                 assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(g_eye, h)
 
-        batch = _parts(stacked_channel(net, self.geom, p1s, wave, order))
+        batch = _parts(stacked_channel(net, self.geom, p1s, order))
         assert len(batch) == order + 1
         check_combined(p1s, batch)
         for idx in np.ndindex(2, 2):
-            single = _parts(stacked_channel(net, self.geom, p1s[idx], wave, order))
+            single = _parts(stacked_channel(net, self.geom, p1s[idx], order))
             check_combined(p1s[idx], single)
             for b, s in zip(batch, single):
                 assert b[idx].shape == s.shape
@@ -191,9 +212,9 @@ class TestStackedChannel:
                 else:
                     assert np.max(np.abs(b[idx] - s)) <= rtol * np.max(np.abs(s))
 
-    def test_bad_order_rejected(self, net, wave):
+    def test_bad_order_rejected(self, net):
         with pytest.raises(ValueError, match="order"):
-            stacked_channel(net, self.geom, [0.0, 0.0, 30.0], wave, 3)
+            stacked_channel(net, self.geom, [0.0, 0.0, 30.0], 3)
 
 
 def _ci_locations(count, seed):
@@ -205,8 +226,7 @@ def _ci_locations(count, seed):
 
 class TestExpandedChannel:
     @pytest.mark.parametrize("chains", [None, 16])
-    def test_matches_per_pair_model(self, trained_net, small_geometry, wave,
-                                    chains):
+    def test_matches_per_pair_model(self, trained_net, small_geometry, chains):
         # the expansion about the aperture centres reproduces the per-pair
         # surrogate far below the surrogate's own error against the truth
         # (about -50 dB): worst -73 dB and median -82 dB were measured (-71
@@ -215,9 +235,9 @@ class TestExpandedChannel:
         f = (None if chains is None
              else gen_combiner(chains, small_geometry.m_patches, seed=1))
         p1s = _ci_locations(200, seed=0)
-        h0 = expanded_channel(trained_net, small_geometry, p1s, wave, 0, f)
-        h, dh = expanded_channel(trained_net, small_geometry, p1s, wave, 1, f)
-        ref, dref = stacked_channel(trained_net, small_geometry, p1s, wave, 1, f)
+        h0 = expanded_channel(trained_net, small_geometry, p1s, 0, f)
+        h, dh = expanded_channel(trained_net, small_geometry, p1s, 1, f)
+        ref, dref = stacked_channel(trained_net, small_geometry, p1s, 1, f)
         assert np.array_equal(h0, h)
         for got, want in ((h, ref), (dh, dref)):
             assert got.shape == want.shape
@@ -228,25 +248,23 @@ class TestExpandedChannel:
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("chains", [None, 5])
-    def test_batch_equals_single_calls(self, trained_net, small_geometry, wave,
-                                       order, chains):
+    def test_batch_equals_single_calls(self, trained_net, small_geometry, order, chains):
         # a location's output does not depend on the batch it is evaluated
         # in, bit for bit, whatever the batch size (one included)
         f = (None if chains is None
              else gen_combiner(chains, small_geometry.m_patches, seed=2))
         p1s = _ci_locations(7, seed=4)
         net, geom = trained_net, small_geometry
-        batch = _parts(expanded_channel(net, geom, p1s, wave, order, f))
-        grid = _parts(expanded_channel(net, geom, p1s[:6].reshape(2, 3, 3), wave,
-                                       order, f))
+        batch = _parts(expanded_channel(net, geom, p1s, order, f))
+        grid = _parts(expanded_channel(net, geom, p1s[:6].reshape(2, 3, 3), order, f))
         for a, g in zip(batch, grid):
             assert np.array_equal(a[:6], g.reshape((6,) + a.shape[1:]))
         for sl in (slice(0, 1), slice(1, 3), slice(3, 7)):
             for a, part in zip(batch, _parts(expanded_channel(
-                    net, geom, p1s[sl], wave, order, f))):
+                    net, geom, p1s[sl], order, f))):
                 assert np.array_equal(a[sl], part)
         for b, p1 in enumerate(p1s):
-            single = _parts(expanded_channel(net, geom, p1, wave, order, f))
+            single = _parts(expanded_channel(net, geom, p1, order, f))
             assert len(single) == order + 1
             for a, one in zip(batch, single):
                 assert one.shape == a.shape[1:]
@@ -254,15 +272,15 @@ class TestExpandedChannel:
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("chains", [None, 24])
-    def test_empty_batch(self, trained_net, small_geometry, wave, order, chains):
+    def test_empty_batch(self, trained_net, small_geometry, order, chains):
         # no location gives empty outputs of stacked_channel's shapes
         net, geom, p1s = trained_net, small_geometry, np.empty((0, 3))
         f = None if chains is None else gen_combiner(chains, geom.m_patches, seed=2)
         c, coef, coef1 = term_coefficients(net, geom, p1s)
         assert c.shape == (0, 3) and coef.shape == (0, 6, 6)
         assert coef1.shape == (0, 3, 3, 6)
-        got = _parts(expanded_channel(net, geom, p1s, wave, order, f))
-        want = _parts(stacked_channel(net, geom, p1s, wave, order, f))
+        got = _parts(expanded_channel(net, geom, p1s, order, f))
+        want = _parts(stacked_channel(net, geom, p1s, order, f))
         assert [a.shape for a in got] == [a.shape for a in want]
 
     @pytest.mark.parametrize("kind", ["trained", "random"])
@@ -290,34 +308,34 @@ class TestExpandedChannel:
                     assert np.array_equal(coef1[:, j, t, k],
                                           partial(k, (j,) + xy)), (j, t, k)
 
-    def test_combiner_applied_to_plain_output(self, net, wave):
+    def test_combiner_applied_to_plain_output(self, net):
         geom = TestStackedChannel.geom
         f = gen_combiner(5, geom.m_patches, seed=2)
         p1s = _ci_locations(3, seed=5)
-        h, dh = expanded_channel(net, geom, p1s, wave, 1)
-        g, dg = expanded_channel(net, geom, p1s, wave, 1, f=f)
+        h, dh = expanded_channel(net, geom, p1s, 1)
+        g, dg = expanded_channel(net, geom, p1s, 1, f=f)
         assert np.array_equal(g, combine_channel(f, h))
         assert np.array_equal(dg, combine_channel(f, dh, trailing=1))
 
-    def test_bad_order_rejected(self, net, wave):
+    def test_bad_order_rejected(self, net):
         with pytest.raises(ValueError, match="order"):
-            expanded_channel(net, TestStackedChannel.geom, [0.0, 0.0, 30.0], wave, 2)
+            expanded_channel(net, TestStackedChannel.geom, [0.0, 0.0, 30.0], 2)
 
 
 class TestDerivatives:
-    def test_first_matches_finite_difference(self, net, points, wave):
-        h, dh = channel_first_derivs(net, points, wave)
+    def test_first_matches_finite_difference(self, net, points):
+        h, dh = channel_first_derivs(net, points)
         eps = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = eps
-            fd = (hybrid_channel(net, points + e, wave)
-                  - hybrid_channel(net, points - e, wave)) / (2 * eps)
+            fd = (hybrid_channel(net, points + e)
+                  - hybrid_channel(net, points - e)) / (2 * eps)
             scale = np.max(np.abs(dh[:, :, j]))
             assert np.max(np.abs(dh[:, :, j] - fd)) < 1e-4 * scale
 
-    def test_second_matches_finite_difference(self, net, points, wave):
-        h, dh, d2h = channel_second_derivs(net, points, wave)
+    def test_second_matches_finite_difference(self, net, points):
+        h, dh, d2h = channel_second_derivs(net, points)
         eps = 1e-5
         scale = np.max(np.abs(d2h))
         for j in range(3):
@@ -326,16 +344,16 @@ class TestDerivatives:
                 el = np.zeros(3)
                 ej[j] = eps
                 el[l] = eps
-                fd = (hybrid_channel(net, points + ej + el, wave)
-                      - hybrid_channel(net, points + ej - el, wave)
-                      - hybrid_channel(net, points - ej + el, wave)
-                      + hybrid_channel(net, points - ej - el, wave)) / (4 * eps * eps)
+                fd = (hybrid_channel(net, points + ej + el)
+                      - hybrid_channel(net, points + ej - el)
+                      - hybrid_channel(net, points - ej + el)
+                      + hybrid_channel(net, points - ej - el)) / (4 * eps * eps)
                 assert np.max(np.abs(d2h[:, :, j, l] - fd)) < 1e-3 * scale
 
-    def test_second_contains_first(self, net, points, wave):
-        h0 = hybrid_channel(net, points, wave)
-        h1, dh1 = channel_first_derivs(net, points, wave)
-        h2, dh2, _ = channel_second_derivs(net, points, wave)
+    def test_second_contains_first(self, net, points):
+        h0 = hybrid_channel(net, points)
+        h1, dh1 = channel_first_derivs(net, points)
+        h2, dh2, _ = channel_second_derivs(net, points)
         assert np.array_equal(h0, h1)
         assert np.array_equal(h1, h2)
         assert np.array_equal(dh1, dh2)
@@ -365,7 +383,7 @@ class TestDerivatives:
         rng = np.random.default_rng(hidden)
         xyz = np.column_stack([rng.uniform(-1.5, 1.5, (40, 2)),
                                rng.uniform(20.0, 40.0, 40)])
-        got = surrogate.channel_derivs(net, xyz, wave, order)
+        got = surrogate.channel_derivs(net, xyz, order)
         want = _slot_reference(net, xyz, wave, order)
         assert len(got) == len(want) == order + 1
         for g, w in zip(got, want):
@@ -376,8 +394,8 @@ class TestDerivatives:
         for block in net._partials_block:
             assert not block.flags.writeable
 
-    def test_hessian_symmetric(self, net, points, wave):
-        _, _, d2h = channel_second_derivs(net, points, wave)
+    def test_hessian_symmetric(self, net, points):
+        _, _, d2h = channel_second_derivs(net, points)
         assert np.allclose(d2h, np.swapaxes(d2h, 2, 3), rtol=1e-12, atol=0)
 
 
