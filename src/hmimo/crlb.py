@@ -37,11 +37,6 @@ class SingularInformationError(ValueError):
     """The position is not identifiable: the information matrix is singular."""
 
 
-def _check_net(net: HybridNet) -> None:
-    if not np.any(net.w2 != 0.0):
-        raise ValueError("surrogate network is untrained (zero output weights)")
-
-
 def _gram_re(s: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Re{ sum_m (S dh_m)^H (S dh_m) } for derivatives dh (6N, M, k): the even
     plus the odd diagonal blocks of the Gram of S dh's real view, with no conjugate copy."""
@@ -55,7 +50,6 @@ def fim(p1, net: HybridNet, geom: SurfaceGeometry, s: np.ndarray,
     """Fisher information matrix (3, 3) of the position at precision gamma,
     behind the combiner F (P, M) if one is given.  ``wave`` is only checked
     against the net's own carrier, by which the channel rotates."""
-    _check_net(net)
     if wave is not None and not np.isclose(wave.frequency, net.frequency,
                                            rtol=1e-9, atol=0.0):
         raise ValueError(f"wave is at {wave.frequency:.6g} Hz, but the "

@@ -27,12 +27,10 @@ from hmimo.geometry import SurfaceGeometry, relative_grid
 C0 = 299792458.0          # vacuum speed of light, m/s
 MU0 = 4e-7 * np.pi        # vacuum permeability, H/m
 
-# Stacking order of the six independent polarization components, their
-# (row, column) inside a symmetric 3x3 block, and the component index of
-# every entry of that block.
+# Stacking order of the six independent polarization components, and their
+# (row, column) inside a symmetric 3x3 block.
 POLARIZATIONS = ("xx", "yy", "zz", "xy", "xz", "yz")
 _POL_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_BLOCK_IDX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 # Quadrature nodes per chunk of ``patch_channel_batch`` (one row at least).
 # Its workspace is eight float arrays of this length, 2.0 MB, allocated once
@@ -283,21 +281,6 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
     return comps
 
 
-def _pair_coords(m: int, n: int, geom: SurfaceGeometry, p1) -> np.ndarray:
-    """Relative coordinates (3,) of tx patch n seen from rx patch m, 1-based."""
-    if not (1 <= m <= geom.m_patches and 1 <= n <= geom.n_patches):
-        raise IndexError(f"patch pair (m={m}, n={n}) out of range "
-                         f"1..{geom.m_patches} x 1..{geom.n_patches}")
-    return relative_grid(geom, p1)[n - 1, m - 1]
-
-
-def patch_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig,
-                  quad: QuadratureRule) -> np.ndarray:
-    """3x3 channel block between rx patch m and tx patch n by quadrature."""
-    return patch_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
-                               wave, quad)[0][_BLOCK_IDX]
-
-
 def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig) -> np.ndarray:
     """Closed-form sinc approximation for relative coordinates (K, 3): the
     six components (K, 6), c1*delta_pq + c2*rhat_p*rhat_q times the scale,
@@ -321,12 +304,6 @@ def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfi
     comps[:, :3] += c1[:, None]
     scale = wave.prefactor * area_t * area_r * g * sx * sy
     return scale[:, None] * comps
-
-
-def approx_channel(m: int, n: int, geom: SurfaceGeometry, p1, wave: WaveConfig) -> np.ndarray:
-    """Closed-form 3x3 channel block between rx patch m and tx patch n."""
-    return approx_channel_batch(_pair_coords(m, n, geom, p1)[None, :], geom,
-                                wave)[0][_BLOCK_IDX]
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,14 @@ def validate_config(cfg: dict) -> None:
     if var in ("length", "patches") and not all(
             isinstance(v, numbers.Integral) for v in values):
         raise ConfigError(f"sweep.values {values!r}: a {var} sweep takes integers")
+    snrs = [("fixed.snr", cfg["fixed"]["snr"])] + (
+        [("sweep.values", v) for v in values] if var == "snr" else [])
+    for key, snr in snrs:
+        try:
+            10.0 ** (snr / 10.0)          # the power ratio of noise_precision
+        except OverflowError:
+            raise ConfigError(f"{key} {snr!r} dB: its power ratio 10^(snr/10) "
+                              "overflows a float") from None
     if cfg.get("threads", 1) != 1:
         raise ConfigError(f"threads {cfg['threads']!r}: the option was removed "
                           "and trials run one after another; only 1 is accepted")
@@ -296,10 +304,16 @@ def training_data(cfg: dict, target="quadrature"):
     t, prior = cfg["training"], cfg["prior"]
     geom = build_geometry(cfg)
     box = CoordinateBox.from_prior(geom, *(tuple(prior[a]) for a in "xyz"))
-    return generate_training_set(box, geom, WaveConfig(cfg["wave"]["frequency"]),
-                                 QuadratureRule(cfg["quadrature_order"]),
-                                 t["samples"], seed=t["sample_seed"],
-                                 channel=target)
+    frequency = cfg["wave"]["frequency"]
+    with np.errstate(all="ignore"):       # an overflow is reported below
+        inputs, targets = generate_training_set(
+            box, geom, WaveConfig(frequency), QuadratureRule(cfg["quadrature_order"]),
+            t["samples"], seed=t["sample_seed"], channel=target)
+    # a non-finite sum of squares: a target, or the fit's normalisation, overflows
+    if not np.isfinite(np.vdot(targets, targets)):
+        raise ConfigError(f"wave.frequency {frequency!r} Hz: the {target} channel "
+                          "overflows a float there, so no surrogate can be trained")
+    return inputs, targets
 
 
 def train_net(cfg: dict, target="quadrature"):
@@ -531,6 +545,10 @@ def load_nets(cfg) -> dict:
                 f"cannot read {kind} surrogate weights {path}, needed by "
                 f"{', '.join(users)}: {type(exc).__name__}: {exc} "
                 "(run the train subcommand first)") from exc
+        if not np.any(nets[kind].w2 != 0.0):
+            raise ConfigError(f"{kind} surrogate weights {path} have all-zero output "
+                              "weights w2: the net is untrained (run the train "
+                              "subcommand)")
         if not np.isclose(nets[kind].frequency, frequency, rtol=1e-9, atol=0.0):
             raise ConfigError(
                 f"{kind} surrogate {path} was trained at "

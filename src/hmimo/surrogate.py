@@ -242,11 +242,6 @@ def channel_first_derivs(net: HybridNet, xyz: np.ndarray):
     return channel_derivs(net, xyz, 1)
 
 
-def channel_second_derivs(net: HybridNet, xyz: np.ndarray):
-    """Channel values plus first and mixed second partials, (h, dh, d2h)."""
-    return channel_derivs(net, xyz, 2)
-
-
 def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, order: int = 0,
                     f: np.ndarray = None):
     """Surrogate channel at the transmit location p1, in the stacked layout.
@@ -262,7 +257,8 @@ def stacked_channel(net: HybridNet, geom: SurfaceGeometry, p1, order: int = 0,
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
     # the names are looked up per call, so a rebound module attribute is used
-    pair_fn = (hybrid_channel, channel_first_derivs, channel_second_derivs)[order]
+    pair_fn = (hybrid_channel, channel_first_derivs,
+               functools.partial(channel_derivs, order=2))[order]
     return stacked_pairs(lambda rel: pair_fn(net, rel), geom, p1, f)
 
 

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from hmimo.geometry import SurfaceGeometry
-from hmimo.green import WaveConfig, QuadratureRule, full_channel
+from hmimo.green import WaveConfig, QuadratureRule, full_channel, _POL_PAIRS
 from hmimo.harness import PROFILES, build_geometry, train_net
 
 
 # Per-criterion result lines collected by the acceptance tests; printed as a
 # terminal-summary section so they survive pytest's output capture.
 criterion_lines = []
+
+
+def as_blocks(comps):
+    """The six components (..., 6) of a channel oracle, in POLARIZATIONS
+    order, as symmetric 3x3 blocks (..., 3, 3); component k sits at both
+    entries (i, j) and (j, i) of ``_POL_PAIRS[k]``."""
+    idx = np.empty((3, 3), dtype=int)
+    for k, (i, j) in enumerate(_POL_PAIRS):
+        idx[i, j] = idx[j, i] = k
+    return np.asarray(comps)[..., idx]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -12,11 +12,11 @@ import pytest
 
 import conftest
 
-from hmimo.geometry import SurfaceGeometry, rx_centers, tx_offsets
-from hmimo.green import (WaveConfig, QuadratureRule, full_channel,
-                         patch_channel, approx_channel)
+from hmimo.geometry import SurfaceGeometry, relative_grid, rx_centers, tx_offsets
+from hmimo.green import (WaveConfig, QuadratureRule, approx_channel_batch,
+                         full_channel, patch_channel_batch)
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
-                             channel_first_derivs, channel_second_derivs,
+                             channel_derivs, channel_first_derivs,
                              generate_training_set, hybrid_channel, nmse_db,
                              stacked_channel as _model_stacked, train)
 from hmimo.signals import gen_pilots, simulate_rx, unitary_transform
@@ -206,7 +206,7 @@ def test_criterion_7_derivative_suite(trained_net, small_geometry, wave,
         p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                       rng.uniform(20, 40)])
         h, dh = channel_first_derivs(net, p)
-        _, _, d2h = channel_second_derivs(net, p)
+        _, _, d2h = channel_derivs(net, p, 2)
         scale = np.abs(h).max()
         for a in range(3):
             fd1 = (hybrid_channel(net, p + eps * eye[a])
@@ -252,15 +252,19 @@ def test_criterion_8_quadrature_convergence(small_geometry, wave):
     for _ in range(5):
         p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                       rng.uniform(20, 40)])
-        b8 = patch_channel(1, 1, geom, p, wave, QuadratureRule(8))
-        b16 = patch_channel(1, 1, geom, p, wave, QuadratureRule(16))
+        xyz = relative_grid(geom, p)[0, 0]
+        b8 = conftest.as_blocks(patch_channel_batch(xyz, geom, wave,
+                                                    QuadratureRule(8)))[0]
+        b16 = conftest.as_blocks(patch_channel_batch(xyz, geom, wave,
+                                                     QuadratureRule(16)))[0]
         worst = max(worst, np.linalg.norm(b8 - b16) / np.linalg.norm(b16))
     ok_conv = worst < 1e-8
 
-    p = np.array([0.3, -0.2, 25.0])
-    blk = patch_channel(2, 3, geom, p, wave, QuadratureRule(8))
+    xyz = relative_grid(geom, np.array([0.3, -0.2, 25.0]))[2, 1]   # rx 2, tx 3
+    blk = conftest.as_blocks(patch_channel_batch(xyz, geom, wave,
+                                                 QuadratureRule(8)))[0]
     ok_sym = np.array_equal(blk, blk.T)
-    approx = approx_channel(2, 3, geom, p, wave)
+    approx = conftest.as_blocks(approx_channel_batch(xyz, geom, wave))[0]
     rel = np.linalg.norm(approx - blk) / np.linalg.norm(blk)
     ok_approx = rel < 0.05
 

@@ -72,9 +72,10 @@ def test_workload_runs_one_trial(tmp_path, name, attempted):
 
 def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry):
     # the tracer counts the grid init's jacobian_calls and forward_calls, and
-    # the surrogate.*.points figures, on these module names; a stacked_channel
-    # that called the kernel directly would leave them reading 0
-    names = ("hybrid_channel", "channel_first_derivs", "channel_second_derivs")
+    # the surrogate.*.points figures, on the names of orders 0 and 1; a
+    # stacked_channel that called the kernel directly would leave them
+    # reading 0.  Order 2, which no workload runs, calls channel_derivs.
+    names = ("hybrid_channel", "channel_first_derivs", "channel_derivs")
     calls = []
 
     def counting(name, fn):
@@ -92,10 +93,13 @@ def test_stacked_channel_calls_traced_names(monkeypatch, small_geometry):
         w2=rng.normal(size=(4, 12)), b2=rng.normal(size=12),
         input_offset=np.zeros(3), input_scale=np.ones(3),
         output_offset=np.zeros(12), output_scale=np.ones(12), frequency=3e9)
-    for order, name in enumerate(names):
+    # the traced names reach the kernel through the module's channel_derivs
+    for order, want in enumerate((["hybrid_channel", "channel_derivs"],
+                                  ["channel_first_derivs", "channel_derivs"],
+                                  ["channel_derivs"])):
         calls.clear()
         surrogate.stacked_channel(net, small_geometry, [0.1, -0.2, 25.0], order)
-        assert calls == [name]
+        assert calls == want
 
 
 def test_train_report_keys():

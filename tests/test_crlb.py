@@ -98,20 +98,6 @@ class TestFim:
             fim(p, trained_net, small_geometry, pilot_matrix, 1e9, f=eye),
             fim(p, trained_net, small_geometry, pilot_matrix, 1e9))
 
-    def test_untrained_net_rejected(self, trained_net, small_geometry,
-                                    pilot_matrix):
-        blank = HybridNet(w1=trained_net.w1, b1=trained_net.b1,
-                          w2=np.zeros_like(trained_net.w2),
-                          b2=trained_net.b2,
-                          input_offset=trained_net.input_offset,
-                          input_scale=trained_net.input_scale,
-                          output_offset=trained_net.output_offset,
-                          output_scale=trained_net.output_scale,
-                          frequency=trained_net.frequency)
-        with pytest.raises(ValueError, match="untrained"):
-            fim(np.array([0.0, 0.0, 30.0]), blank, small_geometry,
-                pilot_matrix, 1.0)
-
     def test_score_covariance_identity(self, trained_net, small_geometry,
                                        pilot_matrix, true_position):
         """Empirical covariance of the score at the truth equals the FIM."""

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_blocks
 from hmimo import green
-from hmimo.geometry import SurfaceGeometry
+from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import (MAX_QUADRATURE_ORDER, QuadratureRule, SingularityError,
-                         WaveConfig, approx_channel, full_channel,
-                         patch_channel, patch_channel_batch, _BLOCK_IDX,
-                         _CHUNK_NODES, _component_sums, _dyadic_from_displacement,
-                         _offset_axis)
+                         WaveConfig, approx_channel_batch, full_channel,
+                         patch_channel_batch, _CHUNK_NODES, _component_sums,
+                         _dyadic_from_displacement, _offset_axis)
 from hmimo.harness import PROFILES, build_geometry
 
 F_3GHZ = 3e9
@@ -143,32 +143,34 @@ class TestQuadrature:
             assert np.all(np.abs(q.nodes) < 0.5)
 
     def test_patch_channel_symmetric(self, geom, wave):
-        b = patch_channel(7, 13, geom, (0.3, -0.2, 25.0), wave, QuadratureRule(4))
+        rel = relative_grid(geom, (0.3, -0.2, 25.0))[12, 6]     # rx 7, tx 13
+        b = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(4)))[0]
         assert np.array_equal(b, b.T)
 
     def test_self_convergence(self, geom, wave):
-        p1 = (0.3, -0.2, 25.0)
-        b8 = patch_channel(1, 1, geom, p1, wave, QuadratureRule(8))
-        b16 = patch_channel(1, 1, geom, p1, wave, QuadratureRule(16))
-        rel = np.linalg.norm(b8 - b16) / np.linalg.norm(b16)
-        assert rel < 1e-8
+        rel = relative_grid(geom, (0.3, -0.2, 25.0))[0, 0]
+        b8 = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(8)))
+        b16 = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(16)))
+        err = np.linalg.norm(b8 - b16) / np.linalg.norm(b16)
+        assert err < 1e-8
 
     def test_convergence_monotone_until_machine_eps(self, geom, wave):
-        p1 = (0.1, 0.2, 5.0)
-        ref = patch_channel(1, 1, geom, p1, wave, QuadratureRule(32))
+        rel = relative_grid(geom, (0.1, 0.2, 5.0))[0, 0]
+        ref = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(32)))
         errs = []
         for order in (2, 4, 8):
-            b = patch_channel(1, 1, geom, p1, wave, QuadratureRule(order))
+            b = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(order)))
             errs.append(np.linalg.norm(b - ref) / np.linalg.norm(ref))
         assert errs[0] > errs[1] > errs[2] or errs[-1] < 1e-14
 
     def test_translation_invariance(self, geom, wave):
         q = QuadratureRule(6)
         # pairs (m=1,n=2) and shifted surfaces must give identical blocks
-        b_a = patch_channel(1, 2, geom, (0.3, -0.2, 25.0), wave, q)
+        rel = relative_grid(geom, (0.3, -0.2, 25.0))[1, 0]
+        b_a = as_blocks(patch_channel_batch(rel, geom, wave, q))
         # shift both surfaces: equivalent to evaluating the same relative coords
-        b_b = patch_channel_batch(np.array([[0.31, -0.2, 25.0]]), geom, wave,
-                                  q)[0][_BLOCK_IDX]
+        b_b = as_blocks(patch_channel_batch(np.array([[0.31, -0.2, 25.0]]), geom,
+                                            wave, q))
         assert np.allclose(b_a, b_b, rtol=1e-14)
 
     @pytest.mark.parametrize("order", [4, 8])
@@ -187,7 +189,7 @@ class TestQuadrature:
         offs, w = _offset_grid(geom, q)
         dyads = _dyadic_from_displacement(rel[:, None, :] + offs, wave.wavenumber)
         ref = wave.prefactor * np.einsum("q,bqij->bij", w, dyads)
-        out = patch_channel_batch(rel, geom, wave, q)[:, _BLOCK_IDX]
+        out = as_blocks(patch_channel_batch(rel, geom, wave, q))
         err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert np.max(err) <= 1e-13
         assert np.array_equal(out, out.transpose(0, 2, 1))
@@ -247,7 +249,7 @@ class TestOffsetRule:
         g = OFFSET_GEOMETRIES[name]
         rel = np.array([[0.0, 0.0, z], [0.04, -0.03, z], [-0.25, 0.3, z]])
         ref = _tensor_product_blocks(rel, g, wave, 16)
-        out = patch_channel_batch(rel, g, wave, QuadratureRule(8))[:, _BLOCK_IDX]
+        out = as_blocks(patch_channel_batch(rel, g, wave, QuadratureRule(8)))
         err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert np.max(err) <= 1e-13
 
@@ -322,7 +324,8 @@ class TestChunks:
 class TestApproxChannel:
     def test_aligned_patch_sinc_is_one(self, geom, wave):
         # aligned: x_m^r == x_n^t and y_m^r == y_n^t -> pure prefactor * C
-        b = approx_channel(1, 1, geom, (0.0, 0.0, 30.0), wave)
+        rel = relative_grid(geom, (0.0, 0.0, 30.0))[0, 0]
+        b = as_blocks(approx_channel_batch(rel, geom, wave))[0]
         r = 30.0
         area = (0.01 * 0.01) * (0.05 * 0.05)
         expect_mag = abs(wave.prefactor) * area / (4 * np.pi * r)
@@ -331,7 +334,8 @@ class TestApproxChannel:
         assert abs(b[0, 0]) == pytest.approx(expect_mag * abs(c1), rel=1e-12)
 
     def test_magnitude_prefactor(self, wave, geom):
-        b = approx_channel(1, 1, geom, (0.0, 0.0, 30.0), wave)
+        rel = relative_grid(geom, (0.0, 0.0, 30.0))[0, 0]
+        b = as_blocks(approx_channel_batch(rel, geom, wave))[0]
         omega_mu = abs(wave.prefactor)
         area_t, area_r = 1e-4, 2.5e-3
         expected = omega_mu * area_t * area_r / (4 * np.pi * 30.0)
@@ -340,19 +344,19 @@ class TestApproxChannel:
         assert abs(b[0, 0]) == pytest.approx(expected * c1, rel=1e-12)
 
     def test_matches_quadrature_far(self, geom, wave):
-        p1 = (0.3, -0.2, 25.0)
-        q = QuadratureRule(8)
-        b_quad = patch_channel(3, 5, geom, p1, wave, q)
-        b_approx = approx_channel(3, 5, geom, p1, wave)
-        rel = np.linalg.norm(b_approx - b_quad) / np.linalg.norm(b_quad)
-        assert rel < 0.05
+        rel = relative_grid(geom, (0.3, -0.2, 25.0))[4, 2]      # rx 3, tx 5
+        b_quad = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(8)))
+        b_approx = as_blocks(approx_channel_batch(rel, geom, wave))
+        err = np.linalg.norm(b_approx - b_quad) / np.linalg.norm(b_quad)
+        assert err < 0.05
 
     def test_error_decreases_with_distance(self, geom, wave):
         q = QuadratureRule(8)
         errs = []
         for z in (5.0, 10.0, 20.0, 40.0):
-            b_q = patch_channel(1, 1, geom, (0.2, 0.1, z), wave, q)
-            b_a = approx_channel(1, 1, geom, (0.2, 0.1, z), wave)
+            rel = relative_grid(geom, (0.2, 0.1, z))[0, 0]
+            b_q = as_blocks(patch_channel_batch(rel, geom, wave, q))
+            b_a = as_blocks(approx_channel_batch(rel, geom, wave))
             errs.append(np.linalg.norm(b_a - b_q) / np.linalg.norm(b_q))
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
 
@@ -364,16 +368,17 @@ class TestChannelTensor:
 
     def test_blocks_match_pairwise_quadrature(self, geom, wave):
         # the six components of pair (n, m) sit in rows n - 1, n - 1 + N, ...
-        # of column m - 1, and equal the entries of patch_channel(m, n)
+        # of column m - 1, and equal the entries of the pair's own block
         q = QuadratureRule(4)
         p1 = (0.3, -0.2, 25.0)
         h = full_channel(geom, p1, wave, q).stacked
+        rel = relative_grid(geom, p1)
         n_tx = geom.n_patches
         for m, n in [(1, 1), (42, 7), (100, 25)]:
-            block = patch_channel(m, n, geom, p1, wave, q)
+            block = as_blocks(patch_channel_batch(rel[n - 1, m - 1], geom, wave, q))[0]
             rows = np.arange(6) * n_tx + n - 1
             assert np.array_equal(block, block.T)
-            assert np.allclose(h[rows, m - 1][_BLOCK_IDX], block, rtol=1e-12)
+            assert np.allclose(as_blocks(h[rows, m - 1]), block, rtol=1e-12)
 
     def test_identical_relative_coords_share_blocks(self, wave):
         # equal patch sizes make offsets collide between pairs
@@ -399,15 +404,3 @@ class TestFieldDump:
         grad_derot = np.max(np.abs(np.diff(derot.real.reshape(41, 9), axis=0)))
         assert grad_raw > 10 * grad_derot
 
-
-def test_index_out_of_range(geom, wave):
-    q = QuadratureRule(2)
-    p1 = (0.3, -0.2, 25.0)
-    # 10x10 rx patches (m in 1..100), 5x5 tx patches (n in 1..25)
-    for m, n in ((0, 1), (101, 1), (1, 0), (1, 26)):
-        with pytest.raises(IndexError):
-            patch_channel(m, n, geom, p1, wave, q)
-        with pytest.raises(IndexError):
-            approx_channel(m, n, geom, p1, wave)
-    patch_channel(100, 25, geom, p1, wave, q)
-    approx_channel(100, 25, geom, p1, wave)

@@ -265,6 +265,9 @@ class TestConfig:
         # an SNR of +inf is noiseless data, as a fixed SNR or in an SNR sweep
         validate_config(_deep_merge(PROFILES["ci"], {
             "fixed": {"snr": np.inf}, "sweep": {"values": [np.inf, 10.0]}}))
+        # a finite SNR whose power ratio 10^(snr/10) is a float
+        validate_config(_deep_merge(PROFILES["ci"], {
+            "fixed": {"snr": 3000.0}, "sweep": {"values": [-3000, 3082]}}))
 
     @pytest.mark.parametrize("override, match", [
         ({"quadrature_order": 1}, "^quadrature_order: .* >= 2"),
@@ -290,6 +293,9 @@ class TestConfig:
         ({"fixed": {"snr": np.nan}}, "fixed.snr \\(a finite number, got nan"),
         ({"fixed": {"snr": -np.inf}}, "fixed.snr \\(a finite number, got -inf"),
         ({"sweep": {"values": [0.0, -np.inf]}}, "sweep.values \\(a list of finite"),
+        ({"fixed": {"snr": 1e308}},
+         "^fixed.snr 1e\\+308 dB: its power ratio 10\\^\\(snr/10\\) overflows"),
+        ({"sweep": {"values": [0.0, 3100]}}, "^sweep.values 3100 dB: its power ratio"),
         ({"sweep": {"variable": "length", "values": [np.inf]}},
          "^sweep values \\[inf\\]: only snr"),
         ({"training": {"hidden_count": 0}},
@@ -307,7 +313,8 @@ class TestConfig:
             "rx-dx", "tx-dy", "zero-patches", "negative-patches",
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
-            "minus-inf-snr", "minus-inf-snr-sweep", "inf-length-sweep",
+            "minus-inf-snr", "minus-inf-snr-sweep", "huge-snr", "huge-snr-sweep",
+            "inf-length-sweep",
             "zero-hidden", "negative-hidden", "negative-epochs",
             "negative-max-iters", "zero-max-iters", "negative-tol"])
     def test_out_of_range_values_rejected(self, override, match):
@@ -673,6 +680,15 @@ class TestLoadNets:
         with pytest.raises(ConfigError, match="trained at"):
             load_nets(self._cfg(tmp_path, 2.8e9))
 
+    def test_untrained_net_rejected(self, tmp_path):
+        # all-zero output weights load as a net, but are no model of the channel
+        cfg = self._cfg(tmp_path, 3.0e9)
+        path = tmp_path / "w.json"
+        path.write_text(_weights_text(w2=[0.0] * 12))
+        with pytest.raises(ConfigError, match=f"exact surrogate weights "
+                           f"{re.escape(str(path))} have all-zero output weights"):
+            load_nets(cfg)
+
     @pytest.mark.parametrize("text, match", [
         ('{"version": 2}', "ValueError: unsupported weights file version 2"),
         ("not json", "JSONDecodeError: Expecting value"),
@@ -826,6 +842,20 @@ class TestCli:
             f"config error: config values of the wrong type: {key}")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("frequency", ["1.0e+300", "1.0e-300"])
+    def test_overflowing_carrier_train_exit_code(self, tmp_path, frequency):
+        # the oracle overflows a float at either carrier: the fit used to end
+        # in a ValueError traceback, from the net's scale or the targets
+        path = tmp_path / "train.yaml"
+        path.write_text(yaml.safe_dump({"training": TINY_TRAINING})
+                        + f"wave:\n  frequency: {frequency}\n")
+        proc = self._run("train", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: wave.frequency {float(frequency)!r} "
+                               "Hz: the quadrature channel overflows a float "
+                               "there, so no surrogate can be trained\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_short_pilot_exit_code(self, tmp_path):
         path = tmp_path / "short.yaml"
         path.write_text("fixed:\n  length: 10\n")
@@ -959,6 +989,42 @@ class TestCli:
         assert capsys.readouterr().err == "config error: estimators is empty: " \
                                           "a run needs at least one\n"
         assert not (tmp_path / "point.csv").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("point", {"fixed": {"snr": 3100.0}}, "fixed.snr"),
+        ("crlb", {"fixed": {"snr": 3100.0}, "sweep": {"variable": "chains",
+                                                     "values": [2]}}, "fixed.snr"),
+        ("point", {"sweep": {"values": [3100.0]}}, "sweep.values"),
+        ("crlb", {"sweep": {"values": [0.0, 3100.0]}}, "sweep.values")],
+        ids=["point-fixed", "crlb-fixed", "point-sweep", "crlb-sweep"])
+    def test_overflowing_snr_exit_code(self, tmp_path, trained_net, capsys,
+                                       command, override, key):
+        # 10^(snr/10) overflows above about 3082 dB: validated, such an SNR
+        # used to raise an OverflowError in noise_precision
+        path = self._point_config(tmp_path, trained_net, **override)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key} 3100.0 dB: its power ratio 10^(snr/10) "
+            "overflows a float\n")
+        assert not (tmp_path / "point.csv").exists()
+
+    @pytest.mark.parametrize("command", ["point", "sweep", "crlb"])
+    def test_untrained_weights_exit_code(self, tmp_path, monkeypatch, capsys,
+                                         command):
+        # refused as the file is read, before any trial: it used to end each
+        # point's first bound in crlb.fim with a ValueError traceback
+        monkeypatch.setattr(harness, "_draw_trial", None)
+        weights = tmp_path / "w.json"
+        weights.write_text(_weights_text(w2=[0.0] * 12))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "trials": 1, "estimators": ["ls"],
+            "paths": {"weights": str(weights), "out": str(tmp_path / "out.csv")}}))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: exact surrogate weights {weights} have all-zero "
+            "output weights w2: the net is untrained (run the train subcommand)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("stage, error", [
         ("full_channel", SingularityError("dyadic Green's function evaluated "
@@ -1415,3 +1481,27 @@ class TestApiCallers:
     def test_root_without_package_exits_2(self, tmp_path):
         out = self._run(tmp_path)
         assert out.returncode == 2 and "no src/hmimo" in out.stderr
+
+    def test_repository_public_surface(self):
+        # the names under each heading, without their reference counts: a
+        # new public name that only tests reach fails here.  The tests-only
+        # names serve criterion 7 (crlb's likelihood, score and Hessian) and
+        # the iteration trace's CSV; the benchmark still calls ls_estimate
+        # and simulate_rx_hybrid
+        out = self._run(self.SCRIPT.parents[1])
+        assert out.returncode == 0, out.stderr
+        heading, names = None, {}
+        for line in out.stdout.splitlines():
+            if line.endswith(":") and not line.startswith(" "):
+                heading = line
+            else:
+                names.setdefault(heading, set()).add(line.split(":")[0].strip())
+        assert names == {
+            None: {"crlb.log_likelihood", "crlb.score", "crlb.hessian",
+                   "estimator.write_trace_csv"},
+            "tests and perfbench/ only:": {"estimator.ls_estimate",
+                                           "signals.simulate_rx_hybrid"},
+            "shared name, check by hand:": {"estimator.UampState.from_prior",
+                                            "surrogate.HybridNet.hidden_count",
+                                            "surrogate.CoordinateBox.from_prior"},
+        }

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import as_blocks
 from hmimo import harness, surrogate
 from hmimo.geometry import SurfaceGeometry, relative_grid
 from hmimo.green import (POLARIZATIONS, QuadratureRule, WaveConfig,
-                         approx_channel_batch, full_channel, patch_channel)
+                         approx_channel_batch, full_channel, patch_channel_batch)
 from hmimo.surrogate import (CoordinateBox, HybridNet, TrainConfig,
-                             channel_first_derivs, channel_second_derivs,
+                             channel_derivs, channel_first_derivs,
                              expanded_channel,
                              generate_training_set, hybrid_channel, nmse_db,
                              stacked_channel, term_coefficients, train,
@@ -154,7 +155,8 @@ class TestStackedChannel:
                                 for c in POLARIZATIONS]).T)
         p1s = np.array([[0.3, -0.2, 25.0], [-0.6, 0.4, 31.0]])
         rel = relative_grid(geom, p1s)
-        pair_fns = (hybrid_channel, channel_first_derivs, channel_second_derivs)
+        pair_fns = (hybrid_channel, channel_first_derivs,
+                    lambda net, xyz: channel_derivs(net, xyz, 2))
         batch = [_parts(stacked_channel(net, geom, p1s, order))
                  for order in range(3)]
         for b, p1 in enumerate(p1s):
@@ -164,7 +166,7 @@ class TestStackedChannel:
                       for order in range(3)]
             for n, m in np.ndindex(n_tx, m_rx):             # 0-based
                 rows = np.arange(6) * n_tx + n
-                block = patch_channel(m + 1, n + 1, geom, p1, wave, q)
+                block = as_blocks(patch_channel_batch(rel[b, n, m], geom, wave, q))[0]
                 assert np.allclose(truth[rows, m], block[entry], rtol=1e-12, atol=0)
                 for order, pair_fn in enumerate(pair_fns):
                     want = _parts(pair_fn(net, rel[b, n, m]))
@@ -335,7 +337,7 @@ class TestDerivatives:
             assert np.max(np.abs(dh[:, :, j] - fd)) < 1e-4 * scale
 
     def test_second_matches_finite_difference(self, net, points):
-        h, dh, d2h = channel_second_derivs(net, points)
+        h, dh, d2h = channel_derivs(net, points, 2)
         eps = 1e-5
         scale = np.max(np.abs(d2h))
         for j in range(3):
@@ -353,7 +355,7 @@ class TestDerivatives:
     def test_second_contains_first(self, net, points):
         h0 = hybrid_channel(net, points)
         h1, dh1 = channel_first_derivs(net, points)
-        h2, dh2, _ = channel_second_derivs(net, points)
+        h2, dh2, _ = channel_derivs(net, points, 2)
         assert np.array_equal(h0, h1)
         assert np.array_equal(h1, h2)
         assert np.array_equal(dh1, dh2)
@@ -395,7 +397,7 @@ class TestDerivatives:
             assert not block.flags.writeable
 
     def test_hessian_symmetric(self, net, points):
-        _, _, d2h = channel_second_derivs(net, points)
+        _, _, d2h = channel_derivs(net, points, 2)
         assert np.allclose(d2h, np.swapaxes(d2h, 2, 3), rtol=1e-12, atol=0)
 
 
