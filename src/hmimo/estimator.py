@@ -261,13 +261,16 @@ def channel_belief(lin: Linearization, q: np.ndarray, v_q: np.ndarray,
 # --- location init ------------------------------------------------------
 
 
-def _grid_candidates(cfg: EstimatorConfig):
-    gp = cfg.grid_points
-    ax = [np.linspace(lo, hi, gp) for lo, hi in (cfg.prior_x, cfg.prior_y, cfg.prior_z)]
-    spacing = np.array([(hi - lo) / (gp - 1) for lo, hi in
-                        (cfg.prior_x, cfg.prior_y, cfg.prior_z)])
-    grid = np.meshgrid(*ax, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=-1), spacing
+def _prior_box(cfg: EstimatorConfig):
+    """The prior's corners lo and hi (3,), and the init grid's step per axis."""
+    lo, hi = np.array([cfg.prior_x, cfg.prior_y, cfg.prior_z], dtype=float).T
+    return lo, hi, (hi - lo) / (cfg.grid_points - 1)
+
+
+def _grid_candidates(cfg: EstimatorConfig) -> np.ndarray:
+    lo, hi, _ = _prior_box(cfg)
+    axes = (np.linspace(a, b, cfg.grid_points) for a, b in zip(lo, hi))
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 # Patch pairs per chunk of locations in the init's sums.  Without a
@@ -649,7 +652,7 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     and the known-location estimate read the per-pair model instead.
     """
     ref = _Reference.of(geom, h_ref, f)
-    cands, _ = _grid_candidates(cfg)
+    cands = _grid_candidates(cfg)
     scores = _envelope_scores(net, geom, ref, cands, f)
     coarse = cands[np.argmax(np.where(np.isnan(scores), -np.inf, scores))]
     xy = _nelder_mead(
@@ -671,8 +674,7 @@ def grid_search_init(net: HybridNet, geom: SurfaceGeometry, h_ref: np.ndarray,
     else:
         best_p = np.array([xy[0], xy[1], 0.5 * (z_lo + z_hi)])
 
-    lo = np.array([cfg.prior_x[0], cfg.prior_y[0], cfg.prior_z[0]])
-    hi = np.array([cfg.prior_x[1], cfg.prior_y[1], cfg.prior_z[1]])
+    lo, hi, _ = _prior_box(cfg)
     margin = 0.1 * (hi - lo)
     best_p = np.clip(best_p, lo - margin, hi + margin)
     init_var = np.array([(lam / 4) ** 2, (lam / 4) ** 2, (lam / 8) ** 2])
@@ -734,7 +736,7 @@ def _estimate(model: UnitaryModel, f, net: HybridNet, geom: SurfaceGeometry,
     entries = work.rows * work.r.shape[1]
 
     if cfg.init_position is not None:
-        _, spacing = _grid_candidates(cfg)
+        spacing = _prior_box(cfg)[2]
         p0, var0 = np.asarray(cfg.init_position, float), (spacing / 2.0) ** 2
     else:
         p0, var0 = grid_search_init(net, geom, unitary_ls_estimate(model), cfg, f=f)

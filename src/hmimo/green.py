@@ -11,8 +11,8 @@ density.  The rule is a tensor grid in x and y, so each node needs only
 two scalars, w*g*c1 and w*g*c2/r^2, and its carrier exp(i*k0*r) comes
 from one tangent of half the phase; one GEMM with the moments
 (1, ox, oy, ox^2, oy^2, ox*oy) of the node offsets then sums all six
-components.  A closed-form sinc approximation of the same block is
-provided as a baseline.
+components.  A closed-form baseline scales the point dyad at the patch
+centres by the patch areas and the transmit patch's sinc pair.
 """
 
 from __future__ import annotations
@@ -283,27 +283,19 @@ def patch_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig
 
 def approx_channel_batch(rel: np.ndarray, geom: SurfaceGeometry, wave: WaveConfig) -> np.ndarray:
     """Closed-form sinc approximation for relative coordinates (K, 3): the
-    six components (K, 6), c1*delta_pq + c2*rhat_p*rhat_q times the scale,
-    which carries only the transmit patch's sinc pair (the first-order phase
+    six components (K, 6) of the point dyad at the centres, times the two
+    patch areas and the transmit patch's sinc pair (the first-order phase
     k0 rhat.(delta_t - delta_r) gives one sinc pair per patch)."""
     rel = np.atleast_2d(np.asarray(rel, dtype=float))
     k0 = wave.wavenumber
+    dyad = _dyadic_from_displacement(rel, k0)
     r = np.linalg.norm(rel, axis=-1)
-    area_t = geom.tx_dx * geom.tx_dy
-    area_r = geom.rx_dx * geom.rx_dy
     # unnormalized sinc(u) = sin(u)/u; np.sinc is sin(pi u)/(pi u)
     sx = np.sinc(k0 * (-rel[:, 0]) * geom.tx_dx / (2.0 * r) / np.pi)
     sy = np.sinc(k0 * (-rel[:, 1]) * geom.tx_dy / (2.0 * r) / np.pi)
-    g = np.exp(1j * k0 * r) / (4.0 * np.pi * r)
-    kr = k0 * r
-    c1 = 1.0 + 1j / kr - 1.0 / kr**2
-    c2 = 3.0 / kr**2 - 3j / kr - 1.0
-    rhat = rel / r[:, None]
+    scale = wave.prefactor * (geom.tx_dx * geom.tx_dy) * (geom.rx_dx * geom.rx_dy) * sx * sy
     p, q = np.array(_POL_PAIRS).T
-    comps = c2[:, None] * (rhat[:, p] * rhat[:, q])
-    comps[:, :3] += c1[:, None]
-    scale = wave.prefactor * area_t * area_r * g * sx * sy
-    return scale[:, None] * comps
+    return scale[:, None] * dyad[:, p, q]
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,12 @@ def validate_config(cfg: dict) -> None:
         [("sweep.values", v) for v in values] if var == "snr" else [])
     for key, snr in snrs:
         try:
-            10.0 ** (snr / 10.0)          # the power ratio of noise_precision
+            if 10.0 ** (snr / 10.0) > 0.0:    # the power ratio of noise_precision
+                continue
+            fault = "underflows to 0"
         except OverflowError:
-            raise ConfigError(f"{key} {snr!r} dB: its power ratio 10^(snr/10) "
-                              "overflows a float") from None
+            fault = "overflows a float"
+        raise ConfigError(f"{key} {snr!r} dB: its power ratio 10^(snr/10) {fault}")
     if cfg.get("threads", 1) != 1:
         raise ConfigError(f"threads {cfg['threads']!r}: the option was removed "
                           "and trials run one after another; only 1 is accepted")
@@ -218,6 +220,8 @@ def validate_config(cfg: dict) -> None:
         if len(prior[axis]) != 2 or not prior[axis][0] < prior[axis][1]:
             raise ConfigError(f"degenerate prior range for {axis}: {prior[axis]!r}"
                               " (need two numbers [lo, hi] with lo < hi)")
+    if prior["z"][0] <= 0:
+        raise ConfigError(f"prior.z {prior['z']!r} must start above 0, the receive plane")
     estimators = cfg["estimators"]
     for name in estimators:
         if name not in ESTIMATOR_NAMES:

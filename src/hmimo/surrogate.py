@@ -519,13 +519,14 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
 
     The output layer is periodically re-solved exactly (it is linear in the
     weights) which greatly accelerates convergence.  The fit and its
-    held-out loss run unit-major in workspaces allocated once per call:
-    inputs (4, n) and hidden outputs (H + 1, ``BATCH_SIZE``) end in a ones
-    row, so the biases ride in the products of W1 = [w1 | b1] (H, 4) and
-    W2 = [w2; b2] (H + 1, 12), views into one flat parameter vector (as are
-    the gradient and Adam moments).  Each batch and block gathers its
-    target rows from ``targets``, which it never writes to, and normalises
-    them in the (12, ``BATCH_SIZE``) workspace: no normalised copy is held.
+    held-out loss run in workspaces allocated once per call: sample-major
+    inputs (n, 4), gathered by whole rows, end in a ones column and hidden
+    outputs (H + 1, ``BATCH_SIZE``) in a ones row, so the biases ride in the
+    products of W1 = [w1 | b1] (H, 4) and W2 = [w2; b2] (H + 1, 12), views
+    into one flat parameter vector (as are the gradient and Adam moments).
+    Each batch and block gathers its target rows from ``targets``, which it
+    never writes to, and normalises them in the (12, ``BATCH_SIZE``)
+    workspace: no normalised copy is held.
     ``inputs`` are (K, 3) and ``targets`` (K, 12), all finite.  Returns
     (net, report); the report carries the held-out validation NMSE in dB.
     """
@@ -553,7 +554,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     out_off, out_scale = targets[tr_idx].mean(axis=0), targets[tr_idx].std(axis=0)
     out_scale[out_scale == 0] = 1.0
 
-    x_tr, x_val = (np.vstack([((inputs[i] - in_off) / in_scale).T, np.ones(len(i))])
+    x_tr, x_val = (np.column_stack([(inputs[i] - in_off) / in_scale, np.ones(len(i))])
                    for i in (tr_idx, val_idx))
 
     nh = cfg.hidden_count
@@ -561,25 +562,25 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     (W1, W2), (g_W1, g_W2) = ((v[:4 * nh].reshape(nh, 4), v[4 * nh:].reshape(nh + 1, 12))
                               for v in (flat, flat_grad))
 
-    n_tr = x_tr.shape[1]
+    n_tr = x_tr.shape[0]
     n_b = min(BATCH_SIZE, n_tr)
     a = np.ones((nh + 1, n_b))                # hidden outputs, then a ones row
-    xb, tb, err, back = (np.empty((rows, n_b)) for rows in (4, 12, 12, nh))
-    gb = np.empty((n_b, 12))
+    tb, err, back = (np.empty((rows, n_b)) for rows in (12, 12, nh))
+    xb, gb = np.empty((n_b, 4)), np.empty((n_b, 12))
 
     def normalised(split, cols):
         """The normalised targets (12, n) of the n rows ``split[cols]``,
         gathered from ``targets`` into ``gb`` and normalised in ``tb``."""
         rows = split[cols]
         t = tb[:, :len(rows)]
-        t[...] = np.take(targets, rows, axis=0, out=gb[:len(rows)], mode="clip").T
-        t -= out_off[:, None]
+        np.subtract(np.take(targets, rows, axis=0, out=gb[:len(rows)], mode="clip").T,
+                    out_off[:, None], out=t)
         t /= out_scale[:, None]
         return t
     train_targets = functools.partial(normalised, tr_idx)
     W1[:, :3] = rng.normal(scale=1.0, size=(nh, 3))
     W1[:, 3] = rng.uniform(-1.0, 1.0, size=nh)
-    W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
+    W2[...] = _output_layer_lstsq(x_tr.T, train_targets, W1, a)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
@@ -592,15 +593,15 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         for k in range(steps_per_epoch):
             idx = order[k * n_b:(k + 1) * n_b]
             # idx is in range; "clip" fills ``out`` directly, "raise" via a copy
-            np.take(x_tr, idx, axis=1, out=xb, mode="clip")
-            h = _hidden_layer(W1, xb, a[:-1])
+            np.take(x_tr, idx, axis=0, out=xb, mode="clip")
+            h = _hidden_layer(W1, xb.T, a[:-1])
             np.matmul(W2.T, a, out=err)
             err -= train_targets(idx)                         # (12, B)
             np.matmul(a, err.T, out=g_W2)
             g_W2 /= n_b
             np.matmul(W2[:-1], err, out=back)
             back *= np.subtract(1.0, np.square(h, out=h), out=h)  # (Nh, B)
-            np.matmul(back, xb.T, out=g_W1)
+            np.matmul(back, xb, out=g_W1)
             g_W1 /= n_b
             step += 1
             # cosine-decayed learning rate
@@ -613,16 +614,16 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             flat -= (lr * (m_acc / (1 - beta1**step))
                      / (np.sqrt(v_acc / (1 - beta2**step)) + eps))
         if (epoch + 1) % LS_REFIT_EVERY == 0:
-            W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
+            W2[...] = _output_layer_lstsq(x_tr.T, train_targets, W1, a)
         # the held-out loss in the blocks of ``a``: one block sums as np.mean
         val_loss = float(sum(np.sum((W2.T @ blk - normalised(val_idx, cols)) ** 2)
-                             for cols, blk in _hidden_blocks(W1, x_val, a)) / (12 * n_val))
+                             for cols, blk in _hidden_blocks(W1, x_val.T, a)) / (12 * n_val))
         if not np.isfinite(val_loss):
             raise TrainingError(f"training diverged at epoch {epoch}: loss={val_loss}")
         loss_curve.append(val_loss)
 
     if cfg.epochs % LS_REFIT_EVERY:       # else the last epoch has just refitted
-        W2[...] = _output_layer_lstsq(x_tr, train_targets, W1, a)
+        W2[...] = _output_layer_lstsq(x_tr.T, train_targets, W1, a)
     # release the workspaces before the held-out forward; h is unset at 0 epochs
     x_tr = x_val = a = h = back = xb = tb = gb = err = None
 

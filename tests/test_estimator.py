@@ -794,7 +794,7 @@ class TestNelderMead:
         h = full_channel(small_geometry, p1, wave, QuadratureRule(8)).stacked
         y, _ = simulate_rx(h, pilots, 8.0, seed=seeds[2])
         h_ls = ls_estimate(pilots.matrix, y)
-        cands, _ = estimator._grid_candidates(estimator_config(cfg))
+        cands = estimator._grid_candidates(estimator_config(cfg))
         ref = estimator._Reference.of(small_geometry, h_ls)
         scores = estimator._envelope_scores(trained_net, small_geometry, ref,
                                             cands)

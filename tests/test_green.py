@@ -343,6 +343,11 @@ class TestApproxChannel:
         c1 = abs(1 + 1j / kr - 1 / kr**2)
         assert abs(b[0, 0]) == pytest.approx(expected * c1, rel=1e-12)
 
+    def test_zero_distance_raises(self, geom, wave):
+        # the point dyad's singularity, not a NaN block
+        with pytest.raises(SingularityError):
+            approx_channel_batch(np.zeros((1, 3)), geom, wave)
+
     def test_matches_quadrature_far(self, geom, wave):
         rel = relative_grid(geom, (0.3, -0.2, 25.0))[4, 2]      # rx 3, tx 5
         b_quad = as_blocks(patch_channel_batch(rel, geom, wave, QuadratureRule(8)))

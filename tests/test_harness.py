@@ -296,6 +296,13 @@ class TestConfig:
         ({"fixed": {"snr": 1e308}},
          "^fixed.snr 1e\\+308 dB: its power ratio 10\\^\\(snr/10\\) overflows"),
         ({"sweep": {"values": [0.0, 3100]}}, "^sweep.values 3100 dB: its power ratio"),
+        ({"fixed": {"snr": -3300}},
+         "^fixed.snr -3300 dB: its power ratio 10\\^\\(snr/10\\) underflows to 0$"),
+        ({"sweep": {"values": [-3300.0, 0.0]}},
+         "^sweep.values -3300.0 dB: its power ratio 10\\^\\(snr/10\\) underflows"),
+        ({"prior": {"z": [-1.0, 1.0]}},
+         "^prior.z \\[-1.0, 1.0\\] must start above 0, the receive plane$"),
+        ({"prior": {"z": [0.0, 40.0]}}, "^prior.z \\[0.0, 40.0\\] must start above 0"),
         ({"sweep": {"variable": "length", "values": [np.inf]}},
          "^sweep values \\[inf\\]: only snr"),
         ({"training": {"hidden_count": 0}},
@@ -314,6 +321,7 @@ class TestConfig:
             "short-prior", "long-prior", "zero-tx-rows", "inf-frequency",
             "inf-rx-dx", "inf-patches", "inf-prior", "nan-tol", "nan-snr",
             "minus-inf-snr", "minus-inf-snr-sweep", "huge-snr", "huge-snr-sweep",
+            "tiny-snr", "tiny-snr-sweep", "prior-z-across-rx", "prior-z-at-rx",
             "inf-length-sweep",
             "zero-hidden", "negative-hidden", "negative-epochs",
             "negative-max-iters", "zero-max-iters", "negative-tol"])
@@ -1006,6 +1014,35 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: {key} 3100.0 dB: its power ratio 10^(snr/10) "
             "overflows a float\n")
+        assert not (tmp_path / "point.csv").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("point", {"fixed": {"snr": -3300.0}}, "fixed.snr"),
+        ("crlb", {"fixed": {"snr": -3300.0}, "sweep": {"variable": "chains",
+                                                      "values": [2]}}, "fixed.snr"),
+        ("point", {"sweep": {"values": [-3300.0]}}, "sweep.values"),
+        ("crlb", {"sweep": {"values": [0.0, -3300.0]}}, "sweep.values")],
+        ids=["point-fixed", "crlb-fixed", "point-sweep", "crlb-sweep"])
+    def test_underflowing_snr_exit_code(self, tmp_path, trained_net, capsys,
+                                        command, override, key):
+        # 10^(snr/10) is 0 below about -3233 dB: validated, such an SNR made
+        # the noise precision 0, and every trial failed with RuntimeWarnings
+        path = self._point_config(tmp_path, trained_net, **override)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key} -3300.0 dB: its power ratio 10^(snr/10) "
+            "underflows to 0\n")
+        assert not (tmp_path / "point.csv").exists()
+
+    def test_prior_across_receive_plane_exit_code(self, tmp_path, trained_net,
+                                                  capsys):
+        # the transmit surface sits at z > 0: such a prior used to train and
+        # run to a CSV of meaningless figures
+        path = self._point_config(tmp_path, trained_net,
+                                  prior={"z": [-1.0, 1.0]})
+        assert cli.main(["point", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: prior.z [-1.0, 1.0] must start above 0, the receive plane\n")
         assert not (tmp_path / "point.csv").exists()
 
     @pytest.mark.parametrize("command", ["point", "sweep", "crlb"])
